@@ -135,11 +135,11 @@ def self_times(spans: list[dict]) -> dict[int, float]:
 TAIL_CANDIDATES = (99, 95, 90, 75)
 
 
-def tail_percentile(n: int) -> int:
-    """The highest quotable percentile with at least ten samples beyond
-    it; 50 when the sample supports none (n < 40)."""
+def tail_percentile(n: int, beyond: int = 10) -> int:
+    """The highest quotable percentile with at least ``beyond`` (ten)
+    samples beyond it; 50 when the sample supports none."""
     for q in TAIL_CANDIDATES:
-        if n * (100 - q) >= 1000:
+        if n * (100 - q) >= 100 * beyond:
             return q
     return 50
 

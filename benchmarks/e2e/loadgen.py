@@ -78,15 +78,17 @@ class PhaseResult:
 
 def poisson_schedule(rng: np.random.Generator, rate: float, duration_s: float,
                      draw, first_idx: int = 0) -> list[Request]:
-    """Poisson arrivals at ``rate``/s over ``duration_s``; ``draw(rng)``
-    yields each request's ``(kind, params)``."""
-    out, t = [], 0.0
-    while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t >= duration_s:
-            return out
+    """Poisson arrivals over ``duration_s``, conditioned on their count
+    being exactly ``rate * duration_s`` (sorted uniform instants): every
+    seed offers the same load, where a free count would swing it by
+    ``1/sqrt(count)`` and the queueing latency with it.  ``draw(rng)`` yields
+    each request's ``(kind, params)``."""
+    dues = np.sort(rng.uniform(0.0, duration_s, size=round(rate * duration_s)))
+    out = []
+    for t in dues:
         kind, params = draw(rng)
-        out.append(Request(first_idx + len(out), t, kind, params))
+        out.append(Request(first_idx + len(out), float(t), kind, params))
+    return out
 
 
 def run_phase(group, schedule: list[Request], rate: float, duration_s: float,

@@ -3,7 +3,7 @@
 Driver form (one workload, in this process, result as the last line)::
 
     python3 benchmarks/e2e/run.py --workload web_batch --seed 1 \
-        --seconds 15 --trace 0
+        --seconds 20 --trace 0
 
 Report form (every workload, each in a fresh subprocess so ``peak_rss_mb``
 is its own; ``--trace`` adds a traced run per workload and the per-layer

@@ -66,6 +66,8 @@ def test_percentile_rule() -> None:
             1000: 99, 3: 50}
     for n, q in want.items():
         assert tail_percentile(n) == q, (n, tail_percentile(n), q)
+    # Serving asks for thirty: 370 cold reads give p90, 2 220 hot ones p95.
+    assert tail_percentile(370, 30) == 90 and tail_percentile(2220, 30) == 95
 
 
 class StubShed(Exception):

@@ -31,10 +31,16 @@ from repro.service import AnalyticsEngine
 SERVE_N = 8_000
 SERVE_DEGREE = 8
 PPR_PARAMS = {"max_iters": 10, "tol": None}  # fixed work per seed vertex
-PHASES = (("low", 0.1), ("ref", 0.6), ("top", 0.3))  # share of --seconds
+# Share of --seconds: every bounded latency is read at R_ref, so it gets the
+# most; R_low only feeds the traced run's max-rate search.
+PHASES = (("low", 0.06), ("ref", 0.74), ("top", 0.20))
 WRITE_PERIOD_S = 0.5
 WRITE_EDGES = 200
 CHECK_SAMPLE = 12
+# Slow reads come in runs (behind one write stall, one cold miss burst, one
+# noisy-neighbour second), so ten of them are far fewer than ten independent
+# samples: the serving tail is quoted with thirty beyond it.
+TAIL_BEYOND = 30
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ COLD_RW = ServeSpec(
     name="serve_cold_rw", nranks=2, replicas=1, snapshot_reads=True,
     mix=(("bfs", 0.6), ("ppr", 0.3), ("wcc", 0.1)),
     hot_pool=0, hot_frac=0.0,
-    rates={"low": 17.0, "ref": 35.0, "top": 160.0}, slo_ms=500.0,
+    rates={"low": 12.0, "ref": 25.0, "top": 160.0}, slo_ms=500.0,
     writes=True)
 
 
@@ -215,7 +221,7 @@ def _run(spec: ServeSpec, seed: int, seconds: float,
     ref = results["ref"]
     lat = ref.latencies_ms()
     # Fixed by the nominal sample count, so every run quotes the same one.
-    q = tail_percentile(int(spec.rates["ref"] * ref.duration_s))
+    q = tail_percentile(int(spec.rates["ref"] * ref.duration_s), TAIL_BEYOND)
     top = results["top"]
     out.manifest.update(
         n=SERVE_N, m=len(edges), edges_blake2b=edge_digest(edges),
@@ -232,8 +238,9 @@ def _run(spec: ServeSpec, seed: int, seconds: float,
         writes=len(writes), timed_s=seconds,
         op="one read at R_ref, timed from its due time")
     if q < 95:
-        out.notes.append(f"{len(lat)} samples at R_ref support p{q}, not "
-                         "p95 (ten samples must lie beyond the percentile)")
+        out.notes.append(f"{len(lat)} samples at R_ref support p{q}, not p95 "
+                         f"({TAIL_BEYOND} samples must lie beyond the "
+                         "percentile)")
 
     # A shed is admission control answering "retry later", by design at
     # R_top; it lowers goodput and is reported as serve.shed_frac.  Errors
