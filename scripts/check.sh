@@ -4,8 +4,10 @@
 # the checked-in baseline), the seeded-violation fixture corpora (run as
 # the parametrized pytest module tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
-# baseline (fails on ratio regression vs the recorded baseline), and the
-# tier-1 suite twice (verifier on; then buffer sanitizer on as well).
+# baseline (fails on ratio regression vs the recorded baseline), the
+# end-to-end benchmark's self-test and a short stream_churn run (exit code
+# only: its incremental-vs-rebuild checks), and the tier-1 suite twice
+# (verifier on; then buffer sanitizer on as well).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -75,6 +77,15 @@ for baseline in benchmarks/BENCH_*.json; do
     echo "== bench smoke: $bench (guards $baseline) =="
     PYTHONPATH=src python "$bench" --smoke
 done
+
+echo "== e2e benchmark: self-test + stream_churn correctness smoke =="
+# Exit code only, no timing: stream_churn ends by checking incremental
+# PageRank/WCC/k-core bitwise against static kernels on a from-scratch
+# rebuild after 40 epochs of inserts, deletes and compactions — the
+# strongest end-to-end oracle for the delta-CSR and the k-core sweep.
+python3 benchmarks/e2e/selftest.py
+python3 benchmarks/e2e/run.py --workload stream_churn --seed 1 --seconds 6 \
+    --trace 0 >/dev/null
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="
 # End-to-end through the CLI: start a replica group, serve point and

@@ -11,8 +11,14 @@ BFS-like (frontier expansion, Algorithm 2):
 * :func:`distributed_bfs` — the shared level-synchronous kernel;
 * :func:`largest_scc` / :func:`scc` — Forward–Backward SCC with trimming;
 * :func:`harmonic_centrality` — reverse-BFS reciprocal-distance sums;
-* :func:`approx_kcore` — geometric coreness-bound sweep;
 * phase 1 of :func:`wcc` (Multistep).
+
+Closure-like (run to a local fixed point, then synchronize):
+
+* :mod:`~repro.analytics.closure` — :class:`UndirectedAdjacency` with
+  the ``peel_below`` / ``reach_from`` superstep primitives;
+* :func:`approx_kcore` — geometric coreness-bound sweep, and
+  :func:`exact_kcore`, both thin drivers over those primitives.
 
 All functions are SPMD: call them from within :func:`repro.runtime.run_spmd`
 with this rank's :class:`~repro.graph.DistGraph`.

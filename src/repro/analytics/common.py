@@ -13,7 +13,6 @@ __all__ = [
     "QUEUED",
     "combined_adjacency",
     "global_max_degree_vertex",
-    "alive_degree",
 ]
 
 # Status-array encoding of the paper's Algorithm 2.
@@ -63,22 +62,6 @@ def global_max_degree_vertex(
     if best_deg < 0:
         return -1, -1
     return int(best_gid), int(best_deg)
-
-
-def alive_degree(g: DistGraph, alive: np.ndarray) -> np.ndarray:
-    """Total degree of each local vertex counting only alive neighbors.
-
-    ``alive`` is a boolean array over local + ghost vertices; the result is
-    meaningful for local vertices (ghost entries of ``alive`` must be
-    current, i.e. halo-exchanged).
-    """
-    from ..graph.csr import segment_sum
-
-    deg = np.zeros(g.n_loc, dtype=np.int64)
-    for indptr, adj in ((g.out_indexes, g.out_edges), (g.in_indexes, g.in_edges)):
-        if len(adj):
-            deg += segment_sum(indptr, alive[adj].astype(np.int64))
-    return deg
 
 
 def global_sum(comm: Communicator, value) -> int:

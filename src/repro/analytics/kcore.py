@@ -9,6 +9,13 @@ survivors of stage ``i`` form (the giant component of) the ``2^i``-core.
 
 We record, for each vertex, the last stage it survived; Fig. 6's cumulative
 coreness distribution follows directly.
+
+Both steps of a stage are monotone closures whose result does not depend
+on discovery order, so they run as the local-fixed-point supersteps of
+:mod:`repro.analytics.closure` over one maintained degree array: a stage
+costs the rows of the vertices it removes plus the rows of the component
+it keeps, and two collectives per *superstep* instead of two per peel
+round and BFS level.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.distgraph import DistGraph
-from ..runtime import SUM, Communicator
-from .bfs import distributed_bfs
-from .common import alive_degree, global_max_degree_vertex
+from ..runtime import Communicator
+from .closure import UndirectedAdjacency
+from .common import global_max_degree_vertex
 from .exchange import HaloExchange
 
 __all__ = ["KCoreResult", "approx_kcore"]
@@ -34,11 +41,17 @@ class KCoreResult:
     the ``2^i`` stage (degree pruning or falling outside the largest
     component), bounding its coreness by ``2^i − 1``; vertices surviving
     the whole sweep hold ``max_stage + 1``.
+
+    ``supersteps`` (global synchronization points, identical on every
+    rank) and ``edges_scanned`` (adjacency entries this rank read) describe
+    the work the sweep did, not its answer.
     """
 
     stage_removed: np.ndarray  # int64 per local vertex
     stages_run: int
     survivors: int  # global count of vertices surviving every stage
+    supersteps: int = 0
+    edges_scanned: int = 0
 
     def coreness_upper_bound(self) -> np.ndarray:
         """Per-vertex coreness upper bound (``2^stage − 1``)."""
@@ -73,51 +86,38 @@ def approx_kcore(
     with comm.region("kcore"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
-
-        alive = np.ones(n_tot, dtype=bool)
+        n_loc = g.n_loc
+        und = UndirectedAdjacency(comm, g, halo)
         stage_removed = np.zeros(n_loc, dtype=np.int64)
         stages_run = 0
-        survivors = comm.allreduce(n_loc, SUM)
+        # Every closure returns its global count, so the alive total is
+        # carried arithmetically instead of re-reduced each stage.
+        survivors = g.n_global
 
         for i in range(1, max_stage + 1):
-            k = 1 << i
-            # Peel to a fixed point of "remove alive vertices with < k alive
-            # neighbors" (the (2^i)-core of the remaining graph).
-            while True:
-                deg = alive_degree(g, alive)
-                kill = alive[:n_loc] & (deg < k)
-                n_kill = comm.allreduce(int(kill.sum()), SUM)
-                if n_kill == 0:
-                    break
-                stage_removed[kill] = i
-                alive[:n_loc][kill] = False
-                halo.exchange(alive)
-
-            n_alive = comm.allreduce(int(alive[:n_loc].sum()), SUM)
+            # The (2^i)-core of what is still alive.
+            removed, n_removed = und.peel_below(1 << i)
+            stage_removed[removed] = i
+            survivors -= n_removed
             stages_run = i
-            if n_alive == 0:
-                survivors = 0
+            if survivors == 0:
                 break
 
-            # Keep only the largest connected component of the pruned graph.
+            # Keep only the component of the highest-degree survivor.
             if lcc_restrict:
-                pivot, _ = global_max_degree_vertex(comm, g, restrict=alive)
-                lev = distributed_bfs(comm, g, pivot, direction="both",
-                                      restrict=alive)
-                outside = alive[:n_loc] & (lev < 0)
-                n_out = comm.allreduce(int(outside.sum()), SUM)
-                if n_out:
-                    stage_removed[outside] = i
-                    alive[:n_loc][outside] = False
-                    halo.exchange(alive)
-                survivors = n_alive - n_out
-            else:
-                survivors = n_alive
+                pivot, _ = global_max_degree_vertex(comm, g,
+                                                    restrict=und.alive)
+                reached, n_reached = und.reach_from(pivot)
+                if n_reached < survivors:
+                    stage_removed[und.alive[:n_loc] & ~reached[:n_loc]] = i
+                    und.keep_only(reached)
+                    survivors = n_reached
         else:
             # Survivors of the full sweep: coreness bound is open-ended.
-            still = alive[:n_loc]
-            stage_removed[still] = max_stage + 1
+            stage_removed[und.alive[:n_loc]] = max_stage + 1
 
+        comm.trace.bump("kcore.supersteps", und.supersteps)
+        comm.trace.bump("kcore.edges_scanned", und.edges_scanned)
         return KCoreResult(stage_removed=stage_removed, stages_run=stages_run,
-                           survivors=survivors)
+                           survivors=survivors, supersteps=und.supersteps,
+                           edges_scanned=und.edges_scanned)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.distgraph import DistGraph
-from ..runtime import MAX, SUM, Communicator
-from .common import alive_degree
+from ..runtime import MAX, Communicator
+from .closure import UndirectedAdjacency
 from .exchange import HaloExchange
 
 __all__ = ["ExactKCoreResult", "exact_kcore"]
@@ -32,7 +32,8 @@ class ExactKCoreResult:
 
     coreness: np.ndarray  # per local vertex
     max_core: int  # global degeneracy
-    n_rounds: int  # total peel rounds across all thresholds
+    n_rounds: int  # synchronization rounds (supersteps) over all thresholds
+    edges_scanned: int = 0  # adjacency entries this rank read
 
 
 def exact_kcore(
@@ -40,34 +41,31 @@ def exact_kcore(
     g: DistGraph,
     halo: HaloExchange | None = None,
 ) -> ExactKCoreResult:
-    """Exact coreness of every vertex by incremental-threshold peeling."""
+    """Exact coreness of every vertex by incremental-threshold peeling.
+
+    One :meth:`~repro.analytics.closure.UndirectedAdjacency.peel_below`
+    per threshold over a single maintained degree array: across the whole
+    decomposition each adjacency entry is read once, when its row's vertex
+    is peeled.
+    """
     with comm.region("kcore_exact"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
-
-        alive = np.ones(n_tot, dtype=bool)
-        coreness = np.zeros(n_loc, dtype=np.int64)
-        n_rounds = 0
+        und = UndirectedAdjacency(comm, g, halo)
+        coreness = np.zeros(g.n_loc, dtype=np.int64)
 
         k = 1
-        remaining = comm.allreduce(n_loc, SUM)
+        remaining = g.n_global
         while remaining > 0:
-            # Peel at threshold k to a fixed point.
-            while True:
-                deg = alive_degree(g, alive)
-                kill = alive[:n_loc] & (deg < k)
-                n_kill = comm.allreduce(int(kill.sum()), SUM)
-                n_rounds += 1
-                if n_kill == 0:
-                    break
-                coreness[kill] = k - 1
-                alive[:n_loc][kill] = False
-                halo.exchange(alive)
-            remaining = comm.allreduce(int(alive[:n_loc].sum()), SUM)
+            removed, n_removed = und.peel_below(k)
+            coreness[removed] = k - 1
+            remaining -= n_removed
             k += 1
 
-        local_max = int(coreness.max()) if n_loc else 0
+        local_max = int(coreness.max()) if g.n_loc else 0
         max_core = int(comm.allreduce(local_max, MAX))
+        comm.trace.bump("kcore.supersteps", und.supersteps)
+        comm.trace.bump("kcore.edges_scanned", und.edges_scanned)
         return ExactKCoreResult(coreness=coreness, max_core=max_core,
-                                n_rounds=n_rounds)
+                                n_rounds=und.supersteps,
+                                edges_scanned=und.edges_scanned)

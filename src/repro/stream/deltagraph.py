@@ -90,32 +90,6 @@ def _span_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lens) + offsets
 
 
-def _csr_insert(indptr: np.ndarray, lids: np.ndarray, unmap: np.ndarray,
-                rows: np.ndarray, new_lids: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Insert entries into a per-row gid-sorted CSR without re-sorting it.
-
-    ``(rows, new_lids)`` must be in (row, gid, seq) order — the order
-    journal records carry overlay inserts in — so each entry lands after
-    every existing same-gid entry of its row and ties between new entries
-    stay in sequence order, reproducing exactly what a full merge lexsort
-    would produce.  Cost is one O(m) copy instead of an O(m log m) sort.
-    """
-    if len(rows) == 0:
-        return indptr, lids
-    pos = np.empty(len(rows), dtype=np.int64)
-    uniq, first = np.unique(rows, return_index=True)
-    bounds = np.concatenate((first, [len(rows)]))
-    for j, r in enumerate(uniq):
-        seg = lids[indptr[r]:indptr[r + 1]]
-        lo, hi = bounds[j], bounds[j + 1]
-        pos[lo:hi] = indptr[r] + np.searchsorted(
-            unmap[seg], unmap[new_lids[lo:hi]], side="right")
-    counts = np.bincount(rows, minlength=len(indptr) - 1)
-    new_indptr = indptr + np.concatenate(([0], np.cumsum(counts)))
-    return new_indptr, np.insert(lids, pos, new_lids)
-
-
 @dataclass(frozen=True)
 class ApplyResult:
     """Global outcome of one applied batch (identical on every rank)."""
@@ -382,23 +356,46 @@ class _DirState:
 
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray | None]:
-        """Full merged direction: (indptr, lids, gids, vals)."""
-        n_rows = len(self.indptr) - 1
-        keep = ~self.tomb
-        b_rows = expand_rows(self.indptr)[keep]
-        b_lids = self.lids[keep]
-        b_gids = self.gids[keep]
-        rows = np.concatenate((b_rows, self.ins_row))
-        lids = np.concatenate((b_lids, self.ins_lid))
-        gids = np.concatenate((b_gids, self.ins_gid))
-        order = np.lexsort((gids, rows))
-        counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        vals = None
-        if self.vals is not None:
-            vals = np.concatenate((self.vals[keep], self.ins_val))[order]
-        return indptr, lids[order], gids[order], vals
+        """Full merged direction: (indptr, lids, gids, vals).
+
+        A linear splice, not a sort: the base is (row, gid)-sorted
+        (``self.keys``) and :meth:`apply` keeps the overlay (row, gid,
+        seq)-sorted, so each overlay entry's place is the count of
+        surviving base entries with key ``<=`` its own (base copies come
+        first on ties) plus its own ordinal (overlay ties stay in sequence
+        order).  With nothing overlaid the base arrays are returned as
+        they are — callers treat merged arrays as read-only.
+        """
+        n_ov = len(self.ins_row)
+        if n_ov == 0 and self.n_tomb == 0:
+            return self.indptr, self.lids, self.gids, self.vals
+        bound = np.searchsorted(
+            self.keys, self.ins_row * self.n_global + self.ins_gid,
+            side="right")
+        ov_before = np.searchsorted(
+            self.ins_row, np.arange(len(self.indptr), dtype=np.int64))
+        if self.n_tomb:
+            keep = ~self.tomb
+            kept_before = np.concatenate(([0], np.cumsum(keep)))
+            bound = kept_before[bound]
+            indptr = kept_before[self.indptr] + ov_before
+        else:
+            keep = slice(None)
+            indptr = self.indptr + ov_before
+        dest = bound + np.arange(n_ov, dtype=np.int64)
+        from_base = np.ones(len(self.lids) - self.n_tomb + n_ov, dtype=bool)
+        from_base[dest] = False
+
+        def splice(base: np.ndarray, overlay: np.ndarray) -> np.ndarray:
+            out = np.empty(len(from_base), dtype=base.dtype)
+            out[from_base] = base[keep]
+            out[dest] = overlay
+            return out
+
+        vals = (splice(self.vals, self.ins_val)
+                if self.vals is not None else None)
+        return (indptr, splice(self.lids, self.ins_lid),
+                splice(self.gids, self.ins_gid), vals)
 
 
 class DynamicDistGraph:
@@ -448,6 +445,8 @@ class DynamicDistGraph:
         self._journal: deque[EpochRecord] = deque(maxlen=_JOURNAL_KEEP)
         self._view: DistGraph | None = None
         self._view_epoch = -1
+        # Merged in-direction of the current epoch; reset by every apply.
+        self._in_merged_cache: tuple | None = None
         self._pins: dict[int, int] = {}  # epoch -> local pin count
         self.halo = HaloExchange(comm, self)
 
@@ -498,34 +497,18 @@ class DynamicDistGraph:
         rows' degrees, never with the whole direction."""
         return self._in.gather_rows(rows)
 
-    def in_csr_merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full merged in-CSR ``(indptr, lids)``, cached per epoch.
+    def _in_merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray | None]:
+        """The epoch's merged in-direction, materialized at most once:
+        :meth:`view` and :meth:`in_csr_merged` read the same arrays."""
+        if self._in_merged_cache is None:
+            self._in_merged_cache = self._in.merged()
+        return self._in_merged_cache
 
-        A stale cache is caught up *incrementally* when every epoch since
-        it was built only inserted (no effective deletes, no compaction):
-        the journaled in-direction inserts are spliced into the cached
-        arrays via :func:`_csr_insert`, replacing the per-epoch merge
-        lexsort with an O(m) copy.  Any delete or compaction in the
-        window — or a journal gap — falls back to a full rebuild.
-        """
-        cached_epoch = getattr(self, "_in_csr_epoch", -1)
-        if cached_epoch != self.epoch:
-            records = (self.journal_since(cached_epoch)
-                       if cached_epoch >= 0 else None)
-            if records is not None and all(
-                    rec.n_deleted == 0 and not rec.compacted
-                    for rec in records):
-                indptr, lids = self._in_csr
-                for rec in records:
-                    indptr, lids = _csr_insert(
-                        indptr, lids, self.unmap,
-                        rec.in_ins_row, rec.in_ins_lid)
-                self._in_csr = (indptr, lids)
-            else:
-                indptr, lids, _, _ = self._in.merged()
-                self._in_csr = (indptr, lids)
-            self._in_csr_epoch = self.epoch
-        return self._in_csr
+    def in_csr_merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full merged in-CSR ``(indptr, lids)``, cached per epoch."""
+        indptr, lids, _, _ = self._in_merged()
+        return indptr, lids
 
     # --- epoch pins (MVCC snapshot support) ---------------------------
     def pin_epoch(self, epoch: int | None = None) -> int:
@@ -653,6 +636,7 @@ class DynamicDistGraph:
 
         self.epoch += 1
         self._view = None
+        self._in_merged_cache = None
         self._journal.append(EpochRecord(
             epoch=self.epoch,
             out_rows=sorted_unique(out_rows),
@@ -687,7 +671,7 @@ class DynamicDistGraph:
         if self._view is not None and self._view_epoch == self.epoch:
             return self._view
         out_indptr, out_lids, _, out_vals = self._out.merged()
-        in_indptr, in_lids, _, in_vals = self._in.merged()
+        in_indptr, in_lids, _, in_vals = self._in_merged()
         g = DistGraph(
             rank=self.rank, nparts=self.nparts, n_global=self.n_global,
             m_global=self._m_global, partition=self.partition,

@@ -38,11 +38,17 @@ kernel falls back to the static Multistep kernel — deletions can split
 components, which cannot be repaired from labels alone.
 
 **Degrees / k-core.**  Degrees are maintained exactly by the delta graph
-(integer adds).  The geometric k-core sweep has no cheap exact repair
-(inserting one edge can resurrect vertices peeled many stages earlier),
-so the kernel reuses its cached result when the journal shows no
-effective change and otherwise recomputes — the honest fallback, counted
-in ``stats``.
+(integer adds).  The geometric k-core sweep is recomputed whenever the
+journal shows an effective change — one inserted edge can resurrect
+vertices peeled many stages earlier, so no label-local repair exists —
+but a recompute is no longer a rescan: the sweep runs as the
+local-fixed-point supersteps of :mod:`repro.analytics.closure` over one
+maintained degree array, reading each adjacency entry at most once per
+peel or component step and synchronizing once per superstep instead of
+once per peel round and BFS level.  It stays exact because each step is a
+closure whose result depends on the graph only, never on the order
+vertices are discovered in (DESIGN.md §17).  ``stats`` counts recomputes,
+reuses, supersteps and entries scanned.
 
 All reuse/fallback decisions are taken on globally-agreed values
 (allreduced counters in the journal, or one explicit allreduce), so every
@@ -468,10 +474,14 @@ class IncrementalKCore:
     """Cached k-core sweep, recomputed only on effective change.
 
     One inserted edge can resurrect vertices peeled arbitrarily early
-    (their neighbors' survival changes), so there is no cheap exact
-    repair of the geometric sweep; the incremental win is (a) exact
-    maintained degrees feeding the sweep and (b) skipping the sweep
-    entirely for batches with no effective mutation — both decisions on
+    (their neighbors' survival changes), so the sweep is re-run rather
+    than repaired — on the materialized view, with the delta graph's
+    retained halo.  A re-run costs the rows of the vertices each stage
+    removes plus the rows of the component it keeps (``edges_scanned``)
+    and two collectives per superstep (``supersteps``); its result is
+    bit-identical to the sweep on a from-scratch rebuild because every
+    stage is an order-independent closure of the graph.  Batches with no
+    effective mutation skip the sweep entirely; that decision reads
     journal counters that are global, keeping ranks in lockstep.
     """
 
@@ -483,7 +493,8 @@ class IncrementalKCore:
         self.lcc_restrict = lcc_restrict
         self._cached: KCoreResult | None = None
         self._epoch = -1
-        self.stats = {"runs": 0, "recomputes": 0, "reuses": 0}
+        self.stats = {"runs": 0, "recomputes": 0, "reuses": 0,
+                      "supersteps": 0, "edges_scanned": 0}
 
     def run(self) -> KCoreResult:
         dyn = self.dyn
@@ -501,4 +512,6 @@ class IncrementalKCore:
         self._cached = res
         self._epoch = dyn.epoch
         self.stats["recomputes"] += 1
+        self.stats["supersteps"] += res.supersteps
+        self.stats["edges_scanned"] += res.edges_scanned
         return res

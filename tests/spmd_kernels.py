@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from kcore_reference import reference_approx_kcore, reference_exact_kcore
 from repro.analytics import (
     HaloExchange,
+    approx_kcore,
     delta_stepping,
     distributed_bfs_dirop,
+    exact_kcore,
+    global_max_degree_vertex,
     pagerank,
     wcc,
 )
+from repro.analytics.closure import UndirectedAdjacency
 from repro.graph import build_dist_graph, build_grid_graph
 from repro.partition import (
     EdgeBlockPartition,
@@ -67,6 +72,63 @@ def kern_bfs_dirop(comm, cfg):
     levels = distributed_bfs_dirop(comm, g, cfg["root"],
                                    halo=HaloExchange(comm, g))
     return g.unmap[: g.n_loc].copy(), levels
+
+
+def kern_kcore_oracle(comm, cfg):
+    """Production k-core kernels beside the reference ones, per graph.
+
+    cfg: ``{"graphs": {name: {"edges", "n"}}, "part": kind, "max_stage"}``.
+    Returns ``{name: {variant: (new fields, reference fields)}}`` for the
+    sweep with and without the LCC step and for the exact decomposition,
+    plus each run's work counters.
+    """
+    out = {}
+    for name, gcfg in cfg["graphs"].items():
+        g = build_graph(comm, {**gcfg, "part": cfg["part"]})
+        halo = HaloExchange(comm, g)
+        row = {"gids": g.unmap[: g.n_loc].copy()}
+        for lcc in (True, False):
+            new = approx_kcore(comm, g, max_stage=cfg["max_stage"], halo=halo,
+                               lcc_restrict=lcc)
+            ref = reference_approx_kcore(comm, g, max_stage=cfg["max_stage"],
+                                         lcc_restrict=lcc)
+            row[f"approx_lcc={lcc}"] = (
+                (new.stage_removed, new.stages_run, new.survivors),
+                (ref.stage_removed, ref.stages_run, ref.survivors))
+        new = exact_kcore(comm, g, halo=halo)
+        ref = reference_exact_kcore(comm, g)
+        row["exact"] = ((new.coreness, new.max_core),
+                        (ref.coreness, ref.max_core))
+        row["exact_rounds"] = (new.n_rounds, ref.n_rounds)
+        out[name] = row
+    return out
+
+
+def kern_closure_work(comm, cfg):
+    """Per-closure work of one full sweep: a list of ``(kind, supersteps,
+    edges_scanned)`` plus the adjacency's stored-entry count."""
+    g = build_graph(comm, cfg)
+    und = UndirectedAdjacency(comm, g, HaloExchange(comm, g))
+    calls = []
+
+    def record(kind, before):
+        calls.append((kind, und.supersteps - before[0],
+                      und.edges_scanned - before[1]))
+
+    survivors = g.n_global
+    for i in range(1, cfg["max_stage"] + 1):
+        before = (und.supersteps, und.edges_scanned)
+        _, n_removed = und.peel_below(1 << i)
+        record("peel", before)
+        survivors -= n_removed
+        if survivors == 0:
+            break
+        pivot, _ = global_max_degree_vertex(comm, g, restrict=und.alive)
+        before = (und.supersteps, und.edges_scanned)
+        reached, survivors = und.reach_from(pivot)
+        record("reach", before)
+        und.keep_only(reached)
+    return calls, und.n_entries
 
 
 def build_grid(comm, cfg: dict):

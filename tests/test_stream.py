@@ -10,6 +10,8 @@ rebuilds lives in ``test_stream_equivalence.py``.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from conftest import make_partition
 from repro.graph import build_dist_graph
@@ -320,30 +322,112 @@ def test_gather_rows_matches_merged_both_paths():
     assert all(run_spmd(1, job))
 
 
-def test_in_csr_merged_incremental_catchup():
-    """Insert-only epochs splice into the cached CSR; a delete falls back
-    to a full rebuild — both must equal a fresh merge."""
+def _merged_by_lexsort(st):
+    """Oracle for ``_DirState.merged``: concatenate surviving base and
+    overlay entries and stable-sort by (row, gid) — ties keep base copies
+    first and overlay copies in sequence order."""
+    from repro.graph.csr import expand_rows
+
+    n_rows = len(st.indptr) - 1
+    keep = ~st.tomb
+    rows = np.concatenate((expand_rows(st.indptr)[keep], st.ins_row))
+    lids = np.concatenate((st.lids[keep], st.ins_lid))
+    gids = np.concatenate((st.gids[keep], st.ins_gid))
+    order = np.lexsort((gids, rows))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    vals = None
+    if st.vals is not None:
+        vals = np.concatenate((st.vals[keep], st.ins_val))[order]
+    return indptr, lids[order], gids[order], vals
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 10_000), weighted=hst.booleans(),
+       nranks=hst.sampled_from([1, 2, 3]))
+def test_merged_splice_matches_lexsort_oracle(seed, weighted, nranks):
+    """The linear splice equals the sort it replaced, bit for bit, on
+    histories with tombstones, duplicate (row, gid) copies in base and
+    overlay, deletes that cancel inserts of their own batch, deletes that
+    miss, distinct weights per copy, and a compaction half-way."""
+    rng = np.random.default_rng(seed)
+    n = 10  # small id space: duplicates and repeat deletes are the norm
+    edges = rng.integers(0, n, size=(40, 2), dtype=np.int64)
+    batches = []
+    live = [tuple(e) for e in edges]
+    for _ in range(6):
+        ins = rng.integers(0, n, size=(int(rng.integers(0, 12)), 2),
+                           dtype=np.int64)
+        pool = np.array(live + [tuple(e) for e in ins]
+                        + [(0, 0)], dtype=np.int64)  # (0, 0) may miss
+        dele = pool[rng.integers(0, len(pool), int(rng.integers(0, 10)))]
+        both = np.concatenate((ins, dele))
+        op = np.concatenate((np.full(len(ins), INSERT),
+                             np.full(len(dele), DELETE)))
+        order = rng.permutation(len(both))
+        batches.append((both[order], op[order], rng.random(len(both))))
+        live += [tuple(e) for e in ins]
+
+    def check(dyn):
+        for st in (dyn._out, dyn._in):
+            for got, want in zip(st.merged(), _merged_by_lexsort(st)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+    def job(comm):
+        part = VertexBlockPartition(n, comm.size)
+        sl = np.array_split(np.arange(len(edges)), comm.size)[comm.rank]
+        g = build_dist_graph(
+            comm, edges[sl], part,
+            edge_values=rng.random(len(edges))[sl] if weighted else None)
+        dyn = DynamicDistGraph(comm, g, compact_threshold=100.0)
+        check(dyn)
+        compacted = []
+        for e, (pairs, op, w) in enumerate(batches):
+            dyn.compact_threshold = 1e-9 if e == 3 else 100.0
+            sl = np.array_split(np.arange(len(pairs)), comm.size)[comm.rank]
+            res = dyn.apply(UpdateBatch(pairs[sl, 0], pairs[sl, 1], op[sl],
+                                        w[sl] if weighted else None))
+            compacted.append(res.compacted)
+            check(dyn)
+            v = dyn.view()
+            assert np.array_equal(v.in_edges, _merged_by_lexsort(dyn._in)[1])
+        return compacted
+
+    for compacted in run_spmd(nranks, job):
+        assert compacted[3] and not any(compacted[:3])
+
+
+def test_in_direction_merged_once_per_epoch():
+    """view() and in_csr_merged() read one shared merge of the in-direction
+    per epoch, whichever runs first; apply() drops it."""
     rng = np.random.default_rng(15)
     n = 20
     edges = rng.integers(0, n, size=(80, 2), dtype=np.int64)
 
     def job(comm):
         dyn = _dyn(comm, edges, n, compact_threshold=100.0)
-        indptr0, lids0 = dyn.in_csr_merged()  # seed the cache
-        assert dyn._in_csr_epoch == 0
-        for _ in range(3):
+        merges = []
+        real = dyn._in.merged
+        dyn._in.merged = lambda: merges.append(dyn.epoch) or real()
+        for e, first in enumerate(("view", "csr", "view")):
             ins = rng.integers(0, n, size=(9, 2), dtype=np.int64)
-            dyn.apply(UpdateBatch.inserts(ins))
-            indptr, lids = dyn.in_csr_merged()
-            windptr, wlids, _, _ = dyn._in.merged()
-            assert np.array_equal(indptr, windptr)
-            assert np.array_equal(lids, wlids)
-        dyn.apply(UpdateBatch.deletes(edges[:4]))
-        indptr, lids = dyn.in_csr_merged()
-        windptr, wlids, _, _ = dyn._in.merged()
-        assert np.array_equal(indptr, windptr)
-        assert np.array_equal(lids, wlids)
-        assert np.array_equal(dyn.in_csr_merged()[0], indptr)  # cached
+            dyn.apply(UpdateBatch.concat([
+                UpdateBatch.inserts(ins),
+                UpdateBatch.deletes(edges[2 * e:2 * e + 2])]))
+            if first == "view":
+                v = dyn.view()
+                indptr, lids = dyn.in_csr_merged()
+            else:
+                indptr, lids = dyn.in_csr_merged()
+                v = dyn.view()
+            assert v.in_indexes is indptr and v.in_edges is lids
+            assert dyn.in_csr_merged()[1] is lids
+        assert merges == [1, 2, 3]
         return True
 
     assert all(run_spmd(1, job))
