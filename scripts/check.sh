@@ -4,10 +4,12 @@
 # the checked-in baseline), the seeded-violation fixture corpora (run as
 # the parametrized pytest module tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
-# baseline (fails on ratio regression vs the recorded baseline), the
-# end-to-end benchmark's self-test and a short stream_churn run (exit code
-# only: its incremental-vs-rebuild checks), and the tier-1 suite twice
-# (verifier on; then buffer sanitizer on as well).
+# baseline (backends, bfs2d, comm, stream: fails on ratio regression vs
+# the recorded baseline; serving load is measured by the e2e workloads,
+# not here), the end-to-end benchmark's self-test and a short stream_churn
+# run (exit code only: its incremental-vs-rebuild checks), a 2-replica
+# `repro serve` CLI smoke, and the tier-1 suite twice (verifier on; then
+# buffer sanitizer on as well) plus a procs-backend subset.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail

@@ -4,8 +4,9 @@ The web-structure literature the paper builds on (Meusel et al., "Graph
 structure in the Web revisited") describes the crawl as a bow-tie: a giant
 SCC, the IN set that reaches it, the OUT set it reaches, tendrils/tubes
 hanging off IN/OUT, and disconnected leftovers.  This module classifies
-every vertex into those regions using the repository's own SCC and BFS
-kernels — the natural companion to the paper's §VI crawl analysis.
+every vertex into those regions using the repository's own SCC kernel
+and reach closures — the natural companion to the paper's §VI crawl
+analysis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics.bfs import distributed_bfs
+from ..analytics.closure import ClosureAdjacency
 from ..analytics.exchange import HaloExchange
 from ..analytics.scc import largest_scc
 from ..graph.distgraph import DistGraph
@@ -62,16 +63,12 @@ def bowtie_decomposition(
 
         if scc.size > 0:
             core_gids = g.unmap[:n_loc][core]
-            # Forward reach of the core: OUT candidates.
-            fwd = distributed_bfs(comm, g, core_gids, direction="out")
-            # Backward reach: IN candidates.
-            bwd = distributed_bfs(comm, g, core_gids, direction="in")
-            # Weak reach: the core's weak component.
-            weak = distributed_bfs(comm, g, core_gids, direction="both")
-
-            reach_f = fwd >= 0
-            reach_b = bwd >= 0
-            in_weak = weak >= 0
+            # Forward reach of the core: OUT candidates; backward reach: IN
+            # candidates; weak reach: the core's weak component.
+            reach_f, reach_b, in_weak = (
+                ClosureAdjacency(comm, g, halo, direction)
+                .reach_from(core_gids)[0][:n_loc]
+                for direction in ("out", "in", "both"))
 
             region[in_weak] = TENDRIL
             region[reach_b & ~reach_f] = IN

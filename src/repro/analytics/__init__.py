@@ -6,17 +6,18 @@ PageRank-like (value propagation with retained-queue halo exchanges):
 * :func:`label_propagation` — community detection;
 * the coloring phase of :func:`wcc`.
 
-BFS-like (frontier expansion, Algorithm 2):
+BFS-like (frontier expansion, Algorithm 2) — the kernels that read levels:
 
 * :func:`distributed_bfs` — the shared level-synchronous kernel;
+* :func:`harmonic_centrality` — reverse-BFS reciprocal-distance sums.
+
+Closure-like (the paper's BFS-like kernels that read no level: run to a
+local fixed point, then synchronize):
+
+* :mod:`~repro.analytics.closure` — :class:`ClosureAdjacency` with the
+  ``peel_below`` / ``reach_from`` superstep primitives;
 * :func:`largest_scc` / :func:`scc` — Forward–Backward SCC with trimming;
-* :func:`harmonic_centrality` — reverse-BFS reciprocal-distance sums;
-* phase 1 of :func:`wcc` (Multistep).
-
-Closure-like (run to a local fixed point, then synchronize):
-
-* :mod:`~repro.analytics.closure` — :class:`UndirectedAdjacency` with
-  the ``peel_below`` / ``reach_from`` superstep primitives;
+* phase 1 of :func:`wcc` (Multistep);
 * :func:`approx_kcore` — geometric coreness-bound sweep, and
   :func:`exact_kcore`, both thin drivers over those primitives.
 
@@ -35,7 +36,7 @@ from .bfs import distributed_bfs
 from .bfs_dirop import distributed_bfs_dirop
 from .diameter import DiameterEstimate, estimate_diameter
 from .closeness import ClosenessResult, closeness_centrality
-from .common import NOT_VISITED, QUEUED, combined_adjacency, global_max_degree_vertex
+from .common import NOT_VISITED, QUEUED, global_max_degree_vertex
 from .delta_stepping import DeltaSteppingResult, delta_stepping
 from .exchange import HaloExchange
 from .frontier2d import (
@@ -119,6 +120,5 @@ __all__ = [
     "ClosenessResult",
     "NOT_VISITED",
     "QUEUED",
-    "combined_adjacency",
     "global_max_degree_vertex",
 ]

@@ -1,7 +1,8 @@
-"""Monotone closures by local-fixed-point supersteps (k-core primitives).
+"""Monotone closures by local-fixed-point supersteps.
 
-Both halves of the k-core sweep — "peel every vertex whose alive degree is
-below ``k``" and "the component containing the pivot" — are *monotone
+The level-less traversals — "peel every vertex whose alive degree is
+below ``k``" (k-core stages, SCC trimming) and "everything the roots reach"
+(FW–BW sweeps, WCC's giant component, the bow-tie wings) — are *monotone
 closures*: a flag per vertex flips one way only, a flip can only enable
 further flips, and the final set is a function of the graph alone, not of
 the order flips are discovered in.  A BSP kernel discovers one hop per
@@ -12,13 +13,14 @@ Ammar & Özsu measured ahead of vertex-centric engines (PAPERS.md), with
 the bucketed-frontier peeling of Dhulipala et al.: every stored edge is
 touched O(1) times per closure instead of once per round.
 
-:class:`UndirectedAdjacency` is the data structure both closures walk: one
-CSR over ``n_loc + n_gst`` rows.  An owned row lists the vertex's out- and
-in-neighbours; a *ghost* row lists the owned vertices adjacent to that
-ghost.  Information crosses ranks in one direction only — owner to ghost
-copy, the halo exchange — and the ghost rows let the receiving rank carry
-a flipped ghost's consequences to its own vertices.  (The cut edge is
-stored on both sides, so neither side ever needs to write to a ghost.)
+:class:`ClosureAdjacency` is the data structure the closures walk: a CSR
+of owned rows plus a CSR of *ghost* rows, for one traversal direction.
+An owned row lists the vertices its vertex leads to (out-neighbours,
+in-neighbours, or both); a ghost row lists the owned vertices that ghost
+leads to.  Information crosses ranks in one direction only — owner to
+ghost copy, the halo exchange — and the ghost rows let the receiving rank
+carry a flipped ghost's consequences to its own vertices.  (The cut edge
+is stored on both sides, so neither side ever needs to write to a ghost.)
 
 **Superstep protocol** (identical for both closures)::
 
@@ -39,79 +41,127 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .bfs import _gather_ranges
 from .exchange import HaloExchange
 
-__all__ = ["UndirectedAdjacency"]
+__all__ = ["ClosureAdjacency", "undirected_rows"]
 
 #: Degree stored for ghost rows: never below any threshold, so a ghost is
 #: never selected for peeling locally (only its owner may remove it).
 _GHOST_DEGREE = np.iinfo(np.int64).max // 2
 
 
-class UndirectedAdjacency:
-    """Undirected view of ``g`` plus the alive/degree state of a sweep.
+def undirected_rows(g: DistGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, adj)`` of the owned vertices' undirected rows: the
+    out-run then the in-run of each vertex, with multiplicity.
+
+    Entry e of the out-CSR (row r) lands at ``e + in_ptr[r]``, entry e of
+    the in-CSR at ``e + out_ptr[r + 1]`` — pure index arithmetic, no sort.
+    """
+    out_ptr, in_ptr = g.out_indexes, g.in_indexes
+    m_out, m_in = len(g.out_edges), len(g.in_edges)
+    adj = np.empty(m_out + m_in, dtype=np.int64)
+    adj[np.arange(m_out, dtype=np.int64)
+        + np.repeat(in_ptr[:-1], np.diff(out_ptr))] = g.out_edges
+    adj[np.arange(m_in, dtype=np.int64)
+        + np.repeat(out_ptr[1:], np.diff(in_ptr))] = g.in_edges
+    return out_ptr + in_ptr, adj
+
+
+class ClosureAdjacency:
+    """One traversal direction of ``g`` plus the alive/degree state of a
+    sweep.
 
     Built per kernel call (a temporary — nothing is cached on the graph).
+    ``direction`` is ``"out"`` (rows follow out-edges), ``"in"`` or
+    ``"both"`` (the undirected view).  For ``"out"``/``"in"`` the owned
+    rows *are* the graph's CSR, not a copy.  A ghost's row — the owned
+    vertices it leads to — is read off the *reverse* CSR: ghost ``u``
+    leads to owned ``v`` exactly when ``u`` appears in ``v``'s reverse
+    row, so the cut entries of the reverse CSR, grouped by ghost with a
+    stable sort of the cut only, are the ghost rows.
+
     ``alive`` covers owned and ghost vertices and is current on both at
-    every closure's return; ``degree[v]`` is, for every alive owned ``v``,
-    the number of entries in its row (out + in, with multiplicity) whose
-    neighbour is alive — maintained by decrement, never recomputed.
+    every closure's return; pass another adjacency's ``alive`` to share it
+    (SCC trims over a forward and a backward adjacency at once).
+    ``degree[v]`` is, for every alive owned ``v``, the number of alive
+    vertices that lead *to* ``v`` (entries of its reverse row, with
+    multiplicity; for ``"both"`` that is its own row) — maintained by
+    decrement along the rows of vertices that die, never recomputed.
 
     ``supersteps`` and ``edges_scanned`` accumulate over the instance's
     closures; each closure reads every stored entry at most once (a row is
     gathered when its vertex flips, and a vertex flips once).
     """
 
-    def __init__(self, comm: Communicator, g: DistGraph, halo: HaloExchange):
+    def __init__(self, comm: Communicator, g: DistGraph, halo: HaloExchange,
+                 direction: str = "both", alive: np.ndarray | None = None):
         self.comm = comm
         self.g = g
         self.halo = halo
         n_loc, n_tot = g.n_loc, g.n_total
-        out_ptr, in_ptr = g.out_indexes, g.in_indexes
-        m_out, m_in = len(g.out_edges), len(g.in_edges)
+        if direction == "both":
+            rows = reverse = undirected_rows(g)
+        elif direction == "out":
+            rows = g.out_indexes, g.out_edges
+            reverse = g.in_indexes, g.in_edges
+        elif direction == "in":
+            rows = g.in_indexes, g.in_edges
+            reverse = g.out_indexes, g.out_edges
+        else:
+            raise ValueError(
+                f"direction must be 'out', 'in' or 'both', got {direction!r}")
+        self.indptr, self.adj = rows
+        rev_ptr, rev_adj = reverse
 
-        # Owned rows: out-run then in-run of each vertex.  Entry e of the
-        # out-CSR (row r) lands at e + in_ptr[r], entry e of the in-CSR at
-        # e + out_ptr[r + 1] — pure index arithmetic, no sort.
-        own_ptr = out_ptr + in_ptr
-        own_adj = np.empty(m_out + m_in, dtype=np.int64)
-        own_adj[np.arange(m_out, dtype=np.int64)
-                + np.repeat(in_ptr[:-1], np.diff(out_ptr))] = g.out_edges
-        own_adj[np.arange(m_in, dtype=np.int64)
-                + np.repeat(out_ptr[1:], np.diff(in_ptr))] = g.in_edges
-
-        # Ghost rows: the owned endpoint of every cut entry, grouped by
-        # ghost with a stable sort of the cut entries only.
-        cut = np.flatnonzero(own_adj >= n_loc)
-        ghost = own_adj[cut] - n_loc
+        cut = np.flatnonzero(rev_adj >= n_loc)
+        ghost = rev_adj[cut] - n_loc
         order = np.argsort(ghost, kind="stable")
-        cut_rows = np.searchsorted(own_ptr, cut[order], side="right") - 1
-        ghost_ptr = np.cumsum(np.bincount(ghost, minlength=g.n_gst))
+        self.ghost_adj = expand_rows(rev_ptr)[cut][order]
+        self.ghost_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(ghost, minlength=g.n_gst))))
 
-        self.indptr = np.concatenate((own_ptr, own_ptr[-1] + ghost_ptr))
-        self.adj = np.concatenate((own_adj, cut_rows))
-        self.alive = np.ones(n_tot, dtype=bool)
+        self.alive = np.ones(n_tot, dtype=bool) if alive is None else alive
         self.degree = np.full(n_tot, _GHOST_DEGREE, dtype=np.int64)
-        self.degree[:n_loc] = np.diff(own_ptr)
+        self.degree[:n_loc] = np.diff(rev_ptr)
         self.supersteps = 0
         self.edges_scanned = 0
         self._slot = np.empty(n_tot, dtype=np.int64)
 
     @property
     def n_entries(self) -> int:
-        """Stored undirected entries, ghost rows included."""
-        return len(self.adj)
+        """Stored entries, ghost rows included."""
+        return len(self.adj) + len(self.ghost_adj)
 
     # ------------------------------------------------------------------
-    def _neighbors(self, rows: np.ndarray) -> np.ndarray:
-        """Concatenated rows of ``rows`` (each read counted once)."""
-        nbrs = _gather_ranges(self.adj, self.indptr[rows],
-                              self.indptr[rows + 1])
+    def _neighbors(self, rows: np.ndarray, ghost: bool = False) -> np.ndarray:
+        """Concatenated rows of the owned local ids ``rows`` — or, with
+        ``ghost``, of the ghost local ids ``rows`` (each read counted
+        once)."""
+        if not len(rows):  # every local phase ends on an empty frontier
+            return rows
+        if ghost:
+            indptr, adj, rows = (self.ghost_indptr, self.ghost_adj,
+                                 rows - self.g.n_loc)
+        else:
+            indptr, adj = self.indptr, self.adj
+        nbrs = _gather_ranges(adj, indptr[rows], indptr[rows + 1])
         self.edges_scanned += len(nbrs)
         return nbrs
+
+    def _seed_neighbors(self, lids: np.ndarray) -> np.ndarray:
+        """Rows of a closure's starting set: ascending local ids that may
+        mix owned and ghost vertices (inside a closure a frontier is one
+        or the other)."""
+        n_own = int(np.searchsorted(lids, self.g.n_loc))
+        nbrs = self._neighbors(lids[:n_own])
+        if n_own == len(lids):
+            return nbrs
+        return np.concatenate(
+            (nbrs, self._neighbors(lids[n_own:], ghost=True)))
 
     def _distinct(self, lids: np.ndarray) -> np.ndarray:
         """``lids`` without repeats, in O(len) — each position claims its
@@ -139,44 +189,74 @@ class UndirectedAdjacency:
         return total, n_loc + np.flatnonzero(before != flags[n_loc:])
 
     # ------------------------------------------------------------------
-    def peel_below(self, k: int) -> tuple[np.ndarray, int]:
+    def peel_below(self, k: int, *others: "ClosureAdjacency",
+                   dead: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, int]:
         """Remove alive vertices of alive degree ``< k`` to the global
         fixed point: what stays is the ``k``-core of what was alive.
 
-        Returns ``(owned local ids removed here, global removal count)``.
+        ``others`` are further adjacencies over the same ``alive`` array;
+        a vertex goes when its degree in *any* of them is below ``k``, and
+        a death is charged along its row in each.  Over a forward and a
+        backward adjacency, ``peel_below(1, bwd)`` is directed trimming.
+
+        ``dead`` (mask over owned + ghost vertices, ghost part current)
+        is removed first — a labelled SCC, say — and the peel runs on
+        what that leaves; those vertices are not part of the return value.
+
+        Returns ``(owned local ids peeled here, global peel count)``.
         Degrees are decremented only along the rows of vertices that just
         died; no edge of a surviving vertex is read.
         """
+        adjs = (self, *others)
+        if any(a.alive is not self.alive for a in others):
+            raise ValueError("adjacencies peeled together must share alive")
         n_loc = self.g.n_loc
-        alive, degree = self.alive, self.degree
-        rows = np.flatnonzero(alive[:n_loc] & (degree[:n_loc] < k))
+        alive = self.alive
+        if dead is not None:
+            died = np.flatnonzero(dead & alive)
+            alive[died] = False
+            for a in adjs:
+                np.subtract.at(a.degree, a._seed_neighbors(died), 1)
+        low = self.degree[:n_loc] < k
+        for a in others:
+            low |= a.degree[:n_loc] < k
+        rows = np.flatnonzero(alive[:n_loc] & low)
         alive[rows] = False
         removed = [rows]
         n_flipped = len(rows)
         n_removed = 0
+        nbrs = [a._neighbors(rows) for a in adjs]
         while True:
-            while len(rows):
-                nbrs = self._neighbors(rows)
-                np.subtract.at(degree, nbrs, 1)
+            while any(len(n) for n in nbrs):
+                for a, n in zip(adjs, nbrs):
+                    np.subtract.at(a.degree, n, 1)
                 # Ghost degrees are a sentinel, so only owned rows qualify.
-                rows = self._distinct(
-                    nbrs[alive[nbrs] & (degree[nbrs] < k)])
+                rows = self._distinct(np.concatenate(
+                    [n[alive[n] & (a.degree[n] < k)]
+                     for a, n in zip(adjs, nbrs)]))
                 alive[rows] = False
                 removed.append(rows)
                 n_flipped += len(rows)
-            total, rows = self._synchronize(alive, n_flipped)
+                nbrs = [a._neighbors(rows) for a in adjs]
+            total, ghosts = self._synchronize(alive, n_flipped)
             if total == 0:
                 break
             n_removed += total
             n_flipped = 0
+            nbrs = [a._neighbors(ghosts, ghost=True) for a in adjs]
         return np.concatenate(removed), n_removed
 
-    def reach_from(self, pivot_gid: int) -> tuple[np.ndarray, int]:
-        """Alive vertices connected to ``pivot_gid`` through alive ones.
+    def reach_from(self, roots) -> tuple[np.ndarray, int]:
+        """Alive vertices the ``roots`` lead to through alive ones.
+
+        ``roots`` is one global id or an array; the closure is of the
+        union over ranks.  A rank passes at least the roots it owns; roots
+        it holds as ghosts start expanding a superstep earlier if passed,
+        others (and negative or dead ids) are skipped.
 
         Returns ``(mask over owned + ghost vertices, global owned count)``;
-        the ghost part of the mask is current on return.  A negative or
-        dead pivot reaches nothing.
+        the ghost part of the mask is current on return.
         """
         g = self.g
         n_loc = g.n_loc
@@ -184,30 +264,28 @@ class UndirectedAdjacency:
         # Owned, alive, not yet reached: the only vertices a row may claim.
         unclaimed = self.alive.copy()
         unclaimed[n_loc:] = False
-        # Every rank that stores the pivot — its owner, and each rank
-        # holding it as a ghost — starts expanding in the first superstep.
-        rows = np.empty(0, dtype=np.int64)
-        if pivot_gid >= 0:
-            lid = g.map.get(np.array([pivot_gid], dtype=np.int64),
-                            default=-1)
-            lid = lid[lid >= 0]
-            rows = lid[self.alive[lid]]
-        unclaimed[rows] = False
-        reached[rows] = True
-        n_flipped = int(np.count_nonzero(rows < n_loc))
+        roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+        lids = g.map.get(roots[roots >= 0], default=-1)
+        lids = lids[lids >= 0]
+        reached[lids[self.alive[lids]]] = True
+        seeds = np.flatnonzero(reached)
+        unclaimed[seeds] = False
+        n_flipped = int(np.searchsorted(seeds, n_loc))
         n_reached = 0
+        nbrs = self._seed_neighbors(seeds)
         while True:
-            while len(rows):
-                nbrs = self._neighbors(rows)
+            while len(nbrs):
                 rows = self._distinct(nbrs[unclaimed[nbrs]])
                 unclaimed[rows] = False
                 reached[rows] = True
                 n_flipped += len(rows)
-            total, rows = self._synchronize(reached, n_flipped)
+                nbrs = self._neighbors(rows)
+            total, ghosts = self._synchronize(reached, n_flipped)
             if total == 0:
                 break
             n_reached += total
             n_flipped = 0
+            nbrs = self._neighbors(ghosts, ghost=True)
         return reached, n_reached
 
     def keep_only(self, mask: np.ndarray) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import Communicator
-from .closure import UndirectedAdjacency
+from .closure import ClosureAdjacency
 from .common import global_max_degree_vertex
 from .exchange import HaloExchange
 
@@ -87,7 +87,7 @@ def approx_kcore(
         if halo is None:
             halo = HaloExchange(comm, g)
         n_loc = g.n_loc
-        und = UndirectedAdjacency(comm, g, halo)
+        und = ClosureAdjacency(comm, g, halo)
         stage_removed = np.zeros(n_loc, dtype=np.int64)
         stages_run = 0
         # Every closure returns its global count, so the alive total is

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, Communicator
-from .closure import UndirectedAdjacency
+from .closure import ClosureAdjacency
 from .exchange import HaloExchange
 
 __all__ = ["ExactKCoreResult", "exact_kcore"]
@@ -43,7 +43,7 @@ def exact_kcore(
 ) -> ExactKCoreResult:
     """Exact coreness of every vertex by incremental-threshold peeling.
 
-    One :meth:`~repro.analytics.closure.UndirectedAdjacency.peel_below`
+    One :meth:`~repro.analytics.closure.ClosureAdjacency.peel_below`
     per threshold over a single maintained degree array: across the whole
     decomposition each adjacency entry is read once, when its row's vertex
     is peeled.
@@ -51,7 +51,7 @@ def exact_kcore(
     with comm.region("kcore_exact"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        und = UndirectedAdjacency(comm, g, halo)
+        und = ClosureAdjacency(comm, g, halo)
         coreness = np.zeros(g.n_loc, dtype=np.int64)
 
         k = 1

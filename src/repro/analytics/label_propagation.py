@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .common import combined_adjacency
+from .closure import undirected_rows
 from .exchange import HaloExchange
 
 __all__ = ["LabelPropagationResult", "label_propagation"]
@@ -148,7 +149,8 @@ def label_propagation(
             halo = HaloExchange(comm, g)
         n_loc, n_tot = g.n_loc, g.n_total
 
-        rows, nbrs = combined_adjacency(g, "both")
+        indptr, nbrs = undirected_rows(g)
+        rows = expand_rows(indptr)
         labels = g.unmap.astype(np.int64).copy()  # init: own global id
 
         row_gids = g.unmap[:n_loc]

@@ -3,8 +3,10 @@
 The paper parallelizes the Multistep algorithm (Slota et al., IPDPS 2014)
 in distributed memory; it "has stages belonging to both classes":
 
-1. **BFS phase** (BFS-like): one undirected BFS from the highest-degree
-   vertex captures the giant component that dominates web-scale graphs.
+1. **BFS phase** (BFS-like in the paper; no level is read, so it runs as
+   one undirected :meth:`~repro.analytics.closure.ClosureAdjacency.reach_from`
+   closure): everything the highest-degree vertex reaches is the giant
+   component that dominates web-scale graphs.
 2. **Coloring phase** (PageRank-like): the remaining vertices repeatedly
    adopt the minimum label among themselves and their neighbors until a
    fixed point — a handful of iterations for the small leftover
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import MIN, SUM, Communicator
-from .bfs import distributed_bfs
-from .common import combined_adjacency, global_max_degree_vertex
+from .closure import ClosureAdjacency
+from .common import global_max_degree_vertex
 from .exchange import HaloExchange
 
 __all__ = ["WCCResult", "wcc"]
@@ -37,32 +40,6 @@ class WCCResult:
     labels: np.ndarray  # min-gid component label per local vertex
     n_color_iters: int  # iterations of the coloring phase
     giant_label: int  # label of the BFS-captured component (-1 if empty graph)
-
-
-def _min_neighbor_labels(
-    g: DistGraph,
-    rows: np.ndarray,
-    nbrs: np.ndarray,
-    labels: np.ndarray,
-    active: np.ndarray,
-) -> np.ndarray:
-    """Per-local-vertex min of neighbor labels, restricted to active rows."""
-    n_loc = g.n_loc
-    out = labels[:n_loc].copy()
-    if len(rows) == 0:
-        return out
-    keep = active[rows]
-    r = rows[keep]
-    vals = labels[nbrs[keep]]
-    if len(r) == 0:
-        return out
-    order = np.argsort(r, kind="stable")
-    r_sorted = r[order]
-    v_sorted = vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], r_sorted[1:] != r_sorted[:-1])))
-    mins = np.minimum.reduceat(v_sorted, starts)
-    np.minimum.at(out, r_sorted[starts], mins)
-    return out
 
 
 def wcc(
@@ -79,33 +56,35 @@ def wcc(
     with comm.region("wcc"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
+        n_loc = g.n_loc
+        und = ClosureAdjacency(comm, g, halo)
 
-        # --- Phase 1: BFS from the max-degree vertex (giant component). ---
+        # --- Phase 1: reach of the max-degree vertex (giant component). ---
         pivot, pivot_deg = global_max_degree_vertex(comm, g)
         labels = g.unmap.astype(np.int64).copy()
         giant_label = -1
-        visited = np.zeros(n_tot, dtype=bool)
+        visited = np.zeros(g.n_total, dtype=bool)
         if pivot >= 0 and pivot_deg > 0:
-            lev = distributed_bfs(comm, g, pivot, direction="both")
-            visited_local = lev >= 0
-            # Canonical label: global minimum id inside the BFS component.
-            local_min = (
-                int(g.unmap[:n_loc][visited_local].min())
-                if visited_local.any()
-                else g.n_global
-            )
+            visited, _ = und.reach_from(pivot)
+            mine = visited[:n_loc]
+            # Canonical label: global minimum id inside the component.
+            local_min = (int(g.unmap[:n_loc][mine].min()) if mine.any()
+                         else g.n_global)
             giant_label = int(comm.allreduce(local_min, MIN))
-            labels[:n_loc][visited_local] = giant_label
-            visited[:n_loc] = visited_local
-            halo.exchange_many(visited, labels)
+            # The mask's ghost part is current: ghost labels need no exchange.
+            labels[visited] = giant_label
 
         # --- Phase 2: min-label coloring of the leftover vertices. ---
-        rows, nbrs = combined_adjacency(g, "both")
-        active = ~visited[:n_loc]
+        # Their entries, grouped by row as the adjacency stores them.
+        rows = expand_rows(und.indptr)
+        keep = ~visited[rows]
+        nbrs = und.adj[keep]
+        rows, starts = np.unique(rows[keep], return_index=True)
         n_iters = 0
         while n_iters < max_color_iters:
-            new_local = _min_neighbor_labels(g, rows, nbrs, labels, active)
+            new_local = labels[:n_loc].copy()
+            new_local[rows] = np.minimum(
+                new_local[rows], np.minimum.reduceat(labels[nbrs], starts))
             changed = comm.allreduce(
                 int(np.count_nonzero(new_local != labels[:n_loc])), SUM)
             if changed == 0:

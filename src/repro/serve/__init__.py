@@ -18,22 +18,17 @@ package is the tier that serves many users from N of them (ROADMAP item
 * :class:`Replica` — one engine plus its catch-up thread and serving
   signals (in-flight, EWMA latency, applied sequence);
 * :class:`ReplicaGroup` — the facade: ``submit``/``result``/``query``
-  reads, ``apply_updates`` writes, aggregated ``status()``;
-* :mod:`~repro.serve.loadgen` — open-/closed-loop load generation with
-  latency percentiles and a saturation sweep (``bench_serve.py``).
+  reads, ``apply_updates`` writes, aggregated ``status()``.
+
+Load generation lives with the benchmark that uses it
+(``benchmarks/e2e/loadgen.py``, the ``serve_hot`` / ``serve_cold_rw``
+workloads).
 
 See README "Replicated serving tier" and DESIGN §16.
 """
 
 from .group import ReplicaGroup, Ticket
 from .hashring import HashRing
-from .loadgen import (
-    LoadStats,
-    Workload,
-    closed_loop,
-    open_loop,
-    saturation_sweep,
-)
 from .replica import Replica
 from .router import GLOBAL_KINDS, POINT_KINDS, Router, ShedError
 from .snapshots import SnapshotLease, SnapshotRegistry
@@ -52,9 +47,4 @@ __all__ = [
     "SnapshotRegistry",
     "UpdateLog",
     "LogEntry",
-    "LoadStats",
-    "Workload",
-    "closed_loop",
-    "open_loop",
-    "saturation_sweep",
 ]

@@ -13,7 +13,8 @@ read-your-writes freshness token for later queries.
 Each replica is a full :class:`~repro.service.AnalyticsEngine` (its own
 persistent rank world), so the group multiplies serving throughput for
 cacheable and CPU-bound read traffic at the cost of replicated memory —
-the classic read-replica trade, measured in ``benchmarks/bench_serve.py``.
+the classic read-replica trade, measured by the ``serve_hot`` and
+``serve_cold_rw`` workloads of ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations

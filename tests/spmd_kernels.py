@@ -18,10 +18,12 @@ from repro.analytics import (
     distributed_bfs_dirop,
     exact_kcore,
     global_max_degree_vertex,
+    largest_scc,
     pagerank,
+    scc,
     wcc,
 )
-from repro.analytics.closure import UndirectedAdjacency
+from repro.analytics.closure import ClosureAdjacency
 from repro.graph import build_dist_graph, build_grid_graph
 from repro.partition import (
     EdgeBlockPartition,
@@ -29,7 +31,7 @@ from repro.partition import (
     RandomHashPartition,
     VertexBlockPartition,
 )
-from repro.runtime import MAX, SUM, AlltoallvPlan
+from repro.runtime import MAX, MIN, SUM, AlltoallvPlan
 
 
 def build_graph(comm, cfg: dict):
@@ -65,6 +67,14 @@ def kern_wcc(comm, cfg):
     g = build_graph(comm, cfg)
     res = wcc(comm, g, halo=HaloExchange(comm, g))
     return g.unmap[: g.n_loc].copy(), res.labels, int(res.giant_label)
+
+
+def kern_scc(comm, cfg):
+    g = build_graph(comm, cfg)
+    halo = HaloExchange(comm, g)
+    big = largest_scc(comm, g, halo=halo)
+    return (g.unmap[: g.n_loc].copy(), scc(comm, g, halo=halo), big.in_scc,
+            big.size, big.pivot, big.n_trimmed, big.supersteps)
 
 
 def kern_bfs_dirop(comm, cfg):
@@ -108,7 +118,7 @@ def kern_closure_work(comm, cfg):
     """Per-closure work of one full sweep: a list of ``(kind, supersteps,
     edges_scanned)`` plus the adjacency's stored-entry count."""
     g = build_graph(comm, cfg)
-    und = UndirectedAdjacency(comm, g, HaloExchange(comm, g))
+    und = ClosureAdjacency(comm, g, HaloExchange(comm, g))
     calls = []
 
     def record(kind, before):
@@ -129,6 +139,78 @@ def kern_closure_work(comm, cfg):
         record("reach", before)
         und.keep_only(reached)
     return calls, und.n_entries
+
+
+def kern_scc_work(comm, cfg):
+    """A full SCC decomposition driven closure by closure the way
+    ``scc()`` drives it, next to the real call.
+
+    Returns ``(calls, labels_agree, driven, counted, single)``: per closure
+    ``(kind, supersteps, edges_scanned, stored entries of the adjacencies
+    walked)``; whether the driven labels equal ``scc()``'s; the driven
+    closures' total ``(supersteps, edges_scanned)``; what the real call
+    bumped into ``comm.trace.counters``; and ``largest_scc``'s result
+    fields beside its own counter bump.
+    """
+    g = build_graph(comm, cfg)
+    halo = HaloExchange(comm, g)
+    keys = ("scc.supersteps", "scc.edges_scanned")
+
+    def counted(call):
+        before = [comm.trace.counters.get(k, 0) for k in keys]
+        out = call()
+        return out, tuple(comm.trace.counters[k] - b
+                          for k, b in zip(keys, before))
+
+    want, scc_counted = counted(lambda: scc(comm, g, halo=halo))
+    big, big_counted = counted(lambda: largest_scc(comm, g, halo=halo))
+
+    fwd = ClosureAdjacency(comm, g, halo, "out")
+    bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+    calls = []
+
+    def run(kind, adjs, closure):
+        before = [(a.supersteps, a.edges_scanned) for a in adjs]
+        out = closure()
+        calls.append((kind,
+                      sum(a.supersteps - b[0] for a, b in zip(adjs, before)),
+                      sum(a.edges_scanned - b[1] for a, b in zip(adjs, before)),
+                      sum(a.n_entries for a in adjs)))
+        return out
+
+    n_loc = g.n_loc
+    gids = g.unmap[:n_loc]
+    labels = np.full(n_loc, -1, dtype=np.int64)
+    dead = None
+    while True:
+        trimmed, _ = run("peel", (fwd, bwd),
+                         lambda: fwd.peel_below(1, bwd, dead=dead))
+        labels[trimmed] = gids[trimmed]
+        pivot, _ = global_max_degree_vertex(comm, g, restrict=fwd.alive)
+        if pivot < 0:
+            break
+        dead = (run("reach", (fwd,), lambda: fwd.reach_from(pivot))[0]
+                & run("reach", (bwd,), lambda: bwd.reach_from(pivot))[0])
+        mine = dead[:n_loc]
+        labels[mine] = comm.allreduce(
+            int(gids[mine].min()) if mine.any() else g.n_global, MIN)
+    driven = (fwd.supersteps + bwd.supersteps,
+              fwd.edges_scanned + bwd.edges_scanned)
+    return (calls, bool(np.array_equal(labels, want)), driven, scc_counted,
+            ((big.supersteps, big.edges_scanned), big_counted))
+
+
+def kern_reach_roots(comm, cfg):
+    """Reach masks (owned part, by gid) from all of ``cfg["roots"]`` at
+    once and from each root alone, per direction."""
+    g = build_graph(comm, cfg)
+    halo = HaloExchange(comm, g)
+    out = {}
+    for direction in ("out", "in", "both"):
+        adj = ClosureAdjacency(comm, g, halo, direction)
+        reach = [adj.reach_from(r) for r in [cfg["roots"], *cfg["roots"]]]
+        out[direction] = [(mask[: g.n_loc].copy(), n) for mask, n in reach]
+    return g.unmap[: g.n_loc].copy(), out
 
 
 def build_grid(comm, cfg: dict):

@@ -65,10 +65,18 @@ def test_bfs_dirop_bitwise_across_ranks(graph_edges, nranks):
     levels = _assert_bitwise(K.kern_bfs_dirop, cfg, nranks)
     assert (levels >= 0).sum() > 1  # the root reached something
 
+
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_scc_bitwise_across_ranks(graph_edges, nranks):
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock"}
+    labels = _assert_bitwise(K.kern_scc, cfg, nranks)
+    assert (labels <= np.arange(N)).all()  # min-id labels
+
+
 @pytest.mark.parametrize("part", ["eblock", "rand"])
 @pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_wcc,
-                                    K.kern_bfs_dirop],
-                         ids=["pagerank", "wcc", "bfs"])
+                                    K.kern_bfs_dirop, K.kern_scc],
+                         ids=["pagerank", "wcc", "bfs", "scc"])
 def test_bitwise_across_partition_kinds(graph_edges, kernel, part):
     cfg = {"edges": graph_edges, "n": N, "part": part, "iters": 12,
            "root": 0}

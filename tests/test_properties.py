@@ -7,14 +7,19 @@ references.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import dist_run, gather_by_gid
-from repro.analytics import distributed_bfs, largest_scc, pagerank, wcc
-from repro.baselines import largest_scc_ref, pagerank_ref, wcc_labels_ref
+from repro.analytics import distributed_bfs, largest_scc, pagerank, scc, wcc
+from repro.baselines import (
+    digraph_from_edges,
+    pagerank_ref,
+    wcc_labels_ref,
+)
 from repro.graph import build_dist_graph
 from repro.partition import RandomHashPartition
 from repro.runtime import run_spmd
@@ -53,31 +58,34 @@ def test_wcc_matches_reference_on_random_graphs(params):
 
 
 @common
-@given(graph_strategy)
-def test_scc_matches_reference_on_random_graphs(params):
+@given(graph_strategy, st.sampled_from(["vblock", "rand"]))
+def test_scc_matches_reference_on_random_graphs(params, kind):
+    """Random multigraphs (self-loops, duplicate edges, isolated vertices):
+    ``scc()`` gives NetworkX's components under min-id labels, and
+    ``largest_scc()`` exactly the component of its pivot — the pivot
+    heuristic is "almost surely largest", not largest, on such graphs."""
     n, m, seed, p = params
     edges = random_graph(n, m, seed)
 
     def fn(comm, g):
-        return g.unmap[: g.n_loc], largest_scc(comm, g).in_scc
+        big = largest_scc(comm, g)
+        return (g.unmap[: g.n_loc], scc(comm, g), big.in_scc, big.size,
+                big.pivot, big.n_trimmed)
 
-    mask = gather_by_gid(dist_run(edges, n, p, fn, "rand")).astype(bool)
-    ref = largest_scc_ref(n, edges)
-    # FW-BW returns *an* SCC of maximal plausibility (pivot's). For the
-    # strict test, sizes must match; membership must be a valid SCC.
-    assert mask.sum() == ref.sum() or _is_scc(n, edges, mask)
+    outs = dist_run(edges, n, p, fn, kind)
+    expect = np.empty(n, dtype=np.int64)
+    for comp in nx.strongly_connected_components(digraph_from_edges(n, edges)):
+        expect[list(comp)] = min(comp)
+    assert (gather_by_gid(outs) == expect).all()
 
-
-def _is_scc(n, edges, mask):
-    """mask forms a strongly connected set of the same size as some SCC."""
-    import networkx as nx
-
-    from repro.baselines import digraph_from_edges
-
-    if mask.sum() == 0:
-        return True
-    G = digraph_from_edges(n, edges).subgraph(np.flatnonzero(mask).tolist())
-    return nx.is_strongly_connected(G)
+    mask = gather_by_gid(outs, 2).astype(bool)
+    _, _, _, size, pivot, n_trimmed = outs[0]
+    if pivot < 0:  # every vertex trimmed: no cycle, not even a self-loop
+        assert size == 0 and n_trimmed == n and not mask.any()
+        assert (expect == np.arange(n)).all()
+    else:
+        assert (mask == (expect == expect[pivot])).all()
+        assert size == mask.sum() <= n - n_trimmed
 
 
 @common

@@ -6,9 +6,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import spmd_kernels as K
 from conftest import PARTITION_KINDS, dist_run, gather_by_gid
 from repro.analytics import largest_scc, scc
 from repro.baselines import digraph_from_edges, largest_scc_ref
+from repro.generators import rmat_edges
+from repro.runtime import run_spmd
 
 
 def run_largest(edges, n, p, kind="vblock"):
@@ -108,3 +111,49 @@ def test_rank_count_invariance(small_web):
     m4, s4, _, _ = run_largest(edges, n, 4)
     assert s1 == s4
     assert (m1 == m4).all()
+
+
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+@pytest.mark.parametrize("graph", ["web", "rmat"])
+def test_closure_work_is_bounded(small_web, graph, nranks, part):
+    """A closure reads a stored entry of the adjacencies it walks at most
+    once; over a whole decomposition the peels together read each forward
+    and backward entry at most once, because a vertex dies once (trimmed
+    or labelled) and degrees are carried across pivot rounds."""
+    n, edges = small_web if graph == "web" else (
+        128, rmat_edges(7, edge_factor=4.0, seed=5))
+    cfg = {"edges": edges, "n": n, "part": part}
+    outs = run_spmd(nranks, K.kern_scc_work, cfg, backend="threads")
+    for calls, labels_agree, driven, counted, (fields, bumped) in outs:
+        assert labels_agree
+        assert calls[0][0] == "peel" and calls[-1][0] == "peel"
+        for _, _, scanned, entries in calls:
+            assert scanned <= entries
+        peels = [c for c in calls if c[0] == "peel"]
+        assert sum(c[2] for c in peels) <= peels[0][3]
+        if nranks == 1:
+            # One superstep does the work, one confirms the fixed point.
+            assert all(ss <= 2 for _, ss, _, _ in calls)
+        # Result fields, trace counters and the driven closures agree.
+        assert driven == counted == (sum(c[1] for c in calls),
+                                     sum(c[2] for c in calls))
+        assert fields == bumped
+    assert len({(o[2][0], o[4][0][0]) for o in outs}) == 1  # global counts
+
+
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+@pytest.mark.parametrize("nranks", [1, 3])
+def test_multi_root_reach_is_union_of_single_root_reaches(nranks, part):
+    edges = rmat_edges(7, edge_factor=1.5, seed=9)
+    roots = [3, 40, 77, 126]
+    cfg = {"edges": edges, "n": 128, "part": part, "roots": roots}
+    outs = run_spmd(nranks, K.kern_reach_roots, cfg, backend="threads")
+    for direction in ("out", "in", "both"):
+        together, *alone = [
+            gather_by_gid([(o[0], o[1][direction][i][0]) for o in outs])
+            for i in range(len(roots) + 1)]
+        assert (together == np.logical_or.reduce(alone)).all()
+        assert together[roots].all() and not together.all()
+        for o in outs:  # the returned count is the global owned count
+            assert o[1][direction][0][1] == together.sum()

@@ -20,14 +20,11 @@ from repro.serve import (
     GLOBAL_KINDS,
     POINT_KINDS,
     HashRing,
-    LoadStats,
     ReplicaGroup,
     Router,
     ShedError,
     SnapshotRegistry,
     UpdateLog,
-    Workload,
-    closed_loop,
 )
 
 
@@ -292,18 +289,3 @@ def test_group_constructor_validation_and_shutdown(serve_graph):
         group.query("bfs", source=0)
     with pytest.raises(RuntimeError):
         group.apply_updates([0], [1])
-
-
-def test_closed_loop_smoke(serve_graph):
-    n, edges = serve_graph
-    wl = Workload(n, mix={"bfs": 0.7, "pagerank": 0.3}, seed=1,
-                  params={"pagerank": {"max_iters": 4}})
-    with ReplicaGroup(2, replicas=2, max_inflight=4,
-                      edges=edges, n=n) as group:
-        stats = closed_loop(group, wl, clients=3, n_queries=12,
-                            timeout=60.0)
-    assert isinstance(stats, LoadStats)
-    assert stats.completed == 12 and stats.errors == 0
-    d = stats.to_dict()
-    assert d["p50_ms"] <= d["p95_ms"] <= d["p99_ms"]
-    assert stats.throughput > 0
