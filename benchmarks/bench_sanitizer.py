@@ -101,8 +101,7 @@ def test_sanitizer_overhead_on_serving(benchmark, report):
 
     def serve_all(**engine_kw) -> float:
         t0 = time.perf_counter()
-        with AnalyticsEngine(P, edges=edges, n=N, batch_window=0.05,
-                             **engine_kw) as eng:
+        with AnalyticsEngine(P, edges=edges, n=N, **engine_kw) as eng:
             ids = [eng.submit(kind, **params) for kind, params in WORKLOAD]
             for jid in ids:
                 eng.result(jid)

@@ -5,8 +5,12 @@ Spins up an :class:`~repro.service.AnalyticsEngine` (a persistent SPMD
 rank world holding the distributed graph), then walks through what the
 serving layer buys over one-shot ``run_spmd`` jobs:
 
-1. a burst of mixed queries — compatible BFS/PPR queries coalesce into
-   multi-source batches, each sharing one set of collectives;
+1. a burst of mixed queries — dispatch never waits for a timer: the first
+   BFS runs as soon as the dispatcher wakes and whatever queued behind it
+   by then coalesces into a multi-source batch sharing one set of
+   collectives (6 BFS run as 1 + 5, or as one batch of 6 when the
+   submitting thread outruns the wake-up); ``pause()``/``resume()`` builds
+   a full batch deterministically;
 2. repeated queries — answered from the LRU result cache, never dispatched;
 3. a deliberately failing job — aborted cleanly while the world survives
    and keeps serving.
@@ -35,8 +39,7 @@ def main() -> None:
     print(f"generated crawl: {args.n:,} pages, {len(edges):,} links")
 
     t0 = time.perf_counter()
-    with AnalyticsEngine(args.ranks, edges=edges, n=args.n,
-                         batch_window=0.05) as eng:
+    with AnalyticsEngine(args.ranks, edges=edges, n=args.n) as eng:
         print(f"engine up in {time.perf_counter() - t0:.2f}s "
               f"(graph fingerprint {eng.fingerprint})")
 
@@ -56,10 +59,21 @@ def main() -> None:
               f"{time.perf_counter() - t0:.2f}s — "
               f"{st['jobs']['batches']} dispatches, largest batch "
               f"{st['jobs']['max_batch_size']} "
-              f"(6 BFS sources ran as one multi-source traversal)")
+              f"(no timer: a batch is whatever was queued when the world "
+              f"became free)")
         top = np.argsort(-pr["scores"])[:3]
         print("top pages by PageRank:",
               ", ".join(f"{v} ({pr['scores'][v]:.2e})" for v in top))
+
+        # A batch built by hand: nothing dispatches while paused.
+        eng.pause()
+        ids = [eng.submit("bfs", source=int(s))
+               for s in rng.integers(0, args.n, 6)]
+        eng.resume()
+        for jid in ids:
+            eng.result(jid)
+        print(f"paused burst of 6 BFS ran as one batch: largest batch now "
+              f"{eng.status()['jobs']['max_batch_size']}")
 
         # --- 2. the cache ---------------------------------------------
         t0 = time.perf_counter()

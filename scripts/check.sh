@@ -6,10 +6,12 @@
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
 # baseline (backends, bfs2d, comm, stream: fails on ratio regression vs
 # the recorded baseline; serving load is measured by the e2e workloads,
-# not here), the end-to-end benchmark's self-test and a short stream_churn
-# run (exit code only: its incremental-vs-rebuild checks), a 2-replica
-# `repro serve` CLI smoke, and the tier-1 suite twice (verifier on; then
-# buffer sanitizer on as well) plus a procs-backend subset.
+# not here), the end-to-end benchmark's self-test, a short stream_churn
+# run (exit code only: its incremental-vs-rebuild checks) and a short
+# serve_cold_rw run (exit code only: sampled responses vs a direct engine,
+# no failed operation), a 2-replica `repro serve` CLI smoke, and the
+# tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
+# procs-backend subset.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -80,13 +82,19 @@ for baseline in benchmarks/BENCH_*.json; do
     PYTHONPATH=src python "$bench" --smoke
 done
 
-echo "== e2e benchmark: self-test + stream_churn correctness smoke =="
+echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw correctness smokes =="
 # Exit code only, no timing: stream_churn ends by checking incremental
 # PageRank/WCC/k-core bitwise against static kernels on a from-scratch
 # rebuild after 40 epochs of inserts, deletes and compactions — the
 # strongest end-to-end oracle for the delta-CSR and the k-core sweep.
 python3 benchmarks/e2e/selftest.py
 python3 benchmarks/e2e/run.py --workload stream_churn --seed 1 --seconds 6 \
+    --trace 0 >/dev/null
+# Same form for the serving path: open-loop snapshot reads beside
+# twice-a-second writes; the exit status carries the sampled responses
+# checked against a direct single-engine answer at each response's epoch
+# and failed == 0 (errors, timeouts).  No timing is asserted.
+python3 benchmarks/e2e/run.py --workload serve_cold_rw --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="
@@ -120,6 +128,12 @@ echo "$serve_out" | grep -q "replica group up: 2 replicas" || {
     echo "FAIL: serve smoke did not start a 2-replica group" >&2; exit 1; }
 echo "$serve_out" | grep -q "served 5 queries" || {
     echo "FAIL: serve smoke did not serve the full workload" >&2; exit 1; }
+# The batching linger and its option are gone (dispatch is work-conserving).
+serve_help=$(PYTHONPATH=src python -m repro serve --help)
+if grep -q -- "--batch-w""indow" <<<"$serve_help"; then
+    echo "FAIL: repro serve still lists the deleted batching-window option" >&2
+    exit 1
+fi
 
 echo "== pytest (tier 1, collective-schedule verifier on) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

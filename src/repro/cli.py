@@ -399,6 +399,15 @@ def _summarize_result(kind: str, res) -> str:
     return str(res)
 
 
+def _miss_timing(jobs: dict) -> str:
+    """Mean queue wait per dispatched job and mean world time per batch
+    (cache hits never queue, so they are left out of both)."""
+    ran = jobs["completed"] + jobs["failed"] - jobs["cache_hits"]
+    return (f"mean wait {jobs['queue_wait_s'] / max(ran, 1) * 1e3:.2f} ms, "
+            f"mean run {jobs['exec_s'] / max(jobs['batches'], 1) * 1e3:.2f} "
+            f"ms/batch")
+
+
 def _serve_group(args: argparse.Namespace, queries: list,
                  backend: str) -> int:
     """``repro serve --replicas N``: the replicated serving tier."""
@@ -413,7 +422,7 @@ def _serve_group(args: argparse.Namespace, queries: list,
         snapshot_reads=args.snapshot_reads,
         path=args.input, width=args.width, partition=args.partition,
         checkpoint=args.checkpoint, save_checkpoint=args.save_checkpoint,
-        max_pending=args.max_pending, batch_window=args.batch_window,
+        max_pending=args.max_pending,
         cache_capacity=args.cache, default_timeout=args.timeout,
         backend=backend,
     )
@@ -509,6 +518,11 @@ def _serve_group(args: argparse.Namespace, queries: list,
                       f"{c['invalidations']}i "
                       f"(rate {c['hit_rate']:.0%}), {pins} pins, "
                       f"ewma {rs['ewma_latency_s'] * 1e3:.1f} ms")
+                reg = rs["snapshots"]["registry"]
+                per_read = (f", {reg['engine_pins']} engine pins / "
+                            f"{reg['acquired']} snapshot reads"
+                            if reg["acquired"] else "")
+                print(f"    {_miss_timing(rs['jobs'])}{per_read}")
     finally:
         group.shutdown()
     return 0
@@ -545,7 +559,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.ranks, path=args.input, width=args.width,
         partition=args.partition,
         checkpoint=args.checkpoint, save_checkpoint=args.save_checkpoint,
-        max_pending=args.max_pending, batch_window=args.batch_window,
+        max_pending=args.max_pending,
         cache_capacity=args.cache, default_timeout=args.timeout,
         backend=backend,
     )
@@ -605,7 +619,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             j, c, m = status["jobs"], status["cache"], status["comm"]
             print(f"  jobs: {j['completed']} completed, {j['failed']} failed, "
                   f"{j['batches']} dispatches "
-                  f"(largest batch {j['max_batch_size']})")
+                  f"(largest batch {j['max_batch_size']}, "
+                  f"{j['deduped']} deduped); {_miss_timing(j)}")
             print(f"  cache: {c['hits']} hits / {c['misses']} misses "
                   f"(rate {c['hit_rate']:.0%}), {c['evictions']} evicted, "
                   f"{c['invalidations']} invalidated, "
@@ -876,8 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the built graph to this directory")
     s.add_argument("--timeout", type=float, default=60.0,
                    help="default per-job timeout in seconds")
-    s.add_argument("--batch-window", type=float, default=0.02,
-                   help="batching window seconds for coalescible queries")
     s.add_argument("--max-pending", type=int, default=64,
                    help="admission bound on queued jobs")
     s.add_argument("--cache", type=int, default=128,

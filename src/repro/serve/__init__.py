@@ -14,7 +14,8 @@ package is the tier that serves many users from N of them (ROADMAP item
   tokens and truncation at the slowest replica;
 * :class:`SnapshotRegistry` / :class:`SnapshotLease` — shared MVCC
   epoch pins over the :class:`~repro.stream.DynamicDistGraph` journal,
-  released on query completion so compaction resumes;
+  one engine pin per epoch: given back by the last reader of a passed
+  epoch or retired idle before the next apply, so compaction resumes;
 * :class:`Replica` — one engine plus its catch-up thread and serving
   signals (in-flight, EWMA latency, applied sequence);
 * :class:`ReplicaGroup` — the facade: ``submit``/``result``/``query``

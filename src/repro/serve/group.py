@@ -62,7 +62,9 @@ class ReplicaGroup:
         When True, every served read is pinned to its replica's current
         epoch via a shared :class:`~repro.serve.snapshots.
         SnapshotRegistry` lease, so results are epoch-consistent even
-        while the catch-up thread applies updates mid-query.
+        while the catch-up thread applies updates mid-query.  The engine
+        pin behind the leases lives per epoch (about one pin per write),
+        not per read.
     """
 
     def __init__(
@@ -112,7 +114,8 @@ class ReplicaGroup:
         if self._closed:
             raise RuntimeError("replica group has been shut down")
         rep = self.router.route(kind, params, min_seq=min_seq)
-        rep.begin()
+        # ``route`` reserved an in-flight slot on ``rep``: every path below
+        # either hands it to the ticket or gives it back.
         lease = None
         try:
             if self.snapshot_reads and not kind.startswith("_"):
@@ -217,11 +220,14 @@ class ReplicaGroup:
 
     def sync(self, timeout: float | None = 60.0) -> bool:
         """Wait for every replica to reach the current log head; True
-        when all converged (log is truncated to the slowest replica)."""
+        when all converged (log is truncated to the slowest replica).
+        Snapshot pins no read is using are given back on the way out."""
         target = self.log.head_seq
         ok = all(rep.sync(target, timeout=timeout)
                  for rep in self.replicas)
         self.log.truncate_below(self._min_applied())
+        for rep in self.replicas:
+            rep.snapshots.retire_idle()
         return ok
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ class Replica:
         self._inflight = 0
         self._started = 0
         self._finished = 0
-        self._ewma_s = 0.05  # prior: a cheap query
+        self._ewma_s = 0.005  # prior: a cheap query (one solo BFS miss)
         self._applied_seq = 0  # next log seq this replica will apply
         self._apply_errors: list[tuple[int, str]] = []
         self._closed = False
@@ -72,11 +72,16 @@ class Replica:
         with self._lock:
             return self._ewma_s
 
-    def begin(self) -> None:
-        """Count one query in (the router already checked capacity)."""
+    def try_begin(self) -> bool:
+        """Reserve one in-flight slot if there is capacity (check and
+        increment are one step, so the bound holds under any number of
+        concurrent submitters); pair a True with :meth:`finish`."""
         with self._lock:
+            if self._inflight >= self.max_inflight:
+                return False
             self._inflight += 1
             self._started += 1
+            return True
 
     def finish(self, latency_s: float | None = None) -> None:
         with self._lock:
@@ -126,6 +131,10 @@ class Replica:
             for entry in entries:
                 err = None
                 try:
+                    # Idle snapshot pins go back first, on this thread:
+                    # a pin nobody is reading from must not defer the
+                    # compaction this apply may trigger.
+                    self.snapshots.retire_idle()
                     self.engine.apply_updates(
                         entry.src, entry.dst, entry.op, entry.values,
                         timeout=self.apply_timeout)
@@ -151,6 +160,7 @@ class Replica:
     # ------------------------------------------------------------------
     def status(self) -> dict[str, Any]:
         eng = self.engine.status()
+        registry = self.snapshots.stats()
         with self._lock:
             return {
                 "id": self.id,
@@ -164,7 +174,7 @@ class Replica:
                 "epoch": eng["epoch"],
                 "fingerprint": eng["fingerprint"],
                 "cache": eng["cache"],
-                "snapshots": eng["snapshots"],
+                "snapshots": {**eng["snapshots"], "registry": registry},
                 "jobs": eng["jobs"],
                 "stream": eng["stream"],
             }

@@ -71,9 +71,11 @@ class Router:
 
     def route(self, kind: str, params: dict, *,
               min_seq: int = 0) -> Replica:
-        """Choose a replica with capacity; raise :class:`ShedError` when
-        none has any.  The in-flight slot is *not* reserved here — the
-        group calls ``replica.begin()`` under its own submit path."""
+        """Choose a replica and reserve one of its in-flight slots
+        (:meth:`Replica.try_begin` — spill and shed are decided on the
+        reservation itself, so concurrent submitters cannot overshoot
+        ``max_inflight``); raise :class:`ShedError` when no candidate has
+        capacity.  The caller owes ``replica.finish()`` for the slot."""
         if kind in POINT_KINDS:
             order = list(self.ring.walk(self.routing_key(kind, params)))
             klass = "point"
@@ -93,7 +95,7 @@ class Router:
                 f"no replica has applied seq {min_seq} yet",
                 retry_after_s=max(0.01, primary.ewma_latency_s))
         for pos, rep in enumerate(fresh):
-            if rep.inflight < rep.max_inflight:
+            if rep.try_begin():
                 with self._lock:
                     self._counters["routed"] += 1
                     self._counters[klass] += 1

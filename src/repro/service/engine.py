@@ -27,14 +27,15 @@ gets a fresh one.)
 Query flow::
 
     submit() ── cache hit? ──> finish immediately
-        └─ no ─> JobScheduler (admission control + batching window)
+        └─ no ─> JobScheduler (admission control + queued batch-mates)
                      └─> dispatcher thread ─> backend session
                              └─> batched/single analytic over the shards
                                      └─> result split per job, cached
 
 Three query classes are batchable: pending BFS sources, closeness
 vertices, and personalized-PageRank seeds each coalesce into one
-multi-source run (see :mod:`repro.analytics.batched`).
+multi-source run (see :mod:`repro.analytics.batched`); identical queries
+that share a batch are computed once and fanned out.
 """
 
 from __future__ import annotations
@@ -563,8 +564,10 @@ class AnalyticsEngine:
         the input source.
     save_checkpoint:
         Directory to write the freshly built graph to (for later reloads).
-    max_pending, batch_window, max_batch:
-        Scheduler admission bound and coalescing window.
+    max_pending, max_batch:
+        Scheduler admission bound and cap on jobs coalesced into one run
+        (dispatch is work-conserving: a batch is the head job plus what is
+        already queued behind it — there is no linger to configure).
     cache_capacity:
         LRU result-cache capacity (0 disables caching).
     default_timeout:
@@ -598,7 +601,6 @@ class AnalyticsEngine:
         checkpoint: str | Path | None = None,
         save_checkpoint: str | Path | None = None,
         max_pending: int = 64,
-        batch_window: float = 0.02,
         max_batch: int = 16,
         cache_capacity: int = 128,
         default_timeout: float | None = 60.0,
@@ -627,19 +629,23 @@ class AnalyticsEngine:
         # to REPRO_SANITIZE_BUFFERS); see repro.runtime.sanitize.
         self.sanitize = sanitize
         self._closed = False
-        self._paused = False
         self._lock = threading.Lock()
         self._t_start = time.perf_counter()
 
         self.cache = ResultCache(cache_capacity)
         self.scheduler = JobScheduler(max_pending=max_pending,
-                                      batch_window=batch_window,
                                       max_batch=max_batch)
         self._jobs: dict[int, Job] = {}
         self._next_id = 0
         self._counters = {
             "submitted": 0, "completed": 0, "failed": 0, "cache_hits": 0,
             "batches": 0, "batched_jobs": 0, "max_batch_size": 0,
+            # Identical queries that shared a batch and rode one column.
+            "deduped": 0,
+            # Misses only: seconds dispatched jobs sat queued (summed per
+            # job) and seconds their batches held the dispatcher (summed
+            # per batch).
+            "queue_wait_s": 0.0, "exec_s": 0.0,
         }
         self._comm_totals = {
             "bytes_sent": 0, "bytes_recv": 0, "msg_count": 0,
@@ -708,10 +714,9 @@ class AnalyticsEngine:
 
     def _dispatch_loop(self) -> None:
         while not self._closed:
-            if self._paused:
-                time.sleep(0.005)
-                continue
-            batch = self.scheduler.next_batch(poll_timeout=0.05)
+            # Blocks until there is work (and dispatch is not paused) or
+            # shutdown() closes the scheduler: an idle engine never polls.
+            batch = self.scheduler.next_batch(poll_timeout=None)
             if not batch:
                 continue
             try:
@@ -737,38 +742,38 @@ class AnalyticsEngine:
 
     def _execute_batch(self, batch: list[Job]) -> None:
         spec = _KINDS[batch[0].kind]
-        if spec.cacheable:
+        now = time.perf_counter()
+        # One group per distinct query: identical cacheable jobs that share
+        # a batch ride one column and the result is fanned out.
+        groups: dict[Any, list[Job]] = {}
+        for job in batch:
+            job.dispatched_at = now
+            if not spec.cacheable:
+                groups[job.id] = [job]
+                continue
             # Re-check the cache at dispatch time: an identical query may
             # have completed between this job's submission and now (burst
             # submissions of duplicates would otherwise all miss).
-            remaining = []
-            for job in batch:
-                hit, value = self.cache.get(
-                    cache_key(self._fp_for(job.params), job.kind,
-                              job.params))
-                if hit:
-                    with self._lock:
-                        self._counters["cache_hits"] += 1
-                        self._counters["completed"] += 1
-                    job.cached = True
-                    job.finish(result=value)
-                else:
-                    remaining.append(job)
-            batch = remaining
-            if not batch:
-                return
+            key = cache_key(self._fp_for(job.params), job.kind, job.params)
+            hit, value = self.cache.get(key)
+            if hit:
+                with self._lock:
+                    self._counters["cache_hits"] += 1
+                    self._counters["completed"] += 1
+                job.cached = True
+                job.finish(result=value)
+            else:
+                groups.setdefault(key, []).append(job)
+        ran = [job for job in batch if not job.cached]
+        if not ran:
+            return
+        leaders = [jobs[0] for jobs in groups.values()]
         timeouts = [j.timeout if j.timeout is not None
-                    else self.default_timeout for j in batch]
+                    else self.default_timeout for j in ran]
         timeout = None if any(t is None for t in timeouts) else max(timeouts)
-        with self._lock:
-            self._counters["batches"] += 1
-            self._counters["max_batch_size"] = max(
-                self._counters["max_batch_size"], len(batch))
-            if len(batch) > 1:
-                self._counters["batched_jobs"] += len(batch)
         factory = spec.factory
-        payload = spec.payload(batch)
-        at_epoch = batch[0].params.get("at_epoch")
+        payload = spec.payload(leaders)
+        at_epoch = leaders[0].params.get("at_epoch")
         if at_epoch is not None:
             # Redirect the whole batch at a pinned epoch's snapshot (the
             # batch key includes at_epoch, so a batch is epoch-uniform).
@@ -776,11 +781,19 @@ class AnalyticsEngine:
             payload = {"factory": spec.factory, "payload": payload,
                        "epoch": int(at_epoch)}
         results, errors = self._run_collective(factory, payload, timeout)
+        with self._lock:
+            c = self._counters
+            c["batches"] += 1
+            c["max_batch_size"] = max(c["max_batch_size"], len(ran))
+            if len(ran) > 1:
+                c["batched_jobs"] += len(ran)
+            c["deduped"] += len(ran) - len(leaders)
+            c["queue_wait_s"] += sum(now - j.submitted_at for j in ran)
+            c["exec_s"] += time.perf_counter() - now
+            c["failed" if errors else "completed"] += len(ran)
         if errors:
             cause = errors.get(-1) or _first_error(errors)
-            with self._lock:
-                self._counters["failed"] += len(batch)
-            for job in batch:
+            for job in ran:
                 if isinstance(cause, JobTimeoutError):
                     err: JobFailedError = cause
                 else:
@@ -790,21 +803,19 @@ class AnalyticsEngine:
                     err.__cause__ = cause
                 job.finish(error=err)
             return
-        per_job = spec.split(batch, results[0])
-        with self._lock:
-            self._counters["completed"] += len(batch)
-        for job, res in zip(batch, per_job):
-            if job.kind == "_stream_apply":
+        per_leader = spec.split(leaders, results[0])
+        for (key, jobs), res in zip(groups.items(), per_leader):
+            if spec.name == "_stream_apply":
                 self._note_stream_apply(res)
             if spec.cacheable:
                 # Tag with the partition ranks the result depends on (all
                 # of them, for today's global kinds), so streaming updates
                 # can invalidate by affected partition.
                 self.cache.put(
-                    cache_key(self._fp_for(job.params), job.kind,
-                              job.params), res,
+                    key, res,
                     tags=tuple(("part", r) for r in range(self.nranks)))
-            job.finish(result=res)
+            for job in jobs:
+                job.finish(result=res)
 
     def _note_stream_apply(self, res: dict) -> None:
         """Driver-side bookkeeping after one applied update batch.
@@ -996,11 +1007,13 @@ class AnalyticsEngine:
 
     # ------------------------------------------------------------------
     def pause(self) -> None:
-        """Stop dispatching (queued jobs accumulate; used for batch demos)."""
-        self._paused = True
+        """Stop dispatching: queued jobs accumulate, so the caller builds a
+        batch by hand.  A job already handed to the world finishes."""
+        self.scheduler.pause()
 
     def resume(self) -> None:
-        self._paused = False
+        """Dispatch again, at once (the dispatcher is woken, not polled)."""
+        self.scheduler.resume()
 
     def status(self) -> dict[str, Any]:
         """Machine-readable serving status (counters, cache, comm stats)."""

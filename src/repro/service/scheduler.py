@@ -1,4 +1,4 @@
-"""Job queue with admission control and a coalescing batch window.
+"""Job queue with admission control and work-conserving batch dispatch.
 
 The scheduler sits between :meth:`AnalyticsEngine.submit` and the rank
 world.  It enforces two serving-layer policies:
@@ -6,12 +6,15 @@ world.  It enforces two serving-layer policies:
 * **admission control** — a bounded FIFO: once ``max_pending`` jobs are
   queued, further submissions raise :class:`AdmissionError` immediately
   instead of growing an unbounded backlog (fail fast under overload);
-* **batching** — the dispatcher does not pop jobs one by one.  It takes the
-  oldest job and then, for up to ``batch_window`` seconds, coalesces every
-  queued/incoming job with the same *batch key* (same analytic kind and
-  identical non-source parameters) into one multi-source run — k pending
+* **batching** — the dispatcher takes the oldest job together with every
+  *already queued* job of the same *batch key* (same analytic kind and
+  identical non-source parameters) as one multi-source run — k pending
   BFS sources become one :func:`~repro.analytics.batched.multi_source_bfs`
   call, k PPR seeds one blocked sweep.
+
+There is no timer: the engine has one dispatcher thread, so a batch forms
+while the previous one executes — an idle world runs the head job at once,
+a busy world's backlog coalesces for as long as it stays busy.
 
 Jobs with ``batch_key=None`` are never coalesced.  Coalescing may overtake
 earlier non-matching jobs by at most one batch (bounded reordering; each
@@ -42,6 +45,8 @@ class Job:
     batch_key: Hashable | None = None
     timeout: float | None = None
     submitted_at: float = field(default_factory=time.perf_counter)
+    # Left the queue at (None: still queued, or a submit-time cache hit).
+    dispatched_at: float | None = None
     # Completion state (written by the dispatcher, read via the event).
     done: threading.Event = field(default_factory=threading.Event, repr=False)
     result: Any = field(default=None, repr=False)
@@ -65,37 +70,32 @@ class Job:
 
 
 class JobScheduler:
-    """Bounded FIFO with batch-window coalescing.
+    """Bounded FIFO whose head job takes its queued batch-mates along.
 
     Parameters
     ----------
     max_pending:
         Admission bound on queued (not yet dispatched) jobs.
-    batch_window:
-        Seconds the dispatcher lingers after picking a batchable head job,
-        waiting for more coalescible arrivals.
     max_batch:
         Hard cap on jobs coalesced into one run.
     """
 
-    def __init__(self, max_pending: int = 64, batch_window: float = 0.02,
-                 max_batch: int = 16):
+    def __init__(self, max_pending: int = 64, max_batch: int = 16):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_pending = max_pending
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self._queue: list[Job] = []
-        self._lock = threading.Lock()
-        self._nonempty = threading.Condition(self._lock)
+        self._ready = threading.Condition()
+        self._paused = False
         self._closed = False
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
         """Enqueue ``job`` or raise :class:`AdmissionError` when full."""
-        with self._nonempty:
+        with self._ready:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
             if len(self._queue) >= self.max_pending:
@@ -103,55 +103,54 @@ class JobScheduler:
                     f"queue full ({self.max_pending} pending jobs); "
                     f"retry later")
             self._queue.append(job)
-            self._nonempty.notify_all()
+            self._ready.notify_all()
+
+    def pause(self) -> None:
+        """Hand out no batch until :meth:`resume` (submissions queue up)."""
+        with self._ready:
+            self._paused = True
+
+    def resume(self) -> None:
+        with self._ready:
+            self._paused = False
+            self._ready.notify_all()
 
     def close(self) -> None:
         """Reject future submissions and wake any waiting dispatcher."""
-        with self._nonempty:
+        with self._ready:
             self._closed = True
-            self._nonempty.notify_all()
+            self._ready.notify_all()
 
     def pending(self) -> int:
-        with self._lock:
+        with self._ready:
             return len(self._queue)
 
     def drain(self) -> list[Job]:
         """Remove and return every queued job (used at shutdown)."""
-        with self._lock:
+        with self._ready:
             out, self._queue = self._queue, []
             return out
 
     # ------------------------------------------------------------------
-    def next_batch(self, poll_timeout: float = 0.1) -> list[Job]:
-        """Block up to ``poll_timeout`` for work; return a coalesced batch.
-
-        Returns ``[]`` when nothing arrived (the dispatcher loops and
-        re-checks its stop flag).  When the head job is batchable the call
-        lingers up to ``batch_window`` collecting same-key jobs.
-        """
-        deadline = time.monotonic() + poll_timeout
-        with self._nonempty:
-            while not self._queue:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    return []
-                self._nonempty.wait(remaining)
+    def next_batch(self, poll_timeout: float | None = 0.1) -> list[Job]:
+        """The oldest job plus its queued batch-mates; ``[]`` if the queue
+        stayed empty or paused for ``poll_timeout`` seconds (``None``:
+        until :meth:`close`).  Never waits once a job is there."""
+        with self._ready:
+            self._ready.wait_for(
+                lambda: self._closed or (self._queue and not self._paused),
+                poll_timeout)
+            if self._paused or not self._queue:
+                return []
             head = self._queue.pop(0)
-        if head.batch_key is None or self.max_batch == 1:
-            return [head]
-
-        batch = [head]
-        window_end = time.monotonic() + self.batch_window
-        while len(batch) < self.max_batch:
-            with self._nonempty:
-                i = 0
-                while i < len(self._queue) and len(batch) < self.max_batch:
-                    if self._queue[i].batch_key == head.batch_key:
-                        batch.append(self._queue.pop(i))
+            batch = [head]
+            if head.batch_key is not None:
+                rest = []
+                for job in self._queue:
+                    if (len(batch) < self.max_batch
+                            and job.batch_key == head.batch_key):
+                        batch.append(job)
                     else:
-                        i += 1
-                remaining = window_end - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._nonempty.wait(remaining)
-        return batch
+                        rest.append(job)
+                self._queue = rest
+            return batch

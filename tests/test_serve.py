@@ -11,6 +11,8 @@ per-replica cache hit/miss/eviction counters).
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -83,21 +85,42 @@ class StubReplica:
         self.applied_seq = applied_seq
         self.ewma_latency_s = ewma
 
+    def try_begin(self):
+        if self.inflight >= self.max_inflight:
+            return False
+        self.inflight += 1
+        return True
+
+
+def _route(router, kind, params, **kw):
+    """Route one query and hand its reserved slot straight back."""
+    rep = router.route(kind, params, **kw)
+    rep.inflight -= 1
+    return rep
+
 
 def test_router_point_affinity_and_spill():
     reps = [StubReplica(i) for i in range(3)]
     router = Router(reps, vnodes=32)
     params = {"source": 17}
-    primary = router.route("bfs", params)
-    assert all(router.route("bfs", params) is primary for _ in range(5))
+    primary = _route(router, "bfs", params)
+    assert all(_route(router, "bfs", params) is primary for _ in range(5))
+    # route() reserves the slot it checked: two held routes fill the
+    # primary (max_inflight=2) and the third spills.
+    assert router.route("bfs", params) is primary
+    assert router.route("bfs", params) is primary
+    assert primary.inflight == 2
+    assert router.route("bfs", params) is not primary
+    for r in reps:
+        r.inflight = 0
     # at_epoch is per-replica state, not query identity: same placement.
     assert router.routing_key("bfs", params) == router.routing_key(
         "bfs", dict(params, at_epoch=3))
 
     primary.inflight = primary.max_inflight  # saturate the primary
-    spill = router.route("bfs", params)
+    spill = _route(router, "bfs", params)
     assert spill is not primary
-    assert router.route("bfs", params) is spill  # sticky spill target
+    assert _route(router, "bfs", params) is spill  # sticky spill target
     assert router.stats()["spills"] >= 2
 
 
@@ -106,10 +129,10 @@ def test_router_global_least_loaded():
     reps[0].inflight = 2
     reps[1].inflight = 1
     router = Router(reps)
-    assert router.route("pagerank", {}) is reps[2]
+    assert _route(router, "pagerank", {}) is reps[2]
     reps[2].inflight = 1
     reps[2].ewma_latency_s = 0.5
-    assert router.route("wcc", {}) is reps[1]  # EWMA tie-break
+    assert _route(router, "wcc", {}) is reps[1]  # EWMA tie-break
     assert router.stats()["global"] == 2
     assert POINT_KINDS.isdisjoint(GLOBAL_KINDS)
 
@@ -130,7 +153,7 @@ def test_router_freshness_floor():
     fresh = StubReplica(1, applied_seq=5)
     router = Router([stale, fresh])
     for _ in range(6):
-        assert router.route("bfs", {"source": 9}, min_seq=4) is fresh
+        assert _route(router, "bfs", {"source": 9}, min_seq=4) is fresh
     with pytest.raises(ShedError, match="no replica has applied"):
         router.route("bfs", {"source": 9}, min_seq=6)
 
@@ -183,27 +206,41 @@ def test_registry_shares_one_engine_pin():
     leases = [reg.acquire() for _ in range(4)]
     assert eng.pinned == [0]  # one round-trip serves all four queries
     assert reg.live_epochs() == {0: 4}
-    for lease in leases[:3]:
+    for lease in leases:
         lease.release()
         lease.release()  # idempotent
-    assert eng.released == []  # last holder still live
-    leases[3].release()
+    # The replica is still at epoch 0, so the pin stays for the next read.
+    assert eng.released == [] and reg.live_epochs() == {}
+    assert reg.stats()["held"] == 1
+    for _ in range(5):  # sequential solo reads: no lease live in between
+        reg.acquire().release()
+    assert eng.pinned == [0] and eng.released == []
+    st = reg.stats()
+    assert st["acquired"] == 9 and st["engine_pins"] == 1
+
+    reg.retire_idle()  # what the catch-up thread does before an apply
     assert eng.released == [0]
-    assert reg.live_epochs() == {}
-    assert reg.stats()["acquired"] == 4 and reg.stats()["engine_pins"] == 1
+    assert reg.stats()["held"] == 0 and reg.stats()["retired"] == 1
+    reg.retire_idle()  # nothing left: no second release
+    assert eng.released == [0]
+    reg.acquire().release()
+    assert eng.pinned == [0, 0]  # retired, so the next read pins again
 
 
 def test_registry_new_epoch_new_pin():
     eng = FakeEngine()
     reg = SnapshotRegistry(eng)
     a = reg.acquire()
+    reg.retire_idle()  # a live lease keeps its pin through a write
+    assert eng.released == []
     eng.epoch = 3  # replica caught up past the pinned epoch
     b = reg.acquire()
     assert (a.epoch, b.epoch) == (0, 3)
     assert eng.pinned == [0, 3]
-    b.release()
-    a.release()
-    assert eng.released == [3, 0]
+    b.release()  # current epoch: held for the next reader
+    a.release()  # the replica has moved past 0: given back at once
+    assert eng.released == [0]
+    assert reg.stats()["held"] == 1 and reg.stats()["retired"] == 0
     with pytest.raises(ValueError):
         reg.release(0)
 
@@ -276,6 +313,54 @@ def test_group_sheds_when_saturated(serve_graph):
         st = group.status()
         assert st["router"]["sheds"] == 1
         assert st["group"]["completed"] == 2
+
+
+def test_admission_bound_holds_under_concurrent_submitters(serve_graph):
+    """Check and increment are one step (``Replica.try_begin``): eight
+    submitters racing for two slots of a paused engine never push the
+    replica past ``max_inflight``, round after round."""
+    n, edges = serve_graph
+    rounds, n_threads, bound = 20, 8, 2
+    with ReplicaGroup(1, replicas=1, max_inflight=bound,
+                      edges=edges, n=n) as group:
+        rep = group.replicas[0]
+        tickets, errors = [], []
+        start = threading.Barrier(n_threads)
+
+        def submit_one(source):
+            try:
+                start.wait(timeout=30.0)
+                tickets.append(group.submit("bfs", source=source))
+            except ShedError:
+                pass
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for r in range(rounds):
+                rep.engine.pause()  # admitted queries stay in flight
+                threads = [threading.Thread(target=submit_one,
+                                            args=((r * n_threads + k) % n,))
+                           for k in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not errors and not any(t.is_alive() for t in threads)
+                assert rep.inflight == len(tickets) == bound
+                rep.engine.resume()
+                while tickets:
+                    group.result(tickets.pop(), timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        st = group.status()
+        assert st["router"]["routed"] == rounds * bound
+        assert st["router"]["routed"] + st["router"]["sheds"] \
+            == rounds * n_threads
+        assert st["per_replica"][0]["started"] == st["router"]["routed"]
+        assert rep.inflight == 0
 
 
 def test_group_constructor_validation_and_shutdown(serve_graph):

@@ -119,9 +119,75 @@ def test_group_snapshot_reads_pin_queries(snap_graph):
 
         st = group.status()
         assert st["group"]["snapshot_reads"] >= 2
-        # Every lease was released on completion: no epoch stays pinned.
+        # Every lease was released on completion: no epoch older than the
+        # current one stays pinned (the current one is kept for the next
+        # reader), and no lease is live.
+        for rep in st["per_replica"]:
+            assert set(rep["snapshots"]["pinned"]) <= {len(batches)}
+            assert rep["snapshots"]["registry"]["live"] == {}
+        # An idle pin does not survive the next sync (or write).
+        assert group.sync(timeout=120.0)
         assert all(rep["snapshots"]["pinned"] == {}
-                   for rep in st["per_replica"])
+                   for rep in group.status()["per_replica"])
+
+
+def test_group_pins_live_per_epoch_and_never_defer_compaction_idle(
+        snap_graph):
+    """Pin lifetime through the group: N solo reads at one epoch cost one
+    engine pin; the catch-up thread retires an idle pin *before* the
+    apply, so it never defers a compaction — only a live lease does, and
+    compaction resumes once that lease is gone."""
+    n, edges = snap_graph
+
+    def deletes(lo, hi):
+        cut = edges[lo:hi]
+        group.apply_updates(cut[:, 0], cut[:, 1],
+                            op=np.full(len(cut), -1, dtype=np.int64),
+                            wait="all", timeout=120.0)
+        rep = group.status()["per_replica"][0]
+        return rep["stream"], rep["snapshots"]
+
+    with ReplicaGroup(2, replicas=1, snapshot_reads=True, cache_capacity=0,
+                      edges=edges, n=n) as group:
+        first = group.query("pagerank", max_iters=6)
+        for _ in range(4):  # sequential: no lease is live in between
+            again = group.query("pagerank", max_iters=6)
+            assert np.array_equal(again["scores"], first["scores"])
+        snaps = group.status()["per_replica"][0]["snapshots"]
+        assert snaps["pinned"] == {0: 1}
+        assert snaps["registry"]["engine_pins"] == 1
+        assert snaps["registry"]["acquired"] == 5
+        assert snaps["registry"]["held"] == 1
+
+        # Idle pin + a write far past the compaction threshold: retired
+        # first, so the apply compacts.
+        stream, snaps = deletes(0, 480)
+        assert (stream["compactions"], stream["compactions_deferred"]) \
+            == (1, 0)
+        assert snaps["pinned"] == {} and snaps["registry"]["retired"] == 1
+
+        # A live lease across the write: the pin stays, compaction waits.
+        ticket = group.submit("pagerank", max_iters=6)
+        assert ticket.at_epoch == 1
+        stream, snaps = deletes(480, 800)
+        assert (stream["compactions"], stream["compactions_deferred"]) \
+            == (1, 1)
+        assert snaps["pinned"] == {1: 1}
+        pinned_read = group.result(ticket, timeout=120.0)
+        # The last holder of a passed epoch gives the pin back itself.
+        snaps = group.status()["per_replica"][0]["snapshots"]
+        assert snaps["pinned"] == {} and snaps["registry"]["retired"] == 1
+
+        stream, _ = deletes(800, 840)
+        assert (stream["compactions"], stream["compactions_deferred"]) \
+            == (2, 1)
+        # The pinned read answered for epoch 1, not for what came after.
+        with AnalyticsEngine(2, edges=edges, n=n) as ref:
+            ref.apply_updates(edges[:480, 0], edges[:480, 1],
+                              op=np.full(480, -1, dtype=np.int64))
+            want = ref.query("pagerank", max_iters=6)
+        assert np.allclose(pinned_read["scores"], want["scores"],
+                           rtol=0, atol=1e-12)
 
 
 def test_compaction_deferred_while_pinned(snap_graph):

@@ -32,7 +32,7 @@ from repro.service.engine import JobTimeoutError
 def engine(small_web):
     n, edges = small_web
     eng = AnalyticsEngine(3, edges=edges, n=n, partition="rand",
-                          batch_window=0.01, default_timeout=120.0)
+                          default_timeout=120.0)
     yield eng
     eng.shutdown()
 
@@ -118,6 +118,93 @@ def test_batching_coalesces_compatible_queries(engine, small_web):
     assert st["jobs"]["max_batch_size"] >= 4
     for i, lev in enumerate(levels):
         assert lev[100 + i] == 0
+
+
+def test_backlog_behind_a_running_job_coalesces(engine):
+    """Work-conserving dispatch: the batch is what queued while the world
+    was busy — no pause(), no timer."""
+    alone = {s: engine.query("bfs", source=s)["levels"] for s in range(60, 64)}
+    alone_ppr = engine.query("ppr", seed=60, max_iters=15)["scores"]
+    engine.cache.clear()
+    before = engine.status()["jobs"]
+    hold = engine.submit("_debug_sleep", seconds=0.5)
+    deadline = time.monotonic() + 30.0
+    while engine.job(hold).dispatched_at is None:  # the world is busy now
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+    ids = [engine.submit("bfs", source=s) for s in range(60, 64)]
+    ppr = engine.submit("ppr", seed=60, max_iters=15)
+    engine.result(hold)
+    for s, jid in zip(range(60, 64), ids):
+        assert np.array_equal(engine.result(jid)["levels"], alone[s])
+    assert np.array_equal(engine.result(ppr)["scores"], alone_ppr)
+    after = engine.status()["jobs"]
+    # The sleeper's batch, then exactly two more: 4 x bfs and 1 x ppr.
+    assert after["batches"] == before["batches"] + 3
+    assert after["max_batch_size"] >= 4
+    # Lower bounds the sleeper guarantees: it held the world >= 0.25 s
+    # while five jobs sat queued behind it.
+    assert after["exec_s"] - before["exec_s"] >= 0.2
+    assert after["queue_wait_s"] - before["queue_wait_s"] >= 0.2
+
+
+def test_duplicate_queries_in_a_batch_run_once(small_web):
+    """Identical jobs sharing a batch ride one column: same result object
+    for every job of the key, one cache entry, counted as ``deduped``."""
+    n, edges = small_web
+    with AnalyticsEngine(2, edges=edges, n=n) as eng:
+        ref = {s: eng.query("bfs", source=s)["levels"] for s in (7, 8)}
+        ref_ppr = eng.query("ppr", seed=7, max_iters=12)["scores"]
+        ref_clo = eng.query("closeness", vertex=7)
+        eng.cache.clear()
+        eng.pause()
+        bfs = [eng.submit("bfs", source=s) for s in (7, 8, 7, 7)]
+        ppr = [eng.submit("ppr", seed=7, max_iters=12) for _ in range(2)]
+        clo = [eng.submit("closeness", vertex=7) for _ in range(3)]
+        eng.resume()
+        got = [eng.result(j) for j in bfs]
+        assert got[0] is got[2] is got[3] and got[0] is not got[1]
+        for s, res in zip((7, 8, 7, 7), got):
+            assert np.array_equal(res["levels"], ref[s])
+        p0, p1 = (eng.result(j) for j in ppr)
+        assert p0 is p1 and np.array_equal(p0["scores"], ref_ppr)
+        assert all(eng.result(j) == ref_clo for j in clo)
+        st = eng.status()
+        assert st["jobs"]["deduped"] == 2 + 1 + 2
+        assert st["jobs"]["max_batch_size"] == 4
+        assert st["cache"]["size"] == 4  # bfs 7, bfs 8, ppr 7, closeness 7
+        assert eng.query("bfs", source=7) is got[0]  # the cached entry
+
+
+def test_resume_dispatches_at_once_and_shutdown_while_paused(small_web):
+    """pause() parks the dispatcher on the scheduler's condition (no poll):
+    resume() wakes it; shutdown() while paused fails each queued job once."""
+    n, edges = small_web
+    eng = AnalyticsEngine(2, edges=edges, n=n)
+    try:
+        eng.pause()
+        jid = eng.submit("bfs", source=1)
+        time.sleep(0.05)
+        assert eng.job(jid).dispatched_at is None and eng.status()["pending"] == 1
+        eng.resume()
+        assert eng.result(jid, timeout=30.0)["levels"][1] == 0
+        eng.pause()
+        queued = [eng.job(eng.submit("bfs", source=s)) for s in (2, 3)]
+    finally:
+        eng.shutdown()
+    assert not eng._dispatcher.is_alive()
+    for job in queued:
+        assert job.done.is_set() and isinstance(job.error, EngineClosedError)
+        assert job.dispatched_at is None  # failed by the drain, never ran
+
+
+def test_batching_linger_keyword_is_gone(small_web):
+    n, edges = small_web
+    gone = {"batch_" + "window": 0.0}  # the knob this PR deleted
+    with pytest.raises(TypeError):
+        JobScheduler(max_pending=4, **gone)
+    with pytest.raises(TypeError):
+        AnalyticsEngine(1, edges=edges, n=n, **gone)
 
 
 def test_incompatible_directions_do_not_coalesce(engine):
@@ -223,7 +310,7 @@ def _job(i, batch_key=None):
 
 
 def test_scheduler_fifo_and_bound():
-    s = JobScheduler(max_pending=2, batch_window=0.0)
+    s = JobScheduler(max_pending=2)
     s.submit(_job(1))
     s.submit(_job(2))
     with pytest.raises(AdmissionError):
@@ -234,7 +321,7 @@ def test_scheduler_fifo_and_bound():
 
 
 def test_scheduler_coalesces_by_batch_key():
-    s = JobScheduler(max_pending=16, batch_window=0.005, max_batch=3)
+    s = JobScheduler(max_pending=16, max_batch=3)
     for i in range(4):
         s.submit(_job(i, batch_key=("bfs",)))
     s.submit(_job(9, batch_key=("other",)))
@@ -245,8 +332,46 @@ def test_scheduler_coalesces_by_batch_key():
     assert [j.id for j in s.next_batch()] == [9]
 
 
+def test_scheduler_solo_job_returns_without_lingering():
+    s = JobScheduler(max_pending=4)
+    s.submit(_job(1, batch_key=("bfs",)))
+    t0 = time.monotonic()
+    assert [j.id for j in s.next_batch(poll_timeout=10)] == [1]
+    assert time.monotonic() - t0 < 1.0  # nowhere near the poll timeout
+
+
+def test_scheduler_bounded_reordering():
+    """A batch is anchored at the oldest job, so a job of another key is
+    overtaken by at most one batch however many mates keep arriving."""
+    s = JobScheduler(max_pending=16, max_batch=8)
+    s.submit(_job(0, batch_key=("a",)))
+    s.submit(_job(1, batch_key=("b",)))
+    s.submit(_job(2, batch_key=("a",)))
+    assert [j.id for j in s.next_batch()] == [0, 2]  # 2 overtakes 1 once
+    s.submit(_job(3, batch_key=("a",)))
+    assert [j.id for j in s.next_batch()] == [1]  # now 1 is the anchor
+    assert [j.id for j in s.next_batch()] == [3]
+
+
+def test_scheduler_pause_holds_batches_until_resume():
+    s = JobScheduler(max_pending=4)
+    s.pause()
+    s.submit(_job(1))
+    assert s.next_batch(poll_timeout=0.01) == [] and s.pending() == 1
+    got = []
+    t = threading.Thread(target=lambda: got.extend(s.next_batch(None)))
+    t.start()
+    s.resume()
+    t.join(timeout=10.0)
+    assert not t.is_alive() and [j.id for j in got] == [1]
+    s.pause()
+    s.submit(_job(2))
+    s.close()  # a paused, closed scheduler hands nothing out
+    assert s.next_batch(None) == [] and [j.id for j in s.drain()] == [2]
+
+
 def test_scheduler_none_key_never_batches():
-    s = JobScheduler(max_pending=16, batch_window=0.005)
+    s = JobScheduler(max_pending=16)
     s.submit(_job(1))
     s.submit(_job(2))
     assert [j.id for j in s.next_batch()] == [1]
@@ -263,7 +388,7 @@ def test_scheduler_close_and_drain():
 
 
 def test_scheduler_concurrent_submitters():
-    s = JobScheduler(max_pending=64, batch_window=0.0)
+    s = JobScheduler(max_pending=64)
     errs = []
 
     def feed(base):
