@@ -7,9 +7,10 @@
 # baseline (backends, bfs2d, comm, stream: fails on ratio regression vs
 # the recorded baseline; serving load is measured by the e2e workloads,
 # not here), the end-to-end benchmark's self-test, a short stream_churn
-# run (exit code only: its incremental-vs-rebuild checks) and a short
+# run (exit code only: its incremental-vs-rebuild checks), a short
 # serve_cold_rw run (exit code only: sampled responses vs a direct engine,
-# no failed operation), a 2-replica `repro serve` CLI smoke, and the
+# no failed operation) and a short web_batch run (exit code only: its
+# output checks), a 2-replica `repro serve` CLI smoke, and the
 # tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
 # procs-backend subset.
 #
@@ -82,7 +83,7 @@ for baseline in benchmarks/BENCH_*.json; do
     PYTHONPATH=src python "$bench" --smoke
 done
 
-echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw correctness smokes =="
+echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw / web_batch correctness smokes =="
 # Exit code only, no timing: stream_churn ends by checking incremental
 # PageRank/WCC/k-core bitwise against static kernels on a from-scratch
 # rebuild after 40 epochs of inserts, deletes and compactions — the
@@ -95,6 +96,12 @@ python3 benchmarks/e2e/run.py --workload stream_churn --seed 1 --seconds 6 \
 # checked against a direct single-engine answer at each response's epoch
 # and failed == 0 (errors, timeouts).  No timing is asserted.
 python3 benchmarks/e2e/run.py --workload serve_cold_rw --seed 1 --seconds 6 \
+    --trace 0 >/dev/null
+# And for the paper's own pipeline (striped read, 1-D build, six
+# analytics): the exit status carries its PageRank / component / SCC /
+# harmonic checks.  Label Propagation labels are not among them — the LP
+# oracle lives in tests/test_lp_oracle.py until the e2e suite checks them.
+python3 benchmarks/e2e/run.py --workload web_batch --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="

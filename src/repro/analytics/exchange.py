@@ -36,6 +36,8 @@ the retained queues and the flat-buffer plan each buy.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..graph.distgraph import DistGraph
@@ -103,9 +105,11 @@ class HaloExchange:
             np.arange(p, dtype=np.int64), self._send_counts)
         self._plans: dict[tuple[np.dtype, tuple[int, ...]], AlltoallvPlan] = {}
         # Delta baselines are keyed by target-array identity: one halo can
-        # serve several arrays (even of one dtype) without cross-talk.  The
-        # stored strong reference keeps the id stable for the halo's life.
-        self._delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # serve several arrays (even of one dtype) without cross-talk.  A
+        # finalizer drops the entry when its array dies, so the id is never
+        # reused while the entry exists and a long-lived halo holds no
+        # baseline for an array nobody else holds.
+        self._delta: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -193,10 +197,11 @@ class HaloExchange:
                        switch_fraction: float = 0.25) -> np.ndarray:
         """Refresh ghosts, shipping only values that changed since last sent.
 
-        Per dtype the exchange remembers the value each retained-queue row
-        last shipped; a row is *active* when it drifted from that baseline
-        by more than ``tol`` (exact inequality for ``tol=0``, so integer
-        codes like labels are propagated bitwise-exactly).  One scalar
+        Per target array the exchange remembers the value each
+        retained-queue row last shipped (forgotten when the array dies);
+        a row is *active* when it drifted from that baseline by more than
+        ``tol`` (exact inequality for ``tol=0``, so integer codes like
+        labels are propagated bitwise-exactly).  One scalar
         allreduce makes the dense/sparse decision *globally* — every rank
         takes the same path, keeping the collective schedule aligned:
 
@@ -221,9 +226,9 @@ class HaloExchange:
         comm = self.comm
         key = values.dtype
         cur = values[self._send_lids]
-        state = self._delta.get(id(values))
-        base = state[1] if state is not None else None
+        base = self._delta.get(id(values))
         if base is None:
+            weakref.finalize(values, self._delta.pop, id(values), None)
             # Never primed: everything is active and (with any sane
             # switch_fraction) the decision below lands on the dense plan.
             active = np.ones(len(cur), dtype=bool)
@@ -241,7 +246,7 @@ class HaloExchange:
             np.copyto(plan.sendbuf, cur)
             values[self._ghost_lids] = plan.execute()
             # cur is a fresh fancy-index copy: safe to keep as baseline
-            self._delta[id(values)] = (values, cur)
+            self._delta[id(values)] = cur
             comm.trace.bump("halo.delta.dense_calls")
         else:
             idx = np.flatnonzero(active)
@@ -256,7 +261,7 @@ class HaloExchange:
             pos = np.repeat(self._ghost_starts[:-1], rcounts) + ridx
             values[self._ghost_lids[pos]] = rvals
             if base is None:  # primed straight into sparse (everything ships)
-                self._delta[id(values)] = (values, cur)
+                self._delta[id(values)] = cur
             else:
                 base[idx] = cur[idx]
             comm.trace.bump("halo.delta.sparse_calls")

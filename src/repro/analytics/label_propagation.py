@@ -9,12 +9,22 @@ with ties broken randomly.  The paper runs a fixed number of iterations
 Implementation notes
 --------------------
 * The paper's inner loop builds a per-vertex label→count hash map; the
-  vectorized equivalent sorts the (vertex, neighbor-label) pairs once per
-  iteration and reduces run lengths — same O(Σdeg) work, no Python loop.
+  vectorized equivalent packs each (row, neighbor-label) entry into one
+  ``int64`` key ``row * n_global + label`` and sorts the keys once per
+  iteration.  The rows are already CSR-ordered, so the sort only permutes
+  within a row: run lengths of equal keys are the counts, a
+  ``maximum.reduceat`` gives each row's best count, and the tie hash is
+  computed only for the runs that reach it — same O(Σdeg) work, no Python
+  loop.  The key must fit: ``n_loc · n_global < 2**63``, checked once per
+  call (``ValueError``).
+* Tie rule: the most frequent label; among equally frequent labels the
+  largest :func:`_tie_hash` of (vertex gid, label, iteration, seed); on an
+  exact 64-bit hash tie the largest label.
 * Updates are synchronous (all vertices see the previous iteration's
   labels).  The paper's OpenMP loop is effectively asynchronous within a
   rank; synchronous updates make runs deterministic and rank-count
-  invariant, which the tests rely on.
+  invariant, which the tests rely on.  ``mode="async"`` counts chunk by
+  chunk over contiguous slices of the CSR, writing labels in between.
 * Ghost labels are refreshed with the retained-queue halo exchange — the
   same optimization the paper applies (send labels only, never ids).
 """
@@ -41,6 +51,7 @@ class LabelPropagationResult:
     labels: np.ndarray  # final label of each locally-owned vertex
     n_iters: int
     last_changed: int  # number of vertices that changed in the last iteration
+    changed_per_iter: tuple[int, ...]  # global change count of each iteration
 
 
 def _tie_hash(gids: np.ndarray, labels: np.ndarray, it: int, seed: int) -> np.ndarray:
@@ -61,44 +72,52 @@ def _tie_hash(gids: np.ndarray, labels: np.ndarray, it: int, seed: int) -> np.nd
 
 def _max_count_labels(
     rows: np.ndarray,
+    row_keys: np.ndarray,
     labels: np.ndarray,
-    n_rows: int,
     row_gids: np.ndarray,
     it: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Most frequent label per row; hashed random tie-break.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Most frequent label of every row that has entries.
 
-    Returns ``(chosen, has_any)`` where ``chosen[v]`` is valid only when
-    ``has_any[v]`` (vertices with no neighbors keep their old label).
+    ``rows`` is the CSR-ordered row of each entry, ``row_keys`` is
+    ``rows * n_global`` and ``labels`` the entry's neighbor label.  Returns
+    ``(win_rows, win_labels, n_tied)``: the rows with at least one entry,
+    their chosen labels, and how many of them had more than one label at
+    the best count.
     """
-    chosen = np.zeros(n_rows, dtype=np.int64)
-    has_any = np.zeros(n_rows, dtype=bool)
     if len(rows) == 0:
-        return chosen, has_any
-    order = np.lexsort((labels, rows))
-    r_sorted = rows[order]
-    l_sorted = labels[order]
-    # Run boundaries of identical (row, label) pairs.
-    new_run = np.empty(len(order), dtype=bool)
+        return rows, rows, 0
+    keys = row_keys + labels
+    # Keys of row r lie in [r * n_global, (r + 1) * n_global) and the rows
+    # are ascending, so sorting permutes within rows: rows[i] is still the
+    # row of keys[i], and keys[i] - row_keys[i] its label.
+    keys.sort()
+    new_run = np.empty(len(keys), dtype=bool)
     new_run[0] = True
-    new_run[1:] = (r_sorted[1:] != r_sorted[:-1]) | (l_sorted[1:] != l_sorted[:-1])
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
     run_starts = np.flatnonzero(new_run)
-    run_rows = r_sorted[run_starts]
-    run_labels = l_sorted[run_starts]
-    run_counts = np.diff(np.append(run_starts, len(order)))
-    # Pick, per row, the run with the highest count; ties go to the run
-    # with the highest hashed key (uniform among tied labels).
-    tiebreak = _tie_hash(row_gids[run_rows], run_labels, it, seed)
-    sel = np.lexsort((tiebreak, run_counts, run_rows))
-    row_sorted = run_rows[sel]
-    last_of_row = np.empty(len(sel), dtype=bool)
-    last_of_row[-1] = True
-    last_of_row[:-1] = row_sorted[1:] != row_sorted[:-1]
-    winners = sel[last_of_row]
-    chosen[run_rows[winners]] = run_labels[winners]
-    has_any[run_rows[winners]] = True
-    return chosen, has_any
+    run_counts = np.diff(run_starts, append=len(keys))
+    run_rows = rows[run_starts]
+    row_first = np.flatnonzero(np.diff(run_rows, prepend=-1))
+    best = np.maximum.reduceat(run_counts, row_first)
+    cand = run_starts[run_counts == np.repeat(
+        best, np.diff(row_first, append=len(run_rows)))]
+    cand_rows = rows[cand]
+    cand_labels = keys[cand] - row_keys[cand]
+    # Among a row's candidates (ascending labels) the largest hash wins; on
+    # an exact hash tie the last, i.e. the largest label.
+    tie = _tie_hash(row_gids[cand_rows], cand_labels, it, seed)
+    group_first = np.flatnonzero(np.diff(cand_rows, prepend=-1))
+    group_size = np.diff(group_first, append=len(cand))
+    top = np.flatnonzero(
+        tie == np.repeat(np.maximum.reduceat(tie, group_first), group_size))
+    last = np.empty(len(top), dtype=bool)
+    last[-1] = True
+    np.not_equal(cand_rows[top[1:]], cand_rows[top[:-1]], out=last[:-1])
+    win = top[last]
+    return (cand_rows[win], cand_labels[win],
+            int(np.count_nonzero(group_size > 1)))
 
 
 def label_propagation(
@@ -136,7 +155,10 @@ def label_propagation(
     -------
     LabelPropagationResult
         ``labels[i]`` is the community label (a global vertex id) of local
-        vertex ``i``.
+        vertex ``i``; ``changed_per_iter`` is the global number of changed
+        vertices of each iteration run.  The rank-local counters
+        ``lp.entries_counted`` and ``lp.tied_rows`` are bumped into
+        ``comm.trace.counters``.
     """
     if n_iters < 0:
         raise ValueError("n_iters must be non-negative")
@@ -144,48 +166,48 @@ def label_propagation(
         raise ValueError(f"mode must be 'sync' or 'async', got {mode!r}")
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be >= 1")
+    n_loc, n_global = g.n_loc, g.n_global
+    if n_loc * n_global >= 1 << 63:
+        raise ValueError(
+            f"n_loc * n_global = {n_loc} * {n_global} overflows the int64 "
+            "(row, label) key")
     with comm.region("label_propagation"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc, n_tot = g.n_loc, g.n_total
 
         indptr, nbrs = undirected_rows(g)
         rows = expand_rows(indptr)
+        row_keys = rows * n_global
         labels = g.unmap.astype(np.int64).copy()  # init: own global id
 
         row_gids = g.unmap[:n_loc]
-        changed = 0
+        # Async splits the local vertices into chunks whose entries are
+        # contiguous in the CSR; later chunks see labels already updated by
+        # earlier chunks this iteration.  Sync is the one-chunk case.
+        sweeps = n_sweeps if mode == "async" else 1
+        bounds = indptr[np.linspace(0, n_loc, sweeps + 1).astype(np.int64)]
+        changed_per_iter: list[int] = []
+        n_tied = 0
         for it in range(n_iters):
-            if mode == "sync":
-                chosen, has_any = _max_count_labels(
-                    rows, labels[nbrs], n_loc, row_gids, it, seed)
-                new_local = np.where(has_any, chosen, labels[:n_loc])
-            else:
-                # Async: split local vertices into chunks; later chunks see
-                # labels already updated by earlier chunks this iteration.
-                before = labels[:n_loc].copy()
-                bounds = np.linspace(0, n_loc, n_sweeps + 1).astype(np.int64)
-                for s in range(n_sweeps):
-                    lo, hi = bounds[s], bounds[s + 1]
-                    if lo == hi:
-                        continue
-                    in_chunk = (rows >= lo) & (rows < hi)
-                    chosen, has_any = _max_count_labels(
-                        rows[in_chunk] - lo, labels[nbrs[in_chunk]],
-                        int(hi - lo), row_gids[lo:hi], it * n_sweeps + s,
-                        seed)
-                    labels[lo:hi] = np.where(has_any, chosen, labels[lo:hi])
-                new_local = labels[:n_loc].copy()
-                labels[:n_loc] = before  # restore for the change count
-            changed = comm.allreduce(
-                int(np.count_nonzero(new_local != labels[:n_loc])), SUM)
-            labels[:n_loc] = new_local
+            before = labels[:n_loc].copy()
+            for s in range(sweeps):
+                a, b = bounds[s], bounds[s + 1]
+                win_rows, win_labels, tied = _max_count_labels(
+                    rows[a:b], row_keys[a:b], labels[nbrs[a:b]], row_gids,
+                    it * sweeps + s, seed)
+                labels[win_rows] = win_labels
+                n_tied += tied
+            changed_per_iter.append(comm.allreduce(
+                int(np.count_nonzero(labels[:n_loc] != before)), SUM))
             # tol=0 delta: only changed labels travel (bitwise-identical to
             # a dense refresh), which goes sparse as communities stabilize.
             halo.exchange_delta(labels)
-            if changed == 0:
-                return LabelPropagationResult(
-                    labels=labels[:n_loc].copy(), n_iters=it + 1, last_changed=0)
+            if changed_per_iter[-1] == 0:
+                break
 
+        comm.trace.bump("lp.entries_counted", len(nbrs) * len(changed_per_iter))
+        comm.trace.bump("lp.tied_rows", n_tied)
         return LabelPropagationResult(
-            labels=labels[:n_loc].copy(), n_iters=n_iters, last_changed=changed)
+            labels=labels[:n_loc].copy(), n_iters=len(changed_per_iter),
+            last_changed=changed_per_iter[-1] if changed_per_iter else 0,
+            changed_per_iter=tuple(changed_per_iter))

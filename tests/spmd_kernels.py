@@ -18,6 +18,7 @@ from repro.analytics import (
     distributed_bfs_dirop,
     exact_kcore,
     global_max_degree_vertex,
+    label_propagation,
     largest_scc,
     pagerank,
     scc,
@@ -67,6 +68,15 @@ def kern_wcc(comm, cfg):
     g = build_graph(comm, cfg)
     res = wcc(comm, g, halo=HaloExchange(comm, g))
     return g.unmap[: g.n_loc].copy(), res.labels, int(res.giant_label)
+
+
+def kern_label_propagation(comm, cfg):
+    g = build_graph(comm, cfg)
+    res = label_propagation(comm, g, n_iters=cfg.get("iters", 6), seed=3,
+                            halo=HaloExchange(comm, g),
+                            mode=cfg.get("mode", "sync"), n_sweeps=3)
+    return (g.unmap[: g.n_loc].copy(), res.labels, res.n_iters,
+            res.changed_per_iter)
 
 
 def kern_scc(comm, cfg):

@@ -73,14 +73,30 @@ def test_scc_bitwise_across_ranks(graph_edges, nranks):
     assert (labels <= np.arange(N)).all()  # min-id labels
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_label_propagation_bitwise_across_ranks(graph_edges, nranks, mode):
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock", "mode": mode}
+    labels = _assert_bitwise(K.kern_label_propagation, cfg, nranks)
+    assert ((labels >= 0) & (labels < N)).all()
+
+
 @pytest.mark.parametrize("part", ["eblock", "rand"])
 @pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_wcc,
-                                    K.kern_bfs_dirop, K.kern_scc],
-                         ids=["pagerank", "wcc", "bfs", "scc"])
+                                    K.kern_bfs_dirop, K.kern_scc,
+                                    K.kern_label_propagation],
+                         ids=["pagerank", "wcc", "bfs", "scc", "lp"])
 def test_bitwise_across_partition_kinds(graph_edges, kernel, part):
     cfg = {"edges": graph_edges, "n": N, "part": part, "iters": 12,
            "root": 0}
     _assert_bitwise(kernel, cfg, 2)
+
+
+@pytest.mark.parametrize("part", ["eblock", "rand"])
+def test_async_label_propagation_bitwise_across_partition_kinds(graph_edges,
+                                                                part):
+    cfg = {"edges": graph_edges, "n": N, "part": part, "mode": "async"}
+    _assert_bitwise(K.kern_label_propagation, cfg, 2)
 
 
 def test_mixed_collectives_bitwise(graph_edges):

@@ -327,6 +327,32 @@ def test_delta_exchange_two_arrays_independent_baselines(small_web):
     assert all(dist_run(edges, n, 3, fn))
 
 
+def test_delta_baselines_die_with_their_arrays(small_web):
+    """A long-lived halo (one shared by every analytic, or a dynamic
+    graph's) keeps no baseline for an array nobody else holds."""
+    import gc
+
+    from repro.analytics import label_propagation, wcc
+
+    n, edges = small_web
+
+    def fn(comm, g):
+        halo = HaloExchange(comm, g)
+        for _ in range(20):
+            wcc(comm, g, halo=halo)
+            label_propagation(comm, g, n_iters=2, halo=halo)
+        kept = np.zeros(g.n_total, dtype=np.int64)
+        kept[: g.n_loc] = g.unmap[: g.n_loc]
+        halo.exchange_delta(kept)
+        gc.collect()
+        live = len(halo._delta)
+        del kept
+        gc.collect()
+        return live, len(halo._delta)
+
+    assert all(out == (1, 0) for out in dist_run(edges, n, 2, fn))
+
+
 def test_delta_exchange_rejects_2d(small_web):
     n, edges = small_web
 
