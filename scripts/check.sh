@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Repository health check: lint (when ruff is available), the spmdlint SPMD
-# correctness passes (shallow strict + whole-program --deep strict against
-# the checked-in baseline), the seeded-violation fixture corpora (run as
-# the parametrized pytest module tests/test_check_corpus.py), the runtime
+# correctness analysis (one whole-program strict pass over src/repro with
+# the autofix drift gate, against the checked-in baseline, and one over
+# benchmarks + examples against theirs), the seeded-violation fixture
+# corpora (run as the parametrized pytest module
+# tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
 # baseline (backends, bfs2d, comm, stream: fails on ratio regression vs
 # the recorded baseline; serving load is measured by the e2e workloads,
@@ -39,24 +41,21 @@ else
     echo "== ruff not installed; skipping lint (pip install -e '.[dev]') =="
 fi
 
-echo "== spmdlint (strict) =="
-PYTHONPATH=src python -m repro check src/repro --strict
+echo "== spmdlint (strict, baselined, autofix drift gate) =="
+# One pass: exit 1 when `repro check --fix` would still change a file
+# (mechanical findings — SPMD013 wraps, PERF001/PERF003 hoists — must be
+# applied and committed, not left for CI to discover), else exit 1 on any
+# finding the checked-in baseline does not grandfather.
+PYTHONPATH=src python -m repro check src/repro --strict \
+    --baseline .spmdlint-baseline.json --cache .spmdlint-cache.json \
+    --fix --check
 
-echo "== spmdlint autofix drift gate (--fix --check) =="
-# Fails when `repro check --fix` would still change a file: mechanical
-# findings (SPMD013 wraps, PERF001/PERF003 hoists) must be applied and
-# committed, not left for CI to discover.
-PYTHONPATH=src python -m repro check src/repro --fix --check
-
-echo "== spmdlint whole-program (--deep, strict, baselined) =="
-PYTHONPATH=src python -m repro check src/repro --deep --strict \
-    --baseline .spmdlint-baseline.json --cache .spmdlint-cache.json
-
-echo "== spmdlint extras (benchmarks + examples, shallow, baselined) =="
-# Shallow only: the harness files are single-module entry points, and
-# the deep pass would pull their private helpers into the repo summary
-# table.  Grandfathered findings live in their own baseline so drift in
-# benchmark code never masks (or is masked by) src/repro findings.
+echo "== spmdlint extras (benchmarks + examples, strict, baselined) =="
+# A program of its own, so the harnesses' private helpers stay out of the
+# src/repro summary table.  Grandfathered findings (the nested `job`
+# closures thread-only harnesses pass to run_spmd) live in their own
+# baseline so drift in benchmark code never masks (or is masked by)
+# src/repro findings.
 PYTHONPATH=src python -m repro check benchmarks examples --strict \
     --baseline .spmdlint-extras-baseline.json
 

@@ -3,13 +3,13 @@
 The BFS-like class of analytics expands a frontier of vertices level by
 level.  This kernel serves the ones that read levels (Harmonic Centrality,
 closeness, betweenness, diameter); SCC, k-core and phase 1 of Multistep WCC
-need only the reached set (:mod:`repro.analytics.closure`).  Per the paper: a task-local queue holds the frontier; a
-``Status`` array encodes unvisited (−2), queued (−1), or the visit level;
-off-rank discoveries are shipped to their owners with one ``alltoallv`` per
-level; and the loop terminates when an ``allreduce`` of frontier sizes hits
-zero.
+need only the reached set (:mod:`repro.analytics.closure`).  Per the
+paper: a task-local queue holds the frontier; a ``Status`` array encodes
+unvisited (−2), queued (−1), or the visit level; off-rank discoveries are
+shipped to their owners with one ``alltoallv`` per level; and the loop
+terminates when an ``allreduce`` of frontier sizes hits zero.
 
-This implementation adds two generalizations the downstream analytics
+This implementation adds three generalizations the downstream analytics
 need: multiple roots (multi-source BFS), a traversal direction selector
 (out-edges, in-edges, or both for undirected connectivity), and an optional
 ``restrict`` mask limiting the traversal to an induced subgraph (used by

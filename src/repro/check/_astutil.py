@@ -1,12 +1,12 @@
 """Shared AST primitives for the static SPMD passes.
 
-All four analyzers — the collective-*schedule* linter (:mod:`.spmdlint`,
-SPMD001–005), the buffer-*ownership* linter (:mod:`.racecheck`,
-SPMD006–008), the whole-program *deep* pass (:mod:`.deep`, SPMD009–011
-plus interprocedural SPMD001–005), and the backend-*portability* pass
-(:mod:`.picklecheck`, SPMD012) — recognize collective call sites the same
-way, classify expressions over the same replication lattice, and report
-through the same :class:`Finding` record, so those pieces live here.
+Every rule family — collective *schedule* (:mod:`.spmdlint`,
+SPMD001–005 and SPMD009–011), buffer *ownership* (:mod:`.racecheck`,
+SPMD006–008), backend *portability* (:mod:`.picklecheck`, SPMD012) and
+*distribution* state (:mod:`.distcheck`, SPMD013–016, PERF001–003) —
+recognizes collective call sites the same way, classifies expressions
+over the same replication lattice, and reports through the same
+:class:`Finding` record, so those pieces live here.
 
 The replication lattice
 -----------------------
@@ -27,9 +27,9 @@ Every expression is classified into a three-level lattice:
 :func:`_classify` computes the level of one expression under an
 :class:`_Env` (name → level); :func:`_infer_env` runs the fixpoint over a
 function body so taint flows through assignment chains.  An ``_Env`` may
-carry a ``call_level`` hook: the deep pass uses it to classify calls to
-*known* functions from their interprocedural summaries, while the shallow
-pass falls back to the conservative max-over-arguments join.
+carry a ``call_level`` hook: the schedule rules use it to classify calls
+to *known* functions from their interprocedural summaries, and fall back
+to the conservative max-over-arguments join for every other call.
 
 Sub-communicators
 -----------------
@@ -251,9 +251,9 @@ def _walk_in_scope(node: ast.AST) -> Iterable[ast.AST]:
 class _Env:
     """Name -> lattice level for one function scope (default: replicated).
 
-    ``call_level`` is an optional hook ``(call, env) -> level | None`` used
-    by the deep pass to classify calls to functions with known summaries;
-    ``None`` falls back to the shallow max-over-subexpressions join.
+    ``call_level`` is an optional hook ``(call, env) -> level | None`` that
+    classifies calls to functions with known summaries; ``None`` falls
+    back to the max-over-subexpressions join.
     """
 
     def __init__(self, params: Sequence[str],

@@ -1,6 +1,6 @@
 """Module-level call graph over a set of Python sources.
 
-The whole-program pass (:mod:`.deep`) needs to know, for a call site
+The whole-program pass (:mod:`.program`) needs to know, for a call site
 ``helper(world, data)``, *which* function ``helper`` is — across files —
 so it can splice in that function's collective schedule and lattice
 summary.  This module parses every file once, indexes functions, resolves
@@ -20,7 +20,7 @@ linters it feeds:
   targets when module ``m`` is part of the analyzed set;
 * attribute calls ``m.f(...)`` resolve through ``import m`` aliases;
 * *method* calls ``obj.f(...)`` are never resolved (no type inference) —
-  methods are still indexed and deep-linted as functions in their own
+  methods are still indexed and linted as functions in their own
   right, but call edges into them are invisible.  See DESIGN.md §13 for
   the soundness consequences.
 
@@ -145,12 +145,16 @@ class CallGraph:
 
     # -- construction -------------------------------------------------------
     def add_file(self, path: Path) -> ModuleInfo | None:
+        """Parse and index one file; ``None`` when it does not parse."""
         path = Path(path)
-        source = path.read_text()
         try:
-            tree = ast.parse(source, filename=str(path))
+            return self.add_source(path, path.read_text())
         except SyntaxError:
             return None
+
+    def add_source(self, path: Path, source: str) -> ModuleInfo:
+        """Parse and index one module's source (raises SyntaxError)."""
+        tree = ast.parse(source, filename=str(path))
         mod = ModuleInfo(path=path, name=_module_name(path),
                          source=source, tree=tree)
         self.modules[mod.name] = mod

@@ -4,16 +4,17 @@ The schedule/ownership linters check *when* ranks communicate; this pass
 checks *what the data means*.  It interprets each function over the two
 abstract domains of :mod:`.distlattice` — the index space of id-carrying
 values and the distribution state of per-vertex arrays (with a halo
-fresh/stale bit) — walking statements in control-flow order with
-branch-join and a two-pass loop body so back-edge effects are visible.
+fresh/stale bit) — on the shared statement walker (:mod:`.walker`):
+branch-join, and a two-pass loop body joined with the loop-entry state so
+back-edge effects are visible.
 
 Correctness rules (``SPMD013``–``SPMD016``):
 
 * **SPMD013** — index-space confusion: a local id flows into
   ``map.get`` (expects global ids), a global id indexes ``unmap`` or a
-  locally-allocated array (expects local ids), or — in deep mode — a
-  call binds a wrong-space argument to a parameter whose expectation was
-  summarized from the callee's own ``map``/``unmap`` usage;
+  locally-allocated array (expects local ids), or a call binds a
+  wrong-space argument to a parameter whose expectation was summarized
+  from the callee's own ``map``/``unmap`` usage;
 * **SPMD014** — stale-ghost read: the ghost slice of a ghost-extended
   array is read after a local write with no intervening halo exchange;
 * **SPMD015** — whole-array reduction over a ghost-extended array:
@@ -36,27 +37,24 @@ Performance rules (``PERF001``–``PERF003``):
   auto-hoisted only for ``np.empty``/``np.empty_like``, where no
   per-iteration re-initialization semantics can be lost).
 
-Deep composition: :func:`build_dist_summaries` runs the same interpreter
-callees-first over the PR-7 call graph, recording each function's
-parameter *expectations* (global/local), halo *effects* (refreshes /
-stales) and return provenance (space / split-list / ghost allocation);
-:func:`lint_distribution` consumes the table at call sites so states
-propagate across module boundaries.  Like every pass in this package the
-rules are provenance-keyed and precision-first: a value only leaves the
-top element through an explicit idiom, so a finding is almost always
-real.  See DESIGN.md §14.
+Composition: :func:`dist_facts` runs the same interpreter while the
+summary table is built callees-first (:mod:`.summaries`), recording each
+function's parameter *expectations* (global/local), halo *effects*
+(refreshes / stales) and return provenance (space / split-list / ghost
+allocation); :func:`lint_distribution` consumes the table at call sites
+so states propagate across module boundaries.  Like every pass in this
+package the rules are provenance-keyed and precision-first: a value only
+leaves the top element through an explicit idiom, so a finding is almost
+always real.  See DESIGN.md §14.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._astutil import (
     RANK_LOCAL,
-    _SCOPE_BARRIERS,
     Finding,
     _classify,
     _collective_op,
@@ -77,16 +75,16 @@ from .distlattice import (
     SPACE_LOCAL,
     SPACE_OWNER,
     SPACE_UNKNOWN,
+    _EXTENT_NAMES,
     ArrayState,
     DistEnv,
     is_ghosty_name,
     root_name,
     seeded_space,
 )
+from .walker import FlowWalker
 
-__all__ = ["DIST_RULES", "PERF_RULES", "lint_distribution",
-           "DistSummary", "DistTable", "build_dist_summaries",
-           "dist_digest"]
+__all__ = ["DIST_RULES", "PERF_RULES", "lint_distribution", "dist_facts"]
 
 # ---------------------------------------------------------------------------
 # rule catalog
@@ -171,127 +169,40 @@ def _call_arg_exprs(call: ast.Call) -> list[ast.expr]:
 
 
 # ---------------------------------------------------------------------------
-# interprocedural distribution summaries (deep mode)
+# per-function facts for the summary table
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DistSummary:
-    """Distribution facts about one function, for call-site composition."""
-
-    key: str
-    positional: tuple[str, ...]
-    params: tuple[str, ...]
-    #: (param, expected index space) pairs, sorted — from the callee's
-    #: own ``map.get``/``unmap[...]`` usage (direct or transitive).
-    expects: tuple[tuple[str, str], ...]
-    #: Parameters whose ghost region the callee refreshes (halo exchange).
-    refreshes: frozenset[str]
-    #: Parameters the callee writes locally (subscript store) without a
-    #: subsequent exchange being provable — treated as staling.
-    stales: frozenset[str]
-    #: Index space of the return value, when every return agrees.
-    returns_space: str | None
-    #: The function returns ``np.split`` parts (list-of-arrays payload).
-    returns_split: bool
-    #: The function returns a fresh ghost-extended allocation.
-    returns_ghost: bool
-
-    @property
-    def expects_map(self) -> dict[str, str]:
-        return dict(self.expects)
-
-
-@dataclass
-class DistTable:
-    """Distribution-summary lookup bound to the PR-7 call graph."""
-
-    graph: object                       # .callgraph.CallGraph
-    by_key: dict[str, DistSummary] = field(default_factory=dict)
-
-    def for_call(self, mod, call: ast.Call) -> DistSummary | None:
-        if mod is None:
-            return None
-        fi = self.graph.resolve(mod, call)
-        return self.by_key.get(fi.key) if fi is not None else None
-
-
-def build_dist_summaries(graph) -> DistTable:
-    """Run the interpreter callees-first and record per-function facts."""
-    table = DistTable(graph=graph)
-    for component in graph.topo_order():
-        # Members of a recursion cycle see each other as unknown calls
-        # (their summaries are not in the table yet) — documented
-        # soundness limit shared with the schedule summaries.
-        for fi in component:
-            interp = _DistInterp(
-                fi.node, str(fi.module.path), select=frozenset(),
-                source=None, table=table, mod=fi.module)
-            interp.run()
-            args = fi.node.args
-            positional = tuple(
-                a.arg for a in args.posonlyargs + args.args)
-            spaces = {sp for sp, _, _ in interp.returns}
-            r_space = spaces.pop() if (
-                len(spaces) == 1 and SPACE_UNKNOWN not in spaces) else None
-            table.by_key[fi.key] = DistSummary(
-                key=fi.key, positional=positional,
-                params=tuple(_fn_params(fi.node)),
-                expects=tuple(sorted(interp.param_expects.items())),
-                refreshes=frozenset(interp.param_refreshes),
-                stales=frozenset(interp.param_stales
-                                 - interp.param_refreshes),
-                returns_space=r_space,
-                returns_split=any(s for _, s, _ in interp.returns),
-                returns_ghost=any(g for _, _, g in interp.returns))
-    return table
-
-
-def dist_digest(table: DistTable) -> str:
-    """Stable content hash of the distribution-summary table."""
-    h = hashlib.sha256()
-    for key in sorted(table.by_key):
-        s = table.by_key[key]
-        h.update(repr((s.key, s.positional, s.params, s.expects,
-                       sorted(s.refreshes), sorted(s.stales),
-                       s.returns_space, s.returns_split,
-                       s.returns_ghost)).encode())
-    return h.hexdigest()
-
-
-def _bind_args(summary: DistSummary,
-               call: ast.Call) -> list[tuple[str, ast.expr]]:
-    """Call-site argument expressions onto callee parameter names."""
-    out: list[tuple[str, ast.expr]] = []
-    for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            break
-        if i < len(summary.positional):
-            out.append((summary.positional[i], arg))
-    for kw in call.keywords:
-        if kw.arg is not None and kw.arg in summary.params:
-            out.append((kw.arg, kw.value))
-    return out
+def dist_facts(fi, table) -> dict:
+    """Distribution fields of one function's summary (.summaries)."""
+    interp = _DistInterp(fi.node, str(fi.module.path), frozenset(),
+                         source=None, table=table, mod=fi.module)
+    interp.walk(fi.node.body)
+    spaces = {sp for sp, _, _ in interp.returns}
+    return dict(
+        expects=tuple(sorted(interp.param_expects.items())),
+        refreshes=frozenset(interp.param_refreshes),
+        stales=frozenset(interp.param_stales - interp.param_refreshes),
+        returns_space=spaces.pop() if (
+            len(spaces) == 1 and SPACE_UNKNOWN not in spaces) else None,
+        returns_split=any(s for _, s, _ in interp.returns),
+        returns_ghost=any(g for _, _, g in interp.returns))
 
 
 # ---------------------------------------------------------------------------
 # the interpreter
 # ---------------------------------------------------------------------------
-class _DistInterp:
+class _DistInterp(FlowWalker):
     """Abstract interpretation of one function over the dist lattice."""
 
+    rejoin_loop_entry = True
+
     def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                 path: str, select: frozenset[str],
-                 source: str | None = None,
-                 table: DistTable | None = None, mod=None):
-        self.fn = fn
-        self.path = path
-        self.select = select
+                 path: str, select: frozenset[str], source: str | None,
+                 table, mod):
+        super().__init__(fn, path, select)
         self.source = source
         self.table = table
         self.mod = mod
-        self.env = DistEnv()
-        self.findings: list[Finding] = []
-        self._seen: set[tuple] = set()
-        self._emitting = True
+        self.state = DistEnv()
         self.param_set = frozenset(_fn_params(fn))
         #: Names rebound inside the function (their seeded meaning died).
         self.rebound: set[str] = set()
@@ -309,29 +220,18 @@ class _DistInterp:
             sp = seeded_space(p)
             if sp != SPACE_UNKNOWN:
                 self.env.spaces[p] = sp
-        from .distlattice import _EXTENT_NAMES
         for p in self.param_set:
             if p in _EXTENT_NAMES:
                 self.env.extents[p] = _EXTENT_NAMES[p]
 
+    @property
+    def env(self) -> DistEnv:
+        return self.state
+
     def run(self) -> list[Finding]:
-        self._exec_block(self.fn.body)
+        self.walk(self.fn.body)
         self._check_perf_loops()
         return self.findings
-
-    # -- reporting -----------------------------------------------------------
-    def _emit(self, rule: str, node: ast.AST, message: str,
-              fix: dict | None = None) -> None:
-        if rule not in self.select or not self._emitting:
-            return
-        key = (rule, node.lineno, node.col_offset, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(Finding(
-            rule=rule, message=message, path=self.path,
-            line=node.lineno, col=node.col_offset + 1,
-            function=self.fn.name, fix=fix))
 
     def _segment(self, node: ast.AST) -> str | None:
         if self.source is None:
@@ -341,14 +241,23 @@ class _DistInterp:
         except Exception:
             return None
 
-    # -- statement walk ------------------------------------------------------
-    def _exec_block(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._exec_stmt(stmt)
+    # -- walker hooks: transfer rules ----------------------------------------
+    def enter_if(self, stmt: ast.If, level: int) -> None:
+        self._scan_expr(stmt.test)
 
-    def _exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, _SCOPE_BARRIERS):
-            return  # nested scopes are interpreted as their own functions
+    def loop_head(self, stmt) -> None:
+        self._scan_expr(stmt.test if isinstance(stmt, ast.While)
+                        else stmt.iter)
+        self._bind_loop_target(stmt)
+
+    def enter_with(self, stmt) -> None:
+        for item in stmt.items:
+            self._scan_expr(item.context_expr)
+            if item.optional_vars is not None:
+                for name in _target_names(item.optional_vars):
+                    self._clear_name(name)
+
+    def transfer(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             self._scan_expr(stmt.value)
             for tgt in stmt.targets:
@@ -363,60 +272,18 @@ class _DistInterp:
                 self._store_target(stmt.target, stmt)
             # plain `x += e` keeps x's facts: uniform full-array updates
             # are the common idiom and do not desynchronize the halo
-        elif isinstance(stmt, ast.If):
-            self._scan_expr(stmt.test)
-            pre = self.env.copy()
-            self._exec_block(stmt.body)
-            after_body = self.env
-            self.env = pre
-            self._exec_block(stmt.orelse)
-            self.env.join(after_body)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            self._exec_loop(stmt)
-        elif isinstance(stmt, ast.Try):
-            self._exec_block(stmt.body)
-            for handler in stmt.handlers:
-                self._exec_block(handler.body)
-            self._exec_block(stmt.orelse)
-            self._exec_block(stmt.finalbody)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan_expr(item.context_expr)
-                if item.optional_vars is not None:
-                    for name in _target_names(item.optional_vars):
-                        self._clear_name(name)
-            self._exec_block(stmt.body)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._scan_expr(stmt.value)
                 self._note_return(stmt.value)
         else:
-            for fname, value in ast.iter_fields(stmt):
+            for _, value in ast.iter_fields(stmt):
                 if isinstance(value, ast.expr):
                     self._scan_expr(value)
                 elif isinstance(value, list):
                     for v in value:
                         if isinstance(v, ast.expr):
                             self._scan_expr(v)
-
-    def _exec_loop(self, stmt: ast.For | ast.AsyncFor | ast.While) -> None:
-        driver = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-        pre = self.env.copy()
-        saved = self._emitting
-        # Pass 1 (silent) computes the body's effects so the join below
-        # carries back-edge facts (a write left stale at the bottom of
-        # the body is visible to a ghost read at the top on pass 2).
-        self._emitting = False
-        self._scan_expr(driver)
-        self._bind_loop_target(stmt)
-        self._exec_block(stmt.body)
-        self.env.join(pre)
-        self._emitting = saved
-        self._scan_expr(driver)
-        self._bind_loop_target(stmt)
-        self._exec_block(stmt.body)
-        self.env.join(pre)  # the loop may run zero times
-        self._exec_block(stmt.orelse)
 
     def _bind_loop_target(self, stmt) -> None:
         if not isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -477,8 +344,8 @@ class _DistInterp:
             for name in _target_names(target):
                 self._clear_name(name)
 
-    def _summary_for(self, value: ast.expr) -> DistSummary | None:
-        if (self.table is not None and isinstance(value, ast.Call)):
+    def _summary_for(self, value: ast.expr):
+        if isinstance(value, ast.Call):
             return self.table.for_call(self.mod, value)
         return None
 
@@ -715,8 +582,7 @@ class _DistInterp:
                     f"'[:n_loc]' instead")
             return
 
-        summary = (self.table.for_call(self.mod, call)
-                   if self.table is not None else None)
+        summary = self.table.for_call(self.mod, call)
         if summary is not None:
             self._apply_summary(summary, call)
             return
@@ -726,9 +592,9 @@ class _DistInterp:
             if isinstance(a, ast.Name) and a.id in self.env.arrays:
                 self.env.arrays[a.id] = self.env.arrays[a.id].refreshed()
 
-    def _apply_summary(self, summary: DistSummary, call: ast.Call) -> None:
+    def _apply_summary(self, summary, call: ast.Call) -> None:
         expects = summary.expects_map
-        for pname, expr in _bind_args(summary, call):
+        for pname, expr in summary.bind_args(call):
             want = expects.get(pname)
             got = self.space_of(expr)
             if want is not None and got != SPACE_UNKNOWN and got != want:
@@ -1084,22 +950,14 @@ class _DistInterp:
 _ALL_RULES = frozenset(DIST_RULES) | frozenset(PERF_RULES)
 
 
-def lint_distribution(tree: ast.Module, path: str,
-                      select: frozenset[str],
-                      source: str | None = None,
-                      table: DistTable | None = None,
-                      mod=None) -> list[Finding]:
-    """Run the distribution/index-space pass over every function.
-
-    ``source`` enables autofix construction (precise text spans);
-    ``table``/``mod`` plug in the deep-mode summary composition.
-    """
+def lint_distribution(mod, table, select: frozenset[str]) -> list[Finding]:
+    """Run the distribution/index-space pass over every function of one
+    module, composing callees through the summary table."""
     if not (select & _ALL_RULES):
         return []
     findings: list[Finding] = []
-    for node in ast.walk(tree):
+    for node in ast.walk(mod.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            interp = _DistInterp(node, path, select, source=source,
-                                 table=table, mod=mod)
-            findings.extend(interp.run())
+            findings.extend(_DistInterp(node, str(mod.path), select,
+                                        mod.source, table, mod).run())
     return findings

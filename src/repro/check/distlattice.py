@@ -29,8 +29,8 @@ them:
 ``DIST_GHOST``
     ghost-extended: length ``n_loc + n_gst`` (allocated from ``n_total``
     or ``n_loc + n_gst``); carries a halo freshness bit — local writes
-    make the ghost slice *stale*, a halo exchange (or the callee-summary
-    equivalent in deep mode) makes it *fresh* again;
+    make the ghost slice *stale*, a halo exchange (or a callee whose
+    summary refreshes it) makes it *fresh* again;
 ``DIST_OWNER``
     owner-partitioned: length ``n_loc``, no ghost slice;
 ``DIST_REPL``
@@ -38,7 +38,7 @@ them:
 
 Both domains are deliberately *provenance-keyed*: a value only enters a
 non-top state through one of the recognizers below, so every rule built
-on them stays precision-first (see the shallow linters' shared charter in
+on them stays precision-first (see the rule families' shared charter in
 :mod:`._astutil`).
 """
 

@@ -36,9 +36,10 @@ SPMD008
     object attributes, caller-visible containers, returned result
     containers — without an owning ``.copy()`` / ``comm.own()``.
 
-Borrow provenance is tracked through assignments, slices/views,
-conditional joins, loops (two-pass, so a borrow created late in a loop
-body reaches its top), and helper-function calls within the module.  The
+Borrow provenance is tracked on the shared statement walker
+(:mod:`.walker`) through assignments, slices/views, conditional joins,
+loops (two-pass, so a borrow created late in a loop body reaches its
+top), and helper-function calls within the module.  The
 analysis is precision-first like the schedule linter: only explicit
 ``copy=False`` keywords create borrows, and unknown calls are assumed to
 return owned data.  The dynamic companion is
@@ -48,16 +49,17 @@ return owned data.  The dynamic companion is
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterable
+from typing import Any
 
 from ._astutil import (
-    _SCOPE_BARRIERS,
     Finding,
     _collective_op,
+    _fn_params,
     _is_comm_expr,
     _target_names,
     _walk_in_scope,
 )
+from .walker import FlowWalker
 
 __all__ = ["OWNERSHIP_RULES", "lint_ownership"]
 
@@ -209,49 +211,57 @@ def _mutation_summaries(tree: ast.Module) -> dict[str, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 # per-function ownership walk
 # ---------------------------------------------------------------------------
-class _OwnershipLinter:
+class _OwnState:
+    """Ownership flow state: name -> lattice level, plus the buffers this
+    rank has published to a copy=False collective (name -> (op, line))."""
+
+    def __init__(self, own: dict[str, int] | None = None,
+                 published: dict[str, tuple[str, int]] | None = None):
+        self.own = own if own is not None else {}
+        self.published = published if published is not None else {}
+
+    def copy(self) -> "_OwnState":
+        return _OwnState(dict(self.own), dict(self.published))
+
+    def join(self, other: "_OwnState") -> None:
+        for k, v in other.own.items():  # max = more borrowed
+            self.own[k] = max(self.own.get(k, OWNED), v)
+        for k, v in other.published.items():
+            self.published.setdefault(k, v)
+
+
+class _OwnershipLinter(FlowWalker):
     """Tracks the ownership lattice through one function, in source order."""
 
     def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
                  path: str, select: frozenset[str],
                  mutators: dict[str, dict[str, Any]]):
-        self.fn = fn
-        self.path = path
-        self.select = select
+        super().__init__(fn, path, select)
         self.mutators = mutators
-        args = fn.args
-        self.params = {a.arg for a in (args.posonlyargs + args.args
-                                       + args.kwonlyargs)}
-        if args.vararg:
-            self.params.add(args.vararg.arg)
-        if args.kwarg:
-            self.params.add(args.kwarg.arg)
+        self.params = set(_fn_params(fn))
         self.globals_ = {name for node in _walk_in_scope(fn)
                          if isinstance(node, ast.Global)
                          for name in node.names}
-        self.own: dict[str, int] = {}
-        self.published: dict[str, tuple[str, int]] = {}
-        self.findings: list[Finding] = []
-        self._emit_enabled = True
+        self.state = _OwnState()
+
+    @property
+    def own(self) -> dict[str, int]:
+        return self.state.own
+
+    @property
+    def published(self) -> dict[str, tuple[str, int]]:
+        return self.state.published
 
     def run(self) -> list[Finding]:
         # Borrows originate only from explicit copy=False collectives; a
         # function with none has nothing for this pass to track.
-        if not any(isinstance(n, ast.Call) and _copy_false(n)
-                   and _collective_op(n) in ALIASING
-                   for n in _walk_in_scope(self.fn)):
-            return []
-        self._visit_block(self.fn.body)
+        if any(isinstance(n, ast.Call) and _copy_false(n)
+               and _collective_op(n) in ALIASING
+               for n in _walk_in_scope(self.fn)):
+            self.walk(self.fn.body)
         return self.findings
 
     # -- reporting ---------------------------------------------------------
-    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule in self.select and self._emit_enabled:
-            self.findings.append(Finding(
-                rule=rule, message=message, path=self.path,
-                line=node.lineno, col=node.col_offset + 1,
-                function=self.fn.name))
-
     def _emit_published(self, node: ast.AST, name: str) -> None:
         op, line = self.published[name]
         self._emit(
@@ -267,48 +277,28 @@ class _OwnershipLinter:
             f"collective; the write aliases every rank — take "
             f"comm.own({name}) (or drop copy=False) first")
 
-    # -- statement walk ----------------------------------------------------
-    def _visit_block(self, body: Iterable[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
+    # -- walker hooks: transfer rules --------------------------------------
+    def enter_if(self, stmt: ast.If, level: int) -> None:
+        self._scan_effects(stmt.test)
 
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, _SCOPE_BARRIERS):
-            return  # nested scopes are linted as their own functions
-        if isinstance(stmt, ast.If):
+    def loop_head(self, stmt) -> None:
+        if isinstance(stmt, ast.While):
             self._scan_effects(stmt.test)
-            before_own, before_pub = dict(self.own), dict(self.published)
-            self._visit_block(stmt.body)
-            arm_own, arm_pub = self.own, self.published
-            self.own, self.published = before_own, before_pub
-            self._visit_block(stmt.orelse)
-            for k, v in arm_own.items():  # join: max = more borrowed
-                self.own[k] = max(self.own.get(k, OWNED), v)
-            for k, v in arm_pub.items():
-                self.published.setdefault(k, v)
-        elif isinstance(stmt, (ast.For, ast.While)):
-            # Two passes: the first (silent) propagates borrow states
-            # created late in the body back to its top, the second reports.
-            prev = self._emit_enabled
-            self._emit_enabled = False
-            self._loop_once(stmt)
-            self._emit_enabled = prev
-            self._loop_once(stmt)
-            self._visit_block(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            self._visit_block(stmt.body)
-            for handler in stmt.handlers:
-                self._visit_block(handler.body)
-            self._visit_block(stmt.orelse)
-            self._visit_block(stmt.finalbody)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._scan_effects(item.context_expr)
-                if item.optional_vars is not None:
-                    self._store(item.optional_vars,
-                                self._ownership(item.context_expr), stmt)
-            self._visit_block(stmt.body)
-        elif isinstance(stmt, ast.Assign):
+            return
+        self._scan_effects(stmt.iter)
+        iter_level = self._ownership(stmt.iter)
+        elem = BORROWED if iter_level >= ELEM_BORROWED else OWNED
+        self._store(stmt.target, elem, stmt)
+
+    def enter_with(self, stmt) -> None:
+        for item in stmt.items:
+            self._scan_effects(item.context_expr)
+            if item.optional_vars is not None:
+                self._store(item.optional_vars,
+                            self._ownership(item.context_expr), stmt)
+
+    def transfer(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
             self._scan_effects(stmt.value)
             level = self._ownership(stmt.value)
             for target in stmt.targets:
@@ -331,16 +321,6 @@ class _OwnershipLinter:
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self._scan_effects(child)
-
-    def _loop_once(self, stmt: ast.For | ast.While) -> None:
-        if isinstance(stmt, ast.For):
-            self._scan_effects(stmt.iter)
-            iter_level = self._ownership(stmt.iter)
-            elem = BORROWED if iter_level >= ELEM_BORROWED else OWNED
-            self._store(stmt.target, elem, stmt)
-        else:
-            self._scan_effects(stmt.test)
-        self._visit_block(stmt.body)
 
     # -- stores ------------------------------------------------------------
     def _store(self, target: ast.expr, level: int, stmt: ast.stmt,
@@ -556,7 +536,7 @@ class _OwnershipLinter:
 
 
 # ---------------------------------------------------------------------------
-# entry point (called by spmdlint.lint_source)
+# entry point
 # ---------------------------------------------------------------------------
 def lint_ownership(tree: ast.Module, path: str,
                    select: frozenset[str]) -> list[Finding]:

@@ -1,4 +1,4 @@
-"""AST-based SPMD collective-schedule linter.
+"""The collective-schedule rules, the rule catalog and the reports.
 
 Model
 -----
@@ -14,9 +14,10 @@ always be real): attributes of parameters (``g.n_global``) are assumed
 replicated, so rank-locality enters only through ``comm.rank`` and the
 per-rank collectives.  Calls that *forward* the communicator
 (``helper(comm, …)``) count as collective sites for schedule purposes.
-This module is intraprocedural; :mod:`.deep` reuses :class:`_FunctionLinter`
-through its ``_extra_site_label`` / ``_call_level`` hooks to make the same
-rules fire across call boundaries.
+The rules are interprocedural: calls to summarized collective-issuing
+helpers (:mod:`.summaries`) are schedule sites too, and calls to
+summarized functions classify from their summaries, so SPMD001–005 and
+the cross-call rules SPMD009–011 fire across call boundaries.
 
 The schedule the rules model is the *world* schedule.  Collectives on a
 sub-communicator (the result of ``comm.split``/``rows``/``cols``, or any
@@ -40,14 +41,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import asdict
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from ._astutil import (
     RANK_DEPENDENT,
     RANK_LOCAL,
     REPLICATED,
-    _SCOPE_BARRIERS,
     Finding,
     _classify,
     _collective_op,
@@ -62,14 +61,14 @@ from ._astutil import (
     _target_names,
     _walk_in_scope,
 )
-from .distcheck import DIST_RULES, PERF_RULES, lint_distribution
+from .distcheck import DIST_RULES, PERF_RULES
 from .picklecheck import PORTABILITY_RULES
-from .racecheck import OWNERSHIP_RULES, lint_ownership
+from .racecheck import OWNERSHIP_RULES
+from .walker import FlowWalker
 
 __all__ = ["Finding", "RULES", "SCHEDULE_RULES", "OWNERSHIP_RULES",
            "DEEP_RULES", "PORTABILITY_RULES", "DIST_RULES", "PERF_RULES",
-           "RULE_DOCS", "RULE_FIXES", "lint_source", "lint_file",
-           "lint_paths", "iter_python_files",
+           "RULE_DOCS", "RULE_FIXES", "lint_schedule",
            "render_text", "render_json", "render_github", "render_sarif",
            "suppression_hint"]
 
@@ -92,7 +91,7 @@ SCHEDULE_RULES: dict[str, str] = {
                "(ordering is not deterministic across ranks)",
 }
 
-#: Interprocedural rules implemented by :mod:`.deep` (``--deep`` only).
+#: Schedule rules that exist only across call boundaries (this module).
 DEEP_RULES: dict[str, str] = {
     "SPMD009": "collective (transitively, through helper calls) reachable "
                "only under rank-dependent control flow: some ranks issue "
@@ -103,10 +102,10 @@ DEEP_RULES: dict[str, str] = {
                "paths to the same join point",
 }
 
-#: Every rule the ``repro check`` pass knows: schedule rules (this module),
-#: buffer-ownership rules (:mod:`.racecheck`), interprocedural rules
-#: (:mod:`.deep`), backend-portability rules (:mod:`.picklecheck`), and
-#: distribution-state + perf rules (:mod:`.distcheck`).
+#: Every rule the ``repro check`` pass knows: schedule rules (this module,
+#: intraprocedural and cross-call), buffer-ownership rules
+#: (:mod:`.racecheck`), backend-portability rules (:mod:`.picklecheck`),
+#: and distribution-state + perf rules (:mod:`.distcheck`).
 RULES: dict[str, str] = {**SCHEDULE_RULES, **OWNERSHIP_RULES,
                          **DEEP_RULES, **PORTABILITY_RULES,
                          **DIST_RULES, **PERF_RULES}
@@ -260,43 +259,67 @@ def _site_label(call: ast.Call,
 
 
 # ---------------------------------------------------------------------------
-# the analyzer
+# the schedule linter
 # ---------------------------------------------------------------------------
-class _FunctionLinter:
-    """Applies every rule to one function scope.
+class _ScheduleLinter(FlowWalker):
+    """Applies every schedule rule to one function scope.
 
-    The deep pass (:mod:`.deep`) subclasses this: ``_extra_site_label``
-    turns calls to known collective-issuing helpers into schedule sites,
-    and ``_call_level`` classifies calls to summarized functions — with
-    both hooks inert, the linter is exactly the intraprocedural PR-2 pass.
+    A stateless family on the shared walker: it reads the walker's guard
+    and loop stacks, and its hooks only check.  Summaries come in twice —
+    calls to collective-issuing helpers are schedule *sites* (so SPMD002
+    and SPMD003 fire across call boundaries), and calls to summarized
+    functions classify from their summaries (so a helper returning
+    ``comm.rank``-derived data taints its caller).
     """
 
     def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                 path: str, select: frozenset[str]):
-        self.fn = fn
-        self.path = path
-        self.select = select
+                 path: str, select: frozenset[str], mod, table):
+        super().__init__(fn, path, select)
+        self.mod = mod
+        self.table = table
         self.subcomm_names = _subcomm_names(fn)
+        self._call_level = table.call_level(mod)
         self.env = _infer_env(fn, _fn_params(fn),
                               call_level=self._call_level)
         self.sites = self._sites_in(fn)
         self.set_names = self._infer_set_names(fn)
-        self.findings: list[Finding] = []
 
-    # -- deep-pass hooks ----------------------------------------------------
-    def _extra_site_label(self, call: ast.Call) -> str | None:
-        """Label calls the shallow pass cannot see as sites (deep only)."""
-        return None
+    def run(self) -> list[Finding]:
+        # SPMD010 findings exist even when this function has no sites of
+        # its own (the collectives live in the callee).
+        self._check_call_args()
+        if self.sites:
+            self.walk(self.fn.body)
+        return self.findings
 
-    def _call_level(self, call: ast.Call, env: _Env) -> int | None:
-        """Refined lattice level of a call result (deep only)."""
-        return None
-
+    # -- sites ---------------------------------------------------------------
     def _site_label(self, call: ast.Call) -> str | None:
         label = _site_label(call, self.subcomm_names)
         if label is not None:
             return label
-        return self._extra_site_label(call)
+        summary = self.table.for_call(self.mod, call)
+        if summary is not None and summary.issues:
+            if self._subcomm_only_call(call):
+                return None  # callee's schedule runs on the subgroup
+            ident = _final_identifier(call.func)
+            return f"call:{ident or '<dynamic>'}"
+        return None
+
+    def _subcomm_only_call(self, call: ast.Call) -> bool:
+        """Every communicator argument of the call is a sub-communicator.
+
+        A summarized helper whose schedule was derived from a ``comm``
+        parameter issues subgroup collectives when invoked with a
+        row/column communicator — not world sites.
+        """
+        saw_subcomm = False
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            if isinstance(arg, ast.Name) and _is_comm_name(arg.id):
+                if not (arg.id in self.subcomm_names
+                        or _is_subcomm_name(arg.id)):
+                    return False
+                saw_subcomm = True
+        return saw_subcomm
 
     def _sites_in(self, node: ast.AST) -> list[tuple[str, ast.Call]]:
         """All collective sites (direct and indirect) in one scope subtree."""
@@ -326,87 +349,93 @@ class _FunctionLinter:
                 break
         return names
 
-    def run(self) -> list[Finding]:
-        if not self.sites:
-            return []  # not an SPMD function: no collectives at all
-        self._visit_block(self.fn.body, loops=[], cond=None)
-        return self.findings
-
-    # -- helpers -----------------------------------------------------------
-    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule not in self.select:
-            return
-        self.findings.append(Finding(
-            rule=rule, message=message, path=self.path,
-            line=node.lineno, col=node.col_offset + 1,
-            function=self.fn.name))
-
     def _sites_after(self, node: ast.stmt) -> list[str]:
         end = getattr(node, "end_lineno", node.lineno)
         return [label for label, call in self.sites if call.lineno > end]
 
-    def _level(self, expr: ast.AST) -> int:
-        return _classify(expr, self.env)
+    # -- walker hooks --------------------------------------------------------
+    def test_level(self, test: ast.expr) -> int:
+        return _classify(test, self.env)
 
-    # -- statement walk ----------------------------------------------------
-    # ``cond`` carries the strongest divergent guard enclosing the current
-    # statement ("rank-dependent" > "rank-local" > None); Continue/Break are
-    # checked here, in the main walk, so they bind to the *innermost* loop.
-    def _visit_block(self, body: Sequence[ast.stmt], loops: list[ast.stmt],
-                     cond: str | None) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt, loops, cond)
+    def enter_if(self, stmt: ast.If, level: int) -> None:
+        self._check_branch(stmt, level)
 
-    def _visit_stmt(self, stmt: ast.stmt, loops: list[ast.stmt],
-                    cond: str | None) -> None:
-        if isinstance(stmt, _SCOPE_BARRIERS):
-            return  # nested scopes are linted as their own functions
-        if isinstance(stmt, ast.If):
-            level = self._level(stmt.test)
-            self._check_branch(stmt, level)
-            inner = cond
-            if level == RANK_DEPENDENT:
-                inner = "rank-dependent"
-            elif level == RANK_LOCAL and cond != "rank-dependent":
-                inner = "rank-local"
-            self._visit_block(stmt.body, loops, inner)
-            self._visit_block(stmt.orelse, loops, inner)
-        elif isinstance(stmt, (ast.While, ast.For)):
-            self._check_loop(stmt)
-            self._visit_block(stmt.body, loops + [stmt], cond)
-            self._visit_block(stmt.orelse, loops, cond)
-        elif isinstance(stmt, (ast.Return, ast.Raise)):
-            if cond is not None:
-                self._check_early_exit(stmt, cond)
-        elif isinstance(stmt, (ast.Continue, ast.Break)):
-            if cond is not None and loops:
-                self._check_loop_exit(stmt, cond, loops[-1])
-        elif isinstance(stmt, ast.Try):
-            self._visit_block(stmt.body, loops, cond)
-            for handler in stmt.handlers:
-                self._visit_block(handler.body, loops, cond)
-            self._visit_block(stmt.orelse, loops, cond)
-            self._visit_block(stmt.finalbody, loops, cond)
-        elif isinstance(stmt, ast.With):
-            self._visit_block(stmt.body, loops, cond)
+    def loop_head(self, stmt) -> None:
+        self._check_loop(stmt)
+
+    def transfer(self, stmt: ast.stmt) -> None:
+        # Continue/Break bind to the *innermost* enclosing loop.
+        if self.guard is None:
+            return
+        if isinstance(stmt, (ast.Return, ast.Raise)):
+            self._check_early_exit(stmt, self.guard)
+        elif isinstance(stmt, (ast.Continue, ast.Break)) and self.loops:
+            self._check_loop_exit(stmt, self.guard, self.loops[-1])
+
+    def leave_stmt(self, stmt: ast.stmt) -> None:
         # expression-level rules apply to every statement uniformly
-        self._check_calls(stmt, loops)
+        self._check_calls(stmt)
 
-    # -- SPMD001 -----------------------------------------------------------
+    # -- SPMD001 / SPMD009 / SPMD011 -----------------------------------------
+    def _direct_ops(self, stmts: Sequence[ast.stmt]) -> Counter:
+        """Direct (collective or comm-forwarding) sites of statements."""
+        return Counter(label for s in stmts
+                       for label, call in self._sites_in(s)
+                       if _site_label(call, self.subcomm_names) is not None)
+
+    def _expanded_ops(self, stmts: Sequence[ast.stmt]) -> list[str]:
+        """Transitive collective sequence of a statement list."""
+        ops: list[str] = []
+        sites = [site for s in stmts for site in self._sites_in(s)]
+        sites.sort(key=lambda lc: (lc[1].lineno, lc[1].col_offset))
+        for label, call in sites:
+            summary = (self.table.for_call(self.mod, call)
+                       if label.startswith("call:") else None)
+            if summary is not None:
+                ops.extend(summary.schedule)
+            else:
+                ops.append(label)  # a collective, or an unknown forwarder
+        return ops
+
     def _check_branch(self, stmt: ast.If, level: int) -> None:
+        """At a rank-dependent ``if``, the most specific of three rules:
+        direct sites differ → SPMD001; only one arm's transitive expansion
+        issues collectives → SPMD009; both do, in conflicting sequences →
+        SPMD011."""
         if level != RANK_DEPENDENT:
             return
-        body_ops = Counter(
-            label for s in stmt.body for label, _ in self._sites_in(s))
-        else_ops = Counter(
-            label for s in stmt.orelse for label, _ in self._sites_in(s))
-        if body_ops != else_ops:
-            diff = sorted((body_ops - else_ops) + (else_ops - body_ops))
+        body_direct = self._direct_ops(stmt.body)
+        else_direct = self._direct_ops(stmt.orelse)
+        if body_direct != else_direct:
+            diff = sorted((body_direct - else_direct)
+                          + (else_direct - body_direct))
             self._emit(
                 "SPMD001", stmt,
                 f"rank-dependent branch issues unmatched collectives "
                 f"({', '.join(diff)}): every rank must run the same "
                 f"schedule on both arms")
+            return
+        body_ops = self._expanded_ops(stmt.body)
+        else_ops = self._expanded_ops(stmt.orelse)
+        if body_ops == else_ops:
+            return
+        if bool(body_ops) != bool(else_ops):
+            arm = "true" if body_ops else "else"
+            ops = body_ops or else_ops
+            self._emit(
+                "SPMD009", stmt,
+                f"collective schedule ({', '.join(sorted(set(ops))[:4])}) "
+                f"is reachable only through the {arm} arm of a "
+                f"rank-dependent branch (via helper calls): ranks that "
+                f"skip the arm never issue it and the world deadlocks")
+        else:
+            self._emit(
+                "SPMD011", stmt,
+                f"the two paths from this rank-dependent branch issue "
+                f"conflicting transitive collective sequences "
+                f"([{', '.join(body_ops[:4])}] vs "
+                f"[{', '.join(else_ops[:4])}]): every rank must reach the "
+                f"join point with the same schedule")
 
     # -- SPMD002 -----------------------------------------------------------
     def _check_early_exit(self, stmt: ast.stmt, cond: str) -> None:
@@ -520,7 +549,7 @@ class _FunctionLinter:
         return False, REPLICATED
 
     # -- SPMD004 + SPMD005 -------------------------------------------------
-    def _check_calls(self, stmt: ast.stmt, loops: list[ast.stmt]) -> None:
+    def _check_calls(self, stmt: ast.stmt) -> None:
         # Only inspect calls attached directly to this statement, not ones
         # nested in child blocks (those are visited with their own stmt).
         for node in self._direct_exprs(stmt):
@@ -531,7 +560,7 @@ class _FunctionLinter:
                     continue
                 if _is_subcomm_receiver(call, self.subcomm_names):
                     continue  # subgroup-scoped: not the world hot path
-                if loops and op in BUFFER_ALTERNATIVE:
+                if self.loops and op in BUFFER_ALTERNATIVE:
                     self._emit(
                         "SPMD004", call,
                         f"object-pickling collective '{op}' inside a loop "
@@ -579,53 +608,40 @@ class _FunctionLinter:
         return any(cls._has_unordered_input(child, set_names)
                    for child in ast.iter_child_nodes(value))
 
+    # -- SPMD010 -------------------------------------------------------------
+    def _check_call_args(self) -> None:
+        for call in _walk_in_scope(self.fn):
+            if not isinstance(call, ast.Call):
+                continue
+            summary = self.table.for_call(self.mod, call)
+            if summary is None:
+                continue
+            sinks = summary.gate_params | summary.size_params
+            if not sinks:
+                continue
+            for pname, expr in summary.bind_args(call):
+                if pname not in sinks:
+                    continue
+                if _classify(expr, self.env) != RANK_DEPENDENT:
+                    continue
+                how = ("gates" if pname in summary.gate_params else "sizes")
+                self._emit(
+                    "SPMD010", expr,
+                    f"rank-dependent value passed to parameter '{pname}' "
+                    f"of '{summary.key.rsplit('.', 1)[-1]}', which {how} "
+                    f"a collective inside the callee: ranks would run "
+                    f"divergent schedules — replicate the value "
+                    f"(allreduce/bcast) first")
 
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
-def lint_source(source: str, path: str = "<string>",
-                select: Iterable[str] | None = None) -> list[Finding]:
-    """Lint one Python source string; returns findings (incl. suppressed)."""
-    selected = frozenset(select) if select is not None else frozenset(RULES)
-    tree = ast.parse(source, filename=path)
+
+def lint_schedule(mod, table, select: frozenset[str]) -> list[Finding]:
+    """Run the schedule rules over every function of one module."""
     findings: list[Finding] = []
-    for node in ast.walk(tree):
+    for node in ast.walk(mod.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            findings.extend(_FunctionLinter(node, path, selected).run())
-    findings.extend(lint_ownership(tree, path, selected))
-    findings.extend(lint_distribution(tree, path, selected, source=source))
-    apply_suppressions(findings, source)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+            findings.extend(_ScheduleLinter(node, str(mod.path), select,
+                                            mod, table).run())
     return findings
-
-
-def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
-    """Expand files and/or directory trees into a ``**/*.py`` file list."""
-    files: list[Path] = []
-    for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    return files
-
-
-def lint_file(path: str | Path,
-              select: Iterable[str] | None = None) -> list[Finding]:
-    """Lint one file."""
-    p = Path(path)
-    return lint_source(p.read_text(), path=str(p), select=select)
-
-
-def lint_paths(paths: Sequence[str | Path],
-               select: Iterable[str] | None = None) -> list[Finding]:
-    """Lint files and/or directory trees (``**/*.py``)."""
-    findings: list[Finding] = []
-    for f in iter_python_files(paths):
-        findings.extend(lint_file(f, select=select))
-    return findings
-
 
 def render_text(findings: Sequence[Finding],
                 show_suppressed: bool = False) -> str:

@@ -1,8 +1,8 @@
-"""Per-function interprocedural summaries for the whole-program pass.
+"""The one per-function summary table of the whole-program pass.
 
 For every function in the :class:`~.callgraph.CallGraph`, this module
-computes a :class:`FunctionSummary` capturing the two facts the deep
-rules need about a call site without re-analyzing the callee:
+computes one :class:`FunctionSummary` holding every fact the rule
+families need about a call site without re-analyzing the callee:
 
 * **schedule** — the sequence of collectives the function *transitively*
   issues (its own ``comm.<op>()`` sites plus, spliced in source order,
@@ -12,21 +12,26 @@ rules need about a call site without re-analyzing the callee:
   replicated (``return_level``), which parameters join into the return
   level (``return_params``), and which parameters *gate* (control-flow
   guard) or *size* (argument/trip-count) a transitive collective
-  (``gate_params`` / ``size_params``).
+  (``gate_params`` / ``size_params``);
+* **distribution facts** — parameter index-space expectations, halo
+  effects and return provenance, recorded by the distribution
+  interpreter (:func:`.distcheck.dist_facts`).
 
 Summaries are computed callees-first over the SCC condensation, so a
 callee's summary is final before any caller consumes it; functions in a
-recursion cycle fall back to their *direct* collective sites (documented
-soundness limit, DESIGN.md §13).  Parameter effects are computed by
-differential taint: classify the function once with every parameter
-replicated, once with one parameter pinned ``RANK_DEPENDENT``, and
-attribute to that parameter exactly the expressions whose level rises.
+recursion cycle fall back to their *direct* collective sites and see
+each other's distribution facts as empty (documented soundness limit,
+DESIGN.md §13).  Parameter effects are computed by differential taint:
+classify the function once with every parameter replicated, once with
+one parameter pinned ``RANK_DEPENDENT``, and attribute to that parameter
+exactly the expressions whose level rises.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from ._astutil import (
@@ -42,13 +47,15 @@ from ._astutil import (
     _walk_in_scope,
 )
 from .callgraph import CallGraph, FunctionInfo
+from .distcheck import dist_facts
 
-__all__ = ["FunctionSummary", "build_summaries", "summaries_digest",
-           "bind_args"]
+__all__ = ["FunctionSummary", "SummaryTable", "build_summaries",
+           "summaries_digest"]
 
 #: Schedules longer than this are truncated with a trailing marker; the
-#: deep rules compare sequences for equality, and a truncated pair that
-#: agrees on the first 64 ops is treated as matching (precision-first).
+#: schedule rules compare sequences for equality, and a truncated pair
+#: that agrees on the first 64 ops is treated as matching
+#: (precision-first).
 MAX_SCHEDULE = 64
 
 
@@ -61,27 +68,60 @@ class FunctionSummary:
     positional: tuple[str, ...]
     #: Every parameter name (incl. kwonly), for keyword binding.
     params: tuple[str, ...]
+    # -- schedule facts -------------------------------------------------------
     #: Transitive collective ops, source order ("…" marks truncation,
     #: "rec:<name>" an unexpanded recursive callee).
-    schedule: tuple[str, ...]
+    schedule: tuple[str, ...] = ()
     #: Lattice level of the return value with all parameters replicated.
-    return_level: int
+    return_level: int = REPLICATED
     #: Parameters whose level joins into the return level.
-    return_params: frozenset[str]
+    return_params: frozenset[str] = frozenset()
     #: Parameters that guard a (transitive) collective behind control flow.
-    gate_params: frozenset[str]
+    gate_params: frozenset[str] = frozenset()
     #: Parameters that feed a collective argument or a collective-loop
     #: trip count.
-    size_params: frozenset[str]
+    size_params: frozenset[str] = frozenset()
+    # -- distribution facts ---------------------------------------------------
+    #: (param, expected index space) pairs, sorted — from the callee's
+    #: own ``map.get``/``unmap[...]`` usage (direct or transitive).
+    expects: tuple[tuple[str, str], ...] = ()
+    #: Parameters whose ghost region the callee refreshes (halo exchange).
+    refreshes: frozenset[str] = frozenset()
+    #: Parameters the callee writes locally (subscript store) without a
+    #: subsequent exchange being provable — treated as staling.
+    stales: frozenset[str] = frozenset()
+    #: Index space of the return value, when every return agrees.
+    returns_space: str | None = None
+    #: The function returns ``np.split`` parts (list-of-arrays payload).
+    returns_split: bool = False
+    #: The function returns a fresh ghost-extended allocation.
+    returns_ghost: bool = False
 
     @property
     def issues(self) -> bool:
         return bool(self.schedule)
 
+    @property
+    def expects_map(self) -> dict[str, str]:
+        return dict(self.expects)
+
+    def bind_args(self, call: ast.Call) -> list[tuple[str, ast.expr]]:
+        """Map call-site argument expressions onto parameter names."""
+        out: list[tuple[str, ast.expr]] = []
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                break  # positions past a *splat are unknowable statically
+            if i < len(self.positional):
+                out.append((self.positional[i], arg))
+        for kw in call.keywords:
+            if kw.arg is not None and kw.arg in self.params:
+                out.append((kw.arg, kw.value))
+        return out
+
 
 @dataclass
 class SummaryTable:
-    """Summary lookup plus the call-site helpers the deep pass uses."""
+    """Summary lookup plus the call-site helpers the rule families use."""
 
     graph: CallGraph
     by_key: dict[str, FunctionSummary] = field(default_factory=dict)
@@ -98,27 +138,12 @@ class SummaryTable:
             if summary is None:
                 return None
             level = summary.return_level
-            for name, expr in bind_args(summary, call):
+            for name, expr in summary.bind_args(call):
                 if name in summary.return_params:
                     level = max(level, _classify(expr, env))
             return level
 
         return hook
-
-
-def bind_args(summary: FunctionSummary,
-              call: ast.Call) -> list[tuple[str, ast.expr]]:
-    """Map call-site argument expressions onto callee parameter names."""
-    out: list[tuple[str, ast.expr]] = []
-    for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            break  # positions past a *splat are unknowable statically
-        if i < len(summary.positional):
-            out.append((summary.positional[i], arg))
-    for kw in call.keywords:
-        if kw.arg is not None and kw.arg in summary.params:
-            out.append((kw.arg, kw.value))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +212,7 @@ def _collective_subtree(node: ast.AST, fi: FunctionInfo,
 
 
 def _param_effects(fi: FunctionInfo, params: list[str],
-                   table: SummaryTable) -> tuple[
-                       int, frozenset[str], frozenset[str], frozenset[str]]:
+                   table: SummaryTable) -> dict:
     """Return-level/flow and gate/size parameter sets for one function."""
     fn = fi.node
     hook = table.call_level(fi.module)
@@ -218,15 +242,12 @@ def _param_effects(fi: FunctionInfo, params: list[str],
                 size_exprs.extend(node.args)
                 size_exprs.extend(kw.value for kw in node.keywords)
             else:
-                target = table.graph.resolve(fi.module, node)
-                if target is None:
-                    continue
-                callee = table.by_key.get(target.key)
+                callee = table.for_call(fi.module, node)
                 if callee is None:
                     continue
                 # An argument bound to a callee gate/size parameter is a
                 # transitive gate/size sink.
-                for pname, expr in bind_args(callee, node):
+                for pname, expr in callee.bind_args(node):
                     if pname in callee.gate_params | callee.size_params:
                         size_exprs.append(expr)
 
@@ -236,7 +257,7 @@ def _param_effects(fi: FunctionInfo, params: list[str],
     for p in params:
         if p == "rank":
             # Already RANK_DEPENDENT in every env: the differential is
-            # blind to it, but the shallow rules treat it natively.
+            # blind to it, but the schedule rules treat it natively.
             continue
         envP = _infer_env(fn, params, call_level=hook,
                           overrides={p: RANK_DEPENDENT})
@@ -250,8 +271,10 @@ def _param_effects(fi: FunctionInfo, params: list[str],
             gate_params.add(p)
         if any(rises(e) for e in size_exprs):
             size_params.add(p)
-    return (base_return, frozenset(return_params),
-            frozenset(gate_params), frozenset(size_params))
+    return dict(return_level=base_return,
+                return_params=frozenset(return_params),
+                gate_params=frozenset(gate_params),
+                size_params=frozenset(size_params))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +289,11 @@ def build_summaries(graph: CallGraph) -> SummaryTable:
         # "rec:" markers; singleton components expand fully.
         for fi in component:
             args = fi.node.args
-            positional = tuple(a.arg for a in args.posonlyargs + args.args)
-            params = _fn_params(fi.node)
-            schedule = _expand_schedule(fi, table, in_progress)
             table.by_key[fi.key] = FunctionSummary(
-                key=fi.key, positional=positional, params=tuple(params),
-                schedule=schedule, return_level=REPLICATED,
-                return_params=frozenset(), gate_params=frozenset(),
-                size_params=frozenset())
+                key=fi.key,
+                positional=tuple(a.arg for a in args.posonlyargs + args.args),
+                params=tuple(_fn_params(fi.node)),
+                schedule=_expand_schedule(fi, table, in_progress))
         # A recursion cycle whose members issue no real collective must
         # not look like one: drop schedules that are pure "rec:" markers
         # (e.g. a recursive payload-walking helper), else every recursive
@@ -282,45 +302,34 @@ def build_summaries(graph: CallGraph) -> SummaryTable:
                    for op in table.by_key[fi.key].schedule
                    if not op.startswith("rec:")):
             for fi in component:
-                stub = table.by_key[fi.key]
-                if stub.schedule:
-                    table.by_key[fi.key] = FunctionSummary(
-                        key=stub.key, positional=stub.positional,
-                        params=stub.params, schedule=(),
-                        return_level=stub.return_level,
-                        return_params=stub.return_params,
-                        gate_params=stub.gate_params,
-                        size_params=stub.size_params)
+                table.by_key[fi.key] = replace(table.by_key[fi.key],
+                                               schedule=())
         # Pass 2 (lattice effects): runs with every member's schedule
         # visible, so gate/size sinks include intra-component calls.
         for fi in component:
             stub = table.by_key[fi.key]
-            params = list(stub.params)
-            (return_level, return_params,
-             gate_params, size_params) = _param_effects(fi, params, table)
-            table.by_key[fi.key] = FunctionSummary(
-                key=stub.key, positional=stub.positional,
-                params=stub.params, schedule=stub.schedule,
-                return_level=return_level, return_params=return_params,
-                gate_params=gate_params, size_params=size_params)
+            table.by_key[fi.key] = replace(
+                stub, **_param_effects(fi, list(stub.params), table))
+        # Pass 3 (distribution facts): a cycle member whose facts are not
+        # recorded yet reads as a callee with no facts.
+        for fi in component:
+            table.by_key[fi.key] = replace(table.by_key[fi.key],
+                                           **dist_facts(fi, table))
     return table
 
 
 def summaries_digest(table: SummaryTable) -> str:
     """Stable content hash of the whole summary table.
 
-    Deep findings for one file depend on every *summary* in the program,
-    not on every byte of every other file — keying the result cache on
+    Findings for one file depend on every *summary* in the program, not
+    on every byte of every other file — keying the findings cache on
     this digest keeps cache hits warm across edits that do not change any
     interprocedural fact.
     """
-    import hashlib
-
     h = hashlib.sha256()
     for key in sorted(table.by_key):
         s = table.by_key[key]
-        h.update(repr((s.key, s.positional, s.params, s.schedule,
-                       s.return_level, sorted(s.return_params),
-                       sorted(s.gate_params),
-                       sorted(s.size_params))).encode())
+        h.update(repr(tuple(
+            sorted(v) if isinstance(v, frozenset) else v
+            for v in (getattr(s, f.name) for f in fields(s)))).encode())
     return h.hexdigest()

@@ -14,11 +14,12 @@ Wraps the library's end-to-end pipeline as a tool:
   one);
 * ``serve`` — start the persistent analytics engine over one resident
   graph and drive it with a query script (see ``repro.service``);
-* ``check`` — run the static SPMD-correctness passes (schedule rules
-  SPMD001–005 plus buffer-ownership rules SPMD006–008, see
-  ``repro.check``) over Python sources; ``--strict`` makes unsuppressed
-  findings fail the process, ``--format json`` emits machine-readable
-  output and ``--format github`` emits workflow ``::error`` annotations.
+* ``check`` — run the static SPMD-correctness analysis (schedule,
+  ownership, portability and distribution rules, see ``repro.check``)
+  over Python sources as one whole program; ``--strict`` makes
+  unsuppressed findings fail the process, ``--format json`` emits
+  machine-readable output and ``--format github`` emits workflow
+  ``::error`` annotations.
 """
 
 from __future__ import annotations
@@ -728,15 +729,14 @@ def _cmd_stream_apply(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 def _cmd_check(args: argparse.Namespace) -> int:
     from .check import RULES
-    from .check.deep import (
+    from .check.fixer import fix_files, fixable
+    from .check.program import (
         apply_baseline,
-        deep_lint_paths,
+        lint_paths,
         load_baseline,
         write_baseline,
     )
-    from .check.fixer import fix_files, fixable
     from .check.spmdlint import (
-        lint_paths,
         render_github,
         render_json,
         render_sarif,
@@ -754,9 +754,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         select = args.select
 
     def lint() -> list:
-        if args.deep:
-            return deep_lint_paths(paths, select=select, cache=args.cache)
-        return lint_paths(paths, select=select)
+        return lint_paths(paths, select=select, cache=args.cache)
 
     findings = lint()
     if args.write_baseline is not None:
@@ -942,17 +940,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_stream_apply)
 
     k = sub.add_parser(
-        "check", help="run the spmdlint SPMD-correctness static pass")
+        "check", help="run the spmdlint SPMD-correctness static analysis "
+                      "over the given sources as one whole program")
     k.add_argument("paths", nargs="*", type=Path,
                    help="files or directories to lint "
                         "(default: the installed repro package)")
     k.add_argument("--strict", action="store_true",
                    help="exit 1 when any unsuppressed, non-baselined "
                         "finding remains")
-    k.add_argument("--deep", action="store_true",
-                   help="whole-program pass: call-graph summaries make "
-                        "SPMD001-005 interprocedural and enable "
-                        "SPMD009-012")
     k.add_argument("--format", choices=("text", "json", "github", "sarif"),
                    default="text",
                    help="output style: human text, machine JSON (with rule "
@@ -970,9 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record current unsuppressed findings as the "
                         "baseline and continue")
     k.add_argument("--cache", type=Path, default=None, metavar="FILE",
-                   help="content-hash result cache for --deep (keyed on "
-                        "file hash + summary-table digests + analyzer "
-                        "ruleset digest)")
+                   help="content-hash findings cache (keyed on file "
+                        "hash + summary-table digest + analyzer ruleset "
+                        "digest)")
     k.add_argument("--fix", action="store_true",
                    help="apply the mechanical autofixes attached to "
                         "findings (SPMD013 unmap-wrap, PERF001/PERF003 "

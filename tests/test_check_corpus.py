@@ -3,7 +3,9 @@
 This module is the single home of the fixture-corpus checks that used to
 live as shell loops in scripts/check.sh: every ``bad_*`` fixture must
 fire exactly its seeded rule family, every ``clean*`` fixture must be
-silent.  scripts/check.sh now just runs this module.
+silent.  scripts/check.sh now just runs this module.  Every corpus goes
+through the one whole-program entry point: the file-at-a-time corpora as
+one-file programs, ``fixtures/deep/`` as one program.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import deep_lint_paths, lint_file
+from repro.check import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SHALLOW_CORPORA = ("spmdlint", "racecheck", "distcheck")
+FILE_CORPORA = ("spmdlint", "racecheck", "distcheck")
 
 
 def _rule_of(path: Path) -> str | None:
@@ -35,14 +37,14 @@ def _corpus(kind: str, pattern: str) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# shallow corpora (spmdlint + racecheck), file-at-a-time like the old loops
+# file-at-a-time corpora: each fixture is a one-module program
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "fixture",
-    [p for kind in SHALLOW_CORPORA for p in _corpus(kind, "bad_*.py")],
+    [p for kind in FILE_CORPORA for p in _corpus(kind, "bad_*.py")],
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_bad_fixture_fires_its_seeded_rule(fixture):
-    findings = [f for f in lint_file(fixture) if not f.suppressed]
+    findings = [f for f in lint_paths([fixture]) if not f.suppressed]
     assert findings, f"seeded violation not detected in {fixture}"
     rule = _rule_of(fixture)
     if rule is not None:
@@ -51,10 +53,10 @@ def test_bad_fixture_fires_its_seeded_rule(fixture):
 
 @pytest.mark.parametrize(
     "fixture",
-    [p for kind in SHALLOW_CORPORA for p in _corpus(kind, "clean*.py")],
+    [p for kind in FILE_CORPORA for p in _corpus(kind, "clean*.py")],
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_clean_fixture_is_silent(fixture):
-    assert lint_file(fixture) == [], f"false positive on {fixture}"
+    assert lint_paths([fixture]) == [], f"false positive on {fixture}"
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ def test_clean_fixture_is_silent(fixture):
 @pytest.fixture(scope="module")
 def deep_by_file():
     by_file = defaultdict(list)
-    for f in deep_lint_paths([FIXTURES / "deep"]):
+    for f in lint_paths([FIXTURES / "deep"]):
         by_file[Path(f.path).name].append(f)
     return by_file
 

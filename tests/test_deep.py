@@ -1,5 +1,6 @@
-"""Whole-program deep-pass tests: call graph, summaries, rules, baseline,
-cache, and the SPMD012 parity with the runtime pickling diagnostics."""
+"""Whole-program pass tests: call graph, summaries, cross-call rules,
+baseline, cache, and the SPMD012 parity with the runtime pickling
+diagnostics."""
 
 from __future__ import annotations
 
@@ -10,15 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.callgraph import build_callgraph
-from repro.check.deep import (
-    ResultCache,
+from repro.check import (
+    FindingsCache,
     apply_baseline,
     baseline_key,
-    deep_lint_paths,
+    lint_paths,
     load_baseline,
     write_baseline,
 )
+from repro.check.callgraph import build_callgraph
 from repro.check.picklecheck import lint_portability
 from repro.check.summaries import build_summaries
 
@@ -27,10 +28,10 @@ DEEP = Path(__file__).parent / "fixtures" / "deep"
 
 @pytest.fixture(scope="module")
 def corpus_findings():
-    """One deep run over the whole corpus (cross-module resolution needs
-    every fixture in the same call graph)."""
+    """One run over the whole corpus (cross-module resolution needs every
+    fixture in the same call graph)."""
     by_file = defaultdict(list)
-    for f in deep_lint_paths([DEEP]):
+    for f in lint_paths([DEEP]):
         by_file[Path(f.path).name].append(f)
     return by_file
 
@@ -72,15 +73,6 @@ def test_lambda_fixture_flags_both_kernel_and_lock(corpus_findings):
     assert len(msgs) == 2
     assert any("lambda" in m for m in msgs)
     assert any("Lock()" in m for m in msgs)
-
-
-def test_shallow_pass_is_blind_to_the_deep_corpus():
-    # The corpus is interprocedural by construction: without summaries,
-    # the schedule rules see no collective sites in the callers at all.
-    from repro.check import lint_paths
-
-    shallow = [f for f in lint_paths([DEEP]) if not f.suppressed]
-    assert {f.rule for f in shallow} <= {"SPMD012"}  # picklecheck-only
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +132,7 @@ def test_pure_recursion_is_not_a_phantom_collective(tmp_path):
     # The caller's real defect (rank 0 returns before the bcast) fires as
     # SPMD002 — and ONLY that: the phantom would have added an SPMD009
     # claiming walk()'s arm issues a collective schedule.
-    findings = deep_lint_paths([f])
+    findings = lint_paths([f])
     assert {x.rule for x in findings} == {"SPMD002"}
 
 
@@ -171,7 +163,7 @@ def test_return_params_taint_flows_into_callers(tmp_path):
         "def caller(world):\n"
         "    chosen = pick(world, 0)\n"
         "    gate(world, chosen)\n")
-    findings = [x for x in deep_lint_paths([f])
+    findings = [x for x in lint_paths([f])
                 if x.function == "caller"]
     # `chosen` is rank-dependent only via pick's *return value*: the
     # SPMD010 at gate() is invisible without interprocedural flow.
@@ -179,7 +171,7 @@ def test_return_params_taint_flows_into_callers(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# suppressions across shallow + deep rules on one line
+# suppressions across intraprocedural + cross-call rules on one line
 # ---------------------------------------------------------------------------
 MIXED = """\
 def sized(world, n):
@@ -197,13 +189,13 @@ def caller(world, flag):
 def _mixed_findings(tmp_path, comment=""):
     f = tmp_path / "mixed.py"
     f.write_text(MIXED.format(comment=comment))
-    return [x for x in deep_lint_paths([f]) if x.function == "caller"]
+    return [x for x in lint_paths([f]) if x.function == "caller"]
 
 
 def test_one_line_can_carry_shallow_and_deep_rules(tmp_path):
     rules = {f.rule for f in _mixed_findings(tmp_path)}
-    # SPMD002 is a shallow-family rule fired interprocedurally (the
-    # skipped collective lives in the callee); SPMD010 is deep-only.
+    # SPMD002 fires interprocedurally (the skipped collective lives in
+    # the callee); SPMD010 exists only across call boundaries.
     assert rules == {"SPMD002", "SPMD010"}
 
 
@@ -225,7 +217,7 @@ def test_disable_file_with_rule_list_scopes_by_rule(tmp_path):
     f.write_text("# spmdlint: disable-file=SPMD009\n"
                  + (DEEP / "bad_spmd009.py").read_text()
                  + "\n\n" + (DEEP / "bad_spmd010.py").read_text())
-    findings = deep_lint_paths([f])
+    findings = lint_paths([f])
     assert {x.rule for x in findings if x.suppressed} == {"SPMD009"}
     assert {x.rule for x in findings if not x.suppressed} == {"SPMD010"}
 
@@ -236,19 +228,19 @@ def test_disable_file_with_rule_list_scopes_by_rule(tmp_path):
 def test_baseline_roundtrip_grandfathers_old_findings(tmp_path):
     src = tmp_path / "old.py"
     src.write_text((DEEP / "bad_spmd009.py").read_text())
-    first = deep_lint_paths([src])
+    first = lint_paths([src])
     bl = tmp_path / "baseline.json"
     assert write_baseline(bl, first) == 1
 
     # Unchanged code: the finding is baselined, nothing is "new".
-    again = deep_lint_paths([src])
+    again = lint_paths([src])
     apply_baseline(again, load_baseline(bl))
     assert all(f.baselined for f in again)
 
     # A new defect in the same file is NOT covered by the baseline.
     src.write_text(src.read_text() + "\n\n"
                    + (DEEP / "bad_spmd010.py").read_text())
-    mixed = deep_lint_paths([src])
+    mixed = lint_paths([src])
     apply_baseline(mixed, load_baseline(bl))
     fresh = [f for f in mixed if not f.baselined]
     assert {f.rule for f in fresh} == {"SPMD010"}
@@ -258,10 +250,10 @@ def test_baseline_roundtrip_grandfathers_old_findings(tmp_path):
 def test_baseline_keys_tolerate_line_drift(tmp_path):
     src = tmp_path / "drift.py"
     src.write_text((DEEP / "bad_spmd009.py").read_text())
-    (before,) = deep_lint_paths([src])
+    (before,) = lint_paths([src])
     src.write_text("# a comment pushing every line down\n\n"
                    + (DEEP / "bad_spmd009.py").read_text())
-    (after,) = deep_lint_paths([src])
+    (after,) = lint_paths([src])
     assert after.line != before.line
     assert baseline_key(after) == baseline_key(before)
 
@@ -272,7 +264,7 @@ def test_checked_in_baseline_is_valid_and_current():
     data = json.loads(bl.read_text())
     assert data["version"] == 1
     recorded = {e["key"] for e in data["findings"]}
-    live = [f for f in deep_lint_paths([repo / "src" / "repro"])
+    live = [f for f in lint_paths([repo / "src" / "repro"])
             if not f.suppressed]
     # Every live finding must be grandfathered (the strict gate in
     # scripts/check.sh depends on this) and the baseline must not carry
@@ -285,12 +277,12 @@ def test_checked_in_baseline_is_valid_and_current():
 # ---------------------------------------------------------------------------
 def test_cache_hits_on_unchanged_inputs(tmp_path):
     cache_file = tmp_path / "cache.json"
-    cold = ResultCache(cache_file)
-    first = deep_lint_paths([DEEP], cache=cold)
+    cold = FindingsCache(cache_file)
+    first = lint_paths([DEEP], cache=cold)
     assert cold.hits == 0 and cold.misses > 0
 
-    warm = ResultCache(cache_file)
-    second = deep_lint_paths([DEEP], cache=warm)
+    warm = FindingsCache(cache_file)
+    second = lint_paths([DEEP], cache=warm)
     assert warm.misses == 0 and warm.hits == cold.misses
     assert [f.format() for f in second] == [f.format() for f in first]
 
@@ -299,14 +291,14 @@ def test_cache_invalidates_only_what_a_summary_change_touches(tmp_path):
     for name in ("bad_spmd009.py", "deep_helpers.py"):
         (tmp_path / name).write_text((DEEP / name).read_text())
     cache_file = tmp_path / "cache.json"
-    deep_lint_paths([tmp_path], cache=cache_file)
+    lint_paths([tmp_path], cache=cache_file)
 
     # A comment-only edit changes the file hash but no summary: the other
     # file stays warm.
     helpers = tmp_path / "deep_helpers.py"
     helpers.write_text(helpers.read_text() + "\n# trailing comment\n")
-    warm = ResultCache(cache_file)
-    deep_lint_paths([tmp_path], cache=warm)
+    warm = FindingsCache(cache_file)
+    lint_paths([tmp_path], cache=warm)
     assert warm.hits >= 1 and warm.misses == 1
 
     # Adding a collective to a helper changes the summary table digest:
@@ -315,9 +307,32 @@ def test_cache_invalidates_only_what_a_summary_change_touches(tmp_path):
         "def sync_all(world):\n    world.comm.barrier()",
         "def sync_all(world):\n    world.comm.barrier()\n"
         "    world.comm.barrier()"))
-    cold = ResultCache(cache_file)
-    deep_lint_paths([tmp_path], cache=cold)
+    cold = FindingsCache(cache_file)
+    lint_paths([tmp_path], cache=cold)
     assert cold.hits == 0
+
+
+def test_cache_misses_the_caller_when_helper_distribution_facts_change(
+        tmp_path):
+    helper = tmp_path / "ids_helper.py"
+    caller = tmp_path / "ids_caller.py"
+    helper.write_text("def lookup(g, ids):\n    return None\n")
+    caller.write_text("from ids_helper import lookup\n\n\n"
+                      "def caller(g, ids):\n    return lookup(g, ids)\n")
+    cache_file = tmp_path / "cache.json"
+    lint_paths([tmp_path], cache=cache_file)
+    warm = FindingsCache(cache_file)
+    lint_paths([tmp_path], cache=warm)
+    assert warm.hits == 2 and warm.misses == 0
+
+    # The helper starts passing a parameter to map.get: its schedule facts
+    # are unchanged, only its distribution facts (an index-space
+    # expectation on `ids`) are new — the unchanged caller must re-lint.
+    helper.write_text("def lookup(g, ids):\n    g.map.get(ids)\n"
+                      "    return None\n")
+    cold = FindingsCache(cache_file)
+    lint_paths([tmp_path], cache=cold)
+    assert cold.hits == 0 and cold.misses == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The per-rule firing corpus lives in tests/fixtures/distcheck and is
 exercised by test_check_corpus.py; this module covers the pieces around
 it — the autofixer round trip, the CLI --fix/--check plumbing, SARIF
-fix emission, and the version-keyed result cache.
+fix emission, and the analyzer-keyed findings cache.
 """
 
 from __future__ import annotations
@@ -14,10 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import DIST_RULES, PERF_RULES, RULES
-from repro.check.deep import ResultCache, deep_lint_paths, ruleset_digest
+from repro.check import (
+    DIST_RULES,
+    PERF_RULES,
+    RULES,
+    FindingsCache,
+    lint_file,
+    lint_paths,
+    lint_source,
+)
 from repro.check.fixer import apply_fixes, fixable
-from repro.check.spmdlint import lint_file, lint_source, render_sarif
+from repro.check.program import ruleset_digest
+from repro.check.spmdlint import render_sarif
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "distcheck"
@@ -146,38 +154,38 @@ def test_sarif_emits_fixes_for_replace_edits():
 
 
 # ---------------------------------------------------------------------------
-# result cache: keyed on the analyzer itself, not just inputs
+# findings cache: keyed on the analyzer itself, not just inputs
 # ---------------------------------------------------------------------------
 def test_cache_key_includes_ruleset_digest(monkeypatch):
-    from repro.check import deep as deep_mod
+    from repro.check import program
 
     select = frozenset(RULES)
-    k1 = ResultCache.key("src", "digest", select)
-    monkeypatch.setattr(deep_mod, "_RULESET_DIGEST", "different-analyzer")
-    k2 = ResultCache.key("src", "digest", select)
+    k1 = FindingsCache.key("src", "digest", select)
+    monkeypatch.setattr(program, "_RULESET_DIGEST", "different-analyzer")
+    k2 = FindingsCache.key("src", "digest", select)
     assert k1 != k2
 
 
 def test_cache_invalidates_when_analyzer_changes(tmp_path, monkeypatch):
-    from repro.check import deep as deep_mod
+    from repro.check import program
 
     cache_file = tmp_path / "cache.json"
     target = tmp_path / "bad_spmd014.py"
     shutil.copy(FIXTURES / "bad_spmd014.py", target)
 
-    first = deep_lint_paths([target], cache=cache_file)
+    first = lint_paths([target], cache=cache_file)
     assert {f.rule for f in first} == {"SPMD014"}
 
-    warm = ResultCache(cache_file)
-    deep_lint_paths([target], cache=warm)
+    warm = FindingsCache(cache_file)
+    lint_paths([target], cache=warm)
     assert warm.hits == 1 and warm.misses == 0  # same analyzer: cache hot
 
     # Simulate editing the analyzer (new ruleset digest): every entry is
     # stale, both at load (file stamp) and at lookup (key).
-    monkeypatch.setattr(deep_mod, "_RULESET_DIGEST", "edited-analyzer")
-    cold = ResultCache(cache_file)
+    monkeypatch.setattr(program, "_RULESET_DIGEST", "edited-analyzer")
+    cold = FindingsCache(cache_file)
     assert cold._entries == {}
-    deep_lint_paths([target], cache=cold)
+    lint_paths([target], cache=cold)
     assert cold.misses == 1 and cold.hits == 0
 
 
