@@ -11,8 +11,10 @@
 # not here), the end-to-end benchmark's self-test, a short stream_churn
 # run (exit code only: its incremental-vs-rebuild checks), a short
 # serve_cold_rw run (exit code only: sampled responses vs a direct engine,
-# no failed operation) and a short web_batch run (exit code only: its
-# output checks), a 2-replica `repro serve` CLI smoke, and the
+# no failed operation), a short web_batch run (exit code only: its
+# output checks) and a short rmat_traversal run (exit code only: BFS
+# levels vs scipy, multi_source_bfs == per-root BFS, grid == 1-D), a
+# 2-replica `repro serve` CLI smoke, and the
 # tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
 # procs-backend subset.
 #
@@ -82,7 +84,7 @@ for baseline in benchmarks/BENCH_*.json; do
     PYTHONPATH=src python "$bench" --smoke
 done
 
-echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw / web_batch correctness smokes =="
+echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw / web_batch / rmat_traversal correctness smokes =="
 # Exit code only, no timing: stream_churn ends by checking incremental
 # PageRank/WCC/k-core bitwise against static kernels on a from-scratch
 # rebuild after 40 epochs of inserts, deletes and compactions — the
@@ -101,6 +103,12 @@ python3 benchmarks/e2e/run.py --workload serve_cold_rw --seed 1 --seconds 6 \
 # harmonic checks.  Label Propagation labels are not among them — the LP
 # oracle lives in tests/test_lp_oracle.py until the e2e suite checks them.
 python3 benchmarks/e2e/run.py --workload web_batch --seed 1 --seconds 6 \
+    --trace 0 >/dev/null
+# And for the traversal suite on a skewed R-MAT graph: the exit status
+# carries direction-optimizing BFS levels vs scipy, multi_source_bfs vs
+# the per-root BFS, and the grid kernels bitwise equal to the 1-D ones —
+# the only end-to-end checks of bfs_dirop and the multi-source engine.
+python3 benchmarks/e2e/run.py --workload rmat_traversal --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 
 echo "== serve smoke: 2-replica group, mixed query+update workload =="

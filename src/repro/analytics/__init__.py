@@ -8,8 +8,11 @@ PageRank-like (value propagation with retained-queue halo exchanges):
 
 BFS-like (frontier expansion, Algorithm 2) — the kernels that read levels:
 
-* :func:`distributed_bfs` — the shared level-synchronous kernel;
-* :func:`harmonic_centrality` — reverse-BFS reciprocal-distance sums.
+* :func:`multi_source_bfs` — the one level-synchronous engine (k sources
+  share each level's exchange); :func:`distributed_bfs` is its k = 1
+  case and :func:`distributed_bfs_dirop`'s top-down levels run its step;
+* :func:`harmonic_centrality` / :func:`closeness_centrality` — reverse
+  multi-source BFS distance sums (one vertex is the k = 1 case).
 
 Closure-like (the paper's BFS-like kernels that read no level: run to a
 local fixed point, then synchronize):
@@ -25,17 +28,12 @@ All functions are SPMD: call them from within :func:`repro.runtime.run_spmd`
 with this rank's :class:`~repro.graph.DistGraph`.
 """
 
-from .batched import (
-    BatchedPPRResult,
-    batched_closeness,
-    batched_personalized_pagerank,
-    multi_source_bfs,
-)
+from .batched import BatchedPPRResult, batched_personalized_pagerank
 from .betweenness import BetweennessResult, betweenness_centrality
-from .bfs import distributed_bfs
+from .bfs import distributed_bfs, multi_source_bfs
 from .bfs_dirop import distributed_bfs_dirop
 from .diameter import DiameterEstimate, estimate_diameter
-from .closeness import ClosenessResult, closeness_centrality
+from .closeness import ClosenessResult, batched_closeness, closeness_centrality
 from .common import NOT_VISITED, QUEUED, global_max_degree_vertex
 from .delta_stepping import DeltaSteppingResult, delta_stepping
 from .exchange import HaloExchange

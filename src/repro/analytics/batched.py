@@ -1,29 +1,24 @@
-"""Batched multi-query analytics — the serving-layer kernels.
+"""Blocked personalized PageRank — the serving layer's batched PPR kernel.
 
 A long-lived serving deployment (``repro.service``) sees many small queries
-against one resident graph.  Running k BFS-like queries one at a time costs
-k × (levels × alltoallv); running them *together* shares every frontier
-exchange and every termination allreduce across the batch, which is exactly
-the regime where Buluç & Madduri's batched-frontier techniques pay off at
-small message sizes (the alpha term dominates).
+against one resident graph.  Running k personalized PageRanks one at a time
+costs k × (iterations × halo exchange); running them *together* shares
+every exchange across the batch, which is exactly the regime where
+Buluç & Madduri's batched techniques pay off at small message sizes (the
+alpha term dominates).
 
-Two kernels:
+:func:`batched_personalized_pagerank` is blocked power iteration for k
+personalization seeds: the rank vector becomes an ``(n_tot, k)`` block;
+each iteration is one segmented sum over the in-CSR applied to all columns
+and *one* halo exchange of the whole block (k values per ghost in one
+message instead of k messages).  It is validated against looped
+single-seed :func:`~repro.analytics.pagerank.pagerank` runs in
+``tests/test_batched.py``.
 
-* :func:`multi_source_bfs` — level-synchronous BFS from k roots at once.
-  The per-vertex ``Status`` array of Algorithm 2 becomes one contiguous
-  row per source; each level expands every source's frontier locally and
-  then ships all ghost discoveries in exactly one ``alltoallv`` and one
-  termination ``allreduce`` — shared by all k traversals.
-
-* :func:`batched_personalized_pagerank` — blocked power iteration for k
-  personalization seeds.  The rank vector becomes an ``(n_tot, k)`` block;
-  each iteration is one segmented sum over the in-CSR applied to all
-  columns and *one* halo exchange of the whole block (k values per ghost
-  in one message instead of k messages).
-
-:func:`batched_closeness` derives k closeness centralities from one
-reverse multi-source BFS.  All three are validated against their looped
-single-source counterparts in ``tests/test_batched.py``.
+The batched BFS-like kernels live with their single-source forms:
+:func:`~repro.analytics.bfs.multi_source_bfs` (of which
+:func:`~repro.analytics.bfs.distributed_bfs` is the k = 1 case) and
+:func:`~repro.analytics.closeness.batched_closeness`.
 """
 
 from __future__ import annotations
@@ -32,133 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import sorted_unique
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .bfs import _frontier_neighbors
-from .closeness import ClosenessResult
-from .common import NOT_VISITED, QUEUED
 from .exchange import HaloExchange
 
-__all__ = [
-    "multi_source_bfs",
-    "batched_personalized_pagerank",
-    "batched_closeness",
-    "BatchedPPRResult",
-]
-
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def multi_source_bfs(
-    comm: Communicator,
-    g: DistGraph,
-    sources_global,
-    direction: str = "out",
-    max_levels: int | None = None,
-) -> np.ndarray:
-    """Level-synchronous BFS from ``k`` global roots simultaneously.
-
-    Unlike :func:`~repro.analytics.bfs.distributed_bfs` with multiple
-    roots (which merges them into *one* traversal), every source here gets
-    its own independent level column; the k traversals share each level's
-    frontier exchange and termination reduction.
-
-    Each source keeps its own contiguous status row and frontier, so the
-    per-source expansion work is byte-for-byte that of the single-source
-    kernel; only the communication is fused.  Ghost discoveries from all
-    sources travel in one ``alltoallv`` as ``source * n + gid`` codes
-    (sorted codes group by source, so the receiver splits the batch with
-    one ``searchsorted`` and decodes with a subtraction).
-
-    Parameters
-    ----------
-    sources_global:
-        Array of k global vertex ids (duplicates allowed; each gets its
-        own column).
-    direction:
-        ``"out"``, ``"in"`` or ``"both"`` — as in :func:`distributed_bfs`.
-    max_levels:
-        Stop after this many levels even if frontiers remain.
-
-    Returns
-    -------
-    levels:
-        ``(n_loc, k)`` int64 matrix; ``levels[v, j]`` is the BFS level of
-        local vertex ``v`` from source j, or ``NOT_VISITED`` (−2).
-    """
-    if direction not in ("out", "in", "both"):
-        raise ValueError(
-            f"direction must be 'out', 'in' or 'both', got {direction!r}")
-    sources = np.atleast_1d(np.asarray(sources_global, dtype=np.int64))
-    k = len(sources)
-    n_loc, n = g.n_loc, g.n_global
-    if k and (sources.min() < 0 or sources.max() >= n):
-        raise ValueError("source id out of range")
-    if k and n and k > (2**62) // n:
-        raise ValueError("batch too large to pack (source, vertex) codes")
-    # Row j is source j's status over local + ghost vertices (contiguous,
-    # so each traversal touches the same memory as a single-source run).
-    status = np.full((k, g.n_total), NOT_VISITED, dtype=np.int64)
-
-    # Seed each frontier with the source if this rank owns it.
-    mine = np.flatnonzero(g.partition.owner_of(sources) == comm.rank)
-    my_lids = g.partition.to_local(comm.rank, sources[mine])
-    frontiers: list[np.ndarray] = [_EMPTY] * k
-    for j, lid in zip(mine, my_lids):
-        frontiers[j] = np.array([lid], dtype=np.int64)
-        status[j, lid] = QUEUED
-
-    lvl = 0
-    global_size = comm.allreduce(sum(len(f) for f in frontiers), SUM)
-    while global_size > 0:
-        if max_levels is not None and lvl >= max_levels:
-            break
-        owner_chunks: list[np.ndarray] = []
-        code_chunks: list[np.ndarray] = []
-        nxt: list[np.ndarray] = [_EMPTY] * k
-        for j in range(k):
-            f = frontiers[j]
-            if not len(f):
-                continue
-            row = status[j]
-            row[f] = lvl  # settle this level
-            nbrs = _frontier_neighbors(g, f, direction)
-            discovered = sorted_unique(nbrs[row[nbrs] == NOT_VISITED])
-            row[discovered] = QUEUED
-            nxt[j] = discovered[discovered < n_loc]
-            ghosts = discovered[discovered >= n_loc]
-            if len(ghosts):
-                owner_chunks.append(g.ghost_tasks[ghosts - n_loc])
-                code_chunks.append(j * n + g.unmap[ghosts])
-
-        # Ship every source's ghost discoveries to their owners in one
-        # shared alltoallv per level.
-        owners = (np.concatenate(owner_chunks) if owner_chunks else _EMPTY)
-        codes = (np.concatenate(code_chunks) if code_chunks else _EMPTY)
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=comm.size)
-        recv, _ = comm.alltoallv_flat(codes[order], counts)
-
-        if len(recv):
-            recv = sorted_unique(recv)  # same pair may arrive from n ranks
-            bounds = np.searchsorted(recv, np.arange(k + 1) * n)
-            for j in range(k):
-                lo, hi = bounds[j], bounds[j + 1]
-                if lo == hi:
-                    continue
-                row = status[j]
-                lids = g.map.get(recv[lo:hi] - j * n)
-                new = lids[row[lids] == NOT_VISITED]
-                row[new] = QUEUED
-                nxt[j] = np.concatenate([nxt[j], new])
-        frontiers = nxt
-
-        lvl += 1
-        global_size = comm.allreduce(sum(len(f) for f in frontiers), SUM)
-
-    return np.ascontiguousarray(status[:, :n_loc].T)
+__all__ = ["batched_personalized_pagerank", "BatchedPPRResult"]
 
 
 @dataclass(frozen=True)
@@ -258,41 +131,4 @@ def _segment_sum_block(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
         return out
     starts = indptr[:-1][nonempty]
     out[nonempty] = np.add.reduceat(values, starts, axis=0)
-    return out
-
-
-def batched_closeness(
-    comm: Communicator, g: DistGraph, vertices_global
-) -> list[ClosenessResult]:
-    """Closeness centrality of k vertices from one reverse multi-source BFS.
-
-    Matches :func:`~repro.analytics.closeness.closeness_centrality` per
-    vertex (Wasserman–Faust scaled, NetworkX's definition) but shares the
-    per-level communication across the batch.
-    """
-    vertices = np.atleast_1d(np.asarray(vertices_global, dtype=np.int64))
-    if len(vertices) and (vertices.min() < 0 or vertices.max() >= g.n_global):
-        raise ValueError("vertex id out of range")
-    with comm.region("closeness.batched"):
-        lev = multi_source_bfs(comm, g, vertices, direction="in")
-        reached = lev > 0
-        totals = comm.allreduce(
-            np.where(reached, lev, 0).sum(axis=0, dtype=np.int64), SUM)
-        counts = comm.allreduce(reached.sum(axis=0, dtype=np.int64), SUM)
-    totals = np.atleast_1d(np.asarray(totals))
-    counts = np.atleast_1d(np.asarray(counts))
-    n = g.n_global
-    out: list[ClosenessResult] = []
-    for j, v in enumerate(vertices):
-        total, count = int(totals[j]), int(counts[j])
-        if total == 0 or count == 0:
-            out.append(ClosenessResult(vertex=int(v), score=0.0,
-                                       score_unscaled=0.0, n_reaching=0,
-                                       total_distance=0))
-            continue
-        unscaled = count / total
-        scale = count / (n - 1) if n > 1 else 1.0
-        out.append(ClosenessResult(vertex=int(v), score=unscaled * scale,
-                                   score_unscaled=unscaled,
-                                   n_reaching=count, total_distance=total))
     return out

@@ -1,19 +1,24 @@
-"""Distributed level-synchronous BFS (paper Algorithm 2).
+"""Distributed level-synchronous BFS (paper Algorithm 2) — the one engine.
 
 The BFS-like class of analytics expands a frontier of vertices level by
-level.  This kernel serves the ones that read levels (Harmonic Centrality,
-closeness, betweenness, diameter); SCC, k-core and phase 1 of Multistep WCC
-need only the reached set (:mod:`repro.analytics.closure`).  Per the
-paper: a task-local queue holds the frontier; a ``Status`` array encodes
-unvisited (−2), queued (−1), or the visit level; off-rank discoveries are
-shipped to their owners with one ``alltoallv`` per level; and the loop
-terminates when an ``allreduce`` of frontier sizes hits zero.
+level.  This engine serves the ones that read levels (Harmonic Centrality,
+closeness, betweenness, diameter, the serving layer's batched BFS and the
+top-down levels of direction-optimizing BFS); SCC, k-core and phase 1 of
+Multistep WCC need only the reached set (:mod:`repro.analytics.closure`).
+Per the paper: a task-local queue holds the frontier; a ``Status`` array
+encodes unvisited (−2), queued (−1), or the visit level; off-rank
+discoveries are shipped to their owners with one ``alltoallv`` per level;
+and the loop terminates when an ``allreduce`` of frontier sizes hits zero.
 
-This implementation adds three generalizations the downstream analytics
-need: multiple roots (multi-source BFS), a traversal direction selector
-(out-edges, in-edges, or both for undirected connectivity), and an optional
-``restrict`` mask limiting the traversal to an induced subgraph (used by
-the k-core oracle, ``tests/kcore_reference.py``).
+:func:`multi_source_bfs` runs k independent traversals at once — one
+``Status`` row and one frontier per source — and shares each level's
+``alltoallv`` and termination ``allreduce`` across the batch.
+:func:`distributed_bfs` is its k = 1 case, and
+:func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop` calls the same
+per-level step (:func:`_top_down_step`) for its top-down levels.  The
+single-traversal loop this engine replaced — with merged multi-root
+traversal, an induced-subgraph mask and a level cap — is kept as the test
+oracle ``tests/bfs_reference.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import NOT_VISITED, QUEUED
 
-__all__ = ["distributed_bfs"]
+__all__ = ["distributed_bfs", "multi_source_bfs"]
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _frontier_neighbors(
@@ -57,87 +65,143 @@ def _gather_ranges(adj: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     return adj[idx]
 
 
-def distributed_bfs(
+def _concat(chunks: list[np.ndarray]) -> np.ndarray:
+    """One array of ``chunks`` (a lone chunk is returned uncopied)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else _EMPTY
+
+
+def _top_down_step(
     comm: Communicator,
     g: DistGraph,
-    roots_global,
-    direction: str = "out",
-    restrict: np.ndarray | None = None,
-    max_levels: int | None = None,
+    status: np.ndarray,
+    frontiers: list[np.ndarray],
+    direction: str,
+    level: int,
+) -> list[np.ndarray]:
+    """Settle the frontiers at ``level`` and return the next ones.
+
+    ``status`` has one row per source over local + ghost vertices, and
+    ``frontiers[j]`` holds source j's frontier (local ids).  Each source
+    gathers its frontier's neighbours, keeps the unvisited ones once each
+    and marks them ``QUEUED``.  Ghost discoveries of every source travel to
+    their owners in one ``alltoallv`` as ``j * n_global + gid`` codes;
+    sorted codes group by source, so the receiver splits them with one
+    ``searchsorted``.  At k = 1 a code is the gid itself and neither the
+    arithmetic nor the split runs: every single-root BFS takes this path.
+    """
+    n_loc, n = g.n_loc, g.n_global
+    k = len(frontiers)
+    nxt = [_EMPTY] * k
+    owner_chunks: list[np.ndarray] = []
+    code_chunks: list[np.ndarray] = []
+    for j, f in enumerate(frontiers):
+        if not len(f):
+            continue
+        row = status[j]
+        row[f] = level
+        nbrs = _frontier_neighbors(g, f, direction)
+        discovered = sorted_unique(nbrs[row[nbrs] == NOT_VISITED])
+        row[discovered] = QUEUED
+        nxt[j] = discovered[discovered < n_loc]
+        ghosts = discovered[discovered >= n_loc]
+        if len(ghosts):
+            owner_chunks.append(g.ghost_tasks[ghosts - n_loc])
+            code_chunks.append(g.unmap[ghosts] + j * n if j else g.unmap[ghosts])
+
+    owners = _concat(owner_chunks)
+    order = np.argsort(owners, kind="stable")
+    counts = np.bincount(owners, minlength=comm.size)
+    recv, _ = comm.alltoallv_flat(_concat(code_chunks)[order], counts)
+
+    if len(recv):
+        recv = sorted_unique(recv)  # the same pair may arrive from many ranks
+        bounds = (np.searchsorted(recv, np.arange(k + 1) * n) if k > 1
+                  else (0, len(recv)))
+        for j in range(k):
+            codes = recv[bounds[j]:bounds[j + 1]]
+            if not len(codes):
+                continue
+            row = status[j]
+            lids = g.map.get(codes - j * n if j else codes)
+            new = lids[row[lids] == NOT_VISITED]
+            row[new] = QUEUED
+            nxt[j] = np.concatenate([nxt[j], new])
+    return nxt
+
+
+def _bfs_status(
+    comm: Communicator, g: DistGraph, sources: np.ndarray, direction: str
 ) -> np.ndarray:
-    """Level-synchronous BFS from one or more global root vertices.
+    """Run one traversal per source; return the ``(k, n_total)`` status."""
+    if direction not in ("out", "in", "both"):
+        raise ValueError(
+            f"direction must be 'out', 'in' or 'both', got {direction!r}")
+    k, n = len(sources), g.n_global
+    if k and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError("source id out of range")
+    if k and n and k > (2**62) // n:
+        raise ValueError("batch too large to pack (source, vertex) codes")
+    status = np.full((k, g.n_total), NOT_VISITED, dtype=np.int64)
+
+    # Seed each frontier with its source if this rank owns it.
+    mine = np.flatnonzero(g.partition.owner_of(sources) == comm.rank)
+    frontiers = [_EMPTY] * k
+    for j, lid in zip(mine, g.partition.to_local(comm.rank, sources[mine])):
+        frontiers[j] = np.array([lid], dtype=np.int64)
+
+    level = 0
+    global_size = comm.allreduce(sum(map(len, frontiers)), SUM)
+    while global_size > 0:
+        frontiers = _top_down_step(comm, g, status, frontiers, direction,
+                                   level)
+        level += 1
+        global_size = comm.allreduce(sum(map(len, frontiers)), SUM)
+    return status
+
+
+def multi_source_bfs(
+    comm: Communicator,
+    g: DistGraph,
+    sources_global,
+    direction: str = "out",
+) -> np.ndarray:
+    """Level-synchronous BFS from ``k`` global roots simultaneously.
+
+    Every source gets its own independent level column; the k traversals
+    share each level's frontier exchange and termination reduction, and
+    each source's expansion work is that of a single-source run.
 
     Parameters
     ----------
-    roots_global:
-        Scalar or array of global vertex ids to start from (level 0).
+    sources_global:
+        Array of k global vertex ids (duplicates allowed; each gets its
+        own column; k = 0 is legal).
     direction:
-        ``"out"`` follows out-edges (distances *from* the roots),
-        ``"in"`` follows in-edges (distances *to* the roots along original
-        edge directions), ``"both"`` treats edges as undirected.
-    restrict:
-        Optional boolean mask over local + ghost vertices; only ``True``
-        vertices are traversed (roots must satisfy it where owned).
-        Ghost entries must be current (halo-exchanged by the caller).
-    max_levels:
-        Stop after this many levels even if the frontier is non-empty.
+        ``"out"`` follows out-edges (distances *from* the sources),
+        ``"in"`` follows in-edges (distances *to* the sources along
+        original edge directions), ``"both"`` treats edges as undirected.
 
     Returns
     -------
-    status:
-        Int64 array over **local** vertices: the BFS level (≥0) of every
-        reached vertex, ``NOT_VISITED`` (−2) for unreached ones.
+    levels:
+        ``(n_loc, k)`` int64 matrix; ``levels[v, j]`` is the BFS level of
+        local vertex ``v`` from source j, or ``NOT_VISITED`` (−2).
     """
-    if direction not in ("out", "in", "both"):
-        raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
-    n_loc, n_tot = g.n_loc, g.n_total
-    status = np.full(n_tot, NOT_VISITED, dtype=np.int64)
+    sources = np.atleast_1d(np.asarray(sources_global, dtype=np.int64))
+    status = _bfs_status(comm, g, sources, direction)
+    return np.ascontiguousarray(status[:, :g.n_loc].T)
 
-    roots = np.atleast_1d(np.asarray(roots_global, dtype=np.int64))
-    if len(roots) and (roots.min() < 0 or roots.max() >= g.n_global):
-        raise ValueError("root id out of range")
-    my_roots = roots[g.partition.owner_of(roots) == comm.rank]
-    frontier = g.partition.to_local(comm.rank, my_roots)
-    if restrict is not None:
-        frontier = frontier[restrict[frontier]]
-    status[frontier] = QUEUED
 
-    level = 0
-    global_size = comm.allreduce(len(frontier), SUM)
-    while global_size > 0:
-        if max_levels is not None and level >= max_levels:
-            break
-        # Settle this level.
-        status[frontier] = level
+def distributed_bfs(
+    comm: Communicator, g: DistGraph, root_global: int, direction: str = "out"
+) -> np.ndarray:
+    """Level-synchronous BFS from one global root: :func:`multi_source_bfs`
+    with k = 1.
 
-        nbrs = _frontier_neighbors(g, frontier, direction)
-        mask = status[nbrs] == NOT_VISITED
-        if restrict is not None:
-            mask &= restrict[nbrs]
-        discovered = sorted_unique(nbrs[mask])
-        status[discovered] = QUEUED
-
-        local_next = discovered[discovered < n_loc]
-        ghosts = discovered[discovered >= n_loc]
-
-        # Ship ghost discoveries to their owners as global ids.
-        owners = g.ghost_tasks[ghosts - n_loc]
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=comm.size)
-        recv_gids, _ = comm.alltoallv_flat(g.unmap[ghosts[order]], counts)
-
-        if len(recv_gids):
-            recv_lids = sorted_unique(g.map.get(recv_gids))
-            keep = status[recv_lids] == NOT_VISITED
-            if restrict is not None:
-                keep &= restrict[recv_lids]
-            recv_new = recv_lids[keep]
-            status[recv_new] = QUEUED
-            frontier = np.concatenate([local_next, recv_new])
-        else:
-            frontier = local_next
-
-        level += 1
-        global_size = comm.allreduce(len(frontier), SUM)
-
-    return status[:n_loc]
+    Returns the int64 level (≥ 0) of every **local** vertex, or
+    ``NOT_VISITED`` (−2) for unreached ones.
+    """
+    sources = np.array([int(root_global)], dtype=np.int64)
+    return _bfs_status(comm, g, sources, direction)[0, :g.n_loc]

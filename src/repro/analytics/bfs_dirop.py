@@ -15,18 +15,21 @@ unvisited set, which is far smaller near the traversal's peak levels.
 The distributed twist: bottom-up needs each rank to know which of its
 *ghosts* are in the current frontier, so each level in bottom-up mode
 refreshes a frontier flag array with a retained-queue halo exchange instead
-of shipping discovered vertices.  Results are identical to
-:func:`~repro.analytics.bfs.distributed_bfs` (asserted by tests).
+of shipping discovered vertices.  A top-down level is the BFS engine's own
+step (:func:`~repro.analytics.bfs._top_down_step` at k = 1), so only the
+bottom-up search and the switching heuristic live here.  Levels are
+identical to :func:`~repro.analytics.bfs.distributed_bfs` and to the
+oracle in ``tests/bfs_reference.py`` in every mode (asserted by tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import segment_max, sorted_unique
+from ..graph.csr import segment_max
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import SUM, Communicator
-from .bfs import _gather_ranges
+from .bfs import _top_down_step
 from .common import NOT_VISITED, QUEUED
 from .exchange import HaloExchange
 
@@ -87,8 +90,6 @@ def distributed_bfs_dirop(
     global_front = comm.allreduce(len(frontier), SUM)
 
     while global_front > 0:
-        status[frontier] = level
-
         # --- heuristic: pick the direction for the *next* expansion. ---
         front_edges = comm.allreduce(int(out_deg[frontier].sum()), SUM)
         unvisited = comm.allreduce(
@@ -99,8 +100,9 @@ def distributed_bfs_dirop(
             bottom_up = False
 
         if bottom_up:
-            # Publish frontier membership to ghosts, then let every
+            # Settle, publish frontier membership to ghosts, then let every
             # unvisited vertex search its in-edges for a frontier parent.
+            status[frontier] = level
             in_frontier[:] = False
             in_frontier[frontier] = True
             halo.exchange(in_frontier)
@@ -115,23 +117,8 @@ def distributed_bfs_dirop(
             status[next_frontier] = QUEUED
             frontier = next_frontier
         else:
-            nbrs = _gather_ranges(g.out_edges, g.out_indexes[frontier],
-                                  g.out_indexes[frontier + 1])
-            discovered = sorted_unique(nbrs[status[nbrs] == NOT_VISITED])
-            status[discovered] = QUEUED
-            local_next = discovered[discovered < n_loc]
-            ghosts = discovered[discovered >= n_loc]
-            owners = g.ghost_tasks[ghosts - n_loc]
-            order = np.argsort(owners, kind="stable")
-            counts = np.bincount(owners, minlength=comm.size)
-            recv_gids, _ = comm.alltoallv_flat(g.unmap[ghosts[order]], counts)
-            if len(recv_gids):
-                recv_lids = sorted_unique(g.map.get(recv_gids))
-                recv_new = recv_lids[status[recv_lids] == NOT_VISITED]
-                status[recv_new] = QUEUED
-                frontier = np.concatenate([local_next, recv_new])
-            else:
-                frontier = local_next
+            frontier, = _top_down_step(comm, g, status[None], [frontier],
+                                       "out", level)
 
         level += 1
         global_front = comm.allreduce(len(frontier), SUM)

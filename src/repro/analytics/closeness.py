@@ -7,18 +7,23 @@ with the Wasserman–Faust component scaling ``(|R|-1)/(n-1)`` applied so
 scores of different components are comparable — exactly NetworkX's
 ``closeness_centrality`` definition (tested against it).
 
-Like harmonic centrality, one vertex costs one reverse BFS.
+Like harmonic centrality, k vertices cost one reverse
+:func:`~repro.analytics.bfs.multi_source_bfs` (levels shared per level of
+communication); :func:`closeness_centrality` is the one-vertex case of
+:func:`batched_closeness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .bfs import distributed_bfs
+from .bfs import multi_source_bfs
 
-__all__ = ["ClosenessResult", "closeness_centrality"]
+__all__ = ["ClosenessResult", "closeness_centrality", "batched_closeness"]
 
 
 @dataclass(frozen=True)
@@ -32,30 +37,31 @@ class ClosenessResult:
     total_distance: int
 
 
+def batched_closeness(
+    comm: Communicator, g: DistGraph, vertices_global
+) -> list[ClosenessResult]:
+    """Closeness centrality of k vertices from one reverse multi-source BFS."""
+    vertices = np.atleast_1d(np.asarray(vertices_global, dtype=np.int64))
+    with comm.region("closeness"):
+        lev = multi_source_bfs(comm, g, vertices, direction="in")
+        reached = lev > 0
+        totals = comm.allreduce(
+            np.where(reached, lev, 0).sum(axis=0, dtype=np.int64), SUM)
+        counts = comm.allreduce(reached.sum(axis=0, dtype=np.int64), SUM)
+    n = g.n_global
+    out: list[ClosenessResult] = []
+    for v, total, count in zip(vertices, totals.tolist(), counts.tolist()):
+        # Nothing reaches v: total == count == 0 and every field is zero.
+        unscaled = count / total if total else 0.0
+        scale = count / (n - 1) if n > 1 else 1.0
+        out.append(ClosenessResult(vertex=int(v), score=unscaled * scale,
+                                   score_unscaled=unscaled,
+                                   n_reaching=count, total_distance=total))
+    return out
+
+
 def closeness_centrality(
     comm: Communicator, g: DistGraph, v_global: int
 ) -> ClosenessResult:
     """Closeness centrality of one global vertex (one reverse BFS)."""
-    if not (0 <= v_global < g.n_global):
-        raise ValueError(f"vertex {v_global} out of range")
-    with comm.region("closeness"):
-        lev = distributed_bfs(comm, g, v_global, direction="in")
-        reached = lev > 0
-        local_sum = int(lev[reached].sum())
-        local_cnt = int(reached.sum())
-        total = comm.allreduce(local_sum, SUM)
-        count = comm.allreduce(local_cnt, SUM)
-        if total == 0 or count == 0:
-            return ClosenessResult(vertex=int(v_global), score=0.0,
-                                   score_unscaled=0.0, n_reaching=0,
-                                   total_distance=0)
-        unscaled = count / total
-        n = g.n_global
-        scale = count / (n - 1) if n > 1 else 1.0
-        return ClosenessResult(
-            vertex=int(v_global),
-            score=unscaled * scale,
-            score_unscaled=unscaled,
-            n_reaching=count,
-            total_distance=total,
-        )
+    return batched_closeness(comm, g, [v_global])[0]

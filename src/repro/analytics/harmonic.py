@@ -5,6 +5,10 @@ Harmonic centrality of a vertex v is ``Σ_{u≠v} 1/d(u, v)`` with ``1/∞ = 0``
 vertex's score costs one BFS over in-edges (distances to v follow reversed
 edges), so scoring all vertices is infeasible at scale; the paper computes
 the top-1000 vertices by degree and reports single-vertex times.
+
+:func:`harmonic_centrality_many` scores its targets from one reverse
+:func:`~repro.analytics.bfs.multi_source_bfs`, so the k traversals share
+each level's exchange; :func:`harmonic_centrality` is its one-vertex case.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, SUM, Communicator
-from .bfs import distributed_bfs
+from .bfs import multi_source_bfs
 
 __all__ = ["HarmonicResult", "harmonic_centrality", "top_degree_vertices",
            "harmonic_centrality_many"]
@@ -31,41 +35,19 @@ class HarmonicResult:
     eccentricity: int  # max finite distance observed
 
 
-def harmonic_centrality(
-    comm: Communicator, g: DistGraph, v_global: int
-) -> HarmonicResult:
-    """Harmonic centrality of one global vertex (one reverse BFS)."""
-    if not (0 <= v_global < g.n_global):
-        raise ValueError(f"vertex {v_global} out of range")
-    with comm.region("harmonic"):
-        # BFS along in-edges: level(u) = d(u -> v) in the original graph.
-        lev = distributed_bfs(comm, g, v_global, direction="in")
-        reached = lev > 0  # exclude v itself (level 0)
-        local_score = float((1.0 / lev[reached]).sum()) if reached.any() else 0.0
-        local_n = int(reached.sum())
-        local_ecc = int(lev.max()) if len(lev) else 0
-        score = comm.allreduce(local_score, SUM)
-        n_reaching = comm.allreduce(local_n, SUM)
-        ecc = int(comm.allreduce(local_ecc, MAX))
-        return HarmonicResult(vertex=int(v_global), score=score,
-                              n_reaching=n_reaching, eccentricity=ecc)
-
-
 def top_degree_vertices(comm: Communicator, g: DistGraph, k: int) -> np.ndarray:
     """Global ids of the ``k`` highest-total-degree vertices.
 
     Ties break toward lower vertex id.  Each rank contributes its local
-    top-k candidates; the winners are selected identically on every rank.
+    top-k candidates, chosen by the same (degree desc, id asc) order so a
+    tie at the cut keeps the lower ids; the winners are selected
+    identically on every rank.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     deg = g.total_degrees()
-    kk = min(k, len(deg))
-    if kk:
-        idx = np.argpartition(-deg, kk - 1)[:kk]
-        cand = np.stack([-deg[idx], g.unmap[idx]], axis=1)  # sortable keys
-    else:
-        cand = np.empty((0, 2), dtype=np.int64)
+    idx = np.lexsort((g.unmap[:g.n_loc], -deg))[:k]
+    cand = np.stack([-deg[idx], g.unmap[idx]], axis=1)  # sortable keys
     all_cand, _ = comm.allgatherv(cand.reshape(-1).astype(np.int64))
     pairs = all_cand.reshape(-1, 2)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # by degree desc, id asc
@@ -76,5 +58,26 @@ def top_degree_vertices(comm: Communicator, g: DistGraph, k: int) -> np.ndarray:
 def harmonic_centrality_many(
     comm: Communicator, g: DistGraph, vertices: np.ndarray
 ) -> list[HarmonicResult]:
-    """Score several vertices (one BFS each), e.g. the top-k by degree."""
-    return [harmonic_centrality(comm, g, int(v)) for v in np.atleast_1d(vertices)]
+    """Score several vertices (e.g. the top-k by degree) from one reverse
+    multi-source BFS."""
+    vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+    with comm.region("harmonic"):
+        # BFS along in-edges: lev[u, j] = d(u -> vertices[j]) in the
+        # original graph.
+        lev = multi_source_bfs(comm, g, vertices, direction="in")
+        # Column by column, so each score sums exactly as one BFS's would.
+        local_score = np.array([(1.0 / d[d > 0]).sum() for d in lev.T])
+        score = comm.allreduce(local_score, SUM)
+        n_reaching = comm.allreduce((lev > 0).sum(axis=0), SUM)
+        # The target's own level 0 is a floor for every rank's maximum.
+        ecc = comm.allreduce(lev.max(axis=0, initial=0), MAX)
+    return [HarmonicResult(vertex=int(v), score=float(s), n_reaching=int(r),
+                           eccentricity=int(e))
+            for v, s, r, e in zip(vertices, score, n_reaching, ecc)]
+
+
+def harmonic_centrality(
+    comm: Communicator, g: DistGraph, v_global: int
+) -> HarmonicResult:
+    """Harmonic centrality of one global vertex (one reverse BFS)."""
+    return harmonic_centrality_many(comm, g, [v_global])[0]

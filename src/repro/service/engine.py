@@ -32,10 +32,11 @@ Query flow::
                              └─> batched/single analytic over the shards
                                      └─> result split per job, cached
 
-Three query classes are batchable: pending BFS sources, closeness
-vertices, and personalized-PageRank seeds each coalesce into one
-multi-source run (see :mod:`repro.analytics.batched`); identical queries
-that share a batch are computed once and fanned out.
+Three query classes are batchable: pending BFS sources and closeness
+vertices each coalesce into one
+:func:`~repro.analytics.bfs.multi_source_bfs` run, personalized-PageRank
+seeds into one blocked sweep (:mod:`repro.analytics.batched`); identical
+queries that share a batch are computed once and fanned out.
 """
 
 from __future__ import annotations

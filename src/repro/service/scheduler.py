@@ -9,7 +9,7 @@ world.  It enforces two serving-layer policies:
 * **batching** — the dispatcher takes the oldest job together with every
   *already queued* job of the same *batch key* (same analytic kind and
   identical non-source parameters) as one multi-source run — k pending
-  BFS sources become one :func:`~repro.analytics.batched.multi_source_bfs`
+  BFS sources become one :func:`~repro.analytics.bfs.multi_source_bfs`
   call, k PPR seeds one blocked sweep.
 
 There is no timer: the engine has one dispatcher thread, so a batch forms

@@ -2,7 +2,8 @@
 
 Kept as the oracle for ``test_kcore_oracle.py``.  Each peel round
 recomputes every alive degree over all edges (``alive_degree``) and costs
-two collectives; the component step is a level-synchronous BFS.  Slow, but
+two collectives; the component step is the reference level-synchronous
+BFS (``bfs_reference.py``) restricted to the alive vertices.  Slow, but
 as direct a transcription of the paper's procedure (§III-D) as there is —
 the production kernels in :mod:`repro.analytics.kcore` /
 :mod:`repro.analytics.kcore_exact` must agree with it field for field.
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analytics import HaloExchange, distributed_bfs, global_max_degree_vertex
+from bfs_reference import reference_bfs
+from repro.analytics import HaloExchange, global_max_degree_vertex
 from repro.graph.csr import segment_sum
 from repro.runtime import MAX, SUM
 
@@ -72,8 +74,8 @@ def reference_approx_kcore(comm, g, max_stage: int = 27,
 
         if lcc_restrict:
             pivot, _ = global_max_degree_vertex(comm, g, restrict=alive)
-            lev = distributed_bfs(comm, g, pivot, direction="both",
-                                  restrict=alive)
+            lev = reference_bfs(comm, g, pivot, direction="both",
+                                restrict=alive)
             outside = alive[:n_loc] & (lev < 0)
             n_out = comm.allreduce(int(outside.sum()), SUM)
             if n_out:

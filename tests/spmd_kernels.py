@@ -14,12 +14,15 @@ from kcore_reference import reference_approx_kcore, reference_exact_kcore
 from repro.analytics import (
     HaloExchange,
     approx_kcore,
+    batched_closeness,
     delta_stepping,
     distributed_bfs_dirop,
     exact_kcore,
     global_max_degree_vertex,
+    harmonic_centrality_many,
     label_propagation,
     largest_scc,
+    multi_source_bfs,
     pagerank,
     scc,
     wcc,
@@ -92,6 +95,23 @@ def kern_bfs_dirop(comm, cfg):
     levels = distributed_bfs_dirop(comm, g, cfg["root"],
                                    halo=HaloExchange(comm, g))
     return g.unmap[: g.n_loc].copy(), levels
+
+
+def kern_msbfs(comm, cfg):
+    g = build_graph(comm, cfg)
+    levels = multi_source_bfs(comm, g, cfg["sources"],
+                              direction=cfg.get("direction", "out"))
+    return g.unmap[: g.n_loc].copy(), levels
+
+
+def kern_harmonic(comm, cfg):
+    """Reverse levels beside every harmonic and closeness result field."""
+    g = build_graph(comm, cfg)
+    sources = cfg["sources"]
+    return (g.unmap[: g.n_loc].copy(),
+            multi_source_bfs(comm, g, sources, direction="in"),
+            harmonic_centrality_many(comm, g, sources),
+            batched_closeness(comm, g, sources))
 
 
 def kern_kcore_oracle(comm, cfg):

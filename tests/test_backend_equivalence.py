@@ -19,6 +19,7 @@ from repro.generators import rmat_edges
 from repro.runtime import run_spmd
 
 N = 128
+SOURCES = np.array([0, 5, 77, 5], dtype=np.int64)  # one duplicated
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,17 @@ def test_bfs_dirop_bitwise_across_ranks(graph_edges, nranks):
     assert (levels >= 0).sum() > 1  # the root reached something
 
 
+@pytest.mark.parametrize("kernel", [K.kern_msbfs, K.kern_harmonic],
+                         ids=["msbfs", "harmonic"])
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_bfs_engine_bitwise_across_ranks(graph_edges, nranks, kernel):
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock",
+           "sources": SOURCES}
+    levels = _assert_bitwise(kernel, cfg, nranks)
+    assert levels.shape == (N, len(SOURCES))
+    assert np.array_equal(levels[:, 1], levels[:, 3])  # duplicated source
+
+
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 def test_scc_bitwise_across_ranks(graph_edges, nranks):
     cfg = {"edges": graph_edges, "n": N, "part": "vblock"}
@@ -84,11 +96,13 @@ def test_label_propagation_bitwise_across_ranks(graph_edges, nranks, mode):
 @pytest.mark.parametrize("part", ["eblock", "rand"])
 @pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_wcc,
                                     K.kern_bfs_dirop, K.kern_scc,
-                                    K.kern_label_propagation],
-                         ids=["pagerank", "wcc", "bfs", "scc", "lp"])
+                                    K.kern_label_propagation, K.kern_msbfs,
+                                    K.kern_harmonic],
+                         ids=["pagerank", "wcc", "bfs", "scc", "lp", "msbfs",
+                              "harmonic"])
 def test_bitwise_across_partition_kinds(graph_edges, kernel, part):
     cfg = {"edges": graph_edges, "n": N, "part": part, "iters": 12,
-           "root": 0}
+           "root": 0, "sources": SOURCES}
     _assert_bitwise(kernel, cfg, 2)
 
 

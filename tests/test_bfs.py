@@ -1,4 +1,5 @@
-"""Distributed BFS vs. NetworkX shortest-path lengths."""
+"""Distributed BFS vs. NetworkX shortest-path lengths, and the oracle's
+generalizations (merged roots, ``restrict``, level cap) the engine dropped."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from bfs_reference import reference_bfs
 from conftest import PARTITION_KINDS, dist_run, gather_by_gid
-from repro.analytics import NOT_VISITED, distributed_bfs
+from repro.analytics import NOT_VISITED, QUEUED, distributed_bfs, multi_source_bfs
 from repro.baselines import digraph_from_edges
 
 
@@ -56,25 +58,34 @@ def test_both_bfs_matches_undirected(small_web, p):
 
 
 def test_multi_source_bfs(small_web):
+    """The oracle's merged multi-root traversal is the per-vertex minimum of
+    the engine's independent per-root columns (and of NetworkX's levels)."""
     n, edges = small_web
     G = digraph_from_edges(n, edges)
     roots = np.unique(edges[:3].reshape(-1))[:3]
 
     def fn(comm, g):
-        return g.unmap[: g.n_loc], distributed_bfs(comm, g, roots, "out")
+        return (g.unmap[: g.n_loc], reference_bfs(comm, g, roots, "out"),
+                multi_source_bfs(comm, g, roots, "out"))
 
-    got = gather_by_gid(dist_run(edges, n, 3, fn))
+    outs = dist_run(edges, n, 3, fn)
+    got = gather_by_gid(outs)
     # Multi-source levels are the min over per-root levels.
     expect = np.full(n, np.inf)
     for r in roots:
         lv = nx_levels(G, int(r), n).astype(np.float64)
         lv[lv == NOT_VISITED] = np.inf
         expect = np.minimum(expect, lv)
+    cols = gather_by_gid(outs, 2).astype(np.float64)
+    cols[cols == NOT_VISITED] = np.inf
+    assert (cols.min(axis=1) == expect).all()
     expect[np.isinf(expect)] = NOT_VISITED
     assert (got == expect.astype(np.int64)).all()
 
 
 def test_restricted_bfs_stays_inside_mask(small_web):
+    """The oracle's ``restrict`` mask (the k-core reference's component
+    step) is BFS on the induced subgraph."""
     n, edges = small_web
     allowed = np.zeros(n, dtype=bool)
     allowed[: n // 2] = True
@@ -82,7 +93,7 @@ def test_restricted_bfs_stays_inside_mask(small_web):
 
     def fn(comm, g):
         mask = allowed[g.unmap]  # includes ghosts
-        lev = distributed_bfs(comm, g, root, "out", restrict=mask)
+        lev = reference_bfs(comm, g, root, "out", restrict=mask)
         return g.unmap[: g.n_loc], lev
 
     got = gather_by_gid(dist_run(edges, n, 3, fn))
@@ -100,22 +111,29 @@ def test_root_outside_restrict_reaches_nothing(small_web):
 
     def fn(comm, g):
         mask = np.zeros(g.n_total, dtype=bool)
-        lev = distributed_bfs(comm, g, 0, "out", restrict=mask)
+        lev = reference_bfs(comm, g, 0, "out", restrict=mask)
         return int((lev >= 0).sum())
 
     assert sum(dist_run(edges, n, 2, fn)) == 0
 
 
 def test_max_levels_cap(small_web):
+    """The oracle's level cap keeps exactly the engine's levels below it."""
     n, edges = small_web
     root = int(edges[0, 0])
 
     def fn(comm, g):
-        lev = distributed_bfs(comm, g, root, "both", max_levels=2)
-        return g.unmap[: g.n_loc], lev
+        capped = reference_bfs(comm, g, root, "both", max_levels=2)
+        full = distributed_bfs(comm, g, root, "both")
+        return g.unmap[: g.n_loc], capped, full
 
-    got = gather_by_gid(dist_run(edges, n, 2, fn))
+    outs = dist_run(edges, n, 2, fn)
+    got, full = gather_by_gid(outs), gather_by_gid(outs, 2)
     assert got.max() <= 1  # levels 0 and 1 settled before the cap
+    # Vertices discovered at the cap stay QUEUED (-1), the rest unvisited.
+    queued = np.where(full == 2, QUEUED, NOT_VISITED)
+    assert (got == np.where(full <= 1, full, queued)).all()
+    assert (full > 1).any()
 
 
 def test_isolated_root(small_web):
@@ -141,3 +159,8 @@ def test_invalid_inputs(small_web):
         dist_run(edges, n, 1, lambda c, g: distributed_bfs(c, g, n + 5, "out"))
     with pytest.raises(SpmdError):
         dist_run(edges, n, 1, lambda c, g: distributed_bfs(c, g, 0, "sideways"))
+    # The oracle's generalizations are not options of the engine.
+    for kw in ({"restrict": np.ones(n, dtype=bool)}, {"max_levels": 2}):
+        with pytest.raises(SpmdError):
+            dist_run(edges, n, 1,
+                     lambda c, g: distributed_bfs(c, g, 0, "out", **kw))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import PARTITION_KINDS, dist_run
 from repro.analytics import (
@@ -101,6 +103,23 @@ def test_top_degree_vertices(small_web, p):
     # Top-degree set by the same (degree desc, id asc) ordering.
     order = np.lexsort((np.arange(n), -deg))
     assert got == order[:5].tolist()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 60), st.integers(0, 200), st.integers(0, 10_000),
+       st.integers(1, 4), st.sampled_from(PARTITION_KINDS),
+       st.integers(1, 8))
+def test_top_degree_ties_break_by_id(n, m, seed, p, kind, k):
+    """Ties at the k-th degree keep the lower ids whatever the rank count
+    and partition: the result is the global (degree desc, id asc) order."""
+    edges = np.random.default_rng(seed).integers(0, n, size=(m, 2),
+                                                 dtype=np.int64)
+    deg = np.bincount(edges.reshape(-1), minlength=n)
+    want = np.lexsort((np.arange(n), -deg))[:k].tolist()
+    outs = dist_run(edges, n, p,
+                    lambda c, g: top_degree_vertices(c, g, k).tolist(), kind)
+    assert all(o == want for o in outs)
 
 
 def test_out_of_range_vertex(small_web):
