@@ -16,7 +16,8 @@
 # levels vs scipy, multi_source_bfs == per-root BFS, grid == 1-D), a
 # 2-replica `repro serve` CLI smoke, and the
 # tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
-# procs-backend subset.
+# procs-backend subset (backends, cross-backend equivalence, the graph
+# construction oracle tests/test_build_oracle.py, engines, streaming).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -157,8 +158,11 @@ REPRO_SANITIZE_BUFFERS=1 PYTHONPATH=src python -m pytest -x -q "$@"
 
 echo "== pytest smoke subset on the procs backend =="
 # Engines and explicit-backend tests run on spawned-process ranks; the
-# dist_run reference harness stays pinned to threads (ground truth).
+# dist_run reference harness stays pinned to threads (ground truth).  The
+# construction oracle runs here too: under procs the convert reads its
+# received edges out of shared-memory plan buffers.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
+    tests/test_build_oracle.py \
     tests/test_service.py tests/test_stream_service.py \
     tests/test_stream_equivalence.py::test_procs_backend_stream_bitwise

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import sorted_unique
+from ..graph.csr import bucket_order, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import NOT_VISITED, QUEUED
@@ -110,10 +110,9 @@ def _top_down_step(
             owner_chunks.append(g.ghost_tasks[ghosts - n_loc])
             code_chunks.append(g.unmap[ghosts] + j * n if j else g.unmap[ghosts])
 
-    owners = _concat(owner_chunks)
-    order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners, minlength=comm.size)
-    recv, _ = comm.alltoallv_flat(_concat(code_chunks)[order], counts)
+    order, offsets = bucket_order(_concat(owner_chunks), comm.size)
+    recv, _ = comm.alltoallv_flat(_concat(code_chunks)[order],
+                                  np.diff(offsets))
 
     if len(recv):
         recv = sorted_unique(recv)  # the same pair may arrive from many ranks

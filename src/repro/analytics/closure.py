@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import expand_rows
+from ..graph.csr import bucket_order, expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .bfs import _gather_ranges
@@ -81,8 +81,8 @@ class ClosureAdjacency:
     rows *are* the graph's CSR, not a copy.  A ghost's row — the owned
     vertices it leads to — is read off the *reverse* CSR: ghost ``u``
     leads to owned ``v`` exactly when ``u`` appears in ``v``'s reverse
-    row, so the cut entries of the reverse CSR, grouped by ghost with a
-    stable sort of the cut only, are the ghost rows.
+    row, so the cut entries of the reverse CSR, grouped by ghost with one
+    ``bucket_order`` of the cut only, are the ghost rows.
 
     ``alive`` covers owned and ghost vertices and is current on both at
     every closure's return; pass another adjacency's ``alive`` to share it
@@ -118,11 +118,8 @@ class ClosureAdjacency:
         rev_ptr, rev_adj = reverse
 
         cut = np.flatnonzero(rev_adj >= n_loc)
-        ghost = rev_adj[cut] - n_loc
-        order = np.argsort(ghost, kind="stable")
+        order, self.ghost_indptr = bucket_order(rev_adj[cut] - n_loc, g.n_gst)
         self.ghost_adj = expand_rows(rev_ptr)[cut][order]
-        self.ghost_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(ghost, minlength=g.n_gst))))
 
         self.alive = np.ones(n_tot, dtype=bool) if alive is None else alive
         self.degree = np.full(n_tot, _GHOST_DEGREE, dtype=np.int64)

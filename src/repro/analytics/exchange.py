@@ -40,6 +40,7 @@ import weakref
 
 import numpy as np
 
+from ..graph.csr import bucket_order
 from ..graph.distgraph import DistGraph
 from ..runtime import AlltoallvPlan, Communicator, SUM
 
@@ -79,9 +80,9 @@ class HaloExchange:
 
         # Order our ghosts by owning rank; that order is the contract for
         # every subsequent receive.
-        order = np.argsort(g.ghost_tasks, kind="stable")
+        order, self._ghost_starts = bucket_order(g.ghost_tasks, p)
         self._ghost_lids = (n_loc + order).astype(np.int64)
-        req_counts = np.bincount(g.ghost_tasks, minlength=p).astype(np.int64)
+        req_counts = np.diff(self._ghost_starts)
         req_gids = g.unmap[self._ghost_lids]
 
         # Peers answer with the ids they were asked for, in the order asked.
@@ -99,8 +100,6 @@ class HaloExchange:
         # wire format (indices relative to each destination block).
         self._send_starts = np.concatenate(
             ([0], np.cumsum(self._send_counts))).astype(np.int64)
-        self._ghost_starts = np.concatenate(
-            ([0], np.cumsum(req_counts))).astype(np.int64)
         self._send_dest = np.repeat(
             np.arange(p, dtype=np.int64), self._send_counts)
         self._plans: dict[tuple[np.dtype, tuple[int, ...]], AlltoallvPlan] = {}

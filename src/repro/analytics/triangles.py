@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import expand_rows, sorted_unique
+from ..graph.csr import bucket_order, expand_rows, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..graph.hashmap import IntHashMap
 from ..runtime import SUM, Communicator
@@ -136,11 +136,9 @@ def triangle_count(
         # key(v) < key(w) already holds.
         v_gid = g.unmap[v_q]
         w_gid = g.unmap[w_q]
-        owners = g.owner_of_local(v_q)
-        order_q = np.argsort(owners, kind="stable")
-        counts_q = np.bincount(owners, minlength=comm.size)
+        order_q, offsets_q = bucket_order(g.owner_of_local(v_q), comm.size)
         recv_keys, recv_counts = comm.alltoallv_flat(
-            pack(v_gid, w_gid)[order_q], counts_q)
+            pack(v_gid, w_gid)[order_q], np.diff(offsets_q))
 
         found = (edge_set.get(recv_keys, default=0) > 0).astype(np.int64)
         answers, _ = comm.alltoallv_flat(found, recv_counts)
@@ -152,10 +150,10 @@ def triangle_count(
         np.add.at(tri_per_vertex, u_q[closed > 0], 1)
         # v and w credits, grouped by owner of the *global* vertex.
         for corner_gid in (v_gid[closed > 0], w_gid[closed > 0]):
-            owners_c = g.partition.owner_of(corner_gid)
-            order_c = np.argsort(owners_c, kind="stable")
-            counts_c = np.bincount(owners_c, minlength=comm.size)
-            got, _ = comm.alltoallv_flat(corner_gid[order_c], counts_c)
+            order_c, offsets_c = bucket_order(
+                g.partition.owner_of(corner_gid), comm.size)
+            got, _ = comm.alltoallv_flat(corner_gid[order_c],
+                                         np.diff(offsets_c))
             if len(got):
                 lids = g.map.get(got)
                 np.add.at(tri_per_vertex, lids, 1)

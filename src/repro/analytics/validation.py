@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import expand_rows, segment_sum
+from ..graph.csr import expand_rows, segment_min, segment_sum
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import NOT_VISITED
@@ -85,13 +85,8 @@ def validate_bfs_levels(
             continue
         plev = levels[adj].astype(np.float64)
         plev[plev < 0] = np.inf
-        rows = expand_rows(indptr)
-        # Per-vertex min predecessor level.
-        order = np.argsort(rows, kind="stable")
-        rs, vs = rows[order], plev[order]
-        starts = np.flatnonzero(np.concatenate(([True], rs[1:] != rs[:-1])))
-        mins = np.minimum.reduceat(vs, starts)
-        np.minimum.at(min_pred, rs[starts], mins)
+        # Per-vertex min predecessor level (entries are grouped by row).
+        np.minimum(min_pred, segment_min(indptr, plev, np.inf), out=min_pred)
 
     is_root = np.zeros(n_loc, dtype=bool)
     is_root[lids] = True

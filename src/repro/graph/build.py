@@ -5,7 +5,10 @@ striped reader or a generator).  Edges are redistributed with
 ``alltoallv`` so every rank receives all out-edges of its owned vertices;
 a second exchange with reversed edges delivers the in-edges.  The received
 edge arrays are then converted to the CSR-like local representation with
-ghost relabeling (:class:`~repro.graph.distgraph.DistGraph`).
+ghost relabeling (:class:`~repro.graph.distgraph.DistGraph`): ghosts,
+then ``unmap`` and ``map``, then each direction's rows read off ``map``,
+then one :func:`~repro.graph.csr.bucket_order` per direction for its
+``indexes`` and the order of its neighbours and values.
 
 The two stages are timed separately because Table III of the paper reports
 them separately (Exch and LConv columns).
@@ -21,7 +24,7 @@ import numpy as np
 from ..partition.base import Partition
 from ..partition.grid import GridEdgePartition
 from ..runtime import SUM, Communicator
-from .csr import build_csr, sorted_unique
+from .csr import bucket_order, sorted_unique
 from .distgraph import DistGraph, GridGraph
 from .hashmap import IntHashMap
 
@@ -52,9 +55,27 @@ def _grouped_send(
     ``comm.alltoallv_flat(col, counts)`` — the zero-copy path; the old
     ``np.split`` + object ``alltoallv`` form pickled every part (PERF002).
     """
-    order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners, minlength=nparts)
-    return [col[order] for col in columns], counts
+    order, offsets = bucket_order(owners, nparts)
+    return [col[order] for col in columns], np.diff(offsets)
+
+
+def _local_csr(
+    gmap: IntHashMap, n_loc: int, rank: int, row_gids: np.ndarray,
+    nbr_gids: np.ndarray, vals: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One direction's ``(indexes, edges, values)`` over local ids.
+
+    Rows are read off the map: a row gid this rank does not own maps to a
+    ghost id or to -1, and raises like ``Partition.to_local`` would.
+    """
+    rows = gmap.get(row_gids)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_loc):
+        bad = np.flatnonzero((rows < 0) | (rows >= n_loc))
+        raise ValueError(f"{len(bad)} ids not owned by rank {rank} "
+                         f"(first: {int(row_gids[bad[0]])})")
+    order, indexes = bucket_order(rows, n_loc)
+    edges = gmap.get(nbr_gids)[order]
+    return indexes, edges, None if vals is None else vals[order]
 
 
 def build_dist_graph_with_stats(
@@ -100,63 +121,43 @@ def build_dist_graph_with_stats(
         t0 = time.perf_counter()
         m_global = comm.allreduce(len(edges_chunk), SUM)
 
-        # Out-edges: redistribute by owner of the source endpoint.
+        # Out-edges: redistribute by owner of the source endpoint; in-edges:
+        # reversed, by the owner of the (original) destination endpoint.
+        # Values ride along in each direction's one grouping.
         src, dst = edges_chunk[:, 0], edges_chunk[:, 1]
-        owners = partition.owner_of(src)
-        (send_src, send_dst), counts_out = _grouped_send(owners, p, src, dst)
+        vals = () if edge_values is None else (edge_values,)
+        (send_src, send_dst, *send_v_out), counts_out = _grouped_send(
+            partition.owner_of(src), p, src, dst, *vals)
         out_src_g, _ = comm.alltoallv_flat(send_src, counts_out)
         out_dst_g, _ = comm.alltoallv_flat(send_dst, counts_out)
-
-        # In-edges: reverse the order of edges and redistribute by the owner
-        # of the (original) destination endpoint.
-        owners_in = partition.owner_of(dst)
-        (send_dst_in, send_src_in), counts_in = _grouped_send(
-            owners_in, p, dst, src)
+        (send_dst_in, send_src_in, *send_v_in), counts_in = _grouped_send(
+            partition.owner_of(dst), p, dst, src, *vals)
         in_dst_g, _ = comm.alltoallv_flat(send_dst_in, counts_in)
         in_src_g, _ = comm.alltoallv_flat(send_src_in, counts_in)
 
         out_vals = in_vals = None
         if edge_values is not None:
-            (send_v_out,), _ = _grouped_send(owners, p, edge_values)
-            out_vals, _ = comm.alltoallv_flat(send_v_out, counts_out)
-            (send_v_in,), _ = _grouped_send(owners_in, p, edge_values)
-            in_vals, _ = comm.alltoallv_flat(send_v_in, counts_in)
+            out_vals, _ = comm.alltoallv_flat(send_v_out[0], counts_out)
+            in_vals, _ = comm.alltoallv_flat(send_v_in[0], counts_in)
         exchange_s = time.perf_counter() - t0
 
     with comm.region("build.convert"):
         t0 = time.perf_counter()
         n_loc = partition.n_owned(rank)
-        owned = partition.owned_gids(rank)
 
-        out_rows = partition.to_local(rank, out_src_g)
-        out_order = np.argsort(out_rows, kind="stable")
-        out_indexes, out_adj_g = build_csr(n_loc, out_rows, out_dst_g)
-        in_rows = partition.to_local(rank, in_dst_g)
-        in_order = np.argsort(in_rows, kind="stable")
-        in_indexes, in_adj_g = build_csr(n_loc, in_rows, in_src_g)
-        if edge_values is not None:
-            out_vals = out_vals[out_order]
-            in_vals = in_vals[in_order]
-
-        # Ghost discovery: every adjacent vertex not owned here.
-        neighbors = np.concatenate([out_adj_g, in_adj_g])
-        if len(neighbors):
-            uniq = sorted_unique(neighbors)
-            ghost_gids = uniq[partition.owner_of(uniq) != rank]
-        else:
-            ghost_gids = np.empty(0, dtype=np.int64)
-
-        unmap = np.concatenate([owned, ghost_gids])
+        # Ghost discovery: every received neighbour not owned here.
+        uniq = sorted_unique(np.concatenate([out_dst_g, in_src_g]))
+        owners_u = partition.owner_of(uniq)
+        is_ghost = owners_u != rank
+        ghost_tasks = owners_u[is_ghost]
+        unmap = np.concatenate([partition.owned_gids(rank), uniq[is_ghost]])
         gmap = IntHashMap(capacity_hint=len(unmap))
         gmap.insert(unmap, np.arange(len(unmap), dtype=np.int64))
 
-        out_edges = gmap.get(out_adj_g)
-        in_edges = gmap.get(in_adj_g)
-        ghost_tasks = (
-            partition.owner_of(ghost_gids)
-            if len(ghost_gids)
-            else np.empty(0, dtype=np.int64)
-        )
+        out_indexes, out_edges, out_vals = _local_csr(
+            gmap, n_loc, rank, out_src_g, out_dst_g, out_vals)
+        in_indexes, in_edges, in_vals = _local_csr(
+            gmap, n_loc, rank, in_dst_g, in_src_g, in_vals)
         convert_s = time.perf_counter() - t0
 
     g = DistGraph(
@@ -230,13 +231,14 @@ def build_grid_graph(
                 edge_values = np.concatenate([edge_values, edge_values])
         # Block (i, j) <=> rank i*c + j.
         blocks = (partition.owner_of(dst) // c) * c + partition.owner_of(src) % c
-        (send_src, send_dst), counts = _grouped_send(blocks, p, src, dst)
+        vals = () if edge_values is None else (edge_values,)
+        (send_src, send_dst, *send_vals), counts = _grouped_send(
+            blocks, p, src, dst, *vals)
         blk_src, _ = comm.alltoallv_flat(send_src, counts)
         blk_dst, _ = comm.alltoallv_flat(send_dst, counts)
         blk_vals = None
         if edge_values is not None:
-            (send_vals,), _ = _grouped_send(blocks, p, edge_values)
-            blk_vals, _ = comm.alltoallv_flat(send_vals, counts)
+            blk_vals, _ = comm.alltoallv_flat(send_vals[0], counts)
 
     with comm.region("build2d.convert"):
         i, j = partition.grid_coords(rank)
@@ -244,16 +246,14 @@ def build_grid_graph(
             row_lo, row_hi = partition.row_range(i)
             col_counts = partition.col_chunk_counts(j)
             col_unmap = partition.col_slice_gids(j)
-            n_row = row_hi - row_lo
-            n_col = len(col_unmap)
             v_idx = blk_dst - row_lo
             u_idx = partition.col_index_of(j, blk_src)
-            td_indexes, td_edges = build_csr(n_col, u_idx, v_idx)
-            bu_indexes, bu_edges = build_csr(n_row, v_idx, u_idx)
+            td_order, td_indexes = bucket_order(u_idx, len(col_unmap))
+            bu_order, bu_indexes = bucket_order(v_idx, row_hi - row_lo)
+            td_edges, bu_edges = v_idx[td_order], u_idx[bu_order]
             td_vals = bu_vals = None
             if blk_vals is not None:
-                td_vals = blk_vals[np.argsort(u_idx, kind="stable")]
-                bu_vals = blk_vals[np.argsort(v_idx, kind="stable")]
+                td_vals, bu_vals = blk_vals[td_order], blk_vals[bu_order]
         else:
             row_lo = 0
             col_counts = np.empty(0, dtype=np.int64)

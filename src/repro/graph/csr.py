@@ -4,6 +4,10 @@ The per-task edge arrays received during graph construction are converted to
 a CSR-like layout (paper §III-A): an ``indexes`` array of row starts and a
 flat ``edges`` array of neighbor ids.  All builders are fully vectorized.
 
+Every grouping by a small integer key — CSR rows, destination ranks,
+ghost ids — is one :func:`bucket_order`: a counting sort whose order is
+built from 16-bit radix digits, the widest NumPy's stable sort radix-sorts.
+
 This module also provides the segment operations (per-row sums / maxima /
 counts over a CSR) that the analytics use as their inner "loop over
 adjacencies of v" — the innermost loop of the paper's triply-nested
@@ -15,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bucket_order",
+    "radix_order",
     "build_csr",
     "csr_row_lengths",
     "segment_sum",
@@ -32,16 +38,53 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     Functionally ``np.unique`` for 1-D arrays, but implemented as
     sort + run-boundary selection: on this project's workloads (tens of
     millions of int64 keys) NumPy's ``unique`` can be more than an order
-    of magnitude slower than its own ``sort``.
+    of magnitude slower than its own ``sort``.  Only values come out, so
+    the sort need not be stable: NumPy's default integer sort is several
+    times faster than its stable one (timsort on ``int64``).
     """
     values = np.asarray(values)
     if len(values) == 0:
         return values.copy()
-    s = np.sort(values, kind="stable")
+    s = np.sort(values)
     keep = np.empty(len(s), dtype=bool)
     keep[0] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+def radix_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, n_keys)``.
+
+    Least-significant-digit radix passes of at most 16 bits: one pass up
+    to ``2**16`` keys, two up to ``2**32``, and so on.  Each pass is one
+    stable argsort of a ``uint8``/``uint16`` digit, which NumPy radix-sorts
+    (on ``int64`` its stable sort is timsort).  Keys outside the range
+    raise ``ValueError``.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError("keys must be a 1-D array")
+    if len(keys) and (keys.min() < 0 or keys.max() >= n_keys):
+        raise ValueError("keys out of range for n_keys")
+    bits = max(int(n_keys) - 1, 0).bit_length()
+    order = None
+    for shift in range(0, max(bits, 1), 16):
+        digit = (keys >> shift & 0xFFFF).astype(
+            np.uint8 if bits - shift <= 8 else np.uint16)
+        order = (np.argsort(digit, kind="stable") if order is None
+                 else order[np.argsort(digit[order], kind="stable")])
+    return order
+
+
+def bucket_order(keys: np.ndarray, n_keys: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``keys`` (each in ``[0, n_keys)``) by value, stably:
+    ``(order, offsets)`` with ``order`` from :func:`radix_order` and bucket
+    ``k`` at ``order[offsets[k]:offsets[k + 1]]`` (one ``bincount``)."""
+    order = radix_order(keys, n_keys)
+    offsets = np.zeros(int(n_keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+    return order, offsets
 
 
 def build_csr(
@@ -71,14 +114,8 @@ def build_csr(
     dst = np.asarray(dst)
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src and dst must be matching 1-D arrays")
-    if len(src) and (src.min() < 0 or src.max() >= n_rows):
-        raise ValueError("src ids out of range for n_rows")
-    counts = np.bincount(src, minlength=n_rows)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(src, kind="stable")
-    adj = np.ascontiguousarray(dst[order], dtype=dtype)
-    return indptr, adj
+    order, indptr = bucket_order(src, n_rows)
+    return indptr, np.ascontiguousarray(dst[order], dtype=dtype)
 
 
 def csr_row_lengths(indptr: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..partition.base import Partition
 from ..partition.grid import GridEdgePartition
-from .csr import csr_row_lengths
+from .csr import csr_row_lengths, expand_rows, radix_order
 from .hashmap import IntHashMap
 
 __all__ = ["DistGraph", "GridGraph"]
@@ -131,7 +131,8 @@ class DistGraph:
         each row sequentially, so the summation order must match.  Sorting
         by global id (local ids mix owned and ghost numbering, which
         differs across representations) with a stable sort gives that
-        canonical order.  Edge values, when present, travel with their
+        canonical order: two stable radix passes, by neighbour gid and
+        then by row.  Edge values, when present, travel with their
         edges.  Returns ``self``.
         """
         for ind, name in ((self.out_indexes, "out"), (self.in_indexes, "in")):
@@ -139,9 +140,9 @@ class DistGraph:
             vals = getattr(self, f"{name}_values")
             if not len(adj):
                 continue
-            lens = csr_row_lengths(ind)
-            rows = np.repeat(np.arange(self.n_loc, dtype=np.int64), lens)
-            order = np.lexsort((self.unmap[adj], rows))
+            rows = expand_rows(ind)
+            order = radix_order(self.unmap[adj], self.n_global)
+            order = order[radix_order(rows[order], self.n_loc)]
             setattr(self, f"{name}_edges", adj[order])
             if vals is not None:
                 setattr(self, f"{name}_values", vals[order])

@@ -22,9 +22,12 @@ _MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _hash(keys: np.ndarray, shift: int) -> np.ndarray:
-    """Multiplicative (Fibonacci) hash of int keys into table indices."""
-    h = keys.astype(np.uint64) * _MULT
-    return (h >> np.uint64(shift)).astype(np.int64)
+    """Multiplicative (Fibonacci) hash of int keys into table indices
+    (the top ``64 - shift`` bits of the product, so already in range)."""
+    h = keys.astype(np.uint64)
+    h *= _MULT
+    h >>= np.uint64(shift)
+    return h.view(np.int64)
 
 
 class IntHashMap:
@@ -146,28 +149,33 @@ class IntHashMap:
             idx[pending] = (idx[pending] + 1) & mask
 
     def get(self, keys: np.ndarray, default: int = -1) -> np.ndarray:
-        """Batch lookup; missing keys map to ``default``."""
+        """Batch lookup; missing keys map to ``default``.
+
+        Negative keys are never stored, so they miss without probing (−1
+        is the empty-slot marker).  The first probe covers the whole batch;
+        only keys whose home slot holds another key probe on.
+        """
         keys = np.asarray(keys, dtype=np.int64)
         scalar = keys.ndim == 0
         keys = np.atleast_1d(keys)
-        out = np.full(len(keys), default, dtype=np.int64)
         if len(keys) == 0 or self._size == 0:
+            out = np.full(len(keys), default, dtype=np.int64)
             return int(out[0]) if scalar else out
-        shift = 64 - self._log2cap
-        mask = self.capacity - 1
-        idx = _hash(keys, shift) & mask
-        pending = np.arange(len(keys))
         tkeys, tvals = self._keys, self._vals
+        idx = _hash(keys, 64 - self._log2cap)
+        slot_keys = tkeys[idx]
+        valid = keys >= 0
+        hit = (slot_keys == keys) & valid
+        out = np.where(hit, tvals[idx], np.int64(default))
+        pending = np.flatnonzero((slot_keys != _EMPTY) & valid & ~hit)
+        mask = self.capacity - 1
+        qkeys, idx = keys[pending], (idx[pending] + 1) & mask
         while len(pending):
-            slots = idx[pending]
-            slot_keys = tkeys[slots]
-            is_match = slot_keys == keys[pending]
-            is_empty = slot_keys == _EMPTY
-            if is_match.any():
-                m = pending[is_match]
-                out[m] = tvals[idx[m]]
-            pending = pending[~(is_match | is_empty)]
-            idx[pending] = (idx[pending] + 1) & mask
+            slot_keys = tkeys[idx]
+            hit = slot_keys == qkeys
+            out[pending[hit]] = tvals[idx[hit]]
+            more = (slot_keys != _EMPTY) & ~hit
+            pending, qkeys, idx = pending[more], qkeys[more], (idx[more] + 1) & mask
         return int(out[0]) if scalar else out
 
     def contains(self, keys: np.ndarray) -> np.ndarray:

@@ -4,6 +4,9 @@ Each rank receives a contiguous range of ``~n/p`` vertex ids in natural
 ordering.  This retains whatever locality the input vertex numbering has
 (for the web crawl, pages of a host are numbered together), at the cost of
 potentially severe *edge* imbalance on skewed graphs.
+
+:class:`ContiguousPartition` is the range arithmetic every contiguous
+partition shares (vertex-block, edge-block and the 2-D grid's chunks).
 """
 
 from __future__ import annotations
@@ -12,23 +15,18 @@ import numpy as np
 
 from .base import Partition
 
-__all__ = ["VertexBlockPartition"]
+__all__ = ["ContiguousPartition", "VertexBlockPartition"]
 
 
-class VertexBlockPartition(Partition):
-    """Contiguous equal-count vertex ranges.
+class ContiguousPartition(Partition):
+    """Rank ``r`` owns ids ``[boundaries[r], boundaries[r+1])``.
 
-    Rank ``r`` owns ids ``[boundaries[r], boundaries[r+1])`` where the first
-    ``n % p`` ranks receive one extra vertex.
+    Subclasses set ``boundaries`` (``nparts + 1`` non-decreasing entries
+    from 0 to ``n_global``); ownership and the global↔local conversions
+    are arithmetic on it.
     """
 
-    def __init__(self, n_global: int, nparts: int):
-        super().__init__(n_global, nparts)
-        base, extra = divmod(self.n_global, self.nparts)
-        counts = np.full(self.nparts, base, dtype=np.int64)
-        counts[:extra] += 1
-        self.boundaries = np.zeros(self.nparts + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.boundaries[1:])
+    boundaries: np.ndarray
 
     def owner_of(self, gids: np.ndarray) -> np.ndarray:
         gids = np.asarray(gids, dtype=np.int64)
@@ -64,3 +62,19 @@ class VertexBlockPartition(Partition):
         if len(np.atleast_1d(lids)) and (np.min(lids) < 0 or np.max(lids) >= n_loc):
             raise ValueError(f"local ids out of range for rank {rank}")
         return lids + self.boundaries[rank]
+
+
+class VertexBlockPartition(ContiguousPartition):
+    """Contiguous equal-count vertex ranges.
+
+    Rank ``r`` owns ids ``[boundaries[r], boundaries[r+1])`` where the first
+    ``n % p`` ranks receive one extra vertex.
+    """
+
+    def __init__(self, n_global: int, nparts: int):
+        super().__init__(n_global, nparts)
+        base, extra = divmod(self.n_global, self.nparts)
+        counts = np.full(self.nparts, base, dtype=np.int64)
+        counts[:extra] += 1
+        self.boundaries = np.zeros(self.nparts + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.boundaries[1:])

@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime import SUM, Communicator
-from .base import Partition
+from .block import ContiguousPartition
 
 __all__ = ["EdgeBlockPartition"]
 
 
-class EdgeBlockPartition(Partition):
+class EdgeBlockPartition(ContiguousPartition):
     """Contiguous vertex ranges balanced by cumulative degree.
 
     Parameters
@@ -59,38 +59,3 @@ class EdgeBlockPartition(Partition):
         ).astype(np.int64)
         degrees = comm.allreduce(local, SUM)
         return cls(degrees, comm.size)
-
-    def owner_of(self, gids: np.ndarray) -> np.ndarray:
-        gids = np.asarray(gids, dtype=np.int64)
-        if len(np.atleast_1d(gids)) and (
-            np.min(gids) < 0 or np.max(gids) >= self.n_global
-        ):
-            raise ValueError("global ids out of range")
-        return (np.searchsorted(self.boundaries, gids, side="right") - 1).astype(
-            np.int64
-        )
-
-    def owned_gids(self, rank: int) -> np.ndarray:
-        self._check_rank(rank)
-        return np.arange(self.boundaries[rank], self.boundaries[rank + 1],
-                         dtype=np.int64)
-
-    def n_owned(self, rank: int) -> int:
-        self._check_rank(rank)
-        return int(self.boundaries[rank + 1] - self.boundaries[rank])
-
-    def to_local(self, rank: int, gids: np.ndarray) -> np.ndarray:
-        self._check_rank(rank)
-        gids = np.asarray(gids, dtype=np.int64)
-        lo, hi = self.boundaries[rank], self.boundaries[rank + 1]
-        if len(np.atleast_1d(gids)) and (np.min(gids) < lo or np.max(gids) >= hi):
-            raise ValueError(f"ids not owned by rank {rank}")
-        return (gids - lo).astype(np.int64)
-
-    def to_global(self, rank: int, lids: np.ndarray) -> np.ndarray:
-        self._check_rank(rank)
-        lids = np.asarray(lids, dtype=np.int64)
-        n_loc = self.n_owned(rank)
-        if len(np.atleast_1d(lids)) and (np.min(lids) < 0 or np.max(lids) >= n_loc):
-            raise ValueError(f"local ids out of range for rank {rank}")
-        return lids + self.boundaries[rank]

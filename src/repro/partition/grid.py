@@ -20,8 +20,8 @@ Per frontier phase each rank therefore talks to ``r - 1 + c - 1 ≈ 2√p``
 peers instead of up to ``p - 1`` — the communication-avoiding property the
 2-D literature (Buluç & Madduri; Yoo et al.) quantifies.
 
-As a plain :class:`~repro.partition.base.Partition` the grid partition is
-also a valid 1-D contiguous partition (chunk ``k`` → rank ``k``), so every
+As a :class:`~repro.partition.block.ContiguousPartition` the grid partition
+is also a valid 1-D contiguous partition (chunk ``k`` → rank ``k``), so every
 1-D kernel runs on it unchanged; the grid structure only adds the
 row/column view on top.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime import SUM, Communicator
-from .base import Partition
+from .block import ContiguousPartition
 
 __all__ = ["GridShapeError", "grid_shape", "GridEdgePartition"]
 
@@ -76,7 +76,7 @@ def grid_shape(p: int, fallback: bool = False) -> tuple[int, int]:
     return r, p // r
 
 
-class GridEdgePartition(Partition):
+class GridEdgePartition(ContiguousPartition):
     """Contiguous vertex chunks laid out on an ``r × c`` process grid.
 
     Parameters
@@ -127,43 +127,6 @@ class GridEdgePartition(Partition):
         ).astype(np.int64)
         degrees = comm.allreduce(local, SUM)
         return cls(degrees, comm.size, fallback=fallback)
-
-    # ------------------------------------------------------------------
-    # 1-D Partition contract (chunk k -> rank k, contiguous)
-    # ------------------------------------------------------------------
-    def owner_of(self, gids: np.ndarray) -> np.ndarray:
-        gids = np.asarray(gids, dtype=np.int64)
-        if len(np.atleast_1d(gids)) and (
-            np.min(gids) < 0 or np.max(gids) >= self.n_global
-        ):
-            raise ValueError("global ids out of range")
-        return (np.searchsorted(self.boundaries[:self.n_active + 1], gids,
-                                side="right") - 1).astype(np.int64)
-
-    def owned_gids(self, rank: int) -> np.ndarray:
-        self._check_rank(rank)
-        return np.arange(self.boundaries[rank], self.boundaries[rank + 1],
-                         dtype=np.int64)
-
-    def n_owned(self, rank: int) -> int:
-        self._check_rank(rank)
-        return int(self.boundaries[rank + 1] - self.boundaries[rank])
-
-    def to_local(self, rank: int, gids: np.ndarray) -> np.ndarray:
-        self._check_rank(rank)
-        gids = np.asarray(gids, dtype=np.int64)
-        lo, hi = self.boundaries[rank], self.boundaries[rank + 1]
-        if len(np.atleast_1d(gids)) and (np.min(gids) < lo or np.max(gids) >= hi):
-            raise ValueError(f"ids not owned by rank {rank}")
-        return (gids - lo).astype(np.int64)
-
-    def to_global(self, rank: int, lids: np.ndarray) -> np.ndarray:
-        self._check_rank(rank)
-        lids = np.asarray(lids, dtype=np.int64)
-        n_loc = self.n_owned(rank)
-        if len(np.atleast_1d(lids)) and (np.min(lids) < 0 or np.max(lids) >= n_loc):
-            raise ValueError(f"local ids out of range for rank {rank}")
-        return lids + self.boundaries[rank]
 
     # ------------------------------------------------------------------
     # grid structure

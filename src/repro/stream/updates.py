@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.csr import bucket_order
 from ..partition.base import Partition
 from ..runtime import AlltoallvPlan, Communicator
 
@@ -218,8 +219,8 @@ class UpdateRouter:
     def _route_dir(self, direction: str, packed: np.ndarray,
                    owners: np.ndarray) -> np.ndarray:
         comm = self.comm
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=comm.size).astype(np.int64)
+        order, offsets = bucket_order(owners, comm.size)
+        counts = np.diff(offsets)
         plan = self._plans.get(direction)
         if plan is None:
             plan = comm.alltoallv_plan(counts, dtype=np.int64, tail=(4,),

@@ -8,8 +8,15 @@ threads-only tests use inline.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
+from build_reference import (
+    reference_build_dist_graph,
+    reference_build_grid_graph,
+    reference_sort_adjacency,
+)
 from kcore_reference import reference_approx_kcore, reference_exact_kcore
 from repro.analytics import (
     HaloExchange,
@@ -28,9 +35,10 @@ from repro.analytics import (
     wcc,
 )
 from repro.analytics.closure import ClosureAdjacency
-from repro.graph import build_dist_graph, build_grid_graph
+from repro.graph import GridGraph, build_dist_graph, build_grid_graph
 from repro.partition import (
     EdgeBlockPartition,
+    ExplicitPartition,
     GridEdgePartition,
     RandomHashPartition,
     VertexBlockPartition,
@@ -57,7 +65,15 @@ def build_graph(comm, cfg: dict):
         part = RandomHashPartition(n, comm.size, seed=42)
     else:
         raise ValueError(kind)
-    return build_dist_graph(comm, chunk, part)
+    return build_dist_graph(comm, chunk, part,
+                            edge_values=_chunk_values(comm, cfg))
+
+
+def _chunk_values(comm, cfg: dict):
+    """This rank's share of ``cfg["values"]`` (one weight per edge), if any."""
+    values = cfg.get("values")
+    return None if values is None else np.array_split(values,
+                                                      comm.size)[comm.rank]
 
 
 def kern_pagerank(comm, cfg):
@@ -251,7 +267,84 @@ def build_grid(comm, cfg: dict):
     part = GridEdgePartition.from_edge_chunks(comm, chunk[:, 0], n,
                                               fallback=True)
     return build_grid_graph(comm, chunk, part,
+                            edge_values=_chunk_values(comm, cfg),
                             symmetrize=cfg.get("symmetrize", False))
+
+
+_DIST_ARRAYS = ("out_indexes", "out_edges", "in_indexes", "in_edges",
+                "unmap", "ghost_tasks", "out_values", "in_values")
+_GRID_ARRAYS = ("td_indexes", "td_edges", "bu_indexes", "bu_edges",
+                "col_counts", "col_unmap", "td_values", "bu_values")
+
+
+def graph_arrays(g) -> dict:
+    """Every array a built graph holds, by name: for a ``DistGraph`` the
+    hash map's key table and its occupied slots' values too, and the
+    scalar fields as one ``meta`` array."""
+    if isinstance(g, GridGraph):
+        out = {name: getattr(g, name) for name in _GRID_ARRAYS}
+        out["meta"] = np.array([g.n_global, g.m_global, g.row_lo,
+                                g.grid_row, g.grid_col, g.symmetrized])
+        return out
+    out = {name: getattr(g, name) for name in _DIST_ARRAYS}
+    keys = g.map._keys
+    out["map.keys"] = keys
+    out["map.vals"] = g.map._vals[keys != -1]
+    out["meta"] = np.array([g.n_global, g.m_global])
+    return out
+
+
+def kern_build(comm, cfg):
+    """Owned gids, out-degrees and a digest of every array (name, dtype,
+    shape, bytes) of the 1-D build under ``cfg["part"]`` and of the grid
+    build."""
+    g = build_graph(comm, cfg)
+    digest = hashlib.blake2b()
+    for arrays in (graph_arrays(g), graph_arrays(build_grid(comm, cfg))):
+        for name, a in arrays.items():
+            meta = None if a is None else (a.dtype.str, a.shape)
+            digest.update(f"{name}:{meta};".encode())
+            if a is not None:
+                digest.update(a.tobytes())
+    return g.unmap[: g.n_loc].copy(), g.out_degrees(), digest.hexdigest()
+
+
+def kern_build_oracle(comm, cfg):
+    """Every builder beside its argsort reference on one edge list.
+
+    cfg: ``{"edges", "n", "splits", "values", "owners", "symmetrize"}`` —
+    rank r's chunk is ``edges[splits[r]:splits[r + 1]]`` (possibly empty),
+    ``values`` is None or one weight per edge, ``owners`` the explicit
+    partition's owner table.  Returns ``{case: (production arrays,
+    reference arrays)}`` for the 1-D build under every partition kind
+    (before and after ``sort_adjacency``) and for the grid build.
+    """
+    lo, hi = cfg["splits"][comm.rank], cfg["splits"][comm.rank + 1]
+    chunk = cfg["edges"][lo:hi]
+    vals = None if cfg["values"] is None else cfg["values"][lo:hi]
+    n = cfg["n"]
+    grid = GridEdgePartition.from_edge_chunks(comm, chunk[:, 0], n,
+                                              fallback=True)
+    parts = {
+        "vblock": VertexBlockPartition(n, comm.size),
+        "eblock": EdgeBlockPartition.from_edge_chunks(comm, chunk[:, 0], n),
+        "rand": RandomHashPartition(n, comm.size, seed=42),
+        "explicit": ExplicitPartition(cfg["owners"], comm.size),
+        "grid": grid,
+    }
+    out = {}
+    for kind, part in parts.items():
+        new = build_dist_graph(comm, chunk, part, edge_values=vals)
+        ref = reference_build_dist_graph(comm, chunk, part, edge_values=vals)
+        out[kind] = (graph_arrays(new), graph_arrays(ref))
+        out[f"{kind} sorted"] = (graph_arrays(new.sort_adjacency()),
+                                 graph_arrays(reference_sort_adjacency(ref)))
+    new = build_grid_graph(comm, chunk, grid, edge_values=vals,
+                           symmetrize=cfg["symmetrize"])
+    ref = reference_build_grid_graph(comm, chunk, grid, edge_values=vals,
+                                     symmetrize=cfg["symmetrize"])
+    out["2-D"] = (graph_arrays(new), graph_arrays(ref))
+    return out
 
 
 def _own_gids(g):

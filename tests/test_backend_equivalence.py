@@ -93,13 +93,24 @@ def test_label_propagation_bitwise_across_ranks(graph_edges, nranks, mode):
     assert ((labels >= 0) & (labels < N)).all()
 
 
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_build_bitwise_across_ranks(graph_edges, nranks):
+    """Every 1-D and grid array, weighted: under procs the convert reads
+    its received edges out of shared-memory plan buffers."""
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock",
+           "values": np.linspace(0.5, 2.0, len(graph_edges)),
+           "symmetrize": True}
+    degrees = _assert_bitwise(K.kern_build, cfg, nranks)
+    assert degrees.sum() == len(graph_edges)
+
+
 @pytest.mark.parametrize("part", ["eblock", "rand"])
 @pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_wcc,
                                     K.kern_bfs_dirop, K.kern_scc,
                                     K.kern_label_propagation, K.kern_msbfs,
-                                    K.kern_harmonic],
+                                    K.kern_harmonic, K.kern_build],
                          ids=["pagerank", "wcc", "bfs", "scc", "lp", "msbfs",
-                              "harmonic"])
+                              "harmonic", "build"])
 def test_bitwise_across_partition_kinds(graph_edges, kernel, part):
     cfg = {"edges": graph_edges, "n": N, "part": part, "iters": 12,
            "root": 0, "sources": SOURCES}

@@ -68,6 +68,17 @@ def test_negative_keys_rejected():
         m.insert(np.array([-1]), np.array([0]))
 
 
+def test_negative_keys_are_missing():
+    """−1 is the empty-slot marker: a query for it (or any negative key)
+    must not "match" an empty slot and read uninitialised values."""
+    m = IntHashMap()
+    m.insert(np.array([3, 5]), np.array([10, 20]))
+    assert m.get(np.array([-1, -2, 3, 7])).tolist() == [-1, -1, 10, -1]
+    assert m.get(np.array([-1, 5]), default=-7).tolist() == [-7, 20]
+    assert m.get(-1, default=99) == 99
+    assert m.contains(np.array([-1, 3, -5])).tolist() == [False, True, False]
+
+
 def test_mismatched_shapes_rejected():
     m = IntHashMap()
     with pytest.raises(ValueError):
