@@ -6,7 +6,7 @@
 # corpora (run as the parametrized pytest module
 # tests/test_check_corpus.py), the runtime
 # race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
-# baseline (backends, bfs2d, comm, stream: fails on ratio regression vs
+# baseline (backends, bfs2d, comm: fails on ratio regression vs
 # the recorded baseline; serving load is measured by the e2e workloads,
 # not here), the end-to-end benchmark's self-test, a short stream_churn
 # run (exit code only: its incremental-vs-rebuild checks), a short

@@ -673,7 +673,7 @@ def _stream_apply_job(comm, cfg: dict):
         t_pr = time.perf_counter() - t0
         w = iwcc.run()
         log.append((res, t_apply, t_pr, pr.n_iters, w.mode))
-    return log, dict(ipr.stats)
+    return log
 
 
 def _cmd_stream_apply(args: argparse.Namespace) -> int:
@@ -704,9 +704,8 @@ def _cmd_stream_apply(args: argparse.Namespace) -> int:
         "batches": batches,
     }
     t0 = time.perf_counter()
-    log, pr_stats = run_spmd(args.ranks, _stream_apply_job, cfg,
-                             timeout=args.timeout or None,
-                             backend=backend)[0]
+    log = run_spmd(args.ranks, _stream_apply_job, cfg,
+                   timeout=args.timeout or None, backend=backend)[0]
     wall = time.perf_counter() - t0
     print(f"{args.input}: n={n:,}, m={m:,}, {args.ranks} ranks; "
           f"{updates.n} updates in {len(batches)} batch(es)")
@@ -716,11 +715,7 @@ def _cmd_stream_apply(args: argparse.Namespace) -> int:
               f"apply {t_apply * 1e3:.1f} ms, pagerank {t_pr * 1e3:.1f} ms "
               f"({pr_iters} iters), wcc {wcc_mode}"
               f"{', compacted' if res.compacted else ''}")
-    frac = pr_stats["rows_recomputed"] / max(1, pr_stats["rows_total"])
-    print(f"  pagerank repair: {pr_stats['rows_recomputed']:,} of "
-          f"{pr_stats['rows_total']:,} row-evaluations recomputed "
-          f"({frac:.1%}); {pr_stats['full_runs']} full run(s); "
-          f"total {wall:.3f} s")
+    print(f"  total {wall:.3f} s")
     return 0
 
 

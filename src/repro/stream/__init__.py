@@ -15,7 +15,6 @@ from .deltagraph import (
     PinnedEpochError,
 )
 from .incremental import (
-    IncrementalDegrees,
     IncrementalKCore,
     IncrementalPageRank,
     IncrementalWCC,
@@ -37,7 +36,6 @@ __all__ = [
     "DynamicDistGraph",
     "EpochRecord",
     "PinnedEpochError",
-    "IncrementalDegrees",
     "IncrementalKCore",
     "IncrementalPageRank",
     "IncrementalWCC",

@@ -40,7 +40,7 @@ collectively.  Unreferenced ghosts are garbage-collected at compaction.
 decision), every rank merges its overlays into a fresh base CSR, drops
 unreferenced ghosts, and rebuilds the halo.  Compaction changes ghost
 local ids but never owned ids (always ``0..n_loc-1`` in ascending gid
-order), which is why the incremental kernels key their memos by owned id.
+order), which is why the incremental kernels key their state by owned id.
 
 ``apply`` is collective; its schedule is identical on every rank (all
 data-dependent branches — ghost growth, compaction — are taken on
@@ -115,8 +115,6 @@ class EpochRecord:
     ``ins_src_gid/ins_dst_gid`` list this rank's *out-direction* surviving
     inserts — each global insert appears on exactly one rank, so an
     allgather of these yields the batch's insert set exactly once.
-    ``in_ins_row/in_ins_lid`` are the in-direction surviving inserts, for
-    reverse-index (feeds) upkeep.
     """
 
     epoch: int
@@ -124,8 +122,6 @@ class EpochRecord:
     in_rows: np.ndarray
     ins_src_gid: np.ndarray
     ins_dst_gid: np.ndarray
-    in_ins_row: np.ndarray
-    in_ins_lid: np.ndarray
     n_inserted: int
     n_deleted: int
     n_missing: int
@@ -281,79 +277,6 @@ class _DirState:
         return (n_new, int((rem_base + rem_ov).sum()), int(missing.sum()),
                 (grow[touched], deg_delta[touched]))
 
-    def gather_rows(self, rows: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Merged, gid-sorted adjacency of the given rows.
-
-        Returns ``(counts, lids)``: ``counts[i]`` entries of ``lids``
-        belong to ``rows[i]``, in exactly the per-row order
-        :meth:`merged` produces (neighbor gid ascending; on ties base
-        copies before overlay copies, overlay copies in sequence order).
-        Base and overlay are each already gid-sorted per row, so overlay
-        entries are placed by per-row binary search (upper bound plus
-        ordinal) — cost is proportional to the selected rows' degrees,
-        never the whole direction.  This is what keeps the incremental
-        kernels' per-iteration dirty-row queries cheap.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        nr = len(rows)
-        lo = self.indptr[rows]
-        lens_b0 = self.indptr[rows + 1] - lo
-        pos = _span_indices(lo, lens_b0)
-        o_lo = np.searchsorted(self.ins_row, rows, side="left")
-        o_hi = np.searchsorted(self.ins_row, rows, side="right")
-        lens_o = o_hi - o_lo
-        if self.n_tomb == 0:
-            # Tombstone-free fast path (insert-only history, the common
-            # streaming regime): every base entry survives, so per-row
-            # bounds come straight from ``self.keys`` — no base-gid
-            # gather, no per-entry row tags, no bincount.
-            b_lids = self.lids[pos]
-            counts = lens_b0 + lens_o
-            if not lens_o.any():
-                return counts, b_lids
-            opos = _span_indices(o_lo, lens_o)
-            o_idx = np.repeat(np.arange(nr, dtype=np.int64), lens_o)
-            o_lids = self.ins_lid[opos]
-            o_key = (self.ins_row[opos] * self.n_global
-                     + self.ins_gid[opos])
-            bound = np.searchsorted(self.keys, o_key, side="right")
-            ins_pos = bound - lo[o_idx]
-        else:
-            keep = ~self.tomb[pos]
-            b_idx = np.repeat(np.arange(nr, dtype=np.int64), lens_b0)[keep]
-            b_lids = self.lids[pos[keep]]
-            b_gids = self.gids[pos[keep]]
-            counts_b = np.bincount(b_idx, minlength=nr).astype(np.int64)
-            counts = counts_b + lens_o
-            if not lens_o.any():
-                return counts, b_lids
-            opos = _span_indices(o_lo, lens_o)
-            o_idx = np.repeat(np.arange(nr, dtype=np.int64), lens_o)
-            o_lids = self.ins_lid[opos]
-            base_starts = np.concatenate(
-                ([0], np.cumsum(counts_b))).astype(np.int64)
-            # One composite-key binary search places every overlay entry:
-            # per-selected-row key ranges (idx * n_global + gid) are
-            # disjoint, so a global upper bound over the gathered base
-            # entries is the per-row upper bound.
-            bound = np.searchsorted(
-                b_idx * self.n_global + b_gids,
-                o_idx * self.n_global + self.ins_gid[opos], side="right")
-            ins_pos = bound - base_starts[o_idx]
-        # The ordinal among a row's overlay entries resolves gid ties in
-        # sequence order (they are appended after base copies).
-        out_starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        o_off = np.concatenate(([0], np.cumsum(lens_o))).astype(np.int64)
-        ordinal = np.arange(len(o_idx), dtype=np.int64) - o_off[o_idx]
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        o_dest = out_starts[o_idx] + ins_pos + ordinal
-        fill = np.ones(len(out), dtype=bool)
-        fill[o_dest] = False
-        out[fill] = b_lids
-        out[o_dest] = o_lids
-        return counts, out
-
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray | None]:
         """Full merged direction: (indptr, lids, gids, vals).
@@ -440,13 +363,10 @@ class DynamicDistGraph:
         self._outdeg = csr_row_lengths(base.out_indexes).astype(np.int64)
         self._indeg = csr_row_lengths(base.in_indexes).astype(np.int64)
         self.epoch = 0
-        self.structure_epoch = 0
         self.router = UpdateRouter(comm, base.partition)
         self._journal: deque[EpochRecord] = deque(maxlen=_JOURNAL_KEEP)
         self._view: DistGraph | None = None
         self._view_epoch = -1
-        # Merged in-direction of the current epoch; reset by every apply.
-        self._in_merged_cache: tuple | None = None
         self._pins: dict[int, int] = {}  # epoch -> local pin count
         self.halo = HaloExchange(comm, self)
 
@@ -489,26 +409,6 @@ class DynamicDistGraph:
     def in_degrees(self) -> np.ndarray:
         """Maintained in-degree of every owned vertex."""
         return self._indeg
-
-    def in_rows_merged(self, rows: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Merged gid-sorted in-adjacency of selected rows (see
-        :meth:`_DirState.gather_rows`); cost scales with the selected
-        rows' degrees, never with the whole direction."""
-        return self._in.gather_rows(rows)
-
-    def _in_merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray | None]:
-        """The epoch's merged in-direction, materialized at most once:
-        :meth:`view` and :meth:`in_csr_merged` read the same arrays."""
-        if self._in_merged_cache is None:
-            self._in_merged_cache = self._in.merged()
-        return self._in_merged_cache
-
-    def in_csr_merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full merged in-CSR ``(indptr, lids)``, cached per epoch."""
-        indptr, lids, _, _ = self._in_merged()
-        return indptr, lids
 
     # --- epoch pins (MVCC snapshot support) ---------------------------
     def pin_epoch(self, epoch: int | None = None) -> int:
@@ -612,7 +512,6 @@ class DynamicDistGraph:
         else:
             ins_src = np.empty(0, dtype=np.int64)
             ins_dst = np.empty(0, dtype=np.int64)
-        in_new_row, in_new_lid = self._in_new_entries()
 
         totals = comm.allreduce(np.array(
             [n_ins, n_del, n_miss, 1 if ghosts_changed else 0,
@@ -636,13 +535,11 @@ class DynamicDistGraph:
 
         self.epoch += 1
         self._view = None
-        self._in_merged_cache = None
         self._journal.append(EpochRecord(
             epoch=self.epoch,
             out_rows=sorted_unique(out_rows),
             in_rows=sorted_unique(in_rows),
             ins_src_gid=ins_src, ins_dst_gid=ins_dst,
-            in_ins_row=in_new_row, in_ins_lid=in_new_lid,
             n_inserted=int(totals[0]), n_deleted=int(totals[1]),
             n_missing=int(totals[2]), ghosts_changed=ghosts_changed,
             compacted=compacted))
@@ -651,15 +548,6 @@ class DynamicDistGraph:
             n_deleted=int(totals[1]), n_missing=int(totals[2]),
             ghosts_changed=ghosts_changed, compacted=compacted,
             m_global=self._m_global, compaction_deferred=deferred)
-
-    def _in_new_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, source-lid) of in-overlay entries added by the last
-        integration — everything with seq >= the pre-batch counter."""
-        st = self._in
-        prev = getattr(self, "_in_seq_mark", 0)
-        new = st.ins_seq >= prev
-        self._in_seq_mark = st._seq
-        return st.ins_row[new].copy(), st.ins_lid[new].copy()
 
     # ------------------------------------------------------------------
     def view(self) -> DistGraph:
@@ -671,7 +559,7 @@ class DynamicDistGraph:
         if self._view is not None and self._view_epoch == self.epoch:
             return self._view
         out_indptr, out_lids, _, out_vals = self._out.merged()
-        in_indptr, in_lids, _, in_vals = self._in_merged()
+        in_indptr, in_lids, _, in_vals = self._in.merged()
         g = DistGraph(
             rank=self.rank, nparts=self.nparts, n_global=self.n_global,
             m_global=self._m_global, partition=self.partition,
@@ -731,8 +619,6 @@ class DynamicDistGraph:
                               out_vals, self.n_global)
         self._in = _DirState(in_indptr, remap[in_lids], in_gids,
                              in_vals, self.n_global)
-        self._in_seq_mark = 0
-        self.structure_epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DynamicDistGraph(rank={self.rank}/{self.nparts}, "

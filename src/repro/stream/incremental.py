@@ -1,31 +1,24 @@
-"""Incremental analytics over a :class:`~repro.stream.deltagraph.
-DynamicDistGraph` — repair instead of recompute, *bitwise* faithfully.
+"""Streaming analytics over a :class:`~repro.stream.deltagraph.
+DynamicDistGraph` — repair where the structure allows it, *bitwise*
+faithfully.
 
 The hard requirement (and the acceptance bar of this subsystem) is that
-every incremental kernel returns **bit-identical** results to its static
+every streaming kernel returns **bit-identical** results to its static
 counterpart run from scratch on the updated graph.  That rules out the
 usual approximate repairs (warm-started power iteration, residual
-tolerance windows); instead each kernel exploits a structure that makes
-exact repair possible:
+tolerance windows); a kernel repairs only where a structure makes exact
+repair possible, and otherwise runs the static kernel on the epoch's
+materialized view:
 
-**PageRank — memoized-iteration replay.**  Power iteration from a fixed
-start is a deterministic sequence ``x^0, x^1, …``; after a batch, the
-sequence only differs where the update's influence has propagated.  The
-kernel memoizes, per iteration, the owned score vector and the per-row
-in-neighbor sums of the previous epoch.  On the next run it re-executes
-the exact static recurrence (same expressions, same
-``np.add.reduceat``-per-row reductions over gid-sorted adjacency — the
-per-row sequential reduction makes a subset recomputation bit-equal to
-the full one) but recomputes sums only for *dirty* rows: rows whose
-in-adjacency changed, plus rows fed by any vertex whose score or
-out-degree changed at the previous iteration.  Changed flags ride the
-per-iteration halo exchange (fused into one ``(n, 2)`` payload), so ghost
-propagation needs no extra collective.  The residual-push analogy is
-exact: the dirty frontier *is* the set of vertices holding nonzero
-residual, pushed one iteration at a time.  When the dirty set exceeds
-``dirty_bound`` (globally for structural dirt, per-iteration locally),
-the kernel falls back to computing every row — which degrades cost to the
-static kernel, never correctness.
+**PageRank — the static kernel on the epoch's view.**  The recurrence
+adds ``dangling · teleport`` to every row, so on a graph with sinks one
+moved sink score changes every row from the next iteration on: an exact
+replay of the previous epoch's iterations recomputes almost every row
+and costs more than the plain power iteration.  ``run()`` is therefore
+:func:`~repro.analytics.pagerank.pagerank` over the epoch-cached
+:meth:`~repro.stream.deltagraph.DynamicDistGraph.view` with the delta
+graph's retained halo; the view's rows are in canonical gid order, so the
+per-row sums match a rebuild bit for bit.
 
 **WCC — union-find with rollback.**  Component labels are canonical
 min-gids, so insert-only batches can only *merge* label classes: the
@@ -38,10 +31,11 @@ kernel falls back to the static Multistep kernel — deletions can split
 components, which cannot be repaired from labels alone.
 
 **Degrees / k-core.**  Degrees are maintained exactly by the delta graph
-(integer adds).  The geometric k-core sweep is recomputed whenever the
-journal shows an effective change — one inserted edge can resurrect
-vertices peeled many stages earlier, so no label-local repair exists —
-but a recompute is no longer a rescan: the sweep runs as the
+(integer adds; :meth:`~repro.stream.deltagraph.DynamicDistGraph.
+out_degrees` / ``in_degrees``).  The geometric k-core sweep is recomputed
+whenever the journal shows an effective change — one inserted edge can
+resurrect vertices peeled many stages earlier, so no label-local repair
+exists — but a recompute is no longer a rescan: the sweep runs as the
 local-fixed-point supersteps of :mod:`repro.analytics.closure` over one
 maintained degree array, reading each adjacency entry at most once per
 peel or component step and synchronizing once per superstep instead of
@@ -50,9 +44,9 @@ closure whose result depends on the graph only, never on the order
 vertices are discovered in (DESIGN.md §17).  ``stats`` counts recomputes,
 reuses, supersteps and entries scanned.
 
-All reuse/fallback decisions are taken on globally-agreed values
-(allreduced counters in the journal, or one explicit allreduce), so every
-rank follows the same collective schedule.
+All reuse/fallback decisions are taken on globally-agreed values (the
+journal's allreduced counters), so every rank follows the same collective
+schedule.
 """
 
 from __future__ import annotations
@@ -62,18 +56,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytics.kcore import KCoreResult, approx_kcore
-from ..analytics.pagerank import PageRankResult
+from ..analytics.pagerank import PageRankResult, pagerank
 from ..analytics.wcc import wcc
-from ..graph.csr import build_csr
-from ..runtime import SUM, Communicator
-from .deltagraph import DynamicDistGraph, _span_indices
+from ..runtime import Communicator
+from .deltagraph import DynamicDistGraph
 
 __all__ = [
     "IncrementalPageRank",
     "IncrementalWCC",
     "IncrementalWCCResult",
     "IncrementalKCore",
-    "IncrementalDegrees",
     "UnionFindRollback",
 ]
 
@@ -151,219 +143,47 @@ def _apply_label_mapping(labels: np.ndarray, olds: np.ndarray,
     return int(hit.sum())
 
 
-class _Feeds:
-    """Reverse in-adjacency: which owned rows does each vertex feed?
-
-    Built from the merged in-CSR once per structure epoch; per-batch
-    inserts are appended as pending pairs (stale delete entries are kept —
-    they only over-approximate the dirty set, never under).
-    """
-
-    def __init__(self, dyn: DynamicDistGraph):
-        indptr, lids = dyn.in_csr_merged()
-        rows = np.repeat(np.arange(dyn.n_loc, dtype=np.int64),
-                         np.diff(indptr))
-        self.n_built = dyn.n_total
-        self.indptr, self.rows = build_csr(self.n_built, lids, rows)
-        self.pend_u = np.empty(0, dtype=np.int64)
-        self.pend_r = np.empty(0, dtype=np.int64)
-        self.structure_epoch = dyn.structure_epoch
-
-    def append(self, u: np.ndarray, r: np.ndarray) -> None:
-        self.pend_u = np.concatenate((self.pend_u, u))
-        self.pend_r = np.concatenate((self.pend_r, r))
-
-    def rows_fed_by(self, changed: np.ndarray) -> np.ndarray:
-        """Owned rows with an in-neighbor in the ``changed`` lid mask."""
-        ch = np.flatnonzero(changed[:self.n_built])
-        lens = self.indptr[ch + 1] - self.indptr[ch]
-        via_csr = self.rows[_span_indices(self.indptr[ch], lens)]
-        via_pend = self.pend_r[changed[self.pend_u]]
-        return np.concatenate((via_csr, via_pend))
-
-
 class IncrementalPageRank:
-    """Bitwise-exact incremental PageRank by memoized-iteration replay.
+    """PageRank of the current epoch: the static kernel on its view.
 
     ``run()`` is collective and returns a
     :class:`~repro.analytics.pagerank.PageRankResult` bit-identical to
     ``pagerank(comm, rebuilt_graph, …)`` on the same logical graph
-    (canonical gid-sorted adjacency on both sides).  ``stats`` counts the
-    work actually done: ``rows_recomputed`` vs ``rows_total`` is the
-    repair ratio, ``full_runs`` the fallbacks.
+    (canonical gid-sorted adjacency on both sides).  Every run is a full
+    power iteration over the epoch-cached :meth:`DynamicDistGraph.view`
+    with the delta graph's retained halo.  ``stats`` counts the work:
+    ``rows_recomputed`` equals ``rows_total`` (Σ ``n_loc`` × iterations)
+    and ``full_runs`` equals ``runs``.
     """
 
     def __init__(self, comm: Communicator, dyn: DynamicDistGraph,
                  damping: float = 0.85, max_iters: int = 10,
-                 tol: float | None = None, dirty_bound: float = 0.5):
+                 tol: float | None = None):
         if not (0.0 < damping < 1.0):
             raise ValueError("damping must be in (0, 1)")
-        if not (0.0 < dirty_bound <= 1.0):
-            raise ValueError("dirty_bound must be in (0, 1]")
+        if max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
         self.comm = comm
         self.dyn = dyn
         self.damping = float(damping)
         self.max_iters = int(max_iters)
         self.tol = tol
-        self.dirty_bound = float(dirty_bound)
-        self._epoch = -1  # dyn epoch of the memo; -1 = never run
-        self._memo_x: list[np.ndarray] = []
-        self._memo_sums: list[np.ndarray] = []
-        self._prev_outdeg: np.ndarray | None = None
-        self._feeds: _Feeds | None = None
         self.stats = {"runs": 0, "full_runs": 0, "rows_recomputed": 0,
                       "rows_total": 0, "iters": 0}
 
-    # ------------------------------------------------------------------
-    def _sync_structure(self) -> tuple[np.ndarray | None, bool]:
-        """Digest the journal since the last run.
-
-        Returns ``(structural_mask, full)``: the owned rows whose
-        in-adjacency changed, and whether a full recompute is forced
-        (first run, journal gap, or dirty set over the bound — decided on
-        allreduced values so every rank agrees).
-        """
-        dyn = self.dyn
-        n_loc = dyn.n_loc
-        records = (dyn.journal_since(self._epoch)
-                   if self._epoch >= 0 else None)
-        structural = np.zeros(n_loc, dtype=bool)
-        full = records is None or self._prev_outdeg is None
-        if full:
-            # A resync window was never appended to the feeds index; a
-            # stale index would under-approximate later dirty sets.
-            self._feeds = None
-        else:
-            compacted = any(rec.compacted for rec in records)
-            if compacted or self._feeds is None or \
-                    self._feeds.structure_epoch != dyn.structure_epoch:
-                self._feeds = None  # rebuilt lazily below
-            for rec in records:
-                structural[rec.in_rows] = True
-                if self._feeds is not None and not rec.compacted:
-                    self._feeds.append(rec.in_ins_lid, rec.in_ins_row)
-        if self._feeds is None:
-            self._feeds = _Feeds(dyn)
-        totals = self.comm.allreduce(np.array(
-            [int(np.count_nonzero(structural)) if not full else n_loc,
-             n_loc], dtype=np.int64), SUM)
-        if int(totals[1]) and int(totals[0]) > self.dirty_bound * int(totals[1]):
-            full = True
-        return structural, full
-
     def run(self) -> PageRankResult:
         """One collective PageRank evaluation at the current epoch."""
-        comm, dyn = self.comm, self.dyn
-        with comm.region("stream.pagerank"):
-            structural, full = self._sync_structure()
-            halo = dyn.halo
-            n_loc, n_tot, n = dyn.n_loc, dyn.n_total, dyn.n_global
-            damping = self.damping
-
-            # --- initialization: the static kernel's expressions verbatim,
-            # with the owned changed-flags fused into the first exchange.
-            teleport = np.full(n_loc, 1.0 / n, dtype=np.float64)
-            outdeg = np.zeros(n_tot, dtype=np.float64)
-            outdeg[:n_loc] = dyn.out_degrees()
-            x = np.full(n_tot, 1.0 / n, dtype=np.float64)
-            x[:n_loc] = teleport
-            if full or self._prev_outdeg is None:
-                outdeg_changed = np.ones(n_loc, dtype=bool)
-            else:
-                outdeg_changed = outdeg[:n_loc] != self._prev_outdeg
-            self._prev_outdeg = outdeg[:n_loc].copy()
-            changed_f = np.zeros(n_tot, dtype=np.float64)
-            changed_f[:n_loc] = outdeg_changed
-            halo.exchange_many(outdeg, x, changed_f)
-            base = (1.0 - damping) * teleport
-            dangling_local = outdeg[:n_loc] == 0
-            safe_outdeg = np.where(outdeg > 0, outdeg, 1.0)
-            zero_out = outdeg == 0.0
-
-            memo_x, memo_sums = self._memo_x, self._memo_sums
-            if full:
-                memo_x.clear()
-                memo_sums.clear()
-            n_iters = 0
-            delta = float("inf")
-            self.stats["runs"] += 1
-            if full:
-                self.stats["full_runs"] += 1
-
-            for k in range(self.max_iters):
-                # --- dirty rows for this iteration --------------------
-                all_dirty = full or k >= len(memo_sums)
-                if not all_dirty:
-                    dirty = structural.copy()
-                    fed = self._feeds.rows_fed_by(changed_f != 0.0)
-                    dirty[fed] = True
-                    n_dirty = int(np.count_nonzero(dirty))
-                    if n_dirty > self.dirty_bound * n_loc:
-                        all_dirty = True  # local cost switch; sums are
-                        # recomputed either way, so peers need not agree
-                # --- per-row in-neighbor sums -------------------------
-                # Same reduction as segment_sum in the static kernel:
-                # one sequential reduceat segment per nonempty row over
-                # gid-sorted entries, empty rows exactly 0.0.
-                if all_dirty:
-                    indptr, lids = dyn.in_csr_merged()
-                    vals = x[lids] / safe_outdeg[lids]
-                    vals[zero_out[lids]] = 0.0
-                    sums = np.zeros(n_loc, dtype=np.float64)
-                    nonempty = indptr[:-1] < indptr[1:]
-                    if nonempty.any():
-                        sums[nonempty] = np.add.reduceat(
-                            vals, indptr[:-1][nonempty])
-                    rows_done = n_loc
-                    if k < len(memo_sums):
-                        memo_sums[k] = sums
-                    else:
-                        memo_sums.append(sums)
-                else:
-                    rows = np.flatnonzero(dirty)
-                    counts, lids = dyn.in_rows_merged(rows)
-                    vals = x[lids] / safe_outdeg[lids]
-                    vals[zero_out[lids]] = 0.0
-                    starts = np.concatenate(
-                        ([0], np.cumsum(counts[:-1]))).astype(np.int64)
-                    row_sums = np.zeros(len(rows), dtype=np.float64)
-                    nonempty = counts > 0
-                    if nonempty.any():
-                        row_sums[nonempty] = np.add.reduceat(
-                            vals, starts[nonempty])
-                    sums = memo_sums[k]  # patched in place → memo current
-                    sums[rows] = row_sums
-                    rows_done = len(rows)
-                self.stats["rows_recomputed"] += rows_done
-                self.stats["rows_total"] += n_loc
-
-                # --- the static recurrence, verbatim ------------------
-                dangling = comm.allreduce(
-                    float(x[:n_loc][dangling_local].sum()), SUM)
-                x_new = base + damping * (sums + dangling * teleport)
-                if k < len(memo_x):
-                    x_changed = x_new != memo_x[k]
-                    memo_x[k] = x_new.copy()
-                else:
-                    x_changed = np.ones(n_loc, dtype=bool)
-                    memo_x.append(x_new.copy())
-                delta = comm.allreduce(
-                    float(np.abs(x_new - x[:n_loc]).sum()), SUM)
-                x[:n_loc] = x_new
-                changed_f[:n_loc] = x_changed | outdeg_changed
-                halo.exchange_many(x, changed_f)
-                n_iters += 1
-                self.stats["iters"] += 1
-                if self.tol is not None and delta < self.tol:
-                    break
-
-            # Iterations beyond this run's horizon hold stale memos from
-            # an earlier epoch that this epoch's dirt never patched.
-            del memo_x[n_iters:]
-            del memo_sums[n_iters:]
-            self._epoch = dyn.epoch
-            return PageRankResult(scores=x[:n_loc].copy(), n_iters=n_iters,
-                                  final_delta=float(delta))
+        dyn = self.dyn
+        res = pagerank(self.comm, dyn.view(), damping=self.damping,
+                       max_iters=self.max_iters, tol=self.tol, halo=dyn.halo)
+        rows = dyn.n_loc * res.n_iters
+        st = self.stats
+        st["runs"] += 1
+        st["full_runs"] += 1
+        st["rows_recomputed"] += rows
+        st["rows_total"] += rows
+        st["iters"] += res.n_iters
+        return res
 
 
 @dataclass(frozen=True)
@@ -455,19 +275,6 @@ class IncrementalWCC:
         # label exchange, which every rank performed; the full kernel is
         # likewise collective, so schedules stay aligned.
         return self._full()
-
-
-class IncrementalDegrees:
-    """Maintained exact degrees (the delta graph's integer counters)."""
-
-    def __init__(self, comm: Communicator, dyn: DynamicDistGraph):
-        self.comm = comm
-        self.dyn = dyn
-
-    def run(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out_degrees, in_degrees) of owned vertices — O(1), no comms."""
-        return (self.dyn.out_degrees().copy(),
-                self.dyn.in_degrees().copy())
 
 
 class IncrementalKCore:

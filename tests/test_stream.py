@@ -227,7 +227,6 @@ def test_ghost_growth_and_compaction_gc():
         r = dyn.apply(b)
         assert r.ghosts_changed
         assert r.compacted  # tiny base, overlay fraction >= 0.5
-        assert dyn.structure_epoch == 1
         assert dyn.halo is not halo0  # halo rebuilt collectively
         if comm.rank == 0:
             assert dyn.n_gst == gst0 + 1
@@ -280,43 +279,6 @@ def test_journal_window_semantics():
         assert dyn.journal_since(1)[0].epoch == 2
         # A window reaching before the retained journal reports a gap.
         assert dyn.journal_since(-1) is None
-        return True
-
-    assert all(run_spmd(1, job))
-
-
-def test_gather_rows_matches_merged_both_paths():
-    """gather_rows must reproduce merged()'s per-row order exactly, on
-    both the tombstone-free fast path and the filtered path."""
-    rng = np.random.default_rng(8)
-    n = 24
-    edges = rng.integers(0, n, size=(140, 2), dtype=np.int64)
-
-    def check(dyn):
-        st = dyn._in
-        indptr, lids, _, _ = st.merged()
-        rows = np.array([0, 3, 3, 7, 11, 23], dtype=np.int64)
-        counts, got = st.gather_rows(rows)
-        want_counts = indptr[rows + 1] - indptr[rows]
-        assert np.array_equal(counts, want_counts)
-        lo = 0
-        for r, c in zip(rows, counts):
-            seg = got[lo:lo + c]
-            assert np.array_equal(seg, lids[indptr[r]:indptr[r + 1]])
-            lo += c
-
-    def job(comm):
-        dyn = _dyn(comm, edges, n, compact_threshold=100.0)
-        # Insert-only epochs: n_tomb == 0 fast path, incl. duplicates.
-        ins = rng.integers(0, n, size=(30, 2), dtype=np.int64)
-        dyn.apply(UpdateBatch.inserts(ins))
-        assert dyn._in.n_tomb == 0
-        check(dyn)
-        # Now delete a mix of base and overlay copies: filtered path.
-        dele = np.concatenate((edges[::7], ins[::5]))
-        dyn.apply(UpdateBatch.deletes(dele))
-        assert dyn._in.n_tomb > 0
-        check(dyn)
         return True
 
     assert all(run_spmd(1, job))
@@ -403,8 +365,8 @@ def test_merged_splice_matches_lexsort_oracle(seed, weighted, nranks):
 
 
 def test_in_direction_merged_once_per_epoch():
-    """view() and in_csr_merged() read one shared merge of the in-direction
-    per epoch, whichever runs first; apply() drops it."""
+    """view() merges the in-direction once per epoch, however often it is
+    read; apply() drops the cached view."""
     rng = np.random.default_rng(15)
     n = 20
     edges = rng.integers(0, n, size=(80, 2), dtype=np.int64)
@@ -414,19 +376,14 @@ def test_in_direction_merged_once_per_epoch():
         merges = []
         real = dyn._in.merged
         dyn._in.merged = lambda: merges.append(dyn.epoch) or real()
-        for e, first in enumerate(("view", "csr", "view")):
+        for e in range(3):
             ins = rng.integers(0, n, size=(9, 2), dtype=np.int64)
             dyn.apply(UpdateBatch.concat([
                 UpdateBatch.inserts(ins),
                 UpdateBatch.deletes(edges[2 * e:2 * e + 2])]))
-            if first == "view":
-                v = dyn.view()
-                indptr, lids = dyn.in_csr_merged()
-            else:
-                indptr, lids = dyn.in_csr_merged()
-                v = dyn.view()
-            assert v.in_indexes is indptr and v.in_edges is lids
-            assert dyn.in_csr_merged()[1] is lids
+            v = dyn.view()
+            assert dyn.view() is v
+            assert np.array_equal(v.in_edges, _merged_by_lexsort(dyn._in)[1])
         assert merges == [1, 2, 3]
         return True
 

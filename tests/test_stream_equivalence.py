@@ -2,7 +2,7 @@
 
 The stream subsystem's headline contract (an ISSUE acceptance criterion):
 after *every* applied batch of randomized inserts and deletes, the
-incremental PageRank / WCC / degree kernels on the
+streaming PageRank / WCC kernels and maintained degrees on the
 :class:`~repro.stream.DynamicDistGraph` are **bitwise identical** to the
 static kernels run on a from-scratch rebuild of the updated edge list on
 the same partition.  Exercised on RMAT and Erdos-Renyi graphs across
@@ -22,7 +22,6 @@ from repro.graph import build_dist_graph
 from repro.runtime import run_spmd
 from repro.stream import (
     DynamicDistGraph,
-    IncrementalDegrees,
     IncrementalKCore,
     IncrementalPageRank,
     IncrementalWCC,
@@ -75,7 +74,6 @@ def run_equivalence(edges, n, nranks, epochs, state_edges,
         dyn = DynamicDistGraph(comm, g, compact_threshold=compact_threshold)
         ipr = IncrementalPageRank(comm, dyn, max_iters=pr_iters, tol=1e-10)
         iwcc = IncrementalWCC(comm, dyn)
-        ideg = IncrementalDegrees(comm, dyn)
         ikc = IncrementalKCore(comm, dyn) if check_kcore else None
         outcomes = []
         for e, ops in enumerate(epochs):
@@ -99,9 +97,10 @@ def run_equivalence(edges, n, nranks, epochs, state_edges,
             i_w = iwcc.run()
             assert np.array_equal(s_w.labels, i_w.labels), ("wcc", e)
 
-            od, idg = ideg.run()
-            assert np.array_equal(od, rg.out_degrees()), ("outdeg", e)
-            assert np.array_equal(idg, rg.in_degrees()), ("indeg", e)
+            assert np.array_equal(dyn.out_degrees(), rg.out_degrees()), (
+                "outdeg", e)
+            assert np.array_equal(dyn.in_degrees(), rg.in_degrees()), (
+                "indeg", e)
 
             if ikc is not None:
                 s_k = approx_kcore(comm, rg)
@@ -148,8 +147,8 @@ def test_nonuniform_partitions_bitwise(part_kind):
 
 
 def test_insert_only_stream_stays_incremental():
-    """Insert-only epochs keep the tombstone-free fast paths engaged and
-    PageRank mostly on the dirty-row repair path."""
+    """Insert-only epochs keep WCC on its union-find repair path; PageRank
+    reports every run as a full run over every owned row."""
     n = 200
     rng = np.random.default_rng(4)
     edges = erdos_renyi_edges(n, m=1200, seed=4)
@@ -168,12 +167,63 @@ def test_insert_only_stream_stays_incremental():
                            compact_threshold=10.0)
     outcomes, pr_stats, wcc_stats = outs[0]
     assert not any(comp for comp, _, _ in outcomes)
-    assert pr_stats["full_runs"] < pr_stats["runs"]
-    assert pr_stats["rows_recomputed"] < pr_stats["rows_total"]
+    assert pr_stats["full_runs"] == pr_stats["runs"] == len(epochs)
+    assert pr_stats["rows_recomputed"] == pr_stats["rows_total"]
+    # Σ over ranks of n_loc · iterations: every row of every iteration.
+    assert sum(o[1]["rows_total"] for o in outs) == n * pr_stats["iters"]
     # After the seeding full pass, insert-only batches never split
     # components: WCC stays on the union-find repair path.
     assert all(mode == "incremental" for _, _, mode in outcomes[1:])
     assert wcc_stats["full_runs"] <= 1
+
+
+def test_pagerank_refresh_runs_the_static_schedule():
+    """A refresh is the static kernel on the epoch's view: through ghost
+    growth and compaction it records exactly the collectives (op and
+    bytes sent) of ``pagerank`` on ``dyn.view()`` with the retained
+    halo, and returns the same scores."""
+    n = 128
+    edges = rmat_edges(7, edge_factor=4.0, seed=5)
+    epochs, _ = make_schedule(edges, n, n_epochs=5, n_ops=30, seed=3)
+
+    def job(comm):
+        chunk = np.array_split(edges, comm.size)[comm.rank]
+        g = build_dist_graph(comm, chunk, make_partition(
+            "vblock", comm, n, chunk))
+        dyn = DynamicDistGraph(comm, g, compact_threshold=0.15)
+        ipr = IncrementalPageRank(comm, dyn, max_iters=8, tol=1e-10)
+        events = comm.trace.events
+        compacted = []
+        for ops in epochs:
+            my = np.array_split(ops, comm.size)[comm.rank]
+            compacted.append(dyn.apply(
+                UpdateBatch(my[:, 0], my[:, 1], my[:, 2])).compacted)
+            n0 = len(events)
+            got = ipr.run()
+            n1 = len(events)
+            want = pagerank(comm, dyn.view(), max_iters=8, tol=1e-10,
+                            halo=dyn.halo)
+            assert [(e.op, e.bytes_sent) for e in events[n0:n1]] == \
+                [(e.op, e.bytes_sent) for e in events[n1:]]
+            assert np.array_equal(got.scores, want.scores)
+        return compacted
+
+    for compacted in run_spmd(2, job, timeout=120.0):
+        assert any(compacted), "no epoch compacted"
+
+
+def test_pagerank_rejects_negative_max_iters(tiny_multi):
+    n, edges = tiny_multi
+
+    def job(comm):
+        g = build_dist_graph(comm, edges, make_partition(
+            "vblock", comm, n, edges))
+        dyn = DynamicDistGraph(comm, g)
+        with pytest.raises(ValueError, match="max_iters"):
+            IncrementalPageRank(comm, dyn, max_iters=-1)
+        return True
+
+    assert all(run_spmd(1, job))
 
 
 def test_procs_backend_stream_bitwise():
