@@ -13,11 +13,13 @@
 # serve_cold_rw run (exit code only: sampled responses vs a direct engine,
 # no failed operation), a short web_batch run (exit code only: its
 # output checks) and a short rmat_traversal run (exit code only: BFS
-# levels vs scipy, multi_source_bfs == per-root BFS, grid == 1-D), a
-# 2-replica `repro serve` CLI smoke, and the
+# levels vs scipy, multi_source_bfs == per-root BFS, grid == 1-D, and the
+# Δ-stepping checks: validate_distances on the 1-D distances, grid
+# Δ-stepping bitwise == 1-D), a 2-replica `repro serve` CLI smoke, and the
 # tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
 # procs-backend subset (backends, cross-backend equivalence, the graph
-# construction oracle tests/test_build_oracle.py, engines, streaming).
+# construction oracle tests/test_build_oracle.py, the SSSP oracle
+# tests/test_delta_oracle.py, engines, streaming).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -107,8 +109,11 @@ python3 benchmarks/e2e/run.py --workload web_batch --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 # And for the traversal suite on a skewed R-MAT graph: the exit status
 # carries direction-optimizing BFS levels vs scipy, multi_source_bfs vs
-# the per-root BFS, and the grid kernels bitwise equal to the 1-D ones —
-# the only end-to-end checks of bfs_dirop and the multi-source engine.
+# the per-root BFS, the grid kernels bitwise equal to the 1-D ones, and
+# the Δ-stepping checks (validate_distances — no relaxable edge, a tight
+# predecessor per reached vertex — on the 1-D distances, grid Δ-stepping
+# bitwise == 1-D) — the only end-to-end checks of bfs_dirop, the
+# multi-source engine and the SSSP engine.
 python3 benchmarks/e2e/run.py --workload rmat_traversal --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 
@@ -160,9 +165,11 @@ echo "== pytest smoke subset on the procs backend =="
 # Engines and explicit-backend tests run on spawned-process ranks; the
 # dist_run reference harness stays pinned to threads (ground truth).  The
 # construction oracle runs here too: under procs the convert reads its
-# received edges out of shared-memory plan buffers.
+# received edges out of shared-memory plan buffers.  So does the SSSP
+# oracle: its per-rank kernel compares Δ-stepping with the dense
+# reference, collective schedule included, on spawned-process ranks.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
-    tests/test_build_oracle.py \
+    tests/test_build_oracle.py tests/test_delta_oracle.py \
     tests/test_service.py tests/test_stream_service.py \
     tests/test_stream_equivalence.py::test_procs_backend_stream_bitwise

@@ -39,7 +39,6 @@ from .delta_stepping import DeltaSteppingResult, delta_stepping
 from .exchange import HaloExchange
 from .frontier2d import (
     Frontier2D,
-    default_grid_weights,
     grid_bfs_dirop,
     grid_delta_stepping,
     grid_wcc,
@@ -95,7 +94,6 @@ __all__ = [
     "grid_bfs_dirop",
     "grid_wcc",
     "grid_delta_stepping",
-    "default_grid_weights",
     "sssp",
     "SSSPResult",
     "default_weights",

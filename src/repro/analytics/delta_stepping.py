@@ -1,22 +1,26 @@
 """Distributed delta-stepping SSSP (Meyer & Sanders; §VII extension).
 
-A second shortest-path algorithm beside the Bellman–Ford relaxation of
-:mod:`repro.analytics.sssp`, trading its simplicity for the classic
-bucketed work schedule: vertices are grouped into distance buckets of
-width Δ; the globally-lightest non-empty bucket is settled by repeated
+The one SSSP engine: vertices are grouped into distance buckets of width
+Δ; the globally-lightest non-empty bucket is settled by repeated
 *light*-edge (w < Δ) relaxations, then its *heavy* edges are relaxed once.
-Fewer relaxation rounds touch far-away vertices, which is exactly the
-trade-off the delta-stepping paper quantifies — and what the ablation
-bench measures against Bellman–Ford here.
+Small Δ approaches Dijkstra; Bellman–Ford (:func:`repro.analytics.sssp.
+sssp`) is its Δ = ∞ case, one bucket ``[0, ∞)``.  Bucket membership is
+derived from the distance array, the active bucket is agreed on with one
+``allreduce(MIN)`` per phase, and ghost distances refresh with the halo
+exchange.
 
-The distributed mapping keeps the paper's BSP idiom: bucket membership is
-derived from the distance array (no explicit queues), the active bucket
-index is agreed on with one ``allreduce(MIN)`` per phase, and ghost
-distances refresh with the retained-queue halo exchange.
+Rounds are work-efficient (GBBS's sparse edge map, Dhulipala et al.): a
+``fresh`` flag per vertex slot marks distances that fell since the vertex
+last relaxed, and a light round reads only the in-entries of fresh bucket
+members, reduces ``dist[u] + w`` per row with one ``np.minimum.reduceat``
+and writes back only improved rows.  An unchanged source offers only
+candidates at or above distances it already produced, so distances, round
+counts and the collective schedule equal relaxing every member.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,7 @@ from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import MIN, SUM, Communicator
 from .exchange import HaloExchange
-from .sssp import default_weights
+from .sssp import edge_weights
 
 __all__ = ["DeltaSteppingResult", "delta_stepping"]
 
@@ -42,6 +46,69 @@ class DeltaSteppingResult:
     reached: int
 
 
+def _resolve_delta(comm: Communicator, weights: np.ndarray,
+                   delta: float | None) -> float:
+    """Bucket width: ``delta``, else the global mean edge weight (Δ = ∞
+    when every weight is zero).  Raises on NaN and on Δ ≤ 0."""
+    if delta is None:
+        total = comm.allreduce(float(weights.sum()), SUM)
+        count = comm.allreduce(len(weights), SUM)
+        delta = total / count if total > 0 else INF
+    if not delta > 0:  # also rejects NaN
+        raise ValueError(f"delta must be positive, got {delta}")
+    return float(delta)
+
+
+def _run_buckets(comm: Communicator, dist_own: np.ndarray, delta: float,
+                 relax: Callable[[float, float, bool], int],
+                 max_rounds: int) -> tuple[int, int]:
+    """Both layouts' bucket schedule over the live owned distances;
+    ``relax(bucket_lo, bucket_hi, light)`` runs one round and returns the
+    global improved count.  Returns ``(n_phases, n_relax_rounds)``."""
+    settled_below = 0.0  # vertices with dist < settled_below are final
+    n_phases = n_rounds = 0
+    while True:
+        # The lightest non-empty bucket at or above the settled frontier.
+        pending = dist_own[dist_own >= settled_below]
+        lo = comm.allreduce(float(pending.min(initial=INF)), MIN)
+        if not np.isfinite(lo):
+            return n_phases, n_rounds
+        bucket_lo = np.floor(lo / delta) * delta if delta < INF else 0.0
+        bucket_hi = bucket_lo + delta
+        n_phases += 1
+        # Light-edge relaxations to a fixed point within the bucket.
+        while True:
+            if n_rounds >= max_rounds:
+                raise RuntimeError("delta_stepping: round budget exhausted")
+            n_rounds += 1
+            if relax(bucket_lo, bucket_hi, True) == 0:
+                break
+        # One heavy-edge pass from the settled bucket.
+        n_rounds += 1
+        relax(bucket_lo, bucket_hi, False)
+        settled_below = bucket_hi
+
+
+def _bucket_minima(dist: np.ndarray, fresh: np.ndarray | None,
+                   bucket_lo: float, bucket_hi: float,
+                   edge_class: np.ndarray, src: np.ndarray, rows: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round's candidates: ``(row ids, per-row min of dist[u] + w)``
+    over the row-grouped entries ``(src, rows)`` of ``edge_class`` whose
+    source is a bucket member — only a ``fresh`` one (flag cleared) in a
+    light round, any in the heavy pass (``fresh`` None)."""
+    active = (dist >= bucket_lo) & (dist < bucket_hi)
+    if fresh is not None:
+        active &= fresh
+        fresh[active] = False
+    e = np.flatnonzero(edge_class & active[src])
+    if not len(e):
+        return e, dist[:0]
+    r = rows[e]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    return r[starts], np.minimum.reduceat(dist[src[e]] + weights[e], starts)
+
+
 def delta_stepping(
     comm: Communicator,
     g: DistGraph | GridGraph,
@@ -51,22 +118,19 @@ def delta_stepping(
     halo: HaloExchange | None = None,
     max_rounds: int = 100_000,
 ) -> DeltaSteppingResult:
-    """Shortest distances from ``root_global`` along out-edges.
+    """Shortest distances from ``root_global`` along out-edges (a
+    :class:`GridGraph` runs the bitwise-equal :func:`~repro.analytics.
+    frontier2d.grid_delta_stepping`).
 
     Parameters
     ----------
     delta:
         Bucket width; defaults to the mean edge weight (a standard
         heuristic).  Small Δ approaches Dijkstra (many cheap phases),
-        large Δ approaches Bellman–Ford (few expensive phases).
+        Δ = ∞ is Bellman–Ford (one bucket).  NaN or Δ ≤ 0 raise.
     weights:
         Non-negative weight per local in-edge; defaults to the graph's
         edge values or the deterministic hash weights.
-
-    Notes
-    -----
-    Results are identical to :func:`repro.analytics.sssp.sssp` for the
-    same weights (asserted by tests).
     """
     if isinstance(g, GridGraph):
         from .frontier2d import grid_delta_stepping
@@ -78,20 +142,8 @@ def delta_stepping(
     with comm.region("delta_stepping"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        if weights is None:
-            weights = (g.in_values if g.in_values is not None
-                       else default_weights(g))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != g.in_edges.shape:
-            raise ValueError("weights must align with g.in_edges")
-        if len(weights) and weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if delta is None:
-            total = comm.allreduce(float(weights.sum()), SUM)
-            count = comm.allreduce(len(weights), SUM)
-            delta = (total / count) if count else 1.0
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        weights = edge_weights(g, weights)
+        delta = _resolve_delta(comm, weights, delta)
 
         n_loc, n_tot = g.n_loc, g.n_total
         dist = np.full(n_tot, INF, dtype=np.float64)
@@ -100,55 +152,31 @@ def delta_stepping(
                 comm.rank, np.array([root_global]))[0])
             dist[lid] = 0.0
         halo.exchange(dist)
+        fresh = np.isfinite(dist)  # owned and ghost slots alike
 
         rows = expand_rows(g.in_indexes)
         light = weights < delta
-        settled_below = 0.0  # vertices with dist < settled_below are final
+        heavy = ~light
 
-        n_phases = 0
-        n_rounds = 0
-
-        def relax(edge_mask: np.ndarray, src_active: np.ndarray) -> int:
-            """One relaxation round over the masked edges; returns global
+        def relax(bucket_lo: float, bucket_hi: float, is_light: bool) -> int:
+            """One round over the bucket's sources; returns the global
             number of improved local vertices."""
-            use = edge_mask & src_active[g.in_edges]
-            cand = np.where(use, dist[g.in_edges] + weights, INF)
-            new = dist[:n_loc].copy()
-            if len(cand):
-                np.minimum.at(new, rows, cand)
-            improved = comm.allreduce(
-                int(np.count_nonzero(new < dist[:n_loc])), SUM)
+            r, best = _bucket_minima(
+                dist, fresh if is_light else None, bucket_lo, bucket_hi,
+                light if is_light else heavy, g.in_edges, rows, weights)
+            better = best < dist[r]
+            r = r[better]
+            improved = comm.allreduce(len(r), SUM)
             if improved:
-                dist[:n_loc] = np.minimum(dist[:n_loc], new)
+                dist[r] = best[better]
+                fresh[r] = True
+                ghosts = dist[n_loc:].copy()
                 halo.exchange(dist)
+                fresh[n_loc:] |= dist[n_loc:] < ghosts
             return improved
 
-        while n_rounds < max_rounds:
-            # Find the lightest non-empty bucket at or above the frontier.
-            finite = np.isfinite(dist[:n_loc]) & (dist[:n_loc] >= settled_below)
-            local_min = float(dist[:n_loc][finite].min()) if finite.any() \
-                else INF
-            lo = comm.allreduce(local_min, MIN)
-            if not np.isfinite(lo):
-                break
-            bucket_lo = np.floor(lo / delta) * delta
-            bucket_hi = bucket_lo + delta
-            n_phases += 1
-
-            # Light-edge relaxations to a fixed point within the bucket.
-            while n_rounds < max_rounds:
-                in_bucket = (dist >= bucket_lo) & (dist < bucket_hi)
-                n_rounds += 1
-                if relax(light, in_bucket) == 0:
-                    break
-            # One heavy-edge pass from the settled bucket.
-            in_bucket = (dist >= bucket_lo) & (dist < bucket_hi)
-            n_rounds += 1
-            relax(~light, in_bucket)
-            settled_below = bucket_hi
-        else:
-            raise RuntimeError("delta_stepping: round budget exhausted")
-
+        n_phases, n_rounds = _run_buckets(comm, dist[:n_loc], delta, relax,
+                                          max_rounds)
         reached = comm.allreduce(
             int(np.count_nonzero(np.isfinite(dist[:n_loc]))), SUM)
         return DeltaSteppingResult(distances=dist[:n_loc].copy(),

@@ -38,12 +38,17 @@ from ..graph.distgraph import GridGraph
 from ..runtime import BOR, MAXLOC, MIN, SUM, Communicator, ReduceOp
 from .bfs import _gather_ranges
 from .common import NOT_VISITED
-from .delta_stepping import DeltaSteppingResult
-from .sssp import hash_edge_weights
+from .delta_stepping import (
+    DeltaSteppingResult,
+    _bucket_minima,
+    _resolve_delta,
+    _run_buckets,
+)
+from .sssp import edge_weights
 from .wcc import WCCResult
 
 __all__ = ["Frontier2D", "grid_bfs_dirop", "grid_wcc",
-           "grid_delta_stepping", "default_grid_weights"]
+           "grid_delta_stepping"]
 
 INF = np.inf
 
@@ -259,18 +264,6 @@ def grid_wcc(
                          giant_label=giant_label)
 
 
-def default_grid_weights(g: GridGraph) -> np.ndarray:
-    """Deterministic hash weights per bu-CSR block edge.
-
-    Same :func:`~repro.analytics.sssp.hash_edge_weights` hash of global
-    endpoint ids as the 1-D default, so the weight of every edge is
-    identical across 1-D and 2-D runs.
-    """
-    dst_g = g.row_lo + expand_rows(g.bu_indexes)
-    src_g = g.col_unmap[g.bu_edges]
-    return hash_edge_weights(src_g, dst_g)
-
-
 def grid_delta_stepping(
     comm: Communicator,
     g: GridGraph,
@@ -281,32 +274,21 @@ def grid_delta_stepping(
 ) -> DeltaSteppingResult:
     """Delta-stepping SSSP on the grid distribution.
 
-    Same bucket schedule as :func:`~repro.analytics.delta_stepping.
-    delta_stepping`; each relaxation round gathers the column slice's
-    current distances (dense float64) and MIN-reduces tentative target
-    distances along the row.  Final distances are bitwise-equal to the
-    1-D kernels for the same weights.
+    Same bucket schedule and work-efficient rounds as
+    :func:`~repro.analytics.delta_stepping.delta_stepping` (Bellman–Ford
+    at Δ = ∞).  Each round gathers the column slice's distances (dense
+    float64); a column slot turns ``fresh`` where the gather shows its
+    distance fell, and only fresh bucket members' ``bu_edges`` entries
+    feed a light round's row MIN-reduce.  Distances are bitwise-equal to
+    the 1-D kernel for the same weights.
     """
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
     with comm.region("delta_stepping2d"):
         f2 = Frontier2D(comm, g)
         n_own, own_lo, row_off = g.n_own, g.own_lo, g.own_row_off
-
-        if weights is None:
-            weights = (g.bu_values if g.bu_values is not None
-                       else default_grid_weights(g))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != g.bu_edges.shape:
-            raise ValueError("weights must align with g.bu_edges")
-        if len(weights) and weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if delta is None:
-            total = comm.allreduce(float(weights.sum()), SUM)
-            count = comm.allreduce(len(weights), SUM)
-            delta = (total / count) if count else 1.0
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        weights = edge_weights(g, weights)
+        delta = _resolve_delta(comm, weights, delta)
 
         dist = np.full(n_own, INF, dtype=np.float64)
         if own_lo <= root_global < own_lo + n_own:
@@ -314,22 +296,24 @@ def grid_delta_stepping(
 
         rows_bu = expand_rows(g.bu_indexes)
         light = weights < delta
+        heavy = ~light
         new_row = np.full(g.n_row, INF, dtype=np.float64)
-        settled_below = 0.0
-        n_phases = 0
-        n_rounds = 0
+        seen_col = np.full(g.n_col, INF, dtype=np.float64)
+        fresh_col = np.zeros(g.n_col, dtype=bool)
 
-        def relax(edge_mask: np.ndarray, bucket_lo: float,
-                  bucket_hi: float) -> int:
-            """One relaxation round over the masked block edges; returns
-            the global number of improved owned vertices."""
+        def relax(bucket_lo: float, bucket_hi: float, is_light: bool) -> int:
+            """One round over the bucket's column sources; returns the
+            global number of improved owned vertices."""
             dist_col = f2.gather_values(dist)
             new_row[:] = INF
             if g.m_block:
-                src_active = (dist_col >= bucket_lo) & (dist_col < bucket_hi)
-                use = edge_mask & src_active[g.bu_edges]
-                cand = np.where(use, dist_col[g.bu_edges] + weights, INF)
-                np.minimum.at(new_row, rows_bu, cand)
+                fresh_col[dist_col < seen_col] = True
+                seen_col[:] = dist_col
+                r, best = _bucket_minima(
+                    dist_col, fresh_col if is_light else None, bucket_lo,
+                    bucket_hi, light if is_light else heavy, g.bu_edges,
+                    rows_bu, weights)
+                new_row[r] = best
             all_row = f2.reduce_rows(new_row, MIN)
             new_own = np.minimum(dist, all_row[row_off:row_off + n_own])
             improved = comm.allreduce(
@@ -337,26 +321,8 @@ def grid_delta_stepping(
             dist[:] = new_own
             return improved
 
-        while n_rounds < max_rounds:
-            finite = np.isfinite(dist) & (dist >= settled_below)
-            local_min = float(dist[finite].min()) if finite.any() else INF
-            lo = comm.allreduce(local_min, MIN)
-            if not np.isfinite(lo):
-                break
-            bucket_lo = np.floor(lo / delta) * delta
-            bucket_hi = bucket_lo + delta
-            n_phases += 1
-
-            while n_rounds < max_rounds:
-                n_rounds += 1
-                if relax(light, bucket_lo, bucket_hi) == 0:
-                    break
-            n_rounds += 1
-            relax(~light, bucket_lo, bucket_hi)
-            settled_below = bucket_hi
-        else:
-            raise RuntimeError("grid_delta_stepping: round budget exhausted")
-
+        n_phases, n_rounds = _run_buckets(comm, dist, delta, relax,
+                                          max_rounds)
         reached = comm.allreduce(
             int(np.count_nonzero(np.isfinite(dist))), SUM)
         return DeltaSteppingResult(distances=dist, n_phases=n_phases,

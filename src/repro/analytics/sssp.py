@@ -7,9 +7,15 @@ the BFS-like class: the same bulk-synchronous structure, but per-vertex
 Bellman–Ford, the standard choice when edge weights are arbitrary and the
 diameter is small — exactly the web-graph regime).
 
+Bellman–Ford is Δ-stepping's one-bucket case: :func:`sssp` runs
+:func:`~repro.analytics.delta_stepping.delta_stepping` with Δ = ∞, whose
+light rounds are exactly the Bellman–Ford rounds, each relaxing only the
+sources whose distance changed since they last relaxed.
+
 Edge weights are supplied per local in-edge, or derived deterministically
-from the endpoint ids (so every rank count sees identical weights without
-shipping a weight array).
+from the endpoint ids (so every rank count and both layouts see identical
+weights without shipping a weight array); :func:`edge_weights` resolves
+and checks them for both SSSP kernels and the validator.
 """
 
 from __future__ import annotations
@@ -19,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import expand_rows
-from ..graph.distgraph import DistGraph
-from ..runtime import SUM, Communicator
+from ..graph.distgraph import DistGraph, GridGraph
+from ..runtime import Communicator
 from .exchange import HaloExchange
 
-__all__ = ["SSSPResult", "sssp", "default_weights", "hash_edge_weights"]
-
-INF = np.inf
+__all__ = ["SSSPResult", "sssp", "default_weights", "edge_weights",
+           "hash_edge_weights"]
 
 
 def hash_edge_weights(src_g: np.ndarray, dst_g: np.ndarray) -> np.ndarray:
@@ -44,10 +49,32 @@ def hash_edge_weights(src_g: np.ndarray, dst_g: np.ndarray) -> np.ndarray:
     return 1.0 + 9.0 * (h.astype(np.float64) / float(2**64))
 
 
-def default_weights(g: DistGraph) -> np.ndarray:
-    """:func:`hash_edge_weights` applied to every local in-edge."""
+def default_weights(g: DistGraph | GridGraph) -> np.ndarray:
+    """:func:`hash_edge_weights` of every local in-entry: ``g.in_edges``
+    (1-D) or ``g.bu_edges`` (grid), so both layouts see the same weights."""
+    if isinstance(g, GridGraph):
+        return hash_edge_weights(g.col_unmap[g.bu_edges],
+                                 g.row_lo + expand_rows(g.bu_indexes))
     rows = expand_rows(g.in_indexes)
     return hash_edge_weights(g.unmap[g.in_edges], g.unmap[rows])
+
+
+def edge_weights(g: DistGraph | GridGraph,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """Checked float64 weight per local in-entry of ``g``: ``weights`` when
+    given, else the graph's stored edge values, else the hash weights."""
+    grid = isinstance(g, GridGraph)
+    edges, values = (g.bu_edges, g.bu_values) if grid else \
+        (g.in_edges, g.in_values)
+    if weights is None:
+        weights = values if values is not None else default_weights(g)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != edges.shape:
+        raise ValueError("weights must align with g.in_edges (g.bu_edges "
+                         "on a grid)")
+    if not np.all(weights >= 0):
+        raise ValueError("weights must be non-negative")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -72,58 +99,23 @@ def sssp(
     Parameters
     ----------
     weights:
-        Non-negative weight per local **in-edge** (aligned with
-        ``g.in_edges``).  Defaults to the graph's own edge values when it
-        was built weighted (``g.in_values``), else to
-        :func:`default_weights`.
+        Non-negative weight per local **in-edge** (see
+        :func:`edge_weights`).
     max_iters:
-        Safety bound on relaxation rounds (n-1 suffices in theory).
+        Safety bound on relaxation rounds (n-1 suffices in theory);
+        ``RuntimeError`` when exhausted.
 
     Notes
     -----
-    Per round, every local vertex takes the min over
-    ``dist[u] + w(u, v)`` of its in-neighbors (one segmented reduction),
-    then ghost distances refresh with one halo exchange; the loop stops
-    when a global round changes nothing.
+    Runs :func:`~repro.analytics.delta_stepping.delta_stepping` with
+    Δ = ∞: one bucket ``[0, ∞)``, every edge light.  ``n_iters`` counts
+    its light rounds — the Bellman–Ford rounds, the last of which changes
+    nothing — and not the (empty) heavy pass.
     """
-    if not (0 <= root_global < g.n_global):
-        raise ValueError("root out of range")
-    with comm.region("sssp"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
-        if weights is None:
-            weights = (g.in_values if g.in_values is not None
-                       else default_weights(g))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != g.in_edges.shape:
-            raise ValueError("weights must align with g.in_edges")
-        if len(weights) and weights.min() < 0:
-            raise ValueError("weights must be non-negative")
+    from .delta_stepping import delta_stepping
 
-        n_loc, n_tot = g.n_loc, g.n_total
-        dist = np.full(n_tot, INF, dtype=np.float64)
-        if g.partition.owner_of(np.array([root_global]))[0] == comm.rank:
-            lid = int(g.partition.to_local(
-                comm.rank, np.array([root_global]))[0])
-            dist[lid] = 0.0
-        halo.exchange(dist)
-
-        rows = expand_rows(g.in_indexes)
-        n_iters = 0
-        for _ in range(max_iters):
-            cand = dist[g.in_edges] + weights
-            new = dist[:n_loc].copy()
-            if len(cand):
-                np.minimum.at(new, rows, cand)
-            changed = comm.allreduce(
-                int(np.count_nonzero(new < dist[:n_loc])), SUM)
-            n_iters += 1
-            if changed == 0:
-                break
-            dist[:n_loc] = new
-            halo.exchange(dist)
-
-        reached = comm.allreduce(
-            int(np.count_nonzero(np.isfinite(dist[:n_loc]))), SUM)
-        return SSSPResult(distances=dist[:n_loc].copy(), n_iters=n_iters,
-                          reached=reached)
+    res = delta_stepping(comm, g, root_global, delta=np.inf, weights=weights,
+                         halo=halo, max_rounds=max_iters)
+    return SSSPResult(distances=res.distances,
+                      n_iters=res.n_relax_rounds - res.n_phases,
+                      reached=res.reached)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import expand_rows, segment_min, segment_sum
+from ..graph.csr import expand_rows, segment_count_nonzero, segment_min, segment_sum
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import NOT_VISITED
 from .exchange import HaloExchange
+from .sssp import edge_weights
 
 __all__ = [
     "validate_bfs_levels",
@@ -185,33 +186,43 @@ def validate_distances(
     weights: np.ndarray | None = None,
     halo: HaloExchange | None = None,
 ) -> list[str]:
-    """SSSP validation: root at 0, no relaxable edge remains (triangle
-    inequality holds), unreachable vertices have no finite predecessor."""
-    from .sssp import default_weights
-
+    """SSSP validation (Graph500's rules for weighted distances): the root
+    is at 0, no edge is relaxable (triangle inequality holds, so an
+    unreachable vertex has no finite predecessor), and every finite
+    non-root vertex has a *tight* in-edge, ``dist[u] + w == dist[v]``
+    exactly.  With positive weights these certify the distances; a cycle
+    of zero-weight edges can make its members each other's tight edges, so
+    there the check is necessary only."""
     if halo is None:
         halo = HaloExchange(comm, g)
-    if weights is None:
-        weights = (g.in_values if g.in_values is not None
-                   else default_weights(g))
+    weights = edge_weights(g, weights)
     n_loc = g.n_loc
     dist = np.full(g.n_total, np.inf, dtype=np.float64)
     dist[:n_loc] = dist_local
     halo.exchange(dist)
 
     bad: list[str] = []
+    is_root = np.zeros(n_loc, dtype=bool)
     if g.partition.owner_of(np.array([root_global]))[0] == comm.rank:
         lid = int(g.partition.to_local(comm.rank, np.array([root_global]))[0])
+        is_root[lid] = True
         if dist[lid] != 0.0:
             bad.append(f"root distance is {dist[lid]}, not 0")
 
     rows = expand_rows(g.in_indexes)
+    cand = dist[g.in_edges] + weights
     with np.errstate(invalid="ignore"):  # inf - inf across unreachable pairs
-        slack = dist[rows] - (dist[g.in_edges] + weights)
+        slack = dist[rows] - cand
     relaxable = slack > 1e-9  # NaN (both endpoints unreachable) is fine
     if relaxable.any():
         i = int(np.flatnonzero(relaxable)[0])
         bad.append(
             f"edge into {int(g.unmap[rows[i]])} still relaxable by "
             f"{slack[i]:.3g}")
+    tight = segment_count_nonzero(g.in_indexes, cand == dist[rows]) > 0
+    loose = np.isfinite(dist[:n_loc]) & ~is_root & ~tight
+    for v in np.flatnonzero(loose)[:5]:
+        bad.append(
+            f"vertex {int(g.unmap[v])} at distance {dist[v]} has no tight "
+            f"in-edge")
     return _gather_violations(comm, bad)

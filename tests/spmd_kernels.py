@@ -9,6 +9,8 @@ threads-only tests use inline.
 from __future__ import annotations
 
 import hashlib
+import sys
+from functools import partial
 
 import numpy as np
 
@@ -17,8 +19,14 @@ from build_reference import (
     reference_build_grid_graph,
     reference_sort_adjacency,
 )
+from delta_reference import (
+    reference_bellman_ford,
+    reference_delta_stepping,
+    reference_grid_delta_stepping,
+)
 from kcore_reference import reference_approx_kcore, reference_exact_kcore
 from repro.analytics import (
+    Frontier2D,
     HaloExchange,
     approx_kcore,
     batched_closeness,
@@ -32,6 +40,7 @@ from repro.analytics import (
     multi_source_bfs,
     pagerank,
     scc,
+    sssp,
     wcc,
 )
 from repro.analytics.closure import ClosureAdjacency
@@ -158,6 +167,17 @@ def kern_kcore_oracle(comm, cfg):
         row["exact_rounds"] = (new.n_rounds, ref.n_rounds)
         out[name] = row
     return out
+
+
+def kern_delta_stepping(comm, cfg):
+    """Δ-stepping at the default Δ beside ``sssp`` (its Δ = ∞ case)."""
+    g = build_graph(comm, cfg)
+    halo = HaloExchange(comm, g)
+    ds = delta_stepping(comm, g, cfg["root"], halo=halo)
+    bf = sssp(comm, g, cfg["root"], halo=halo)
+    return (g.unmap[: g.n_loc].copy(),
+            np.stack([ds.distances, bf.distances], axis=1),
+            ds.n_phases, ds.n_relax_rounds, ds.reached, bf.n_iters)
 
 
 def kern_closure_work(comm, cfg):
@@ -367,6 +387,61 @@ def kern_grid_sssp(comm, cfg):
     g = build_grid(comm, cfg)
     res = delta_stepping(comm, g, cfg["root"])
     return _own_gids(g), res.distances, int(res.reached)
+
+
+def _with_schedule(comm, g, call):
+    """``call()``'s result beside the ``(op, bytes_sent)`` of every
+    collective it issued on the world and grid sub-communicators."""
+    comms = [comm]
+    if isinstance(g, GridGraph):
+        f2 = Frontier2D(comm, g)  # the cached grid sub-communicators
+        comms += [c for c in (f2.row_comm, f2.col_comm) if c is not None]
+    marks = [len(c.trace.events) for c in comms]
+    res = call()
+    return res, [[(e.op, e.bytes_sent) for e in c.trace.events[m:]]
+                 for c, m in zip(comms, marks)]
+
+
+def kern_delta_oracle(comm, cfg):
+    """Δ-stepping beside the dense reference per Δ in ``cfg["deltas"]``,
+    and (1-D) ``sssp`` beside the dense Bellman–Ford.
+
+    cfg: ``{"edges", "n", "values", "part", "root", "deltas"}``; ``part``
+    is a 1-D kind or ``"grid"``.  Δ = ∞ runs the reference at Δ = float
+    max, the same single bucket.  Returns the owned gids and ``{key:
+    (production, reference)}``, each side a tuple of distances, counters
+    and collective schedule.
+    """
+    grid = cfg["part"] == "grid"
+    root = cfg["root"]
+    if grid:
+        g, halo = build_grid(comm, cfg), None
+        ref = partial(reference_grid_delta_stepping, comm, g, root)
+    else:
+        g = build_graph(comm, cfg)
+        halo = HaloExchange(comm, g)
+        halo.exchange(np.zeros(g.n_total))  # float64 plan set up outside
+        ref = partial(reference_delta_stepping, comm, g, root, halo=halo)
+
+    def side(call, fields):
+        res, sched = _with_schedule(comm, g, call)
+        return res.distances, tuple(getattr(res, f) for f in fields), sched
+
+    out = {}
+    counters = ("n_phases", "n_relax_rounds", "reached")
+    for delta in cfg["deltas"]:
+        ref_delta = sys.float_info.max if delta == np.inf else delta
+        out[delta] = (
+            side(lambda: delta_stepping(comm, g, root, delta, halo=halo),
+                 counters),
+            side(lambda: ref(ref_delta), counters))
+    if not grid:  # schedules differ: sssp adds the phase allreduces
+        counters = ("n_iters", "reached")
+        out["sssp"] = (
+            side(lambda: sssp(comm, g, root, halo=halo), counters)[:2],
+            side(lambda: reference_bellman_ford(comm, g, root, halo=halo),
+                 counters)[:2])
+    return (_own_gids(g) if grid else g.unmap[: g.n_loc].copy()), out
 
 
 def kern_collectives(comm, seed):

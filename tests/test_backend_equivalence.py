@@ -94,6 +94,14 @@ def test_label_propagation_bitwise_across_ranks(graph_edges, nranks, mode):
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_delta_stepping_bitwise_across_ranks(graph_edges, nranks):
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock", "root": 0}
+    dist = _assert_bitwise(K.kern_delta_stepping, cfg, nranks)
+    assert np.array_equal(dist[:, 0], dist[:, 1])
+    assert np.isfinite(dist).any()
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 4])
 def test_build_bitwise_across_ranks(graph_edges, nranks):
     """Every 1-D and grid array, weighted: under procs the convert reads
     its received edges out of shared-memory plan buffers."""
@@ -108,9 +116,10 @@ def test_build_bitwise_across_ranks(graph_edges, nranks):
 @pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_wcc,
                                     K.kern_bfs_dirop, K.kern_scc,
                                     K.kern_label_propagation, K.kern_msbfs,
-                                    K.kern_harmonic, K.kern_build],
+                                    K.kern_harmonic, K.kern_build,
+                                    K.kern_delta_stepping],
                          ids=["pagerank", "wcc", "bfs", "scc", "lp", "msbfs",
-                              "harmonic", "build"])
+                              "harmonic", "build", "delta_stepping"])
 def test_bitwise_across_partition_kinds(graph_edges, kernel, part):
     cfg = {"edges": graph_edges, "n": N, "part": part, "iters": 12,
            "root": 0, "sources": SOURCES}

@@ -137,6 +137,23 @@ def test_distance_validator(small_web, p):
     assert any(o[1] != [] for o in outs)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_distance_validator_needs_tight_predecessors(small_web, p):
+    """Too-small distances relax no edge; only the tight-predecessor rule
+    (``dist[u] + w == dist[v]`` for some in-edge) rejects them."""
+    n, edges = small_web
+    root = int(edges[0, 0])
+
+    def fn(comm, g):
+        d = sssp(comm, g, root).distances
+        return (validate_distances(comm, g, np.zeros_like(d), root),
+                validate_distances(comm, g, d * 0.5, root))
+
+    for zeros, halved in dist_run(edges, n, p, fn):
+        assert any("no tight in-edge" in v for v in zeros)
+        assert any("no tight in-edge" in v for v in halved)
+
+
 def test_validators_identical_on_all_ranks(small_web):
     n, edges = small_web
     root = int(edges[0, 0])
