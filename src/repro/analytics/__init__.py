@@ -18,8 +18,9 @@ Closure-like (the paper's BFS-like kernels that read no level: run to a
 local fixed point, then synchronize):
 
 * :mod:`~repro.analytics.closure` — :class:`ClosureAdjacency` with the
-  ``peel_below`` / ``reach_from`` superstep primitives;
-* :func:`largest_scc` / :func:`scc` — Forward–Backward SCC with trimming;
+  ``peel_below`` / ``reach_from`` / ``propagate_min`` superstep primitives;
+* :func:`largest_scc` — Forward–Backward SCC with trimming, and
+  :func:`scc` — the full decomposition (Multistep: trim, FW–BW, coloring);
 * phase 1 of :func:`wcc` (Multistep);
 * :func:`approx_kcore` — geometric coreness-bound sweep, and
   :func:`exact_kcore`, both thin drivers over those primitives.

@@ -1,17 +1,21 @@
 """Monotone closures by local-fixed-point supersteps.
 
 The level-less traversals — "peel every vertex whose alive degree is
-below ``k``" (k-core stages, SCC trimming) and "everything the roots reach"
-(FW–BW sweeps, WCC's giant component, the bow-tie wings) — are *monotone
-closures*: a flag per vertex flips one way only, a flip can only enable
-further flips, and the final set is a function of the graph alone, not of
-the order flips are discovered in.  A BSP kernel discovers one hop per
-collective round; because the result is order-independent, a rank may
-instead run its part of the closure to a **local fixed point** with no
-communication, and only then synchronize — the block-centric schedule
-Ammar & Özsu measured ahead of vertex-centric engines (PAPERS.md), with
-the bucketed-frontier peeling of Dhulipala et al.: every stored edge is
-touched O(1) times per closure instead of once per round.
+below ``k``" (k-core stages, SCC trimming), "everything the roots reach"
+(FW–BW sweeps, WCC's giant component, the bow-tie wings; optionally
+inside one label class, SCC coloring's backward closure) and "the least
+label that reaches each vertex" (SCC coloring) — are *monotone
+closures*: a flag per vertex flips one way only (a label only falls), a
+flip can only enable further flips, and the final state is a function of
+the graph alone, not of the order flips are discovered in.  A BSP kernel
+discovers one hop per collective round; because the result is
+order-independent, a rank may instead run its part of the closure to a
+**local fixed point** with no communication, and only then synchronize —
+the block-centric schedule Ammar & Özsu measured ahead of vertex-centric
+engines (PAPERS.md), with the bucketed-frontier peeling of Dhulipala et
+al.: a peel or reach touches every stored edge O(1) times per closure
+instead of once per round, and the label closure reads a row again only
+when its vertex's label fell again.
 
 :class:`ClosureAdjacency` is the data structure the closures walk: a CSR
 of owned rows plus a CSR of *ghost* rows, for one traversal direction.
@@ -22,14 +26,14 @@ ghost copy, the halo exchange — and the ghost rows let the receiving rank
 carry a flipped ghost's consequences to its own vertices.  (The cut edge
 is stored on both sides, so neither side ever needs to write to a ghost.)
 
-**Superstep protocol** (identical for both closures)::
+**Superstep protocol** (identical for all three closures)::
 
     loop:
         run the frontier to a local fixed point      # no communication
         total = allreduce(owned flips this superstep, SUM)
         if total == 0: break                         # global fixed point
-        halo.exchange(flag array)                    # owners -> ghosts
-        frontier = ghosts that flipped in the exchange
+        halo.exchange(flag or label array)           # owners -> ghosts
+        frontier = ghosts that changed in the exchange
 
 The exit test is the allreduced count, so every rank leaves at the same
 superstep and the collective schedule is identical everywhere.  On a
@@ -93,8 +97,9 @@ class ClosureAdjacency:
     decrement along the rows of vertices that die, never recomputed.
 
     ``supersteps`` and ``edges_scanned`` accumulate over the instance's
-    closures; each closure reads every stored entry at most once (a row is
-    gathered when its vertex flips, and a vertex flips once).
+    closures; a peel or reach reads every stored entry at most once (a row
+    is gathered when its vertex flips, and a vertex flips once), and
+    ``propagate_min`` once plus once per fall of the row's label.
     """
 
     def __init__(self, comm: Communicator, g: DistGraph, halo: HaloExchange,
@@ -134,31 +139,39 @@ class ClosureAdjacency:
         return len(self.adj) + len(self.ghost_adj)
 
     # ------------------------------------------------------------------
-    def _neighbors(self, rows: np.ndarray, ghost: bool = False) -> np.ndarray:
+    def _neighbors(self, rows: np.ndarray, ghost: bool = False,
+                   tags: np.ndarray | None = None):
         """Concatenated rows of the owned local ids ``rows`` — or, with
         ``ghost``, of the ghost local ids ``rows`` (each read counted
-        once)."""
+        once).  With ``tags`` (an array over owned + ghost vertices) the
+        return is ``(neighbours, tags[row] of each entry's row)``."""
         if not len(rows):  # every local phase ends on an empty frontier
-            return rows
+            return rows if tags is None else (rows, tags[rows])
         if ghost:
-            indptr, adj, rows = (self.ghost_indptr, self.ghost_adj,
-                                 rows - self.g.n_loc)
+            indptr, adj, at = (self.ghost_indptr, self.ghost_adj,
+                               rows - self.g.n_loc)
         else:
-            indptr, adj = self.indptr, self.adj
-        nbrs = _gather_ranges(adj, indptr[rows], indptr[rows + 1])
+            indptr, adj, at = self.indptr, self.adj, rows
+        starts, ends = indptr[at], indptr[at + 1]
+        nbrs = _gather_ranges(adj, starts, ends)
         self.edges_scanned += len(nbrs)
-        return nbrs
+        if tags is None:
+            return nbrs
+        return nbrs, np.repeat(tags[rows], ends - starts)
 
-    def _seed_neighbors(self, lids: np.ndarray) -> np.ndarray:
+    def _seed_neighbors(self, lids: np.ndarray,
+                        tags: np.ndarray | None = None):
         """Rows of a closure's starting set: ascending local ids that may
         mix owned and ghost vertices (inside a closure a frontier is one
-        or the other)."""
+        or the other).  ``tags`` as for :meth:`_neighbors`."""
         n_own = int(np.searchsorted(lids, self.g.n_loc))
-        nbrs = self._neighbors(lids[:n_own])
+        owned = self._neighbors(lids[:n_own], tags=tags)
         if n_own == len(lids):
-            return nbrs
-        return np.concatenate(
-            (nbrs, self._neighbors(lids[n_own:], ghost=True)))
+            return owned
+        ghost = self._neighbors(lids[n_own:], ghost=True, tags=tags)
+        if tags is None:
+            return np.concatenate((owned, ghost))
+        return tuple(np.concatenate(p) for p in zip(owned, ghost))
 
     def _distinct(self, lids: np.ndarray) -> np.ndarray:
         """``lids`` without repeats, in O(len) — each position claims its
@@ -244,13 +257,19 @@ class ClosureAdjacency:
             nbrs = [a._neighbors(ghosts, ghost=True) for a in adjs]
         return np.concatenate(removed), n_removed
 
-    def reach_from(self, roots) -> tuple[np.ndarray, int]:
+    def reach_from(self, roots, within: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, int]:
         """Alive vertices the ``roots`` lead to through alive ones.
 
         ``roots`` is one global id or an array; the closure is of the
         union over ranks.  A rank passes at least the roots it owns; roots
         it holds as ghosts start expanding a superstep earlier if passed,
         others (and negative or dead ids) are skipped.
+
+        ``within`` (an array over owned + ghost vertices, ghost part
+        current) restricts every hop to equal values: a vertex joins only
+        from a row whose ``within`` value is its own, so each root reaches
+        inside its own class.  SCC coloring passes its colors.
 
         Returns ``(mask over owned + ghost vertices, global owned count)``;
         the ghost part of the mask is current on return.
@@ -269,21 +288,63 @@ class ClosureAdjacency:
         unclaimed[seeds] = False
         n_flipped = int(np.searchsorted(seeds, n_loc))
         n_reached = 0
-        nbrs = self._seed_neighbors(seeds)
+
+        def same_class(read):
+            if within is None:
+                return read
+            nbrs, tags = read
+            return nbrs[within[nbrs] == tags]
+
+        nbrs = same_class(self._seed_neighbors(seeds, within))
         while True:
             while len(nbrs):
                 rows = self._distinct(nbrs[unclaimed[nbrs]])
                 unclaimed[rows] = False
                 reached[rows] = True
                 n_flipped += len(rows)
-                nbrs = self._neighbors(rows)
+                nbrs = same_class(self._neighbors(rows, tags=within))
             total, ghosts = self._synchronize(reached, n_flipped)
             if total == 0:
                 break
             n_reached += total
             n_flipped = 0
-            nbrs = self._neighbors(ghosts, ghost=True)
+            nbrs = same_class(self._neighbors(ghosts, ghost=True,
+                                              tags=within))
         return reached, n_reached
+
+    def propagate_min(self, labels: np.ndarray) -> None:
+        """Lower each alive owned vertex's ``labels`` entry, in place, to
+        the minimum over the alive vertices that lead to it through alive
+        ones (itself included).
+
+        ``labels`` covers owned and ghost vertices, ghost part current on
+        entry and on return; entries of dead vertices are left alone.  The
+        closure is monotone — a label only falls — so it runs on the
+        superstep protocol with "label fell" as the flip.  Every alive
+        row, owned or ghost, is read in the first superstep; after that a
+        row is read again only when its vertex's label fell again (locally
+        or in the halo exchange), so the entries read are the stored ones
+        times one plus the falls of their row's vertex.
+        """
+        n_loc = self.g.n_loc
+        # Owned and alive: the only vertices a row may lower.
+        target = self.alive.copy()
+        target[n_loc:] = False
+        n_fell = 0
+        nbrs, cand = self._seed_neighbors(np.flatnonzero(self.alive), labels)
+        while True:
+            while len(nbrs):
+                lower = target[nbrs] & (cand < labels[nbrs])
+                nbrs = nbrs[lower]
+                np.minimum.at(labels, nbrs, cand[lower])
+                rows = self._distinct(nbrs)
+                n_fell += len(rows)
+                nbrs, cand = self._neighbors(rows, tags=labels)
+            total, ghosts = self._synchronize(labels, n_fell)
+            if total == 0:
+                return
+            n_fell = 0
+            nbrs, cand = self._neighbors(ghosts, ghost=True, tags=labels)
 
     def keep_only(self, mask: np.ndarray) -> None:
         """Restrict ``alive`` to ``mask`` (owned + ghost, ghost part

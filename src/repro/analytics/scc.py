@@ -1,4 +1,5 @@
-"""Largest strongly connected component via Forward–Backward (paper §III-D).
+"""Strongly connected components: trim + FW–BW (paper §III-D), then
+Multistep coloring.
 
 The paper extracts the largest SCC of the web crawl with the FW–BW method
 (Fleischer, Hendrickson & Pinar, 2000).  None of its steps reads a BFS
@@ -16,10 +17,21 @@ that share one ``alive`` array:
    along in-edges, both inside the surviving set; their intersection is
    the pivot's SCC.
 
-``largest_scc`` returns the membership mask; :func:`scc` additionally
-labels the remaining vertices by iterated FW–BW on what is left, yielding
-the full SCC decomposition (the paper only needs the largest; the full
-decomposition is provided as the natural extension).
+``largest_scc`` returns that membership mask.  :func:`scc` finishes the
+full decomposition the way the paper authors' Multistep method does
+(Slota, Rajamanickam & Madduri, IPDPS 2014), in rounds of:
+
+4. **Seeded peel** — take the SCCs found last out, and trim what that
+   strands (each such vertex is its own SCC).
+5. **Min-label coloring** — ``color[v]`` becomes the least id among the
+   alive vertices that reach ``v`` (``propagate_min`` along out-rows).  A
+   *root* (``color == own id``) is the least of its ancestors, so of its
+   own SCC: its color is the SCC's canonical label.
+6. **Backward closure** — one ``reach_from`` along in-rows from every
+   root at once, a vertex joining only from a row of its own color: each
+   root collects exactly its SCC.
+
+The round ends when the closure finds nothing, i.e. nothing is alive.
 """
 
 from __future__ import annotations
@@ -64,6 +76,25 @@ def _bump_work(comm: Communicator, fwd: ClosureAdjacency,
     return supersteps, edges_scanned
 
 
+def _trim_and_giant(comm: Communicator, g: DistGraph, halo: HaloExchange):
+    """Paper §III-D: trim to the fixed point, then FW–BW from the
+    max-degree survivor.
+
+    Returns ``(fwd, bwd, trimmed, n_trimmed, pivot, giant)``: the forward
+    and backward adjacencies (sharing ``alive``, trimmed vertices dead),
+    the owned local ids trimmed here and the global trim count, the pivot
+    (-1 when nothing survives the trim, and then it reaches nothing), and
+    the pivot's SCC as a mask over owned + ghost vertices, ghost part
+    current.
+    """
+    fwd = ClosureAdjacency(comm, g, halo, "out")
+    bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+    trimmed, n_trimmed = fwd.peel_below(1, bwd)
+    pivot, _deg = global_max_degree_vertex(comm, g, restrict=fwd.alive)
+    giant = fwd.reach_from(pivot)[0] & bwd.reach_from(pivot)[0]
+    return fwd, bwd, trimmed, n_trimmed, pivot, giant
+
+
 def largest_scc(
     comm: Communicator,
     g: DistGraph,
@@ -77,15 +108,8 @@ def largest_scc(
     with comm.region("scc"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        n_loc = g.n_loc
-        fwd = ClosureAdjacency(comm, g, halo, "out")
-        bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
-        _, n_trimmed = fwd.peel_below(1, bwd)
-
-        # Nothing survives trimming: pivot -1, which reaches nothing.
-        pivot, _deg = global_max_degree_vertex(comm, g, restrict=fwd.alive)
-        in_scc = (fwd.reach_from(pivot)[0][:n_loc]
-                  & bwd.reach_from(pivot)[0][:n_loc])
+        fwd, bwd, _, n_trimmed, pivot, giant = _trim_and_giant(comm, g, halo)
+        in_scc = giant[:g.n_loc]
         size = comm.allreduce(int(in_scc.sum()), SUM)
         supersteps, edges_scanned = _bump_work(comm, fwd, bwd)
         return SCCResult(in_scc=in_scc, size=size, pivot=pivot,
@@ -97,20 +121,19 @@ def scc(
     comm: Communicator,
     g: DistGraph,
     halo: HaloExchange | None = None,
-    max_pivots: int = 10_000,
 ) -> np.ndarray:
-    """Full SCC decomposition by iterated FW–BW.
+    """Full SCC decomposition: trim + the giant's FW–BW, then coloring.
 
     Returns an int64 label per local vertex: the minimum global vertex id
     of its SCC (canonical, so results are rank-count independent).
 
-    The descend order is breadth-only (a work queue of unresolved vertex
-    sets is not materialized; instead the alive set shrinks after each
-    pivot round), which is sufficient for graphs whose SCC count is modest
-    after trimming.  One pair of in/out-degree arrays lives across all
-    rounds: taking a labelled SCC out is a peel seeded with its members,
-    so every vertex's rows are read once, when it dies — trimmed or
-    labelled.  ``max_pivots`` guards pathological inputs.
+    Each coloring round takes out every SCC whose root it finds, and the
+    SCC of the smallest alive id always has its root, so there are at
+    most as many rounds as SCCs left after the giant (each counted in
+    the ``scc.rounds`` trace counter).  One pair of in/out-degree arrays
+    lives across all rounds: taking labelled SCCs out is a peel seeded
+    with their members, so the peels read every vertex's rows once, when
+    it dies — trimmed or labelled.
     """
     with comm.region("scc_full"):
         if halo is None:
@@ -118,26 +141,31 @@ def scc(
         n_loc = g.n_loc
         gids = g.unmap[:n_loc]
         labels = np.full(n_loc, -1, dtype=np.int64)
-        fwd = ClosureAdjacency(comm, g, halo, "out")
-        bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+        fwd, bwd, trimmed, _, _, members = _trim_and_giant(comm, g, halo)
+        labels[trimmed] = gids[trimmed]
+        mine = members[:n_loc]
+        local_min = int(gids[mine].min()) if mine.any() else g.n_global
+        labels[mine] = comm.allreduce(local_min, MIN)
 
-        members = None
-        for _ in range(max_pivots):
-            # Take the last round's SCC out, then trim: trivial SCCs get
-            # their singleton labels immediately.
+        color = np.empty(g.n_total, dtype=np.int64)
+        rounds = 0
+        while True:
+            # Take the last SCCs out, then trim: trivial SCCs get their
+            # singleton labels immediately.
             trimmed, _ = fwd.peel_below(1, bwd, dead=members)
             labels[trimmed] = gids[trimmed]
-            pivot, _deg = global_max_degree_vertex(comm, g,
-                                                   restrict=fwd.alive)
-            if pivot < 0:
+            # color[v]: the least id of the alive vertices reaching v.  A
+            # root's SCC is its color class's backward closure from it.
+            color[:] = g.unmap
+            fwd.propagate_min(color)
+            roots = gids[fwd.alive[:n_loc] & (color[:n_loc] == gids)]
+            members, n_members = bwd.reach_from(roots, within=color)
+            if n_members == 0:
                 break
-            # Ghost parts of both masks are current, so of ``members`` too.
-            members = fwd.reach_from(pivot)[0] & bwd.reach_from(pivot)[0]
+            rounds += 1
             mine = members[:n_loc]
-            local_min = int(gids[mine].min()) if mine.any() else g.n_global
-            labels[mine] = comm.allreduce(local_min, MIN)
-        else:
-            raise RuntimeError("scc: pivot budget exhausted")
+            labels[mine] = color[:n_loc][mine]
 
         _bump_work(comm, fwd, bwd)
+        comm.trace.bump("scc.rounds", rounds)
         return labels

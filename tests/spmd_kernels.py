@@ -25,6 +25,7 @@ from delta_reference import (
     reference_grid_delta_stepping,
 )
 from kcore_reference import reference_approx_kcore, reference_exact_kcore
+from scc_reference import reference_scc
 from repro.analytics import (
     Frontier2D,
     HaloExchange,
@@ -207,31 +208,59 @@ def kern_closure_work(comm, cfg):
     return calls, und.n_entries
 
 
+class _RowLog(ClosureAdjacency):
+    """A :class:`ClosureAdjacency` that, while ``log`` is a list, records
+    every tagged row read as ``(local ids, their tags at the read)``."""
+
+    log = None
+
+    def _neighbors(self, rows, ghost=False, tags=None):
+        if self.log is not None and tags is not None:
+            self.log.append((rows.copy(), tags[rows].copy()))
+        return super()._neighbors(rows, ghost, tags)
+
+
+def _reread_only_on_falls(log) -> bool:
+    """Whether every row read again in one call's ``log`` saw a lower tag
+    than at its previous read (the stated bound of ``propagate_min``)."""
+    if not log:
+        return True
+    lids = np.concatenate([r for r, _ in log])
+    tags = np.concatenate([t for _, t in log])
+    order = np.argsort(lids, kind="stable")  # read order within a vertex
+    lids, tags = lids[order], tags[order]
+    again = lids[1:] == lids[:-1]
+    return bool((tags[1:][again] < tags[:-1][again]).all())
+
+
 def kern_scc_work(comm, cfg):
     """A full SCC decomposition driven closure by closure the way
-    ``scc()`` drives it, next to the real call.
+    ``scc()`` drives it (trim, the giant's FW–BW, coloring rounds), next
+    to the real call.
 
-    Returns ``(calls, labels_agree, driven, counted, single)``: per closure
-    ``(kind, supersteps, edges_scanned, stored entries of the adjacencies
-    walked)``; whether the driven labels equal ``scc()``'s; the driven
-    closures' total ``(supersteps, edges_scanned)``; what the real call
-    bumped into ``comm.trace.counters``; and ``largest_scc``'s result
-    fields beside its own counter bump.
+    Returns ``(calls, labels_agree, driven, counted, single, falls_ok)``:
+    per closure ``(kind, supersteps, edges_scanned, stored entries of the
+    adjacencies walked)``; whether the driven labels equal ``scc()``'s;
+    the driven closures' total ``(supersteps, edges_scanned, rounds)``;
+    what the real call bumped into ``comm.trace.counters``;
+    ``largest_scc``'s result fields beside its own counter bump; and
+    whether ``propagate_min`` re-read a row only after its label fell.
     """
     g = build_graph(comm, cfg)
     halo = HaloExchange(comm, g)
-    keys = ("scc.supersteps", "scc.edges_scanned")
+    keys = ("scc.supersteps", "scc.edges_scanned", "scc.rounds")
 
-    def counted(call):
+    def counted(call, keys):
         before = [comm.trace.counters.get(k, 0) for k in keys]
         out = call()
         return out, tuple(comm.trace.counters[k] - b
                           for k, b in zip(keys, before))
 
-    want, scc_counted = counted(lambda: scc(comm, g, halo=halo))
-    big, big_counted = counted(lambda: largest_scc(comm, g, halo=halo))
+    want, scc_counted = counted(lambda: scc(comm, g, halo=halo), keys)
+    big, big_counted = counted(lambda: largest_scc(comm, g, halo=halo),
+                               keys[:2])
 
-    fwd = ClosureAdjacency(comm, g, halo, "out")
+    fwd = _RowLog(comm, g, halo, "out")
     bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
     calls = []
 
@@ -247,23 +276,51 @@ def kern_scc_work(comm, cfg):
     n_loc = g.n_loc
     gids = g.unmap[:n_loc]
     labels = np.full(n_loc, -1, dtype=np.int64)
-    dead = None
+    trimmed, _ = run("peel", (fwd, bwd), lambda: fwd.peel_below(1, bwd))
+    labels[trimmed] = gids[trimmed]
+    pivot, _ = global_max_degree_vertex(comm, g, restrict=fwd.alive)
+    dead = (run("reach", (fwd,), lambda: fwd.reach_from(pivot))[0]
+            & run("reach", (bwd,), lambda: bwd.reach_from(pivot))[0])
+    mine = dead[:n_loc]
+    labels[mine] = comm.allreduce(
+        int(gids[mine].min()) if mine.any() else g.n_global, MIN)
+    color = np.empty(g.n_total, dtype=np.int64)
+    rounds, falls_ok = 0, True
     while True:
         trimmed, _ = run("peel", (fwd, bwd),
                          lambda: fwd.peel_below(1, bwd, dead=dead))
         labels[trimmed] = gids[trimmed]
-        pivot, _ = global_max_degree_vertex(comm, g, restrict=fwd.alive)
-        if pivot < 0:
+        color[:] = g.unmap
+        fwd.log = []
+        run("propagate", (fwd,), lambda: fwd.propagate_min(color))
+        falls_ok &= _reread_only_on_falls(fwd.log)
+        fwd.log = None
+        roots = gids[fwd.alive[:n_loc] & (color[:n_loc] == gids)]
+        dead, n_members = run("reach", (bwd,),
+                              lambda: bwd.reach_from(roots, within=color))
+        if n_members == 0:
             break
-        dead = (run("reach", (fwd,), lambda: fwd.reach_from(pivot))[0]
-                & run("reach", (bwd,), lambda: bwd.reach_from(pivot))[0])
-        mine = dead[:n_loc]
-        labels[mine] = comm.allreduce(
-            int(gids[mine].min()) if mine.any() else g.n_global, MIN)
+        rounds += 1
+        labels[dead[:n_loc]] = color[:n_loc][dead[:n_loc]]
     driven = (fwd.supersteps + bwd.supersteps,
-              fwd.edges_scanned + bwd.edges_scanned)
+              fwd.edges_scanned + bwd.edges_scanned, rounds)
     return (calls, bool(np.array_equal(labels, want)), driven, scc_counted,
-            ((big.supersteps, big.edges_scanned), big_counted))
+            ((big.supersteps, big.edges_scanned), big_counted), falls_ok)
+
+
+def kern_scc_oracle(comm, cfg):
+    """``scc()`` beside the pivot-loop reference on every graph of
+    ``cfg["graphs"]`` (``{name: (n, edges)}``) under ``cfg["part"]``.
+
+    Returns ``{name: (owned gids, labels, reference labels)}``.
+    """
+    out = {}
+    for name, (n, edges) in cfg["graphs"].items():
+        g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
+        halo = HaloExchange(comm, g)
+        out[name] = (g.unmap[: g.n_loc].copy(), scc(comm, g, halo=halo),
+                     reference_scc(comm, g, halo=halo))
+    return out
 
 
 def kern_reach_roots(comm, cfg):

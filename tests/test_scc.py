@@ -12,6 +12,7 @@ from repro.analytics import largest_scc, scc
 from repro.baselines import digraph_from_edges, largest_scc_ref
 from repro.generators import rmat_edges
 from repro.runtime import run_spmd
+from test_scc_oracle import chained_pairs
 
 
 def run_largest(edges, n, p, kind="vblock"):
@@ -117,29 +118,37 @@ def test_rank_count_invariance(small_web):
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 @pytest.mark.parametrize("graph", ["web", "rmat"])
 def test_closure_work_is_bounded(small_web, graph, nranks, part):
-    """A closure reads a stored entry of the adjacencies it walks at most
-    once; over a whole decomposition the peels together read each forward
-    and backward entry at most once, because a vertex dies once (trimmed
-    or labelled) and degrees are carried across pivot rounds."""
+    """A peel or reach closure reads a stored entry of the adjacencies it
+    walks at most once; over a whole decomposition the peels together read
+    each forward and backward entry at most once, because a vertex dies
+    once (trimmed or labelled) and degrees are carried across rounds.
+    ``propagate_min`` reads every alive row once and re-reads a row only
+    when its vertex's label fell again."""
     n, edges = small_web if graph == "web" else (
         128, rmat_edges(7, edge_factor=4.0, seed=5))
     cfg = {"edges": edges, "n": n, "part": part}
     outs = run_spmd(nranks, K.kern_scc_work, cfg, backend="threads")
-    for calls, labels_agree, driven, counted, (fields, bumped) in outs:
-        assert labels_agree
-        assert calls[0][0] == "peel" and calls[-1][0] == "peel"
-        for _, _, scanned, entries in calls:
-            assert scanned <= entries
+    for calls, labels_agree, driven, counted, (fields, bumped), falls_ok \
+            in outs:
+        assert labels_agree and falls_ok
+        rounds = driven[2]
+        assert [c[0] for c in calls] == (
+            ["peel", "reach", "reach"]
+            + ["peel", "propagate", "reach"] * (rounds + 1))
+        for kind, _, scanned, entries in calls:
+            if kind != "propagate":
+                assert scanned <= entries
         peels = [c for c in calls if c[0] == "peel"]
         assert sum(c[2] for c in peels) <= peels[0][3]
         if nranks == 1:
             # One superstep does the work, one confirms the fixed point.
             assert all(ss <= 2 for _, ss, _, _ in calls)
         # Result fields, trace counters and the driven closures agree.
-        assert driven == counted == (sum(c[1] for c in calls),
-                                     sum(c[2] for c in calls))
+        assert driven == counted
+        assert driven[:2] == (sum(c[1] for c in calls),
+                              sum(c[2] for c in calls))
         assert fields == bumped
-    assert len({(o[2][0], o[4][0][0]) for o in outs}) == 1  # global counts
+    assert len({(o[2][0], o[2][2], o[4][0][0]) for o in outs}) == 1  # global
 
 
 @pytest.mark.parametrize("part", PARTITION_KINDS)
@@ -157,3 +166,21 @@ def test_multi_root_reach_is_union_of_single_root_reaches(nranks, part):
         assert together[roots].all() and not together.all()
         for o in outs:  # the returned count is the global owned count
             assert o[1][direction][0][1] == together.sum()
+
+
+def test_more_sccs_than_a_pivot_budget():
+    """10 001 chained 2-cycles survive the trim whole.  One pivot per round
+    needed 10 001 rounds (the old loop gave up after 10 000); with the
+    links running from higher to lower ids every pair is a color root, so
+    one coloring round takes out all the pairs the giant's FW–BW left."""
+    n, edges = chained_pairs(10_001, ascending=False)
+
+    def fn(comm, g):
+        before = comm.trace.counters.get("scc.rounds", 0)
+        labels = scc(comm, g)
+        return g.unmap[: g.n_loc], labels, \
+            comm.trace.counters["scc.rounds"] - before
+
+    outs = dist_run(edges, n, 2, fn)
+    assert (gather_by_gid(outs) == np.arange(n) // 2 * 2).all()
+    assert [o[2] for o in outs] == [1, 1]
