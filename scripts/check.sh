@@ -20,10 +20,15 @@
 # procs-backend subset (backends, cross-backend equivalence, the graph
 # construction oracle tests/test_build_oracle.py, the SSSP oracle
 # tests/test_delta_oracle.py, the SCC oracle tests/test_scc_oracle.py,
-# engines, streaming).  The SCC checks: web_batch's exit code carries its
-# SCC count vs scipy; tests/test_scc_oracle.py holds scc() labels bitwise
-# equal to the pivot-loop reference (tests/scc_reference.py) and R-MAT
-# labels equal to scipy's strong components.
+# the WCC oracle tests/test_wcc_oracle.py, engines, streaming).  The SCC
+# checks: web_batch's exit code carries its SCC count vs scipy;
+# tests/test_scc_oracle.py holds scc() labels bitwise equal to the
+# pivot-loop reference (tests/scc_reference.py) and R-MAT labels equal to
+# scipy's strong components.  tests/test_wcc_oracle.py holds wcc() labels
+# bitwise equal to the coloring-loop reference (tests/wcc_reference.py),
+# and tests/test_kcore_oracle.py (tier 1, threads and procs cells) holds
+# approx_kcore's stages bitwise equal to the stage-by-stage reference
+# (tests/kcore_reference.py).
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -172,10 +177,11 @@ echo "== pytest smoke subset on the procs backend =="
 # received edges out of shared-memory plan buffers.  So does the SSSP
 # oracle: its per-rank kernel compares Δ-stepping with the dense
 # reference, collective schedule included, on spawned-process ranks.  And
-# the SCC oracle: scc() beside the pivot-loop reference on every graph.
+# the SCC oracle: scc() beside the pivot-loop reference on every graph,
+# and the WCC oracle: wcc() beside the coloring-loop reference.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
     tests/test_build_oracle.py tests/test_delta_oracle.py \
-    tests/test_scc_oracle.py \
+    tests/test_scc_oracle.py tests/test_wcc_oracle.py \
     tests/test_service.py tests/test_stream_service.py \
     tests/test_stream_equivalence.py::test_procs_backend_stream_bitwise

@@ -100,15 +100,17 @@ def batched_personalized_pagerank(
 
         n_iters = 0
         deltas = np.full(k, np.inf)
+        # One allreduce per iteration, as in pagerank(): this iteration's
+        # deltas ride with the next one's dangling mass.
+        dangling = comm.allreduce(x[:n_loc][dangling_local].sum(axis=0), SUM)
         for _ in range(max_iters):
             contrib = x / safe_outdeg[:, None]
             contrib[outdeg == 0, :] = 0.0
             sums = _segment_sum_block(g.in_indexes, contrib[g.in_edges])
-            dangling = comm.allreduce(x[:n_loc][dangling_local].sum(axis=0),
-                                      SUM)
             x_new = base + damping * (sums + teleport * dangling)
-            deltas = comm.allreduce(
-                np.abs(x_new - x[:n_loc]).sum(axis=0), SUM)
+            deltas, dangling = comm.allreduce(
+                np.stack((np.abs(x_new - x[:n_loc]).sum(axis=0),
+                          x_new[dangling_local].sum(axis=0))), SUM)
             x[:n_loc] = x_new
             halo.exchange(x)
             n_iters += 1

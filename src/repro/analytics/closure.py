@@ -4,7 +4,8 @@ The level-less traversals — "peel every vertex whose alive degree is
 below ``k``" (k-core stages, SCC trimming), "everything the roots reach"
 (FW–BW sweeps, WCC's giant component, the bow-tie wings; optionally
 inside one label class, SCC coloring's backward closure) and "the least
-label that reaches each vertex" (SCC coloring) — are *monotone
+label that reaches each vertex" (SCC and WCC coloring; with a per-vertex
+floor, the k-core sweep's widest paths from its pivot) — are *monotone
 closures*: a flag per vertex flips one way only (a label only falls), a
 flip can only enable further flips, and the final state is a function of
 the graph alone, not of the order flips are discovered in.  A BSP kernel
@@ -18,7 +19,10 @@ instead of once per round, and the label closure reads a row again only
 when its vertex's label fell again.
 
 :class:`ClosureAdjacency` is the data structure the closures walk: a CSR
-of owned rows plus a CSR of *ghost* rows, for one traversal direction.
+of owned rows plus a CSR of *ghost* rows, for one traversal direction —
+the immutable :class:`ClosureRows`, built once per (graph, direction)
+and shared by every kernel run on that graph — plus one run's
+``alive``/``degree`` state.
 An owned row lists the vertices its vertex leads to (out-neighbours,
 in-neighbours, or both); a ghost row lists the owned vertices that ghost
 leads to.  Information crosses ranks in one direction only — owner to
@@ -58,13 +62,10 @@ __all__ = ["ClosureAdjacency", "undirected_rows"]
 _GHOST_DEGREE = np.iinfo(np.int64).max // 2
 
 
-def undirected_rows(g: DistGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, adj)`` of the owned vertices' undirected rows: the
-    out-run then the in-run of each vertex, with multiplicity.
-
-    Entry e of the out-CSR (row r) lands at ``e + in_ptr[r]``, entry e of
-    the in-CSR at ``e + out_ptr[r + 1]`` — pure index arithmetic, no sort.
-    """
+def _undirected(g: DistGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The out-run then the in-run of each owned vertex, by index
+    arithmetic: entry e of the out-CSR (row r) lands at
+    ``e + in_ptr[r]``, entry e of the in-CSR at ``e + out_ptr[r + 1]``."""
     out_ptr, in_ptr = g.out_indexes, g.in_indexes
     m_out, m_in = len(g.out_edges), len(g.in_edges)
     adj = np.empty(m_out + m_in, dtype=np.int64)
@@ -75,25 +76,88 @@ def undirected_rows(g: DistGraph) -> tuple[np.ndarray, np.ndarray]:
     return out_ptr + in_ptr, adj
 
 
-class ClosureAdjacency:
-    """One traversal direction of ``g`` plus the alive/degree state of a
-    sweep.
+class ClosureRows:
+    """The immutable part of a :class:`ClosureAdjacency`: one traversal
+    direction's owned rows, ghost rows and base degrees.
 
-    Built per kernel call (a temporary — nothing is cached on the graph).
     ``direction`` is ``"out"`` (rows follow out-edges), ``"in"`` or
     ``"both"`` (the undirected view).  For ``"out"``/``"in"`` the owned
     rows *are* the graph's CSR, not a copy.  A ghost's row — the owned
     vertices it leads to — is read off the *reverse* CSR: ghost ``u``
     leads to owned ``v`` exactly when ``u`` appears in ``v``'s reverse
     row, so the cut entries of the reverse CSR, grouped by ghost with one
-    ``bucket_order`` of the cut only, are the ghost rows.
+    ``bucket_order`` of the cut only, are the ghost rows.  ``degree[v]``
+    (owned ``v``) is the length of ``v``'s reverse row: the number of
+    vertices that lead *to* ``v``, with multiplicity.
+
+    Obtain one with :func:`closure_rows`, which builds it once per
+    (graph, direction) and keeps it on the graph object: every closure
+    kernel run on the same graph shares it, and it is freed with the
+    graph.  The arrays built here are read-only.
+    """
+
+    __slots__ = ("indptr", "adj", "ghost_indptr", "ghost_adj", "degree")
+
+    def __init__(self, g: DistGraph, direction: str):
+        n_loc = g.n_loc
+        if direction == "both":
+            rows = reverse = _undirected(g)
+        elif direction == "out":
+            rows = g.out_indexes, g.out_edges
+            reverse = g.in_indexes, g.in_edges
+        elif direction == "in":
+            rows = g.in_indexes, g.in_edges
+            reverse = g.out_indexes, g.out_edges
+        else:
+            raise ValueError(
+                f"direction must be 'out', 'in' or 'both', got {direction!r}")
+        self.indptr, self.adj = rows
+        rev_ptr, rev_adj = reverse
+        cut = np.flatnonzero(rev_adj >= n_loc)
+        order, self.ghost_indptr = bucket_order(rev_adj[cut] - n_loc, g.n_gst)
+        self.ghost_adj = expand_rows(rev_ptr)[cut][order]
+        self.degree = np.diff(rev_ptr)
+        built = [self.ghost_indptr, self.ghost_adj, self.degree]
+        if direction == "both":
+            built += rows
+        for a in built:
+            a.flags.writeable = False
+
+
+def closure_rows(g: DistGraph, direction: str = "both") -> ClosureRows:
+    """The :class:`ClosureRows` of ``g`` in ``direction``, built on first
+    use and cached on ``g`` (:meth:`DistGraph.sort_adjacency` drops it)."""
+    rows = g.derived.get(("closure", direction))
+    if rows is None:
+        rows = g.derived[("closure", direction)] = ClosureRows(g, direction)
+    return rows
+
+
+def undirected_rows(g: DistGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, adj)`` of the owned vertices' undirected rows: the
+    out-run then the in-run of each vertex, with multiplicity.  These are
+    the shared ``"both"`` closure rows of ``g``; do not write to them."""
+    rows = closure_rows(g, "both")
+    return rows.indptr, rows.adj
+
+
+class ClosureAdjacency:
+    """One traversal direction of ``g`` plus the alive/degree state of a
+    sweep.
+
+    The rows are the graph's shared :class:`ClosureRows` for
+    ``direction`` (``"out"``, ``"in"`` or ``"both"``), so constructing
+    one costs two per-vertex arrays once the rows exist; the state below
+    belongs to this instance.
 
     ``alive`` covers owned and ghost vertices and is current on both at
     every closure's return; pass another adjacency's ``alive`` to share it
-    (SCC trims over a forward and a backward adjacency at once).
+    (SCC trims over a forward and a backward adjacency at once), or a
+    fresh mask to run closures inside a subset of the vertices.
     ``degree[v]`` is, for every alive owned ``v``, the number of alive
     vertices that lead *to* ``v`` (entries of its reverse row, with
-    multiplicity; for ``"both"`` that is its own row) — maintained by
+    multiplicity; for ``"both"`` that is its own row) — correct only while
+    everything outside ``alive`` died by :meth:`peel_below`, maintained by
     decrement along the rows of vertices that die, never recomputed.
 
     ``supersteps`` and ``edges_scanned`` accumulate over the instance's
@@ -108,27 +172,12 @@ class ClosureAdjacency:
         self.g = g
         self.halo = halo
         n_loc, n_tot = g.n_loc, g.n_total
-        if direction == "both":
-            rows = reverse = undirected_rows(g)
-        elif direction == "out":
-            rows = g.out_indexes, g.out_edges
-            reverse = g.in_indexes, g.in_edges
-        elif direction == "in":
-            rows = g.in_indexes, g.in_edges
-            reverse = g.out_indexes, g.out_edges
-        else:
-            raise ValueError(
-                f"direction must be 'out', 'in' or 'both', got {direction!r}")
-        self.indptr, self.adj = rows
-        rev_ptr, rev_adj = reverse
-
-        cut = np.flatnonzero(rev_adj >= n_loc)
-        order, self.ghost_indptr = bucket_order(rev_adj[cut] - n_loc, g.n_gst)
-        self.ghost_adj = expand_rows(rev_ptr)[cut][order]
-
+        rows = closure_rows(g, direction)
+        self.indptr, self.adj = rows.indptr, rows.adj
+        self.ghost_indptr, self.ghost_adj = rows.ghost_indptr, rows.ghost_adj
         self.alive = np.ones(n_tot, dtype=bool) if alive is None else alive
         self.degree = np.full(n_tot, _GHOST_DEGREE, dtype=np.int64)
-        self.degree[:n_loc] = np.diff(rev_ptr)
+        self.degree[:n_loc] = rows.degree
         self.supersteps = 0
         self.edges_scanned = 0
         self._slot = np.empty(n_tot, dtype=np.int64)
@@ -312,7 +361,9 @@ class ClosureAdjacency:
                                               tags=within))
         return reached, n_reached
 
-    def propagate_min(self, labels: np.ndarray) -> None:
+    def propagate_min(self, labels: np.ndarray,
+                      floor: np.ndarray | None = None,
+                      seeds: np.ndarray | None = None) -> None:
         """Lower each alive owned vertex's ``labels`` entry, in place, to
         the minimum over the alive vertices that lead to it through alive
         ones (itself included).
@@ -320,20 +371,37 @@ class ClosureAdjacency:
         ``labels`` covers owned and ghost vertices, ghost part current on
         entry and on return; entries of dead vertices are left alone.  The
         closure is monotone — a label only falls — so it runs on the
-        superstep protocol with "label fell" as the flip.  Every alive
-        row, owned or ghost, is read in the first superstep; after that a
-        row is read again only when its vertex's label fell again (locally
-        or in the halo exchange), so the entries read are the stored ones
+        superstep protocol with "label fell" as the flip.  The ``seeds``
+        rows are read in the first superstep; after that a row is read
+        again only when its vertex's label fell again (locally or in the
+        halo exchange), so the entries read are at most the stored ones
         times one plus the falls of their row's vertex.
+
+        ``floor`` (an array over owned + ghost vertices) bounds the new
+        label of each target from below: a label arriving over an entry
+        is raised to the target's floor before it is compared.  With
+        ``label = top − width`` and ``floor = top − capacity`` the closure
+        computes widest paths: each vertex ends at the largest, over the
+        paths reaching it, of the smallest capacity on the path.
+
+        ``seeds`` (ascending local ids, owned and ghost, ghost labels
+        current) are the rows that start the closure; the default is every
+        alive row, which is what a closure needs when every vertex starts
+        with its own label.  Passing only the vertices whose label is
+        below the rest's start value saves reading the other rows first.
         """
         n_loc = self.g.n_loc
         # Owned and alive: the only vertices a row may lower.
         target = self.alive.copy()
         target[n_loc:] = False
         n_fell = 0
-        nbrs, cand = self._seed_neighbors(np.flatnonzero(self.alive), labels)
+        seeds = (np.flatnonzero(self.alive) if seeds is None
+                 else seeds[self.alive[seeds]])
+        nbrs, cand = self._seed_neighbors(seeds, labels)
         while True:
             while len(nbrs):
+                if floor is not None:
+                    cand = np.maximum(cand, floor[nbrs])
                 lower = target[nbrs] & (cand < labels[nbrs])
                 nbrs = nbrs[lower]
                 np.minimum.at(labels, nbrs, cand[lower])

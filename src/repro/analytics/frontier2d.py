@@ -211,8 +211,8 @@ def grid_wcc(
     the undirected adjacency.  Labels are the canonical per-component
     minimum global id, bitwise-equal to the 1-D :func:`~repro.analytics.
     wcc.wcc` labels; the BFS phase captures the same giant component
-    (``n_color_iters`` may differ — the coloring sweep here is a plain
-    Bellman-style fixpoint).
+    (``supersteps`` counts this coloring loop's iterations — a plain
+    Bellman-style fixpoint — so it differs from the 1-D count).
     """
     if not g.symmetrized:
         raise ValueError(
@@ -260,7 +260,7 @@ def grid_wcc(
             labels = new_labels
             n_iters += 1
 
-        return WCCResult(labels=labels, n_color_iters=n_iters,
+        return WCCResult(labels=labels, supersteps=n_iters,
                          giant_label=giant_label)
 
 

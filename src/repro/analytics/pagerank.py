@@ -114,13 +114,17 @@ def pagerank(
         n_iters = 0
         delta = float("inf")
         safe_outdeg = np.where(outdeg > 0, outdeg, 1.0)
+        # One allreduce per iteration: this iteration's |Δ| rides with the
+        # next one's dangling mass (the first is reduced before the loop).
+        dangling = comm.allreduce(float(x[:n_loc][dangling_local].sum()), SUM)
         for _ in range(max_iters):
             contrib = x / safe_outdeg
             contrib[outdeg == 0] = 0.0
             sums = segment_sum(g.in_indexes, contrib[g.in_edges])
-            dangling = comm.allreduce(float(x[:n_loc][dangling_local].sum()), SUM)
             x_new = base + damping * (sums + dangling * teleport)
-            delta = comm.allreduce(float(np.abs(x_new - x[:n_loc]).sum()), SUM)
+            local = np.array([np.abs(x_new - x[:n_loc]).sum(),
+                              x_new[dangling_local].sum()])
+            delta, dangling = (float(v) for v in comm.allreduce(local, SUM))
             x[:n_loc] = x_new
             if delta_tol is None:
                 halo.exchange(x)

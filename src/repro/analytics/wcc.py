@@ -7,10 +7,14 @@ in distributed memory; it "has stages belonging to both classes":
    one undirected :meth:`~repro.analytics.closure.ClosureAdjacency.reach_from`
    closure): everything the highest-degree vertex reaches is the giant
    component that dominates web-scale graphs.
-2. **Coloring phase** (PageRank-like): the remaining vertices repeatedly
-   adopt the minimum label among themselves and their neighbors until a
-   fixed point — a handful of iterations for the small leftover
-   components.
+2. **Coloring phase** (PageRank-like in the paper): the remaining
+   vertices adopt the minimum label among themselves and their
+   neighbors until a fixed point.  Min-label propagation is a monotone
+   closure, so it runs as one
+   :meth:`~repro.analytics.closure.ClosureAdjacency.propagate_min` over
+   the leftover vertices: local fixed points between halo exchanges, a
+   row read again only when its vertex's label fell, instead of every
+   leftover row re-reduced once per iteration.
 
 Labels are canonical: every vertex ends with the *minimum global vertex
 id* of its weak component, so results are partition- and rank-count-
@@ -23,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph, GridGraph
-from ..runtime import MIN, SUM, Communicator
+from ..runtime import MIN, Communicator
 from .closure import ClosureAdjacency
 from .common import global_max_degree_vertex
 from .exchange import HaloExchange
@@ -38,7 +41,7 @@ class WCCResult:
     """Per-rank weak-connectivity output."""
 
     labels: np.ndarray  # min-gid component label per local vertex
-    n_color_iters: int  # iterations of the coloring phase
+    supersteps: int  # synchronization points of the call (see ``wcc``)
     giant_label: int  # label of the BFS-captured component (-1 if empty graph)
 
 
@@ -46,13 +49,17 @@ def wcc(
     comm: Communicator,
     g: DistGraph | GridGraph,
     halo: HaloExchange | None = None,
-    max_color_iters: int = 10_000,
 ) -> WCCResult:
-    """Label every vertex with the minimum global id of its weak component."""
+    """Label every vertex with the minimum global id of its weak component.
+
+    ``supersteps`` counts the closures' supersteps (the giant's reach and
+    the coloring); on a :class:`GridGraph` it is
+    :func:`~repro.analytics.frontier2d.grid_wcc`'s coloring iterations.
+    """
     if isinstance(g, GridGraph):
         from .frontier2d import grid_wcc
 
-        return grid_wcc(comm, g, max_color_iters=max_color_iters)
+        return grid_wcc(comm, g)
     with comm.region("wcc"):
         if halo is None:
             halo = HaloExchange(comm, g)
@@ -75,25 +82,8 @@ def wcc(
             labels[visited] = giant_label
 
         # --- Phase 2: min-label coloring of the leftover vertices. ---
-        # Their entries, grouped by row as the adjacency stores them.
-        rows = expand_rows(und.indptr)
-        keep = ~visited[rows]
-        nbrs = und.adj[keep]
-        rows, starts = np.unique(rows[keep], return_index=True)
-        n_iters = 0
-        while n_iters < max_color_iters:
-            new_local = labels[:n_loc].copy()
-            new_local[rows] = np.minimum(
-                new_local[rows], np.minimum.reduceat(labels[nbrs], starts))
-            changed = comm.allreduce(
-                int(np.count_nonzero(new_local != labels[:n_loc])), SUM)
-            if changed == 0:
-                break
-            labels[:n_loc] = new_local
-            # tol=0 delta: late coloring rounds touch few labels, so most
-            # iterations ship a sparse (index, label) trickle.
-            halo.exchange_delta(labels)
-            n_iters += 1
-
-        return WCCResult(labels=labels[:n_loc].copy(), n_color_iters=n_iters,
-                         giant_label=giant_label)
+        # The giant is a whole component: no leftover row reaches it.
+        und.keep_only(~visited)
+        und.propagate_min(labels)
+        return WCCResult(labels=labels[:n_loc].copy(),
+                         supersteps=und.supersteps, giant_label=giant_label)

@@ -50,6 +50,11 @@ class DistGraph:
     map: IntHashMap = field(repr=False)
     out_values: np.ndarray | None = None  # optional per-out-edge weights
     in_values: np.ndarray | None = None  # optional per-in-edge weights
+    #: Read-only structures derived from the adjacency by the kernels
+    #: that share them (the closure rows), built on first use; they live
+    #: and die with this object, and :meth:`sort_adjacency` drops them.
+    derived: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -135,6 +140,7 @@ class DistGraph:
         then by row.  Edge values, when present, travel with their
         edges.  Returns ``self``.
         """
+        self.derived.clear()
         for ind, name in ((self.out_indexes, "out"), (self.in_indexes, "in")):
             adj = getattr(self, f"{name}_edges")
             vals = getattr(self, f"{name}_values")

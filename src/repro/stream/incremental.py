@@ -34,15 +34,18 @@ components, which cannot be repaired from labels alone.
 (integer adds; :meth:`~repro.stream.deltagraph.DynamicDistGraph.
 out_degrees` / ``in_degrees``).  The geometric k-core sweep is recomputed
 whenever the journal shows an effective change — one inserted edge can
-resurrect vertices peeled many stages earlier, so no label-local repair
-exists — but a recompute is no longer a rescan: the sweep runs as the
-local-fixed-point supersteps of :mod:`repro.analytics.closure` over one
-maintained degree array, reading each adjacency entry at most once per
-peel or component step and synchronizing once per superstep instead of
-once per peel round and BFS level.  It stays exact because each step is a
-closure whose result depends on the graph only, never on the order
-vertices are discovered in (DESIGN.md §17).  ``stats`` counts recomputes,
-reuses, supersteps and entries scanned.
+resurrect vertices peeled many stages earlier, and a batch that mixes
+inserts and deletes leaves much of the graph able to rise, so no
+label-local repair exists — but a recompute is no longer a
+rescan: :func:`~repro.analytics.kcore.approx_kcore` peels every stage
+over one maintained degree array (each adjacency entry read at most once
+per sweep), then finds every stage's kept component with one
+widest-path closure from the pivot, all as the local-fixed-point
+supersteps of :mod:`repro.analytics.closure` on the rows the epoch's
+WCC run shares.  It stays exact because each step is a closure whose
+result depends on the graph only, never on the order vertices are
+discovered in (DESIGN.md §17).  ``stats`` counts recomputes, reuses,
+supersteps, entries scanned and pivots.
 
 All reuse/fallback decisions are taken on globally-agreed values (the
 journal's allreduced counters), so every rank follows the same collective
@@ -283,11 +286,12 @@ class IncrementalKCore:
     One inserted edge can resurrect vertices peeled arbitrarily early
     (their neighbors' survival changes), so the sweep is re-run rather
     than repaired — on the materialized view, with the delta graph's
-    retained halo.  A re-run costs the rows of the vertices each stage
-    removes plus the rows of the component it keeps (``edges_scanned``)
-    and two collectives per superstep (``supersteps``); its result is
+    retained halo.  A re-run reads each entry at most once over all the
+    stages' peels, plus the rows one widest-path closure per pivot reads
+    (``edges_scanned``; usually one pivot, ``pivots``), and runs two
+    collectives per superstep (``supersteps``); its result is
     bit-identical to the sweep on a from-scratch rebuild because every
-    stage is an order-independent closure of the graph.  Batches with no
+    step is an order-independent closure of the graph.  Batches with no
     effective mutation skip the sweep entirely; that decision reads
     journal counters that are global, keeping ranks in lockstep.
     """
@@ -301,7 +305,7 @@ class IncrementalKCore:
         self._cached: KCoreResult | None = None
         self._epoch = -1
         self.stats = {"runs": 0, "recomputes": 0, "reuses": 0,
-                      "supersteps": 0, "edges_scanned": 0}
+                      "supersteps": 0, "edges_scanned": 0, "pivots": 0}
 
     def run(self) -> KCoreResult:
         dyn = self.dyn
@@ -319,6 +323,6 @@ class IncrementalKCore:
         self._cached = res
         self._epoch = dyn.epoch
         self.stats["recomputes"] += 1
-        self.stats["supersteps"] += res.supersteps
-        self.stats["edges_scanned"] += res.edges_scanned
+        for key in ("supersteps", "edges_scanned", "pivots"):
+            self.stats[key] += getattr(res, key)
         return res

@@ -26,6 +26,7 @@ from delta_reference import (
 )
 from kcore_reference import reference_approx_kcore, reference_exact_kcore
 from scc_reference import reference_scc
+from wcc_reference import reference_wcc
 from repro.analytics import (
     Frontier2D,
     HaloExchange,
@@ -97,6 +98,24 @@ def kern_wcc(comm, cfg):
     g = build_graph(comm, cfg)
     res = wcc(comm, g, halo=HaloExchange(comm, g))
     return g.unmap[: g.n_loc].copy(), res.labels, int(res.giant_label)
+
+
+def kern_wcc_oracle(comm, cfg):
+    """``wcc()`` beside the coloring-loop reference on every graph of
+    ``cfg["graphs"]`` (``{name: (n, edges)}``) under ``cfg["part"]``.
+
+    Returns ``{name: (owned gids, labels, reference labels, giant label,
+    reference giant label)}``.
+    """
+    out = {}
+    for name, (n, edges) in cfg["graphs"].items():
+        g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
+        halo = HaloExchange(comm, g)
+        res = wcc(comm, g, halo=halo)
+        ref_labels, ref_giant = reference_wcc(comm, g, halo=halo)
+        out[name] = (g.unmap[: g.n_loc].copy(), res.labels, ref_labels,
+                     res.giant_label, ref_giant)
+    return out
 
 
 def kern_label_propagation(comm, cfg):
@@ -182,30 +201,82 @@ def kern_delta_stepping(comm, cfg):
 
 
 def kern_closure_work(comm, cfg):
-    """Per-closure work of one full sweep: a list of ``(kind, supersteps,
-    edges_scanned)`` plus the adjacency's stored-entry count."""
+    """One ``approx_kcore`` sweep driven closure by closure the way the
+    kernel drives it — every stage's peel, then one widest-path closure
+    per pivot — next to the real call.
+
+    Returns ``(calls, n_entries, stages_agree, driven, counted,
+    falls_ok)``: per closure ``(kind, supersteps, edges_scanned)``; the
+    undirected adjacency's stored-entry count; whether the driven stages
+    equal ``approx_kcore``'s; the driven closures' total ``(supersteps,
+    edges_scanned, pivots)``; what the real call bumped into
+    ``comm.trace.counters``; and whether every widest-path closure
+    re-read a row only after its width rose.
+    """
     g = build_graph(comm, cfg)
-    und = ClosureAdjacency(comm, g, HaloExchange(comm, g))
+    halo = HaloExchange(comm, g)
+    max_stage = cfg["max_stage"]
+    keys = ("kcore.supersteps", "kcore.edges_scanned", "kcore.pivots")
+    before = [comm.trace.counters.get(k, 0) for k in keys]
+    want = approx_kcore(comm, g, max_stage=max_stage, halo=halo)
+    counted = tuple(comm.trace.counters[k] - b for k, b in zip(keys, before))
+
     calls = []
 
-    def record(kind, before):
-        calls.append((kind, und.supersteps - before[0],
-                      und.edges_scanned - before[1]))
+    def run(kind, adj, closure):
+        before = (adj.supersteps, adj.edges_scanned)
+        out = closure()
+        calls.append((kind, adj.supersteps - before[0],
+                      adj.edges_scanned - before[1]))
+        return out
 
+    n_loc = g.n_loc
+    und = ClosureAdjacency(comm, g, halo)
+    last = np.full(g.n_total, max_stage, dtype=np.int64)
     survivors = g.n_global
-    for i in range(1, cfg["max_stage"] + 1):
-        before = (und.supersteps, und.edges_scanned)
-        _, n_removed = und.peel_below(1 << i)
-        record("peel", before)
+    for i in range(1, max_stage + 1):
+        removed, n_removed = run("peel", und, partial(und.peel_below, 1 << i))
+        last[removed] = i - 1
         survivors -= n_removed
         if survivors == 0:
             break
-        pivot, _ = global_max_degree_vertex(comm, g, restrict=und.alive)
-        before = (und.supersteps, und.edges_scanned)
-        reached, survivors = und.reach_from(pivot)
-        record("reach", before)
-        und.keep_only(reached)
-    return calls, und.n_entries
+
+    halo.exchange(last)
+    floor = max_stage - last
+    label = np.empty(g.n_total, dtype=np.int64)
+    stage = np.zeros(n_loc, dtype=np.int64)
+    region = np.ones(g.n_total, dtype=bool)
+    adjs, falls_ok, i0 = [und], True, 1
+    while True:
+        inside = region & (last >= i0)
+        pivot, _ = global_max_degree_vertex(comm, g, restrict=inside)
+        if pivot < 0:
+            stage[region[:n_loc]] = i0
+            break
+        label.fill(max_stage + 1)
+        seed = g.to_local(np.array([pivot], dtype=np.int64))
+        seed = seed[seed >= 0]
+        label[seed] = floor[seed]
+        adj = _RowLog(comm, g, halo, alive=inside)
+        adj.log = []
+        run("widest", adj,
+            partial(adj.propagate_min, label, floor=floor, seeds=seed))
+        falls_ok &= _reread_only_on_falls(adj.log)
+        adjs.append(adj)
+        width = max_stage - label
+        top = comm.allreduce(int(width[:n_loc].max(initial=-1)), MAX)
+        low = region[:n_loc] & (width[:n_loc] < top)
+        stage[low] = np.maximum(width[:n_loc][low], i0 - 1) + 1
+        region &= width == top
+        if top == max_stage:
+            stage[region[:n_loc]] = max_stage + 1
+            break
+        i0 = top + 1
+    driven = (sum(a.supersteps for a in adjs),
+              sum(a.edges_scanned for a in adjs), len(adjs) - 1)
+    return (calls, und.n_entries,
+            bool(np.array_equal(stage, want.stage_removed)), driven, counted,
+            falls_ok)
 
 
 class _RowLog(ClosureAdjacency):

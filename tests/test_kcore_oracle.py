@@ -39,12 +39,32 @@ def _graphs():
     # Two dense components, a path, isolated vertices.
     multi = (_clique(10) + _clique(8, base=10)
              + [(18, 19), (19, 20), (20, 21)])
+    # Hub 0 (60 leaves, last stage survived 1) bridges blob A (a 6-clique
+    # at 1..6 whose vertex 1 has 40 leaves: last stage 3) and blob B (a
+    # 12-clique at 7..18: last stage 4), and 1-7 bridges the blobs.  The
+    # pivot is the hub, then vertex 1 once the hub dies, then a B vertex
+    # once A dies: the region narrows twice.
+    hub_blobs = ([(0, v) for v in range(100, 160)] + [(0, 1), (0, 2), (0, 7)]
+                 + _clique(6, base=1) + _clique(12, base=7) + [(1, 7)]
+                 + [(1, v) for v in range(160, 200)])
+    # Cliques of 3, 5, 9 and 17 (last stages 1-4) chained by single
+    # edges; each clique's first vertex has leaves, more on the sparser
+    # cliques, so the pivot starts in the sparsest and moves inward.
+    shells, base, leaf = [], 0, 40
+    for size, leaves in ((3, 60), (5, 45), (9, 30), (17, 10)):
+        shells += _clique(size, base=base)
+        shells += [(base, v) for v in range(leaf, leaf + leaves)]
+        if base:
+            shells.append((base - 1, base))
+        base, leaf = base + size, leaf + leaves
     return {
         "web": {"edges": webcrawl_edges(300, avg_degree=6, seed=11),
                 "n": 300},
         "rmat": {"edges": rmat_edges(7, edge_factor=4.0, seed=5), "n": 128},
         "star_hub": {"edges": _edges(star), "n": 50},
         "multi_component": {"edges": _edges(multi), "n": 25},
+        "hub_blobs": {"edges": _edges(hub_blobs), "n": 200},
+        "nested_shells": {"edges": _edges(shells), "n": leaf},
         "no_edges": {"edges": _edges([]), "n": 6},
         # self-loop, duplicate and reciprocal edges; fewer vertices than
         # ranks at p=4, so one rank owns nothing.
@@ -106,32 +126,50 @@ def test_star_hub_pivot_leaves_at_stage_one():
 
 @pytest.mark.parametrize("part", PARTITION_KINDS)
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-@pytest.mark.parametrize("name", ["web", "rmat", "multi_component"])
+@pytest.mark.parametrize("max_stage", [2, 4])
+@pytest.mark.parametrize("name", ["hub_blobs", "nested_shells"])
+def test_pivot_changes_at_low_max_stage(name, max_stage, nranks, part):
+    """The graphs whose pivot dies mid-sweep, cut off before, at and after
+    the pivot changes."""
+    cfg = {"graphs": {name: GRAPHS[name]}, "part": part,
+           "max_stage": max_stage}
+    _check(run_spmd(nranks, K.kern_kcore_oracle, cfg, backend="threads"))
+
+
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+@pytest.mark.parametrize("name", ["web", "rmat", "multi_component",
+                                  "hub_blobs", "nested_shells"])
 def test_closure_work_is_bounded(name, nranks, part):
-    """Each closure reads a stored entry at most once, so a stage (peel +
-    reach) reads at most twice the stored entries; and over the whole
-    sweep the peels together read each entry at most once, because a
-    vertex dies once."""
+    """Every stage's peel first, then one widest-path closure per pivot.
+    The peels together read each stored entry at most once, because a
+    vertex dies once; a widest-path closure re-reads a row only after its
+    vertex's width rose.  The driven schedule gives ``approx_kcore``'s
+    stages, and its work totals are the trace counters."""
     cfg = {**GRAPHS[name], "part": part, "max_stage": MAX_STAGE}
-    for calls, n_entries in run_spmd(nranks, K.kern_closure_work, cfg,
-                                     backend="threads"):
-        assert calls and calls[0][0] == "peel"
-        for _, _, scanned in calls:
-            assert scanned <= n_entries
-        peel_total = sum(s for kind, _, s in calls if kind == "peel")
-        assert peel_total <= n_entries
-        stages = [calls[i:i + 2] for i in range(0, len(calls), 2)]
-        for stage in stages:
-            assert sum(s for _, _, s in stage) <= 2 * n_entries
+    outs = run_spmd(nranks, K.kern_closure_work, cfg, backend="threads")
+    for calls, n_entries, stages_agree, driven, counted, falls_ok in outs:
+        assert stages_agree and falls_ok
+        kinds = [kind for kind, _, _ in calls]
+        n_peels = kinds.count("peel")
+        assert kinds == ["peel"] * n_peels + ["widest"] * driven[2]
+        assert sum(s for _, _, s in calls[:n_peels]) <= n_entries
+        assert driven == counted
+        assert driven[:2] == (sum(ss for _, ss, _ in calls),
+                              sum(s for _, _, s in calls))
         if nranks == 1:
             # One superstep does the work, one confirms the fixed point.
             assert all(ss <= 2 for _, ss, _ in calls)
+    pivots = {o[3][2] for o in outs}  # global
+    assert len(pivots) == 1
+    assert pivots.pop() == {"hub_blobs": 3, "nested_shells": 4}.get(name, 1)
 
 
 def test_work_counters_reach_trace_and_stats():
-    """supersteps / edges_scanned are reported three ways that must agree:
-    on the result, in ``comm.trace.counters`` and, summed over recomputes,
-    in ``IncrementalKCore.stats`` (a reused result adds nothing)."""
+    """supersteps / edges_scanned / pivots are reported three ways that
+    must agree: on the result, in ``comm.trace.counters`` and, summed over
+    recomputes, in ``IncrementalKCore.stats`` (a reused result adds
+    nothing)."""
     web = GRAPHS["web"]
 
     def job(comm):
@@ -146,7 +184,7 @@ def test_work_counters_reach_trace_and_stats():
         second = ikc.run()
         dyn.apply(UpdateBatch.empty())
         assert ikc.run() is second  # no effective change: reused
-        for key in ("supersteps", "edges_scanned"):
+        for key in ("supersteps", "edges_scanned", "pivots"):
             total = getattr(first, key) + getattr(second, key)
             assert ikc.stats[key] == total
             assert comm.trace.counters[f"kcore.{key}"] == total
@@ -156,3 +194,35 @@ def test_work_counters_reach_trace_and_stats():
     outs = run_spmd(2, job, backend="threads")
     assert outs[0] == outs[1]  # supersteps are global
     assert outs[0][1] == 2
+
+
+def test_closure_rows_are_shared_per_graph():
+    """WCC and the k-core sweep on one graph read one cached row
+    structure; ``sort_adjacency`` replaces the CSR arrays and drops it, so
+    the next kernel builds rows over the sorted arrays."""
+    from repro.analytics import approx_kcore, wcc
+    from repro.analytics.closure import (
+        ClosureRows, closure_rows, undirected_rows)
+
+    web = GRAPHS["web"]
+
+    def job(comm):
+        chunk = np.array_split(web["edges"], comm.size)[comm.rank]
+        g = build_dist_graph(comm, chunk,
+                             VertexBlockPartition(web["n"], comm.size))
+        wcc(comm, g)
+        rows = closure_rows(g, "both")
+        before = approx_kcore(comm, g, max_stage=MAX_STAGE)
+        shared = closure_rows(g, "both") is rows
+        shared &= undirected_rows(g)[1] is rows.adj
+        g.sort_adjacency()
+        after = approx_kcore(comm, g, max_stage=MAX_STAGE)
+        fresh = closure_rows(g, "both")
+        want = ClosureRows(g, "both").adj
+        rebuilt = (np.array_equal(fresh.adj, want)
+                   and not np.array_equal(rows.adj, want))  # order moved
+        return (shared, rebuilt,
+                np.array_equal(before.stage_removed, after.stage_removed))
+
+    for shared, rebuilt, same in run_spmd(2, job, backend="threads"):
+        assert shared and rebuilt and same

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import PARTITION_KINDS, dist_run, gather_by_gid
-from repro.analytics import pagerank
+from repro.analytics import HaloExchange, pagerank
 from repro.baselines import pagerank_ref
-from repro.runtime import SpmdError
+from repro.graph.csr import segment_sum
+from repro.runtime import SUM, SpmdError
 
 
 def run_pr(edges, n, p, kind="vblock", **kw):
@@ -104,3 +105,80 @@ def test_zero_iters_returns_uniform(small_web):
     scores, iters, _ = run_pr(edges, n, 2, max_iters=0)
     assert iters == 0
     assert np.allclose(scores, 1.0 / n)
+
+
+def _two_allreduce_pagerank(comm, g, damping=0.85, max_iters=10, tol=None,
+                            personalization=None, delta_tol=None):
+    """The power iteration with the dangling mass and the L1 change
+    reduced separately, two allreduces per iteration: the schedule
+    ``pagerank`` fuses into one.  Returns ``(scores, n_iters, delta)``."""
+    halo = HaloExchange(comm, g)
+    n_loc, n = g.n_loc, g.n_global
+    if personalization is None:
+        teleport = np.full(n_loc, 1.0 / n)
+    else:
+        teleport = personalization / comm.allreduce(
+            float(personalization.sum()), SUM)
+    outdeg = np.zeros(g.n_total)
+    outdeg[:n_loc] = g.out_degrees()
+    x = np.full(g.n_total, 1.0 / n)
+    x[:n_loc] = teleport
+    halo.exchange_many(outdeg, x)
+    base = (1.0 - damping) * teleport
+    dangling_local = outdeg[:n_loc] == 0
+    safe_outdeg = np.where(outdeg > 0, outdeg, 1.0)
+    n_iters, delta = 0, float("inf")
+    for _ in range(max_iters):
+        contrib = x / safe_outdeg
+        contrib[outdeg == 0] = 0.0
+        sums = segment_sum(g.in_indexes, contrib[g.in_edges])
+        dangling = comm.allreduce(float(x[:n_loc][dangling_local].sum()), SUM)
+        x_new = base + damping * (sums + dangling * teleport)
+        delta = comm.allreduce(float(np.abs(x_new - x[:n_loc]).sum()), SUM)
+        x[:n_loc] = x_new
+        if delta_tol is None:
+            halo.exchange(x)
+        else:
+            halo.exchange_delta(x, tol=delta_tol)
+        n_iters += 1
+        if tol is not None and delta < tol:
+            break
+    return x[:n_loc].copy(), n_iters, delta
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kw", [
+    {"max_iters": 12},
+    {"max_iters": 500, "tol": 1e-9},
+    {"max_iters": 40, "personalized": True},
+    {"max_iters": 60, "tol": 1e-10, "delta_tol": 1e-7},
+], ids=["fixed", "tol", "personalized", "delta_tol"])
+def test_one_allreduce_per_iteration_is_bitwise_equal(small_web, p, kw):
+    """Scores, ``n_iters`` and ``final_delta`` equal the two-allreduce
+    schedule bit for bit, and each iteration runs one allreduce fewer."""
+    n, edges = small_web
+    kw = dict(kw)
+    personalized = kw.pop("personalized", False)
+
+    def fn(comm, g):
+        args = dict(kw)  # one per rank: the ranks are threads
+        if personalized:
+            args["personalization"] = (g.unmap[: g.n_loc] % 7).astype(float)
+        def reductions(call):
+            start = len(comm.trace.events)
+            out = call()
+            return out, sum(e.op.startswith("allreduce")
+                            for e in comm.trace.events[start:])
+
+        want, ref_reductions = reductions(
+            lambda: _two_allreduce_pagerank(comm, g, **args))
+        res, new_reductions = reductions(lambda: pagerank(comm, g, **args))
+        got = (res.scores, res.n_iters, res.final_delta)
+        return (got[0].tobytes() == want[0].tobytes(), got[1:] == want[1:],
+                ref_reductions - new_reductions, res.n_iters)
+
+    for scores_same, counts_same, saved, n_iters in dist_run(edges, n, p, fn):
+        assert scores_same and counts_same
+        # One allreduce saved per iteration, less the dangling sum that
+        # moved before the loop.
+        assert saved == n_iters - 1

@@ -13,7 +13,7 @@ from repro.baselines import wcc_labels_ref
 def run_wcc(edges, n, p, kind="vblock"):
     def fn(comm, g):
         res = wcc(comm, g)
-        return g.unmap[: g.n_loc], res.labels, res.giant_label, res.n_color_iters
+        return g.unmap[: g.n_loc], res.labels, res.giant_label, res.supersteps
 
     outs = dist_run(edges, n, p, fn, kind)
     return gather_by_gid(outs), outs[0][2]
