@@ -20,7 +20,12 @@
 # procs-backend subset (backends, cross-backend equivalence, the graph
 # construction oracle tests/test_build_oracle.py, the SSSP oracle
 # tests/test_delta_oracle.py, the SCC oracle tests/test_scc_oracle.py,
-# the WCC oracle tests/test_wcc_oracle.py, engines, streaming).  The SCC
+# the WCC oracle tests/test_wcc_oracle.py, the BFS oracle
+# tests/test_bfs_oracle.py — the frontier-word engine bitwise equal to
+# tests/bfs_reference.py at k = 0, 1, 2, 63, 64, 65, 130, one alltoallv and
+# one allreduce per level — the Label Propagation oracle
+# tests/test_lp_oracle.py — labels bitwise equal to tests/lp_reference.py,
+# on both sides of the int32 key bound — engines, streaming).  The SCC
 # checks: web_batch's exit code carries its SCC count vs scipy;
 # tests/test_scc_oracle.py holds scc() labels bitwise equal to the
 # pivot-loop reference (tests/scc_reference.py) and R-MAT labels equal to
@@ -178,10 +183,14 @@ echo "== pytest smoke subset on the procs backend =="
 # oracle: its per-rank kernel compares Δ-stepping with the dense
 # reference, collective schedule included, on spawned-process ranks.  And
 # the SCC oracle: scc() beside the pivot-loop reference on every graph,
-# and the WCC oracle: wcc() beside the coloring-loop reference.
+# the WCC oracle: wcc() beside the coloring-loop reference, the BFS
+# oracle: the frontier-word engine beside the reference loop, source by
+# source, with its per-level collective schedule, and the LP oracle:
+# label_propagation() beside the lexsort counter.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
     tests/test_build_oracle.py tests/test_delta_oracle.py \
     tests/test_scc_oracle.py tests/test_wcc_oracle.py \
+    tests/test_bfs_oracle.py tests/test_lp_oracle.py \
     tests/test_service.py tests/test_stream_service.py \
     tests/test_stream_equivalence.py::test_procs_backend_stream_bitwise

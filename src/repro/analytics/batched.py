@@ -9,11 +9,15 @@ alpha term dominates).
 
 :func:`batched_personalized_pagerank` is blocked power iteration for k
 personalization seeds: the rank vector becomes an ``(n_tot, k)`` block;
-each iteration is one segmented sum over the in-CSR applied to all columns
-and *one* halo exchange of the whole block (k values per ghost in one
-message instead of k messages).  It is validated against looped
-single-seed :func:`~repro.analytics.pagerank.pagerank` runs in
-``tests/test_batched.py``.
+each iteration is one sparse matrix–matrix product of the graph's cached
+in-edge operator (:func:`~repro.analytics.common.csr_operator`) with the
+whole block and *one* halo exchange of it (k values per ghost in one
+message instead of k messages).  The product sums every row sequentially
+per column and the column sums are taken one column at a time, so column
+j's bits depend on seed j alone — not on k or on its batch-mates — and
+with ``tol=None`` they equal a single-seed
+:func:`~repro.analytics.pagerank.pagerank` run's.  It is validated against
+looped single-seed runs in ``tests/test_batched.py``.
 
 The batched BFS-like kernels live with their single-source forms:
 :func:`~repro.analytics.bfs.multi_source_bfs` (of which
@@ -29,6 +33,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
+from .common import csr_operator
 from .exchange import HaloExchange
 
 __all__ = ["batched_personalized_pagerank", "BatchedPPRResult"]
@@ -58,8 +63,10 @@ def batched_personalized_pagerank(
     Column j solves the same fixed point as
     ``pagerank(..., personalization=indicator(seed_j))``: all teleport
     (and dangling) mass returns to the single seed vertex.  The k power
-    iterations advance in lockstep, so every iteration costs one blocked
-    segment-sum and one ``(n_gst, k)`` halo exchange instead of k of each.
+    iterations advance in lockstep, so every iteration costs one sparse
+    product with the ``(n_tot, k)`` block and one ``(n_gst, k)`` halo
+    exchange instead of k of each.  With ``tol`` given, the batch stops
+    when its slowest column converges.
 
     Returns
     -------
@@ -90,7 +97,8 @@ def batched_personalized_pagerank(
         outdeg = np.zeros(n_tot, dtype=np.float64)
         outdeg[:n_loc] = g.out_degrees()
         halo.exchange(outdeg)
-        safe_outdeg = np.where(outdeg > 0, outdeg, 1.0)
+        # x / inf = 0: a dangling vertex contributes nothing along edges.
+        safe_outdeg = np.where(outdeg > 0, outdeg, np.inf)
         dangling_local = outdeg[:n_loc] == 0
 
         x = np.zeros((n_tot, k), dtype=np.float64)
@@ -98,19 +106,19 @@ def batched_personalized_pagerank(
         halo.exchange(x)
         base = (1.0 - damping) * teleport
 
+        A = csr_operator(g, "in")
         n_iters = 0
         deltas = np.full(k, np.inf)
         # One allreduce per iteration, as in pagerank(): this iteration's
         # deltas ride with the next one's dangling mass.
-        dangling = comm.allreduce(x[:n_loc][dangling_local].sum(axis=0), SUM)
+        dangling = comm.allreduce(_column_sums(x[:n_loc][dangling_local]),
+                                  SUM)
         for _ in range(max_iters):
             contrib = x / safe_outdeg[:, None]
-            contrib[outdeg == 0, :] = 0.0
-            sums = _segment_sum_block(g.in_indexes, contrib[g.in_edges])
-            x_new = base + damping * (sums + teleport * dangling)
+            x_new = base + damping * (A @ contrib + teleport * dangling)
             deltas, dangling = comm.allreduce(
-                np.stack((np.abs(x_new - x[:n_loc]).sum(axis=0),
-                          x_new[dangling_local].sum(axis=0))), SUM)
+                np.stack((_column_sums(np.abs(x_new - x[:n_loc])),
+                          _column_sums(x_new[dangling_local]))), SUM)
             x[:n_loc] = x_new
             halo.exchange(x)
             n_iters += 1
@@ -122,15 +130,9 @@ def batched_personalized_pagerank(
                                 final_deltas=np.asarray(deltas, dtype=np.float64))
 
 
-def _segment_sum_block(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-row sum of an ``(nnz, k)`` block over a CSR (empty rows → 0)."""
-    n = len(indptr) - 1
-    out = np.zeros((n, values.shape[1]), dtype=np.float64)
-    if len(values) == 0 or n == 0:
-        return out
-    nonempty = indptr[:-1] < indptr[1:]
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
-    return out
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """Sum of each column of ``block``, each summed as a contiguous 1-D
+    array of its own — the order ``pagerank`` sums its one column in.
+    NumPy's ``sum(axis=0)`` picks its summation order by the block's
+    shape, which would tie a column's bits to ``k``."""
+    return np.ascontiguousarray(block.T).sum(axis=1)

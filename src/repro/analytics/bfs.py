@@ -5,20 +5,34 @@ level.  This engine serves the ones that read levels (Harmonic Centrality,
 closeness, betweenness, diameter, the serving layer's batched BFS and the
 top-down levels of direction-optimizing BFS); SCC, k-core and phase 1 of
 Multistep WCC need only the reached set (:mod:`repro.analytics.closure`).
-Per the paper: a task-local queue holds the frontier; a ``Status`` array
-encodes unvisited (−2), queued (−1), or the visit level; off-rank
-discoveries are shipped to their owners with one ``alltoallv`` per level;
-and the loop terminates when an ``allreduce`` of frontier sizes hits zero.
+Per the paper: a task-local queue holds the frontier; off-rank discoveries
+are shipped to their owners with one ``alltoallv`` per level; and the loop
+terminates when an ``allreduce`` of frontier sizes hits zero.
 
-:func:`multi_source_bfs` runs k independent traversals at once — one
-``Status`` row and one frontier per source — and shares each level's
-``alltoallv`` and termination ``allreduce`` across the batch.
-:func:`distributed_bfs` is its k = 1 case, and
-:func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop` calls the same
-per-level step (:func:`_top_down_step`) for its top-down levels.  The
-single-traversal loop this engine replaced — with merged multi-root
-traversal, an induced-subgraph mask and a level cap — is kept as the test
-oracle ``tests/bfs_reference.py``.
+:func:`multi_source_bfs` runs k independent traversals at once on 64-bit
+frontier words (Buluç & Madduri's bitmap frontier): bit j of a vertex's
+``seen`` word row is set once source j's traversal has reached it, and
+the frontier is one list of vertices, each with the word row of the
+sources that reached it at this level.  A level gathers the neighbour
+rows of the *union* frontier once, keeps ``words & ~seen[nbr]`` and
+OR-reduces it by target, so k sources cost one traversal's gathers plus
+word arithmetic.  Ghost discoveries travel to their owners as ``(gid,
+words)`` rows in the one shared ``alltoallv`` (Sharma's compressed
+frontier exchange), where the owner OR-merges them.  Each level's
+frontier words are ORed into one bit plane per set bit of the level
+number, and the levels are decoded from the planes once, after the last
+level.  At k = 1 every word is 1, so the step
+carries no word arrays and ships bare gids: :func:`distributed_bfs`,
+betweenness, diameter and
+:func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop` (whose top-down
+levels call :func:`_top_down_step`) keep the single-traversal cost and
+wire format.  The single-traversal loop this engine replaced — with merged
+multi-root traversal, an induced-subgraph mask and a level cap — is kept
+as the test oracle ``tests/bfs_reference.py``.
+
+The trace counters ``bfs.levels`` (levels per traversal, shared by a
+batch) and ``bfs.ghost_words`` (ghost-discovery words shipped; one per gid
+at k = 1) are bumped into ``comm.trace.counters``.
 """
 
 from __future__ import annotations
@@ -28,28 +42,42 @@ import numpy as np
 from ..graph.csr import bucket_order, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
-from .common import NOT_VISITED, QUEUED
+from .common import NOT_VISITED
 
 __all__ = ["distributed_bfs", "multi_source_bfs"]
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_WORD = 64  # sources per frontier word
+
+
+def _adjacencies(g: DistGraph, direction: str):
+    """The ``(indptr, adj)`` CSRs a traversal in ``direction`` follows."""
+    if direction == "out":
+        return ((g.out_indexes, g.out_edges),)
+    if direction == "in":
+        return ((g.in_indexes, g.in_edges),)
+    if direction == "both":
+        return ((g.out_indexes, g.out_edges), (g.in_indexes, g.in_edges))
+    raise ValueError(f"invalid direction {direction!r}")
 
 
 def _frontier_neighbors(
     g: DistGraph, frontier: np.ndarray, direction: str
 ) -> np.ndarray:
     """Concatenated neighbor local-ids of all frontier vertices."""
-    chunks = []
-    if direction in ("out", "both"):
-        indptr, adj = g.out_indexes, g.out_edges
-        chunks.append(_gather_ranges(adj, indptr[frontier], indptr[frontier + 1]))
-    if direction in ("in", "both"):
-        indptr, adj = g.in_indexes, g.in_edges
-        chunks.append(_gather_ranges(adj, indptr[frontier], indptr[frontier + 1]))
-    if not chunks:
-        raise ValueError(f"invalid direction {direction!r}")
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    return _concat([_gather_ranges(adj, indptr[frontier],
+                                   indptr[frontier + 1])
+                    for indptr, adj in _adjacencies(g, direction)])
+
+
+def _frontier_words(
+    g: DistGraph, frontier: np.ndarray, words: np.ndarray, direction: str
+) -> np.ndarray:
+    """Each neighbour of :func:`_frontier_neighbors`, in its order, paired
+    with the word row of the frontier vertex it was reached from."""
+    return _concat([np.repeat(words, indptr[frontier + 1] - indptr[frontier],
+                              axis=0)
+                    for indptr, _ in _adjacencies(g, direction)])
 
 
 def _gather_ranges(adj: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -67,97 +95,181 @@ def _gather_ranges(adj: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 
 def _concat(chunks: list[np.ndarray]) -> np.ndarray:
     """One array of ``chunks`` (a lone chunk is returned uncopied)."""
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks) if chunks else _EMPTY
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _nonzero_rows(words: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``words`` with any bit set."""
+    acc = words[:, 0]
+    for w in range(1, words.shape[1]):
+        acc = acc | words[:, w]
+    # flatnonzero scans a bool array far faster than a uint64 one
+    return np.flatnonzero(acc != 0)
+
+
+def _or_into(
+    seen: np.ndarray, lids: np.ndarray, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """OR the word rows ``words`` into ``seen`` at ``lids`` (repeats
+    allowed); return the distinct lids that gained a bit, each with the
+    bits it gained.
+
+    No sort: the representative of a lid is the entry whose index
+    survives a scatter of the entry indices (whichever survives), and the
+    OR is one unbuffered ``bitwise_or.at``.
+    """
+    if not len(lids):
+        return lids, words
+    idx = np.arange(len(lids))
+    pos = np.empty(len(seen), dtype=np.int64)
+    pos[lids] = idx
+    distinct = lids[np.flatnonzero(pos[lids] == idx)]
+    before = np.take(seen, distinct, axis=0)
+    np.bitwise_or.at(seen, lids, words)
+    gained = np.take(seen, distinct, axis=0)
+    gained &= ~before
+    keep = _nonzero_rows(gained)
+    return distinct[keep], np.take(gained, keep, axis=0)
 
 
 def _top_down_step(
     comm: Communicator,
     g: DistGraph,
-    status: np.ndarray,
-    frontiers: list[np.ndarray],
+    seen: np.ndarray,
+    lids: np.ndarray,
+    words: np.ndarray | None,
     direction: str,
-    level: int,
-) -> list[np.ndarray]:
-    """Settle the frontiers at ``level`` and return the next ones.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Expand the frontier ``(lids, words)`` one level; return the next.
 
-    ``status`` has one row per source over local + ghost vertices, and
-    ``frontiers[j]`` holds source j's frontier (local ids).  Each source
-    gathers its frontier's neighbours, keeps the unvisited ones once each
-    and marks them ``QUEUED``.  Ghost discoveries of every source travel to
-    their owners in one ``alltoallv`` as ``j * n_global + gid`` codes;
-    sorted codes group by source, so the receiver splits them with one
-    ``searchsorted``.  At k = 1 a code is the gid itself and neither the
-    arithmetic nor the split runs: every single-root BFS takes this path.
+    ``seen`` is the ``(n_total, W)`` ``uint64`` word array over local +
+    ghost vertices; ``words[i]`` holds the sources whose traversal reached
+    owned vertex ``lids[i]`` at this level (distinct ``lids``).  The union
+    frontier's neighbours keep ``words & ~seen[nbr]``; the ghost entries
+    are OR-merged into ``seen`` and go to their owners as one ``(gid,
+    words)`` ``uint64`` row per ghost in one ``alltoallv``, and the owner
+    OR-merges what it receives together with its own entries.  A ghost's
+    bits in ``seen`` only ever mean "already shipped".
+
+    ``words=None`` is the k = 1 frontier, whose every word is 1: the step
+    keeps no word arrays, ``seen`` is read as one flag per vertex and the
+    ghost discoveries travel as bare gids.
     """
-    n_loc, n = g.n_loc, g.n_global
-    k = len(frontiers)
-    nxt = [_EMPTY] * k
-    owner_chunks: list[np.ndarray] = []
-    code_chunks: list[np.ndarray] = []
-    for j, f in enumerate(frontiers):
-        if not len(f):
-            continue
-        row = status[j]
-        row[f] = level
-        nbrs = _frontier_neighbors(g, f, direction)
-        discovered = sorted_unique(nbrs[row[nbrs] == NOT_VISITED])
-        row[discovered] = QUEUED
-        nxt[j] = discovered[discovered < n_loc]
-        ghosts = discovered[discovered >= n_loc]
-        if len(ghosts):
-            owner_chunks.append(g.ghost_tasks[ghosts - n_loc])
-            code_chunks.append(g.unmap[ghosts] + j * n if j else g.unmap[ghosts])
+    n_loc = g.n_loc
+    nbrs = _frontier_neighbors(g, lids, direction)
+    if words is None:
+        flags = seen.reshape(-1)
+        found = sorted_unique(nbrs[flags[nbrs] == 0])
+        flags[found] = 1
+        cut = int(np.searchsorted(found, n_loc))
+        nxt, ghosts = found[:cut], found[cut:]
+        send = g.unmap[ghosts]
+    else:
+        fresh = _frontier_words(g, lids, words, direction)
+        fresh &= ~np.take(seen, nbrs, axis=0)
+        keep = _nonzero_rows(fresh)
+        nbrs, fresh = nbrs[keep], np.take(fresh, keep, axis=0)
+        ghost = nbrs >= n_loc
+        mine, theirs = np.flatnonzero(~ghost), np.flatnonzero(ghost)
+        nxt, nxt_words = nbrs[mine], np.take(fresh, mine, axis=0)
+        ghosts, ghost_words = _or_into(seen, nbrs[theirs],
+                                       np.take(fresh, theirs, axis=0))
+        send = np.empty((len(ghosts), 1 + seen.shape[1]), dtype=np.uint64)
+        send[:, 0] = g.unmap[ghosts]
+        send[:, 1:] = ghost_words
+    comm.trace.bump("bfs.ghost_words", len(ghosts) * seen.shape[1])
+    order, offsets = bucket_order(g.ghost_tasks[ghosts - n_loc], comm.size)
+    recv, _ = comm.alltoallv_flat(send[order], np.diff(offsets))
 
-    order, offsets = bucket_order(_concat(owner_chunks), comm.size)
-    recv, _ = comm.alltoallv_flat(_concat(code_chunks)[order],
-                                  np.diff(offsets))
-
+    if words is None:
+        if len(recv):
+            # The same gid may arrive from many ranks.
+            new = g.map.get(sorted_unique(recv))
+            new = new[flags[new] == 0]
+            flags[new] = 1
+            nxt = np.concatenate([nxt, new])
+        return nxt, None
     if len(recv):
-        recv = sorted_unique(recv)  # the same pair may arrive from many ranks
-        bounds = (np.searchsorted(recv, np.arange(k + 1) * n) if k > 1
-                  else (0, len(recv)))
-        for j in range(k):
-            codes = recv[bounds[j]:bounds[j + 1]]
-            if not len(codes):
-                continue
-            row = status[j]
-            lids = g.map.get(codes - j * n if j else codes)
-            new = lids[row[lids] == NOT_VISITED]
-            row[new] = QUEUED
-            nxt[j] = np.concatenate([nxt[j], new])
-    return nxt
+        nxt = np.concatenate([nxt, g.map.get(recv[:, 0].astype(np.int64))])
+        nxt_words = np.concatenate([nxt_words, recv[:, 1:]])
+    return _or_into(seen, nxt, nxt_words)
 
 
-def _bfs_status(
+def _settle(levels: np.ndarray, planes: list[np.ndarray], lids: np.ndarray,
+            words: np.ndarray | None, level: int) -> None:
+    """Record ``level`` for every (vertex, source) bit of the frontier.
+
+    At k = 1 the level is written to ``levels`` directly.  Otherwise bit
+    p of ``level`` is ORed into ``planes[p]``, a word array over the owned
+    vertices, for each set bit p: per level that is a few word rows per
+    frontier vertex, not k level cells, and :func:`_decode_levels` turns
+    the planes into levels once, after the last level.
+    """
+    if words is None:
+        levels.reshape(-1)[lids] = level
+        return
+    for p in range(level.bit_length()):
+        if p == len(planes):
+            planes.append(np.zeros((len(levels), words.shape[1]),
+                                   dtype=np.uint64))
+        if level >> p & 1:
+            planes[p][lids] |= words
+
+
+def _decode_levels(levels: np.ndarray, planes: list[np.ndarray],
+                   reached: np.ndarray) -> None:
+    """Fill ``levels`` from the bit planes of :func:`_settle` wherever the
+    owned vertices' ``seen`` words (``reached``) say a source got there."""
+    k = levels.shape[1]
+
+    def bits(words: np.ndarray) -> np.ndarray:
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=k, bitorder="little")
+
+    decoded = np.zeros(levels.shape, dtype=np.int64)
+    for p, plane in enumerate(planes):
+        decoded += bits(plane).astype(np.int64) << p
+    np.copyto(levels, decoded, where=bits(reached).view(bool))
+
+
+def _bfs_levels(
     comm: Communicator, g: DistGraph, sources: np.ndarray, direction: str
 ) -> np.ndarray:
-    """Run one traversal per source; return the ``(k, n_total)`` status."""
+    """Run one traversal per source; return the ``(n_loc, k)`` levels."""
     if direction not in ("out", "in", "both"):
         raise ValueError(
             f"direction must be 'out', 'in' or 'both', got {direction!r}")
     k, n = len(sources), g.n_global
     if k and (sources.min() < 0 or sources.max() >= n):
         raise ValueError("source id out of range")
-    if k and n and k > (2**62) // n:
-        raise ValueError("batch too large to pack (source, vertex) codes")
-    status = np.full((k, g.n_total), NOT_VISITED, dtype=np.int64)
+    levels = np.full((g.n_loc, k), NOT_VISITED, dtype=np.int64)
+    seen = np.zeros((g.n_total, -(-k // _WORD)), dtype=np.uint64)
 
-    # Seed each frontier with its source if this rank owns it.
-    mine = np.flatnonzero(g.partition.owner_of(sources) == comm.rank)
-    frontiers = [_EMPTY] * k
-    for j, lid in zip(mine, g.partition.to_local(comm.rank, sources[mine])):
-        frontiers[j] = np.array([lid], dtype=np.int64)
+    # Seed the frontier with the sources this rank owns (local id < n_loc).
+    lids = g.to_local(sources)
+    mine = np.flatnonzero((lids >= 0) & (lids < g.n_loc))
+    lids = lids[mine]
+    words = None
+    if k == 1:
+        seen[lids] = 1
+    else:
+        words = np.zeros((len(mine), seen.shape[1]), dtype=np.uint64)
+        words[np.arange(len(mine)), mine // _WORD] = (
+            np.uint64(1) << (mine % _WORD).astype(np.uint64))
+        lids, words = _or_into(seen, lids, words)  # duplicated sources
 
     level = 0
-    global_size = comm.allreduce(sum(map(len, frontiers)), SUM)
+    planes: list[np.ndarray] = []
+    global_size = comm.allreduce(len(lids), SUM)
     while global_size > 0:
-        frontiers = _top_down_step(comm, g, status, frontiers, direction,
-                                   level)
+        _settle(levels, planes, lids, words, level)
+        lids, words = _top_down_step(comm, g, seen, lids, words, direction)
         level += 1
-        global_size = comm.allreduce(sum(map(len, frontiers)), SUM)
-    return status
+        global_size = comm.allreduce(len(lids), SUM)
+    comm.trace.bump("bfs.levels", level)
+    if k > 1:
+        _decode_levels(levels, planes, seen[:g.n_loc])
+    return levels
 
 
 def multi_source_bfs(
@@ -169,8 +281,9 @@ def multi_source_bfs(
     """Level-synchronous BFS from ``k`` global roots simultaneously.
 
     Every source gets its own independent level column; the k traversals
-    share each level's frontier exchange and termination reduction, and
-    each source's expansion work is that of a single-source run.
+    share each level's neighbour gather, frontier exchange and
+    termination reduction (one ``alltoallv`` and one ``allreduce`` per
+    level at any k).
 
     Parameters
     ----------
@@ -189,8 +302,7 @@ def multi_source_bfs(
         local vertex ``v`` from source j, or ``NOT_VISITED`` (−2).
     """
     sources = np.atleast_1d(np.asarray(sources_global, dtype=np.int64))
-    status = _bfs_status(comm, g, sources, direction)
-    return np.ascontiguousarray(status[:, :g.n_loc].T)
+    return _bfs_levels(comm, g, sources, direction)
 
 
 def distributed_bfs(
@@ -203,4 +315,4 @@ def distributed_bfs(
     ``NOT_VISITED`` (−2) for unreached ones.
     """
     sources = np.array([int(root_global)], dtype=np.int64)
-    return _bfs_status(comm, g, sources, direction)[0, :g.n_loc]
+    return _bfs_levels(comm, g, sources, direction).reshape(-1)

@@ -16,8 +16,9 @@ The distributed twist: bottom-up needs each rank to know which of its
 *ghosts* are in the current frontier, so each level in bottom-up mode
 refreshes a frontier flag array with a retained-queue halo exchange instead
 of shipping discovered vertices.  A top-down level is the BFS engine's own
-step (:func:`~repro.analytics.bfs._top_down_step` at k = 1), so only the
-bottom-up search and the switching heuristic live here.  Levels are
+step (:func:`~repro.analytics.bfs._top_down_step` at k = 1, on the same
+one-word ``seen`` array the bottom-up levels mark), so only the bottom-up
+search and the switching heuristic live here.  Levels are
 identical to :func:`~repro.analytics.bfs.distributed_bfs` and to the
 oracle in ``tests/bfs_reference.py`` in every mode (asserted by tests).
 """
@@ -30,7 +31,7 @@ from ..graph.csr import segment_max
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import SUM, Communicator
 from .bfs import _top_down_step
-from .common import NOT_VISITED, QUEUED
+from .common import NOT_VISITED
 from .exchange import HaloExchange
 
 __all__ = ["distributed_bfs_dirop"]
@@ -74,15 +75,13 @@ def distributed_bfs_dirop(
     n_loc, n_tot = g.n_loc, g.n_total
     n_global = g.n_global
 
-    status = np.full(n_tot, NOT_VISITED, dtype=np.int64)
+    levels = np.full(n_loc, NOT_VISITED, dtype=np.int64)
+    seen = np.zeros((n_tot, 1), dtype=np.uint64)  # the engine's k = 1 words
     in_frontier = np.zeros(n_tot, dtype=bool)
 
-    if g.partition.owner_of(np.array([root_global]))[0] == comm.rank:
-        lid = int(g.partition.to_local(comm.rank, np.array([root_global]))[0])
-        frontier = np.array([lid], dtype=np.int64)
-        status[lid] = QUEUED
-    else:
-        frontier = np.empty(0, dtype=np.int64)
+    frontier = g.to_local(np.array([root_global], dtype=np.int64))
+    frontier = frontier[(frontier >= 0) & (frontier < n_loc)]  # owned here
+    seen[frontier] = 1
 
     out_deg = g.out_degrees()
     level = 0
@@ -92,35 +91,33 @@ def distributed_bfs_dirop(
     while global_front > 0:
         # --- heuristic: pick the direction for the *next* expansion. ---
         front_edges = comm.allreduce(int(out_deg[frontier].sum()), SUM)
-        unvisited = comm.allreduce(
-            int(np.count_nonzero(status[:n_loc] == NOT_VISITED)), SUM)
+        unseen = seen[:n_loc, 0] == 0
+        unvisited = comm.allreduce(int(np.count_nonzero(unseen)), SUM)
         if not bottom_up and front_edges * alpha > max(unvisited, 1):
             bottom_up = True
         elif bottom_up and global_front < n_global / beta:
             bottom_up = False
 
+        levels[frontier] = level  # settle
         if bottom_up:
-            # Settle, publish frontier membership to ghosts, then let every
+            # Publish frontier membership to ghosts, then let every
             # unvisited vertex search its in-edges for a frontier parent.
-            status[frontier] = level
             in_frontier[:] = False
             in_frontier[frontier] = True
             halo.exchange(in_frontier)
-            candidates = status[:n_loc] == NOT_VISITED
             if g.m_in:
                 hit = segment_max(
                     g.in_indexes, in_frontier[g.in_edges].astype(np.int8),
                     empty_value=np.int8(0)).astype(bool)
             else:
                 hit = np.zeros(n_loc, dtype=bool)
-            next_frontier = np.flatnonzero(candidates & hit).astype(np.int64)
-            status[next_frontier] = QUEUED
-            frontier = next_frontier
+            frontier = np.flatnonzero(unseen & hit).astype(np.int64)
+            seen[frontier] = 1
         else:
-            frontier, = _top_down_step(comm, g, status[None], [frontier],
-                                       "out", level)
+            frontier, _ = _top_down_step(comm, g, seen, frontier, None, "out")
 
         level += 1
         global_front = comm.allreduce(len(frontier), SUM)
 
-    return status[:n_loc]
+    comm.trace.bump("bfs.levels", level)
+    return levels

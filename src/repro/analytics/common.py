@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..graph.distgraph import DistGraph
 from ..runtime import MAXLOC, Communicator
@@ -10,12 +11,41 @@ from ..runtime import MAXLOC, Communicator
 __all__ = [
     "NOT_VISITED",
     "QUEUED",
+    "csr_operator",
     "global_max_degree_vertex",
 ]
 
 # Status-array encoding of the paper's Algorithm 2.
 NOT_VISITED = -2
 QUEUED = -1
+
+
+def csr_operator(g: DistGraph, direction: str) -> sparse.csr_array:
+    """The propagation operator of ``g`` along ``direction`` (``"in"`` or
+    ``"out"``): a CSR matrix with one row per owned vertex, one column per
+    owned or ghost vertex and a unit entry per stored edge, over the
+    graph's own index arrays (only the unit data is allocated).
+
+    ``A @ x`` is the per-row sum of ``x`` over the row's neighbours, and
+    ``A @ X`` the same for every column of an ``(n_total, k)`` block.
+    SciPy's CSR product sums each row sequentially in stored order, column
+    by column, so a column's result does not depend on ``k`` or on its
+    batch-mates.  Built on first use and cached on ``g`` beside the closure
+    rows (:meth:`DistGraph.sort_adjacency` drops it).
+    """
+    op = g.derived.get(("operator", direction))
+    if op is None:
+        if direction == "in":
+            indptr, adj = g.in_indexes, g.in_edges
+        elif direction == "out":
+            indptr, adj = g.out_indexes, g.out_edges
+        else:
+            raise ValueError(
+                f"direction must be 'in' or 'out', got {direction!r}")
+        op = g.derived[("operator", direction)] = sparse.csr_array(
+            (np.ones(len(adj)), adj, indptr), shape=(g.n_loc, g.n_total),
+            copy=False)
+    return op
 
 
 def global_max_degree_vertex(

@@ -3,9 +3,11 @@
 Kleinberg's HITS is *the* classical hyperlink-graph analytic beside
 PageRank, and another pure member of the paper's PageRank-like class: each
 iteration the authority score pulls hub mass over in-edges, the hub score
-pulls authority mass over out-edges, and one halo exchange per direction
-refreshes the ghosts.  Scores are L2-normalized globally per iteration
-(NetworkX-compatible output is L1-normalized at the end).
+pulls authority mass over out-edges — one product with the graph's cached
+in- and out-edge operator each (:func:`~repro.analytics.common.csr_operator`)
+— and one halo exchange per direction refreshes the ghosts.  Scores are
+L2-normalized globally per iteration (NetworkX-compatible output is
+L1-normalized at the end).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import segment_sum
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
+from .common import csr_operator
 from .exchange import HaloExchange
 
 __all__ = ["HITSResult", "hits"]
@@ -64,20 +66,21 @@ def hits(
 
         h = np.full(n_tot, 1.0 / max(g.n_global, 1), dtype=np.float64)
         a = np.zeros(n_tot, dtype=np.float64)
+        A_in, A_out = csr_operator(g, "in"), csr_operator(g, "out")
 
         n_iters = 0
         delta = float("inf")
         for _ in range(max_iters):
             h_old = h[:n_loc].copy()
             # Authorities: sum of hub scores over in-edges.
-            a_new = segment_sum(g.in_indexes, h[g.in_edges])
+            a_new = A_in @ h
             a[:n_loc] = a_new
             norm = np.sqrt(comm.allreduce(float((a_new**2).sum()), SUM))
             if norm > 0:
                 a[:n_loc] /= norm
             halo.exchange(a)
             # Hubs: sum of authority scores over out-edges.
-            h_new = segment_sum(g.out_indexes, a[g.out_edges])
+            h_new = A_out @ a
             h[:n_loc] = h_new
             norm = np.sqrt(comm.allreduce(float((h_new**2).sum()), SUM))
             if norm > 0:

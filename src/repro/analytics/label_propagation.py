@@ -10,13 +10,17 @@ Implementation notes
 --------------------
 * The paper's inner loop builds a per-vertex label→count hash map; the
   vectorized equivalent packs each (row, neighbor-label) entry into one
-  ``int64`` key ``row * n_global + label`` and sorts the keys once per
+  integer key ``row * n_global + label`` and sorts the keys once per
   iteration.  The rows are already CSR-ordered, so the sort only permutes
   within a row: run lengths of equal keys are the counts, a
   ``maximum.reduceat`` gives each row's best count, and the tie hash is
   computed only for the runs that reach it — same O(Σdeg) work, no Python
-  loop.  The key must fit: ``n_loc · n_global < 2**63``, checked once per
-  call (``ValueError``).
+  loop.  The rows, keys and the label array (halo included) are ``int32``
+  whenever every key fits, ``n_loc · n_global < 2**31`` (half the bytes to
+  gather and sort), else ``int64``; the dtype is chosen once per call
+  (:func:`_key_dtype`) and the sort order, hence every label, is the same
+  at either width.  An ``int64`` key must fit too: ``n_loc · n_global <
+  2**63``, checked once per call (``ValueError``).
 * Tie rule: the most frequent label; among equally frequent labels the
   largest :func:`_tie_hash` of (vertex gid, label, iteration, seed); on an
   exact 64-bit hash tie the largest label.
@@ -70,6 +74,12 @@ def _tie_hash(gids: np.ndarray, labels: np.ndarray, it: int, seed: int) -> np.nd
     return z
 
 
+def _key_dtype(n_loc: int, n_global: int) -> type:
+    """``int32`` when every key ``row * n_global + label`` (row below
+    ``n_loc``, label below ``n_global``) fits in it, else ``int64``."""
+    return np.int32 if max(n_loc, 1) * n_global < 1 << 31 else np.int64
+
+
 def _max_count_labels(
     rows: np.ndarray,
     row_keys: np.ndarray,
@@ -93,31 +103,40 @@ def _max_count_labels(
     # are ascending, so sorting permutes within rows: rows[i] is still the
     # row of keys[i], and keys[i] - row_keys[i] its label.
     keys.sort()
-    new_run = np.empty(len(keys), dtype=bool)
-    new_run[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
-    run_starts = np.flatnonzero(new_run)
+    run_starts = np.flatnonzero(_firsts(keys))
     run_counts = np.diff(run_starts, append=len(keys))
-    run_rows = rows[run_starts]
-    row_first = np.flatnonzero(np.diff(run_rows, prepend=-1))
+    # Every row boundary is a run boundary: a run opens a row exactly when
+    # its first entry does.
+    row_first = np.flatnonzero(_firsts(rows)[run_starts])
     best = np.maximum.reduceat(run_counts, row_first)
-    cand = run_starts[run_counts == np.repeat(
-        best, np.diff(row_first, append=len(run_rows)))]
+    cand = run_starts[np.flatnonzero(run_counts == np.repeat(
+        best, np.diff(row_first, append=len(run_starts))))]
     cand_rows = rows[cand]
     cand_labels = keys[cand] - row_keys[cand]
     # Among a row's candidates (ascending labels) the largest hash wins; on
     # an exact hash tie the last, i.e. the largest label.
     tie = _tie_hash(row_gids[cand_rows], cand_labels, it, seed)
-    group_first = np.flatnonzero(np.diff(cand_rows, prepend=-1))
+    group_first = np.flatnonzero(_firsts(cand_rows))
     group_size = np.diff(group_first, append=len(cand))
     top = np.flatnonzero(
         tie == np.repeat(np.maximum.reduceat(tie, group_first), group_size))
+    top_rows = cand_rows[top]
     last = np.empty(len(top), dtype=bool)
     last[-1] = True
-    np.not_equal(cand_rows[top[1:]], cand_rows[top[:-1]], out=last[:-1])
-    win = top[last]
+    np.not_equal(top_rows[1:], top_rows[:-1], out=last[:-1])
+    win = top[np.flatnonzero(last)]
     return (cand_rows[win], cand_labels[win],
             int(np.count_nonzero(group_size > 1)))
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """``a[i] != a[i - 1]`` for every ``i`` (``True`` at 0): the run
+    starts of a sorted array, as a mask (a ``bool`` scan is the fast
+    ``flatnonzero``)."""
+    first = np.empty(len(a), dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def label_propagation(
@@ -175,10 +194,11 @@ def label_propagation(
         if halo is None:
             halo = HaloExchange(comm, g)
 
+        key = _key_dtype(n_loc, n_global)
         indptr, nbrs = undirected_rows(g)
-        rows = expand_rows(indptr)
-        row_keys = rows * n_global
-        labels = g.unmap.astype(np.int64).copy()  # init: own global id
+        rows = expand_rows(indptr).astype(key, copy=False)
+        row_keys = rows * key(n_global)
+        labels = g.unmap.astype(key)  # init: own global id
 
         row_gids = g.unmap[:n_loc]
         # Async splits the local vertices into chunks whose entries are
@@ -208,6 +228,7 @@ def label_propagation(
         comm.trace.bump("lp.entries_counted", len(nbrs) * len(changed_per_iter))
         comm.trace.bump("lp.tied_rows", n_tied)
         return LabelPropagationResult(
-            labels=labels[:n_loc].copy(), n_iters=len(changed_per_iter),
+            labels=labels[:n_loc].astype(np.int64),
+            n_iters=len(changed_per_iter),
             last_changed=changed_per_iter[-1] if changed_per_iter else 0,
             changed_per_iter=tuple(changed_per_iter))

@@ -3,8 +3,9 @@
 The prototypical "PageRank-like" analytic: every iteration each vertex's
 rank mass flows along its out-edges; ghost values are refreshed with one
 retained-queue halo exchange per iteration.  The computation per rank is
-one segmented sum over the local in-edge CSR — the paper's inner loop over
-adjacencies, vectorized.
+one sparse matrix–vector product with the graph's cached in-edge operator
+(:func:`~repro.analytics.common.csr_operator`) — the paper's inner loop
+over adjacencies, each row summed sequentially in stored order.
 
 Dangling vertices (zero out-degree, ubiquitous in web crawls) distribute
 their mass uniformly, matching the standard formulation (and NetworkX, used
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import segment_sum
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
+from .common import csr_operator
 from .exchange import HaloExchange
 
 __all__ = ["PageRankResult", "pagerank"]
@@ -111,16 +112,16 @@ def pagerank(
         base = (1.0 - damping) * teleport
         dangling_local = outdeg[:n_loc] == 0
 
+        A = csr_operator(g, "in")
         n_iters = 0
         delta = float("inf")
-        safe_outdeg = np.where(outdeg > 0, outdeg, 1.0)
+        # x / inf = 0: a dangling vertex contributes nothing along edges.
+        safe_outdeg = np.where(outdeg > 0, outdeg, np.inf)
         # One allreduce per iteration: this iteration's |Δ| rides with the
         # next one's dangling mass (the first is reduced before the loop).
         dangling = comm.allreduce(float(x[:n_loc][dangling_local].sum()), SUM)
         for _ in range(max_iters):
-            contrib = x / safe_outdeg
-            contrib[outdeg == 0] = 0.0
-            sums = segment_sum(g.in_indexes, contrib[g.in_edges])
+            sums = A @ (x / safe_outdeg)
             x_new = base + damping * (sums + dangling * teleport)
             local = np.array([np.abs(x_new - x[:n_loc]).sum(),
                               x_new[dangling_local].sum()])

@@ -51,7 +51,8 @@ class DistGraph:
     out_values: np.ndarray | None = None  # optional per-out-edge weights
     in_values: np.ndarray | None = None  # optional per-in-edge weights
     #: Read-only structures derived from the adjacency by the kernels
-    #: that share them (the closure rows), built on first use; they live
+    #: that share them (the closure rows, the propagation operators),
+    #: built on first use; they live
     #: and die with this object, and :meth:`sort_adjacency` drops them.
     derived: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -132,8 +133,9 @@ class DistGraph:
         *canonical* row order so that a :class:`~repro.stream.deltagraph.
         DynamicDistGraph` (base rows merged with sorted delta rows) and a
         from-scratch rebuild of the same logical graph produce bitwise
-        identical analytics: segment sums via ``np.add.reduceat`` reduce
-        each row sequentially, so the summation order must match.  Sorting
+        identical analytics: the propagation operator
+        (:func:`~repro.analytics.common.csr_operator`) sums each row
+        sequentially, so the summation order must match.  Sorting
         by global id (local ids mix owned and ghost numbering, which
         differs across representations) with a stable sort gives that
         canonical order: two stable radix passes, by neighbour gid and

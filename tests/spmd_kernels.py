@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from bfs_reference import reference_bfs
 from build_reference import (
     reference_build_dist_graph,
     reference_build_grid_graph,
@@ -25,6 +26,7 @@ from delta_reference import (
     reference_grid_delta_stepping,
 )
 from kcore_reference import reference_approx_kcore, reference_exact_kcore
+from lp_reference import reference_label_propagation
 from scc_reference import reference_scc
 from wcc_reference import reference_wcc
 from repro.analytics import (
@@ -147,6 +149,56 @@ def kern_msbfs(comm, cfg):
     levels = multi_source_bfs(comm, g, cfg["sources"],
                               direction=cfg.get("direction", "out"))
     return g.unmap[: g.n_loc].copy(), levels
+
+
+def kern_bfs_words(comm, cfg):
+    """``multi_source_bfs`` beside the reference loop, per direction, for
+    every prefix length ``k`` in ``cfg["ks"]`` of ``cfg["sources"]``.
+
+    Returns the owned gids and ``{(direction, k): (levels, reference
+    levels, alltoallv count, allreduce count, bfs.levels, bfs.ghost_words,
+    alltoallv bytes sent)}``, the counts and counters over the batched
+    call alone.
+    """
+    g = build_graph(comm, cfg)
+    sources = np.asarray(cfg["sources"], dtype=np.int64)
+    out = {}
+    for direction in ("out", "in", "both"):
+        want = np.stack([reference_bfs(comm, g, s, direction)
+                         for s in sources], axis=1)
+        for k in cfg["ks"]:
+            trace = comm.trace
+            mark, before = len(trace.events), dict(trace.counters)
+            levels = multi_source_bfs(comm, g, sources[:k], direction)
+            ops = [(e.op, e.bytes_sent) for e in trace.events[mark:]]
+            bumped = [trace.counters.get(c, 0) - before.get(c, 0)
+                      for c in ("bfs.levels", "bfs.ghost_words")]
+            out[direction, k] = (
+                levels, np.ascontiguousarray(want[:, :k]),
+                sum(op == "alltoallv" for op, _ in ops),
+                sum(op.startswith("allreduce") for op, _ in ops),
+                *bumped, sum(b for op, b in ops if op == "alltoallv"))
+    return g.unmap[: g.n_loc].copy(), out
+
+
+def kern_lp_oracle(comm, cfg):
+    """``label_propagation`` beside the reference counter on every graph
+    of ``cfg["graphs"]`` under ``cfg["part"]``, in both modes.
+
+    Returns ``{(name, mode): (labels, n_iters, last_changed, reference
+    labels, reference n_iters, reference last_changed)}``.
+    """
+    out = {}
+    for name, (n, edges) in cfg["graphs"].items():
+        g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
+        for mode in ("sync", "async"):
+            res = label_propagation(comm, g, n_iters=6, seed=5, mode=mode,
+                                    n_sweeps=3)
+            out[name, mode] = (res.labels, res.n_iters, res.last_changed,
+                               *reference_label_propagation(
+                                   comm, g, n_iters=6, seed=5, mode=mode,
+                                   n_sweeps=3))
+    return out
 
 
 def kern_harmonic(comm, cfg):

@@ -148,6 +148,39 @@ def test_batched_ppr_equals_looped(small_web, p, part):
     assert all(dist_run(edges, n, p, fn, part))
 
 
+@pytest.mark.parametrize("p", (1, 2, 3))
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+def test_batched_ppr_column_is_independent_of_its_batch(small_web, p, part):
+    """With a fixed iteration count, column j's bits depend on seed j
+    alone: the same at k = 1, at k = 5 (a duplicated seed included) and
+    with the seeds permuted — and equal to a single-seed ``pagerank``
+    with that seed's indicator as personalization, since both sum every
+    row sequentially over one operator and every column as a 1-D array."""
+    n, edges = small_web
+    seeds = np.array([3, 77, 3, 410, 9], dtype=np.int64)
+    perm = np.array([3, 0, 4, 2, 1])
+
+    def fn(comm, g):
+        def ppr(s):
+            return batched_personalized_pagerank(comm, g, s,
+                                                 max_iters=25).scores
+
+        block, permuted = ppr(seeds), ppr(seeds[perm])
+        for j, s in enumerate(seeds):
+            w = np.zeros(g.n_loc)
+            if g.partition.owner_of(np.array([s]))[0] == comm.rank:
+                w[g.partition.to_local(comm.rank, np.array([s]))[0]] = 1.0
+            single = pagerank(comm, g, max_iters=25,
+                              personalization=w).scores
+            col = block[:, j].tobytes()
+            assert col == ppr([s])[:, 0].tobytes()
+            assert col == permuted[:, np.flatnonzero(perm == j)[0]].tobytes()
+            assert col == single.tobytes()
+        return True
+
+    assert all(dist_run(edges, n, p, fn, part))
+
+
 @pytest.mark.parametrize("p", (1, 3))
 def test_batched_ppr_matches_networkx(small_web, p):
     n, edges = small_web

@@ -8,6 +8,14 @@ derived from the reference levels with ``==``.  Checked over random
 multigraphs (self-loops, duplicate edges, isolated vertices), a web crawl
 and an R-MAT graph × 1–4 ranks × vblock/eblock/rand × out/in/both ×
 k ∈ {0, 1, several, duplicated sources}.
+
+The frontier-word engine has its own matrix: k on both sides of every
+64-bit word boundary (0, 1, 2, 63, 64, 65, 130) with duplicated and
+isolated sources × out/in/both × 1–3 ranks × vblock/eblock/rand, with one
+``alltoallv`` and one ``allreduce`` per level (plus the first reduction)
+at every k and the ``bfs.levels`` / ``bfs.ghost_words`` trace counters
+checked against the levels and the bytes shipped.  It follows
+``REPRO_BACKEND``, so the procs backend runs it too.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spmd_kernels as K
 from bfs_reference import reference_bfs, reference_closeness, reference_harmonic
 from conftest import PARTITION_KINDS, dist_run
 from repro.analytics import (
@@ -29,6 +38,7 @@ from repro.analytics import (
     multi_source_bfs,
 )
 from repro.generators import rmat_edges, webcrawl_edges
+from repro.runtime import run_spmd
 
 DIRECTIONS = ("out", "in", "both")
 # distributed_bfs_dirop modes: the default heuristic, never bottom-up
@@ -119,3 +129,64 @@ def test_engine_matches_reference_on_web_and_rmat(graph, p, part):
         return all(_check_all(comm, g, sources, d) for d in DIRECTIONS)
 
     assert all(dist_run(edges, n, p, fn, part))
+
+
+WORD_KS = (0, 1, 2, 63, 64, 65, 130)
+
+
+def _word_graph():
+    """A crawl on 0..149 with self-loops and duplicate edges added, and
+    vertices 150..159 isolated."""
+    rng = np.random.default_rng(17)
+    crawl = webcrawl_edges(150, avg_degree=4, seed=9)
+    extra = rng.integers(0, 150, size=(60, 2))
+    loops = np.repeat(rng.integers(0, 150, size=(5, 1)), 2, axis=1)
+    return 160, np.concatenate([crawl, extra, extra[:10], loops])
+
+
+def _word_sources(n):
+    """130 sources whose every prefix of two or more repeats one, whose
+    prefixes from three on hold an isolated vertex (it reaches nothing and
+    nothing reaches it), and with a duplicate that straddles the first
+    word boundary (sources 63 and 64)."""
+    s = np.random.default_rng(4).integers(0, 150, 130)
+    s[1] = s[0]
+    s[2] = n - 3
+    s[64] = s[63]
+    return s
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+def test_word_engine_matches_reference(p, part):
+    n, edges = _word_graph()
+    sources = _word_sources(n)
+    outs = run_spmd(p, K.kern_bfs_words,
+                    {"edges": edges, "n": n, "part": part,
+                     "sources": sources, "ks": WORD_KS}, timeout=300.0)
+    assert sum(len(gids) for gids, _ in outs) == n
+    for key in outs[0][1]:
+        direction, k = key
+        per_rank = [res[key] for _, res in outs]
+        n_levels = max(int(want.max(initial=-1)) for _, want, *_ in per_rank) + 1
+        assert (n_levels == 0) == (k == 0), key
+        words = -(-k // 64)
+        for levels, want, a2a, ar, bumped_levels, ghost_words, sent in per_rank:
+            assert levels.dtype == np.int64 and levels.shape == want.shape
+            assert levels.tobytes() == want.tobytes(), key
+            # One exchange per level, one reduction per level plus the
+            # first; the batch's shared levels are counted once.
+            assert (a2a, ar, bumped_levels) == (n_levels, n_levels + 1,
+                                                n_levels), key
+            # Each ghost row carries a gid plus its words (k = 1: the gid).
+            if k == 1:
+                assert sent == 8 * ghost_words, key
+            elif k:
+                assert sent * words == 8 * ghost_words * (1 + words), key
+            if p == 1:
+                assert ghost_words == 0
+        if k > 1 and p > 1:
+            assert sum(r[5] for r in per_rank) > 0, key
+    # The isolated source is alone at level 0 in its column.
+    col = np.concatenate([res["out", 63][0][:, 2] for _, res in outs])
+    assert np.count_nonzero(col == 0) == 1 and (col[col != 0] == -2).all()

@@ -5,7 +5,9 @@
 counter it replaced.  Both implement the same tie rule — most frequent
 label, then largest hash, then largest label — so labels, iteration counts
 and change counts must be bitwise equal for every graph shape, rank count,
-partition kind and mode.
+partition kind and mode, and on both sides of the ``int32`` key bound
+``n_loc · n_global = 2**31``.  ``test_matches_reference_on_backend``
+follows ``REPRO_BACKEND``, so the procs backend runs it too.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import dist_run
+import spmd_kernels as K
+from conftest import PARTITION_KINDS, dist_run
 from lp_reference import lp, reference_label_propagation, reference_max_count_labels
 from repro.analytics import label_propagation
+from repro.generators import webcrawl_edges
+from repro.runtime import run_spmd
 
 
 def _random_multigraph(n, m, seed):
@@ -138,3 +143,56 @@ def test_key_overflow_rejected():
     with pytest.raises(SpmdError, match="overflows"):
         dist_run(np.zeros((0, 2), dtype=np.int64), 1, 1,
                  lambda c, g: label_propagation(c, Huge()))
+
+
+def test_key_dtype_bound():
+    """``int32`` keys exactly while every ``row * n_global + label`` fits;
+    a rank that owns no vertex counts as one row."""
+    assert lp._key_dtype(46_340, 46_340) is np.int32  # 2_147_395_600
+    assert lp._key_dtype(46_341, 46_341) is np.int64  # 2_147_488_281
+    assert lp._key_dtype(1, 2**31 - 1) is np.int32
+    assert lp._key_dtype(2, 2**30) is np.int64
+    assert lp._key_dtype(0, 2**31) is np.int64
+
+
+@pytest.mark.parametrize("n", [46_340, 46_341])
+def test_matches_oracle_across_the_int32_key_bound(n):
+    """One rank owns every vertex, so ``n_loc · n_global = n²`` lies just
+    below (46 340) or just above (46 341) ``2**31``: the counter runs on
+    ``int32`` and ``int64`` keys, and both give the oracle's labels."""
+    rng = np.random.default_rng(n)
+    # Sparse, with a dense block so that counts and ties vary.
+    edges = np.concatenate([rng.integers(0, n, size=(60_000, 2)),
+                            rng.integers(n - 200, n, size=(4_000, 2))])
+
+    def fn(comm, g):
+        assert lp._key_dtype(g.n_loc, g.n_global) is (
+            np.int32 if n * n < 2**31 else np.int64)
+        got = label_propagation(comm, g, n_iters=4, seed=2)
+        return got, reference_label_propagation(comm, g, n_iters=4, seed=2)
+
+    (got, (labels, iters, last)), = dist_run(edges, n, 1, fn)
+    assert got.labels.dtype == np.int64
+    assert got.labels.tobytes() == labels.tobytes()
+    assert (got.n_iters, got.last_changed) == (iters, last)
+
+
+LP_GRAPHS = {
+    "web": (300, webcrawl_edges(300, avg_degree=6, seed=8)),
+    "bipartite": _complete_bipartite(5, 7),
+    "star": _star(12),
+    "multigraph": _random_multigraph(40, 160, 3),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("part", PARTITION_KINDS)
+def test_matches_reference_on_backend(p, part):
+    outs = run_spmd(p, K.kern_lp_oracle, {"graphs": LP_GRAPHS, "part": part},
+                    timeout=300.0)
+    for key in outs[0]:
+        for labels, iters, last, ref_labels, ref_iters, ref_last in (
+                o[key] for o in outs):
+            assert labels.dtype == ref_labels.dtype == np.int64, key
+            assert labels.tobytes() == ref_labels.tobytes(), key
+            assert (iters, last) == (ref_iters, ref_last), key

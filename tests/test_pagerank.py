@@ -7,8 +7,8 @@ import pytest
 
 from conftest import PARTITION_KINDS, dist_run, gather_by_gid
 from repro.analytics import HaloExchange, pagerank
+from repro.analytics.common import csr_operator
 from repro.baselines import pagerank_ref
-from repro.graph.csr import segment_sum
 from repro.runtime import SUM, SpmdError
 
 
@@ -111,7 +111,8 @@ def _two_allreduce_pagerank(comm, g, damping=0.85, max_iters=10, tol=None,
                             personalization=None, delta_tol=None):
     """The power iteration with the dangling mass and the L1 change
     reduced separately, two allreduces per iteration: the schedule
-    ``pagerank`` fuses into one.  Returns ``(scores, n_iters, delta)``."""
+    ``pagerank`` fuses into one, on the same in-edge operator (the sums
+    must match bit for bit).  Returns ``(scores, n_iters, delta)``."""
     halo = HaloExchange(comm, g)
     n_loc, n = g.n_loc, g.n_global
     if personalization is None:
@@ -131,7 +132,7 @@ def _two_allreduce_pagerank(comm, g, damping=0.85, max_iters=10, tol=None,
     for _ in range(max_iters):
         contrib = x / safe_outdeg
         contrib[outdeg == 0] = 0.0
-        sums = segment_sum(g.in_indexes, contrib[g.in_edges])
+        sums = csr_operator(g, "in") @ contrib
         dangling = comm.allreduce(float(x[:n_loc][dangling_local].sum()), SUM)
         x_new = base + damping * (sums + dangling * teleport)
         delta = comm.allreduce(float(np.abs(x_new - x[:n_loc]).sum()), SUM)
