@@ -23,7 +23,11 @@
 # the WCC oracle tests/test_wcc_oracle.py, the BFS oracle
 # tests/test_bfs_oracle.py — the frontier-word engine bitwise equal to
 # tests/bfs_reference.py at k = 0, 1, 2, 63, 64, 65, 130, one alltoallv and
-# one allreduce per level — the Label Propagation oracle
+# one allreduce per level, and dir-opt BFS on both layouts bitwise equal
+# to the same reference with both local branches (push, pull) run, one
+# allreduce plus one alltoallv or flag halo per 1-D level and one column
+# gather, one row reduce and one allreduce per grid level (an idle
+# fallback-grid rank included) — the Label Propagation oracle
 # tests/test_lp_oracle.py — labels bitwise equal to tests/lp_reference.py,
 # on both sides of the int32 key bound — engines, streaming).  The SCC
 # checks: web_batch's exit code carries its SCC count vs scipy;
@@ -184,9 +188,13 @@ echo "== pytest smoke subset on the procs backend =="
 # reference, collective schedule included, on spawned-process ranks.  And
 # the SCC oracle: scc() beside the pivot-loop reference on every graph,
 # the WCC oracle: wcc() beside the coloring-loop reference, the BFS
-# oracle: the frontier-word engine beside the reference loop, source by
-# source, with its per-level collective schedule, and the LP oracle:
-# label_propagation() beside the lexsort counter.
+# oracle: the frontier-word engine and dir-opt BFS (1-D and grid) beside
+# the reference loop, source by source, with their per-level collective
+# schedules, and the LP oracle: label_propagation() beside the lexsort
+# counter.  The SSSP oracle file also holds the cached relaxation plan's
+# checks (built once per graph, unread by explicit weights/Δ).
+# tests/test_grid2d.py pins its own threads and procs cells, so it runs
+# in the tier-1 passes above rather than here.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
     tests/test_build_oracle.py tests/test_delta_oracle.py \

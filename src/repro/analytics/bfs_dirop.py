@@ -6,35 +6,89 @@ most important of those optimizations as the natural extension: switching
 from *top-down* frontier expansion to *bottom-up* parent search when the
 frontier covers a large fraction of the graph.
 
-Top-down (Algorithm 2): every frontier vertex scans its out-edges; cost
-∝ edges out of the frontier.
-Bottom-up: every unvisited vertex scans its in-edges for any frontier
-member and claims a level if one is found; cost ∝ edges into the
-unvisited set, which is far smaller near the traversal's peak levels.
+Top-down (Algorithm 2): every frontier vertex scans its out-edges and the
+discovered off-rank vertices travel to their owners in one ``alltoallv``.
+Bottom-up: each rank learns which of its *ghosts* are in the frontier from
+a retained-queue halo exchange of one flag per ghost, then finds
+{unvisited owned v with an in-neighbour in the frontier} with no further
+communication.  That set has two local spellings, and each rank takes the
+one that reads fewer entries (Buluç & Madduri's bottom-up step, GBBS's
+sparse/dense edge map):
 
-The distributed twist: bottom-up needs each rank to know which of its
-*ghosts* are in the current frontier, so each level in bottom-up mode
-refreshes a frontier flag array with a retained-queue halo exchange instead
-of shipping discovered vertices.  A top-down level is the BFS engine's own
-step (:func:`~repro.analytics.bfs._top_down_step` at k = 1, on the same
-one-word ``seen`` array the bottom-up levels mark), so only the bottom-up
-search and the switching heuristic live here.  Levels are
-identical to :func:`~repro.analytics.bfs.distributed_bfs` and to the
-oracle in ``tests/bfs_reference.py`` in every mode (asserted by tests).
+* **push** — the owned frontier's out-rows plus the ghost frontier's rows
+  of the cached ``closure_rows(g, "out")`` (a ghost's row lists the owned
+  vertices it leads to), scattered into a hit mask;
+* **pull** — only the unvisited rows' in-entries, gathered and reduced
+  with one ``logical_or.reduceat``.
+
+The choice is local and changes no message: the wire schedule — top-down
+``alltoallv`` or bottom-up flag halo, picked by the global heuristic in
+:func:`distributed_bfs_dirop` — is the same as when every bottom-up level
+scanned every in-entry.  A top-down level is the BFS engine's own step
+(:func:`~repro.analytics.bfs._top_down_step` at k = 1, on the same
+one-word ``seen`` array the bottom-up levels mark).  Levels are identical
+to :func:`~repro.analytics.bfs.distributed_bfs` and to the oracle in
+``tests/bfs_reference.py`` in every mode (asserted by tests).
+
+Trace counters: ``bfs.levels`` per traversal, and ``bfs.push_levels`` /
+``bfs.pull_levels`` — the levels this rank expanded by reading frontier
+rows (every top-down level counts as push) or unvisited rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import segment_max
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import SUM, Communicator
-from .bfs import _top_down_step
+from .bfs import _gather_ranges, _top_down_step
+from .closure import closure_rows
 from .common import NOT_VISITED
 from .exchange import HaloExchange
 
 __all__ = ["distributed_bfs_dirop"]
+
+
+def _pull(indptr: np.ndarray, adj: np.ndarray, rows: np.ndarray,
+          flags: np.ndarray) -> np.ndarray:
+    """The rows of ``rows`` (ascending) holding an entry whose ``flags``
+    bit is set: their entries gathered, one ``logical_or.reduceat``."""
+    starts, ends = indptr[rows], indptr[rows + 1]
+    nonempty = ends > starts  # reduceat needs every segment non-empty
+    rows, starts, ends = rows[nonempty], starts[nonempty], ends[nonempty]
+    if not len(rows):
+        return rows
+    lens = ends - starts
+    hit = np.logical_or.reduceat(flags[_gather_ranges(adj, starts, ends)],
+                                 np.cumsum(lens) - lens)
+    return rows[hit]
+
+
+def _bottom_up_step(g: DistGraph, seen: np.ndarray, frontier: np.ndarray,
+                    in_frontier: np.ndarray, in_deg: np.ndarray,
+                    out_deg: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The unvisited owned vertices with an in-neighbour flagged in
+    ``in_frontier`` (owned and ghost slots current), marked in ``seen``;
+    returns them and whether the step pushed."""
+    n_loc = g.n_loc
+    unseen = seen[:n_loc, 0] == 0
+    rows = closure_rows(g, "out")
+    ghost_front = np.flatnonzero(in_frontier[n_loc:])
+    g_lo, g_hi = rows.ghost_indptr[ghost_front], \
+        rows.ghost_indptr[ghost_front + 1]
+    push = int(out_deg[frontier].sum() + (g_hi - g_lo).sum()) \
+        <= int(in_deg[unseen].sum())
+    if push:
+        hit = np.zeros(g.n_total, dtype=bool)
+        hit[_gather_ranges(g.out_edges, g.out_indexes[frontier],
+                           g.out_indexes[frontier + 1])] = True
+        hit[_gather_ranges(rows.ghost_adj, g_lo, g_hi)] = True
+        nxt = np.flatnonzero(unseen & hit[:n_loc])
+    else:
+        nxt = _pull(g.in_indexes, g.in_edges, np.flatnonzero(unseen),
+                    in_frontier)
+    seen[nxt] = 1
+    return nxt, push
 
 
 def distributed_bfs_dirop(
@@ -47,12 +101,20 @@ def distributed_bfs_dirop(
 ) -> np.ndarray:
     """Direction-optimizing BFS over out-edges from one root.
 
+    A :class:`GridGraph` runs :func:`~repro.analytics.frontier2d.
+    grid_bfs_dirop`, whose wire format does not depend on the direction,
+    so ``alpha``/``beta`` and ``halo`` apply to the 1-D layout only.
+
     Parameters
     ----------
     alpha:
-        Switch to bottom-up once (frontier out-edges) × alpha exceeds the
-        unvisited vertices' edge mass (Beamer's heuristic, simplified to
-        global counts).
+        Switch to the bottom-up wire schedule once (frontier out-edges) ×
+        alpha exceeds the global number of unvisited *vertices*.  Beamer's
+        test compares against the unvisited vertices' edge mass instead;
+        the vertex count is kept because it fixes which levels ship the
+        ``alltoallv`` and which the flag halo — the traffic the
+        ``BENCH_bfs2d`` ratios are recorded against.  How a bottom-up
+        level reads its entries is chosen per rank, with no collective.
     beta:
         Switch back to top-down once the frontier shrinks below
         ``n / beta``.
@@ -62,18 +124,17 @@ def distributed_bfs_dirop(
     Per-local-vertex levels, identical to the top-down kernel's output.
     """
     if isinstance(g, GridGraph):
-        # 2-D checkerboard block: same heuristic, row/column-subgroup
-        # frontier exchanges instead of halo/alltoallv (lazy import; the
-        # grid kernels live beside the other frontier-idiom ports).
+        # 2-D checkerboard block: row/column-subgroup bitmap exchanges
+        # instead of halo/alltoallv (lazy import; the grid kernels live
+        # beside the other frontier-idiom ports).
         from .frontier2d import grid_bfs_dirop
 
-        return grid_bfs_dirop(comm, g, root_global, alpha=alpha, beta=beta)
+        return grid_bfs_dirop(comm, g, root_global)
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
     if halo is None:
         halo = HaloExchange(comm, g)
     n_loc, n_tot = g.n_loc, g.n_total
-    n_global = g.n_global
 
     levels = np.full(n_loc, NOT_VISITED, dtype=np.int64)
     seen = np.zeros((n_tot, 1), dtype=np.uint64)  # the engine's k = 1 words
@@ -83,41 +144,41 @@ def distributed_bfs_dirop(
     frontier = frontier[(frontier >= 0) & (frontier < n_loc)]  # owned here
     seen[frontier] = 1
 
-    out_deg = g.out_degrees()
-    level = 0
+    out_deg, in_deg = g.out_degrees(), g.in_degrees()
+    level = pushes = 0
     bottom_up = False
-    global_front = comm.allreduce(len(frontier), SUM)
 
+    def counts() -> np.ndarray:
+        """Global (frontier size, frontier out-edges, unvisited vertices):
+        the loop test and the direction heuristic in one allreduce."""
+        return comm.allreduce(np.array(
+            [len(frontier), out_deg[frontier].sum(),
+             n_loc - np.count_nonzero(seen[:n_loc])], dtype=np.int64), SUM)
+
+    global_front, front_edges, unvisited = counts()
     while global_front > 0:
-        # --- heuristic: pick the direction for the *next* expansion. ---
-        front_edges = comm.allreduce(int(out_deg[frontier].sum()), SUM)
-        unseen = seen[:n_loc, 0] == 0
-        unvisited = comm.allreduce(int(np.count_nonzero(unseen)), SUM)
+        # --- heuristic: pick the wire schedule of the next expansion. ---
         if not bottom_up and front_edges * alpha > max(unvisited, 1):
             bottom_up = True
-        elif bottom_up and global_front < n_global / beta:
+        elif bottom_up and global_front < g.n_global / beta:
             bottom_up = False
 
         levels[frontier] = level  # settle
         if bottom_up:
-            # Publish frontier membership to ghosts, then let every
-            # unvisited vertex search its in-edges for a frontier parent.
+            # Publish frontier membership to ghosts, then search locally.
             in_frontier[:] = False
             in_frontier[frontier] = True
             halo.exchange(in_frontier)
-            if g.m_in:
-                hit = segment_max(
-                    g.in_indexes, in_frontier[g.in_edges].astype(np.int8),
-                    empty_value=np.int8(0)).astype(bool)
-            else:
-                hit = np.zeros(n_loc, dtype=bool)
-            frontier = np.flatnonzero(unseen & hit).astype(np.int64)
-            seen[frontier] = 1
+            frontier, push = _bottom_up_step(g, seen, frontier, in_frontier,
+                                             in_deg, out_deg)
         else:
             frontier, _ = _top_down_step(comm, g, seen, frontier, None, "out")
-
+            push = True
+        pushes += push
         level += 1
-        global_front = comm.allreduce(len(frontier), SUM)
+        global_front, front_edges, unvisited = counts()
 
     comm.trace.bump("bfs.levels", level)
+    comm.trace.bump("bfs.push_levels", pushes)
+    comm.trace.bump("bfs.pull_levels", level - pushes)
     return levels

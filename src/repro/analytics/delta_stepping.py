@@ -16,6 +16,12 @@ members, reduces ``dist[u] + w`` per row with one ``np.minimum.reduceat``
 and writes back only improved rows.  An unchanged source offers only
 candidates at or above distances it already produced, so distances, round
 counts and the collective schedule equal relaxing every member.
+
+Both layouts read one :class:`RelaxPlan` per graph: Δ and the light and
+heavy in-entries as row-grouped ``(src, row, w)`` arrays, so a round
+masks only its own class and no call rehashes weights.  The default plan
+(no ``delta``, no ``weights``) is cached in ``g.derived``; later default
+calls skip the two Δ reductions.
 """
 
 from __future__ import annotations
@@ -59,6 +65,49 @@ def _resolve_delta(comm: Communicator, weights: np.ndarray,
     return float(delta)
 
 
+@dataclass(frozen=True)
+class RelaxPlan:
+    """What every relaxation round of one graph reads: the bucket width
+    and the light (w < Δ) and heavy in-entries as ``(src, row, w)``
+    arrays, each kept in row-grouped order.  ``src`` indexes the
+    distance array a round reads (owned + ghost slots in 1-D, the column
+    slice on a grid) and ``row`` the array it writes (owned vertices, the
+    row slice)."""
+
+    delta: float
+    light: tuple[np.ndarray, np.ndarray, np.ndarray]
+    heavy: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def relax_plan(comm: Communicator, g: DistGraph | GridGraph,
+               delta: float | None = None,
+               weights: np.ndarray | None = None) -> RelaxPlan:
+    """The :class:`RelaxPlan` of ``g`` for ``delta`` and ``weights``
+    (resolved by :func:`_resolve_delta` and :func:`~repro.analytics.sssp.
+    edge_weights`).  The default plan (both None) is built on first use
+    and cached on ``g``, Δ included, so later default calls skip the Δ
+    reductions; an explicit ``delta`` or ``weights`` builds a private plan
+    and leaves the cache alone."""
+    default = delta is None and weights is None
+    if default and "relax_plan" in g.derived:
+        return g.derived["relax_plan"]
+    src, indptr = (g.bu_edges, g.bu_indexes) if isinstance(g, GridGraph) \
+        else (g.in_edges, g.in_indexes)
+    weights = edge_weights(g, weights)
+    delta = _resolve_delta(comm, weights, delta)
+    rows = expand_rows(indptr)
+    light = weights < delta
+
+    def entries(mask: np.ndarray):
+        e = np.flatnonzero(mask)
+        return src[e], rows[e], weights[e]
+
+    plan = RelaxPlan(delta, entries(light), entries(~light))
+    if default:
+        g.derived["relax_plan"] = plan
+    return plan
+
+
 def _run_buckets(comm: Communicator, dist_own: np.ndarray, delta: float,
                  relax: Callable[[float, float, bool], int],
                  max_rounds: int) -> tuple[int, int]:
@@ -91,17 +140,18 @@ def _run_buckets(comm: Communicator, dist_own: np.ndarray, delta: float,
 
 def _bucket_minima(dist: np.ndarray, fresh: np.ndarray | None,
                    bucket_lo: float, bucket_hi: float,
-                   edge_class: np.ndarray, src: np.ndarray, rows: np.ndarray,
-                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """One round's candidates: ``(row ids, per-row min of dist[u] + w)``
-    over the row-grouped entries ``(src, rows)`` of ``edge_class`` whose
-    source is a bucket member — only a ``fresh`` one (flag cleared) in a
-    light round, any in the heavy pass (``fresh`` None)."""
+    over the row-grouped ``(src, row, w)`` entries whose source is a
+    bucket member — only a ``fresh`` one (flag cleared) in a light round,
+    any in the heavy pass (``fresh`` None)."""
+    src, rows, weights = entries
     active = (dist >= bucket_lo) & (dist < bucket_hi)
     if fresh is not None:
         active &= fresh
         fresh[active] = False
-    e = np.flatnonzero(edge_class & active[src])
+    e = np.flatnonzero(active[src])
     if not len(e):
         return e, dist[:0]
     r = rows[e]
@@ -142,8 +192,7 @@ def delta_stepping(
     with comm.region("delta_stepping"):
         if halo is None:
             halo = HaloExchange(comm, g)
-        weights = edge_weights(g, weights)
-        delta = _resolve_delta(comm, weights, delta)
+        plan = relax_plan(comm, g, delta, weights)
 
         n_loc, n_tot = g.n_loc, g.n_total
         dist = np.full(n_tot, INF, dtype=np.float64)
@@ -154,16 +203,12 @@ def delta_stepping(
         halo.exchange(dist)
         fresh = np.isfinite(dist)  # owned and ghost slots alike
 
-        rows = expand_rows(g.in_indexes)
-        light = weights < delta
-        heavy = ~light
-
         def relax(bucket_lo: float, bucket_hi: float, is_light: bool) -> int:
             """One round over the bucket's sources; returns the global
             number of improved local vertices."""
             r, best = _bucket_minima(
                 dist, fresh if is_light else None, bucket_lo, bucket_hi,
-                light if is_light else heavy, g.in_edges, rows, weights)
+                plan.light if is_light else plan.heavy)
             better = best < dist[r]
             r = r[better]
             improved = comm.allreduce(len(r), SUM)
@@ -175,8 +220,8 @@ def delta_stepping(
                 fresh[n_loc:] |= dist[n_loc:] < ghosts
             return improved
 
-        n_phases, n_rounds = _run_buckets(comm, dist[:n_loc], delta, relax,
-                                          max_rounds)
+        n_phases, n_rounds = _run_buckets(comm, dist[:n_loc], plan.delta,
+                                          relax, max_rounds)
         reached = comm.allreduce(
             int(np.count_nonzero(np.isfinite(dist[:n_loc]))), SUM)
         return DeltaSteppingResult(distances=dist[:n_loc].copy(),

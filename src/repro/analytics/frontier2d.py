@@ -9,20 +9,23 @@ two subgroup collectives of ``≈ √p`` participants each (Buluç & Madduri):
    into a ``np.packbits`` bitmap (1 bit/vertex) and allgathers it over
    ``comm.cols()``; unpacking the per-member segments yields the full
    column-slice frontier every block in the column needs;
-2. **local expansion** — top-down scans the td CSR rows of frontier
-   sources, bottom-up scans the bu CSR rows of unvisited targets (same
-   direction-switch heuristic as :func:`~repro.analytics.bfs_dirop.
-   distributed_bfs_dirop`);
+2. **local expansion** — *push* scans the td CSR rows of the column
+   frontier, *pull* scans only the bu CSR rows of unvisited row-slice
+   targets; each block picks the side with fewer entries, with no
+   collective (the push/pull identity of :mod:`~repro.analytics.
+   bfs_dirop`);
 3. **row reduce** — candidate targets are packed into a row-slice bitmap
    and OR-combined with one ``allreduce(BOR)`` over ``comm.rows()``; every
    row member learns the complete next frontier of its row slice and
    slices out its own chunk.
 
-The wire format is identical in both directions — a packed bitmap column
-gather plus a packed bitmap row reduce per level — so the collective
-schedule never depends on the (replicated) direction decision.  WCC and
-delta-stepping SSSP reuse the same :class:`Frontier2D` plumbing with dense
-label/distance payloads instead of bitmaps.
+The wire format is the same on both sides — a packed bitmap column
+gather plus a packed bitmap row reduce per level, and one ``allreduce``
+of the frontier size — so the BFS has no global direction heuristic.
+WCC and delta-stepping SSSP reuse the same :class:`Frontier2D` plumbing
+with dense label/distance payloads instead of bitmaps; Δ-stepping reads
+the graph's cached relaxation plan (:func:`~repro.analytics.
+delta_stepping.relax_plan`), as the 1-D kernel does.
 
 Results are bitwise-identical to the 1-D kernels (asserted by tests):
 levels, component labels, and shortest distances do not depend on the
@@ -33,18 +36,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import expand_rows, segment_max, segment_min
+from ..graph.csr import segment_min
 from ..graph.distgraph import GridGraph
 from ..runtime import BOR, MAXLOC, MIN, SUM, Communicator, ReduceOp
 from .bfs import _gather_ranges
+from .bfs_dirop import _pull
 from .common import NOT_VISITED
 from .delta_stepping import (
     DeltaSteppingResult,
     _bucket_minima,
-    _resolve_delta,
     _run_buckets,
+    relax_plan,
 )
-from .sssp import edge_weights
 from .wcc import WCCResult
 
 __all__ = ["Frontier2D", "grid_bfs_dirop", "grid_wcc",
@@ -128,16 +131,18 @@ def grid_bfs_dirop(
     comm: Communicator,
     g: GridGraph,
     root_global: int,
-    alpha: float = 15.0,
-    beta: float = 20.0,
     f2: Frontier2D | None = None,
 ) -> np.ndarray:
     """Direction-optimizing BFS on the 2-D grid distribution.
 
-    Same semantics and direction heuristic as
-    :func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop`; returns the
-    per-*owned*-vertex level array (bitwise-equal to the 1-D result for
-    the same partition chunks).
+    Same levels as :func:`~repro.analytics.bfs_dirop.
+    distributed_bfs_dirop` (bitwise-equal to the 1-D result for the same
+    partition chunks); returns the per-*owned*-vertex level array.  A
+    level is one column gather, one row reduce and one ``allreduce`` of
+    the frontier size.  The wire format does not depend on the direction,
+    so there is no global heuristic: each block expands by push (the td
+    rows of the column frontier) or pull (the bu rows of the unvisited
+    row-slice targets), whichever reads fewer entries.
     """
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
@@ -154,39 +159,27 @@ def grid_bfs_dirop(
     if g.is_active and g.row_lo <= root_global < g.row_lo + g.n_row:
         visited_row[root_global - g.row_lo] = True
 
-    deg_td = g.td_degrees()
-    level = 0
-    bottom_up = False
+    deg_td, deg_bu = g.td_degrees(), g.bu_degrees()
+    level = pushes = 0
     global_front = comm.allreduce(int(own_mask.sum()), SUM)
 
     while global_front > 0:
         status[own_mask] = level
 
-        # Column phase: packed-bitmap frontier gather (both directions).
+        # Column phase: packed-bitmap frontier gather.
         col_mask = f2.gather_frontier(own_mask)
 
-        # Direction heuristic on replicated global counts, as in 1-D.
-        front_edges = comm.allreduce(int(deg_td[col_mask].sum()), SUM)
-        unvisited = comm.allreduce(
-            int(np.count_nonzero(status == NOT_VISITED)), SUM)
-        if not bottom_up and front_edges * alpha > max(unvisited, 1):
-            bottom_up = True
-        elif bottom_up and global_front < g.n_global / beta:
-            bottom_up = False
-
-        # Local expansion into row-slice candidates.
+        # Local expansion into row-slice candidates, by the cheaper side.
+        fr = np.flatnonzero(col_mask)
+        unvisited = np.flatnonzero(~visited_row)
         cand[:] = False
-        if bottom_up:
-            if g.m_block:
-                cand |= segment_max(
-                    g.bu_indexes, col_mask[g.bu_edges].astype(np.int8),
-                    empty_value=np.int8(0)).astype(bool)
+        if deg_td[fr].sum() <= deg_bu[unvisited].sum():
+            cand[_gather_ranges(g.td_edges, g.td_indexes[fr],
+                                g.td_indexes[fr + 1])] = True
+            cand &= ~visited_row
+            pushes += 1
         else:
-            fr = np.flatnonzero(col_mask)
-            nbrs = _gather_ranges(g.td_edges, g.td_indexes[fr],
-                                  g.td_indexes[fr + 1])
-            cand[nbrs] = True
-        cand &= ~visited_row
+            cand[_pull(g.bu_indexes, g.bu_edges, unvisited, col_mask)] = True
 
         # Row phase: packed-bitmap OR-reduce; every member sees the full
         # next frontier of its row slice and keeps its own chunk.
@@ -197,6 +190,9 @@ def grid_bfs_dirop(
         level += 1
         global_front = comm.allreduce(int(own_mask.sum()), SUM)
 
+    comm.trace.bump("bfs.levels", level)
+    comm.trace.bump("bfs.push_levels", pushes)
+    comm.trace.bump("bfs.pull_levels", level - pushes)
     return status
 
 
@@ -287,16 +283,12 @@ def grid_delta_stepping(
     with comm.region("delta_stepping2d"):
         f2 = Frontier2D(comm, g)
         n_own, own_lo, row_off = g.n_own, g.own_lo, g.own_row_off
-        weights = edge_weights(g, weights)
-        delta = _resolve_delta(comm, weights, delta)
+        plan = relax_plan(comm, g, delta, weights)
 
         dist = np.full(n_own, INF, dtype=np.float64)
         if own_lo <= root_global < own_lo + n_own:
             dist[root_global - own_lo] = 0.0
 
-        rows_bu = expand_rows(g.bu_indexes)
-        light = weights < delta
-        heavy = ~light
         new_row = np.full(g.n_row, INF, dtype=np.float64)
         seen_col = np.full(g.n_col, INF, dtype=np.float64)
         fresh_col = np.zeros(g.n_col, dtype=bool)
@@ -311,8 +303,7 @@ def grid_delta_stepping(
                 seen_col[:] = dist_col
                 r, best = _bucket_minima(
                     dist_col, fresh_col if is_light else None, bucket_lo,
-                    bucket_hi, light if is_light else heavy, g.bu_edges,
-                    rows_bu, weights)
+                    bucket_hi, plan.light if is_light else plan.heavy)
                 new_row[r] = best
             all_row = f2.reduce_rows(new_row, MIN)
             new_own = np.minimum(dist, all_row[row_off:row_off + n_own])
@@ -321,7 +312,7 @@ def grid_delta_stepping(
             dist[:] = new_own
             return improved
 
-        n_phases, n_rounds = _run_buckets(comm, dist, delta, relax,
+        n_phases, n_rounds = _run_buckets(comm, dist, plan.delta, relax,
                                           max_rounds)
         reached = comm.allreduce(
             int(np.count_nonzero(np.isfinite(dist))), SUM)

@@ -21,7 +21,6 @@ from .csr import (
     csr_row_lengths,
     expand_rows,
     segment_count_nonzero,
-    segment_max,
     segment_min,
     segment_sum,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "csr_row_lengths",
     "expand_rows",
     "segment_sum",
-    "segment_max",
     "segment_min",
     "segment_count_nonzero",
     "CompressedCSR",

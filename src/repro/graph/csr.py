@@ -24,7 +24,6 @@ __all__ = [
     "build_csr",
     "csr_row_lengths",
     "segment_sum",
-    "segment_max",
     "segment_min",
     "segment_count_nonzero",
     "expand_rows",
@@ -149,20 +148,6 @@ def segment_sum(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     starts = indptr[:-1][nonempty]
     sums = np.add.reduceat(values, starts)
     out[nonempty] = sums
-    return out
-
-
-def segment_max(indptr: np.ndarray, values: np.ndarray, empty_value) -> np.ndarray:
-    """Per-row maximum of ``values``; empty rows get ``empty_value``."""
-    n = len(indptr) - 1
-    out = np.full(n, empty_value, dtype=values.dtype if len(values) else np.int64)
-    if len(values) == 0 or n == 0:
-        return out
-    nonempty = indptr[:-1] < indptr[1:]
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = np.maximum.reduceat(values, starts)
     return out
 
 

@@ -51,8 +51,8 @@ class DistGraph:
     out_values: np.ndarray | None = None  # optional per-out-edge weights
     in_values: np.ndarray | None = None  # optional per-in-edge weights
     #: Read-only structures derived from the adjacency by the kernels
-    #: that share them (the closure rows, the propagation operators),
-    #: built on first use; they live
+    #: that share them (the closure rows, the propagation operators,
+    #: Δ-stepping's relaxation plan), built on first use; they live
     #: and die with this object, and :meth:`sort_adjacency` drops them.
     derived: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -258,6 +258,11 @@ class GridGraph:
     td_values: np.ndarray | None = None  # optional weights, td order
     bu_values: np.ndarray | None = None  # optional weights, bu order
     symmetrized: bool = False  # True when built with reversed edges added
+    #: Read-only structures derived from the block by the kernels that
+    #: share them (Δ-stepping's relaxation plan), built on first use;
+    #: they live and die with this object.
+    derived: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     # ------------------------------------------------------------------
     @property

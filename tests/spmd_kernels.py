@@ -144,6 +144,48 @@ def kern_bfs_dirop(comm, cfg):
     return g.unmap[: g.n_loc].copy(), levels
 
 
+def kern_dirop_oracle(comm, cfg):
+    """``distributed_bfs_dirop`` per source and per mode of
+    ``cfg["modes"]`` beside the reference loop, on the 1-D layout
+    ``cfg["part"]`` or (``"grid"``) on the 2-D grid.
+
+    Returns the owned gids, the reference levels of those vertices (from
+    a 1-D vertex-block build of the same chunks on a grid) and ``{(mode
+    index, source): (levels, world ops, column ops, row ops, bfs.levels,
+    bfs.push_levels, bfs.pull_levels)}`` over the call alone; a grid
+    rank outside the process grid has no column or row ops.
+    """
+    grid = cfg["part"] == "grid"
+    sources = [int(s) for s in cfg["sources"]]
+    if grid:
+        g, halo = build_grid(comm, cfg), None
+        f2 = Frontier2D(comm, g)  # the cached grid sub-communicators
+        comms = [comm, f2.col_comm, f2.row_comm]
+        ref_g = build_graph(comm, {**cfg, "part": "vblock"})
+        gids = _own_gids(g)
+    else:
+        g = ref_g = build_graph(comm, cfg)
+        halo = HaloExchange(comm, g)
+        halo.exchange(np.zeros(g.n_total, dtype=bool))  # plan set up here
+        comms = [comm, None, None]
+        gids = g.unmap[: g.n_loc].copy()
+    want = np.stack([reference_bfs(comm, ref_g, s) for s in sources], axis=1)
+    want_gids = ref_g.unmap[: ref_g.n_loc]
+    counters = ("bfs.levels", "bfs.push_levels", "bfs.pull_levels")
+    out = {}
+    for i, mode in enumerate(cfg["modes"]):
+        for s in sources:
+            marks = [len(c.trace.events) if c else 0 for c in comms]
+            before = dict(comm.trace.counters)
+            levels = distributed_bfs_dirop(comm, g, s, halo=halo, **mode)
+            ops = [[e.op for e in c.trace.events[m:]] if c else []
+                   for c, m in zip(comms, marks)]
+            bumped = [comm.trace.counters.get(k, 0) - before.get(k, 0)
+                      for k in counters]
+            out[i, s] = (levels, *ops, *bumped)
+    return gids, (want_gids, want), out
+
+
 def kern_msbfs(comm, cfg):
     g = build_graph(comm, cfg)
     levels = multi_source_bfs(comm, g, cfg["sources"],
@@ -622,6 +664,57 @@ def kern_delta_oracle(comm, cfg):
             side(lambda: reference_bellman_ford(comm, g, root, halo=halo),
                  counters)[:2])
     return (_own_gids(g) if grid else g.unmap[: g.n_loc].copy()), out
+
+
+def kern_delta_plan(comm, cfg):
+    """Δ-stepping's cached relaxation plan on one graph.
+
+    cfg: ``{"edges", "n", "values", "part", "root"}`` as for
+    :func:`kern_delta_oracle`.  Runs explicit-Δ and explicit-weight calls
+    on the fresh graph, two default calls, explicit calls again, and (1-D)
+    ``sort_adjacency``.  Returns the owned gids, ``{case: (production,
+    reference)}`` (distances, counters, schedule), and ``{check: bool}``
+    for whether a plan was stored and kept at each step.
+    """
+    grid = cfg["part"] == "grid"
+    root = cfg["root"]
+    if grid:
+        g, halo = build_grid(comm, cfg), None
+        ref = partial(reference_grid_delta_stepping, comm, g, root)
+    else:
+        g = build_graph(comm, cfg)
+        halo = HaloExchange(comm, g)
+        halo.exchange(np.zeros(g.n_total))  # float64 plan set up outside
+        ref = partial(reference_delta_stepping, comm, g, root, halo=halo)
+    m = len(g.bu_edges if grid else g.in_edges)
+    ones = np.ones(m)
+    counters = ("n_phases", "n_relax_rounds", "reached")
+
+    def side(call):
+        res, sched = _with_schedule(comm, g, call)
+        return (res.distances, tuple(getattr(res, f) for f in counters),
+                sched)
+
+    def case(**kw):
+        return (side(lambda: delta_stepping(comm, g, root, halo=halo, **kw)),
+                side(lambda: ref(**kw)))
+
+    out, flags = {}, {}
+    out["delta"] = case(delta=0.5)
+    out["weights"] = case(weights=ones)
+    flags["explicit calls store nothing"] = "relax_plan" not in g.derived
+    out["first"] = case()
+    plan = g.derived.get("relax_plan")
+    flags["default call stores the plan"] = plan is not None
+    out["second"] = case()
+    out["weights after"] = case(weights=2 * ones)
+    out["delta after"] = case(delta=1e6)
+    flags["the plan is built once"] = g.derived.get("relax_plan") is plan
+    if not grid:
+        g.sort_adjacency()
+        flags["sort_adjacency drops the plan"] = \
+            "relax_plan" not in g.derived
+    return (_own_gids(g) if grid else g.unmap[: g.n_loc].copy()), out, flags
 
 
 def kern_collectives(comm, seed):

@@ -190,3 +190,79 @@ def test_word_engine_matches_reference(p, part):
     # The isolated source is alone at level 0 in its column.
     col = np.concatenate([res["out", 63][0][:, 2] for _, res in outs])
     assert np.count_nonzero(col == 0) == 1 and (col[col != 0] == -2).all()
+
+
+def _star_with_isolated():
+    """Hub 0 → every leaf 1..39 and back, vertices 40..59 isolated: from
+    the hub, level 1 is every leaf, and after it no unvisited vertex has
+    an in-entry, so the last level pulls over rows with no entries."""
+    leaves = np.arange(1, 40, dtype=np.int64)
+    hub = np.zeros_like(leaves)
+    return 60, np.concatenate([np.stack([hub, leaves], axis=1),
+                               np.stack([leaves, hub], axis=1)])
+
+
+def _dirop_graphs():
+    n, edges = _rmat()
+    deg = np.bincount(edges[:, 0], minlength=n)
+    sources = np.concatenate([np.argsort(-deg, kind="stable")[:2], [7]])
+    yield "rmat", n, edges, sources
+    n, edges = _web()
+    yield "web", n, edges, np.array([0, 150], dtype=np.int64)
+    n, edges = _star_with_isolated()
+    yield "star", n, edges, np.array([0, 5, 45], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, part", [
+    (p, part) for p in (1, 2, 3) for part in PARTITION_KINDS + ("grid",)
+] + [(5, "grid")])
+def test_dirop_push_pull_matches_reference(p, part):
+    """Dir-opt BFS on both layouts: levels equal the reference loop; each
+    level is one ``allreduce`` plus one ``alltoallv`` (top-down exchange
+    or bottom-up flag halo) on 1-D, and one column gather, one row
+    reduce and one ``allreduce`` on the grid (p = 5 runs a 2 × 2
+    fallback grid with rank 4 idle: world reductions only, every level
+    a push over nothing); ``bfs.push_levels + bfs.pull_levels ==
+    bfs.levels`` on every rank, and both local branches run."""
+    grid = part == "grid"
+    for name, n, edges, sources in _dirop_graphs():
+        outs = run_spmd(p, K.kern_dirop_oracle,
+                        {"edges": edges, "n": n, "part": part,
+                         "sources": sources, "modes": DIROP_MODES},
+                        timeout=300.0)
+        gids = np.concatenate([o[0] for o in outs])
+        assert np.array_equal(np.sort(gids), np.arange(n)), name
+        want_gids = np.concatenate([o[1][0] for o in outs])
+        want = np.concatenate([o[1][1] for o in outs])[np.argsort(want_gids)]
+        pulls = {}
+        for (mode, s), _ in outs[0][2].items():
+            per_rank = [o[2][mode, s] for o in outs]
+            got = np.concatenate([r[0] for r in per_rank])[np.argsort(gids)]
+            j = list(sources).index(s)
+            assert got.tobytes() == want[:, j].tobytes(), (name, mode, s)
+            n_levels = int(want[:, j].max(initial=-1)) + 1
+            for levels, world, col, row, lv, push, pull in per_rank:
+                assert (lv, push + pull) == (n_levels, n_levels)
+                if grid:
+                    assert world == ["allreduce[SUM]"] * (n_levels + 1)
+                    assert col in ([], ["allgatherv"] * n_levels)
+                    assert row in ([], ["allreduce[BOR]"] * n_levels)
+                    assert (col == []) == (row == [])
+                else:
+                    assert world == ["allreduce[SUM]"] + [
+                        "alltoallv", "allreduce[SUM]"] * n_levels
+            pulls[mode] = pulls.get(mode, 0) + sum(r[6] for r in per_rank)
+            if grid and p == 5:  # the fallback grid's idle rank
+                idle = [r for r in per_rank if r[2] == []]
+                assert len(idle) == 1 and idle[0][5] == n_levels
+        pushes = {mode: sum(o[2][key][5] for o in outs
+                            for key in o[2] if key[0] == mode)
+                  for mode in range(len(DIROP_MODES))}
+        assert all(pushes.values()), name
+        # Bottom-up levels pull where the unvisited rows are the cheaper
+        # side; alpha = 0 never leaves top-down on 1-D, every level of
+        # a grid traversal picks a side.
+        assert pulls[1] == 0 or grid, name
+        assert pulls[2] > 0, name
+        if grid:
+            assert pulls[0] > 0 and pulls[1] > 0, name

@@ -12,7 +12,6 @@ from repro.graph import (
     csr_row_lengths,
     expand_rows,
     segment_count_nonzero,
-    segment_max,
     segment_sum,
 )
 
@@ -62,12 +61,6 @@ def test_segment_sum_int():
     out = segment_sum(indptr, vals)
     assert out.tolist() == [0, 6]
     assert out.dtype == np.int64
-
-
-def test_segment_max_with_empty_rows():
-    indptr = np.array([0, 1, 1, 3])
-    vals = np.array([5, -2, 9])
-    assert segment_max(indptr, vals, empty_value=-100).tolist() == [5, -100, 9]
 
 
 def test_segment_count_nonzero():

@@ -104,3 +104,29 @@ def test_rmat_matches_scipy_dijkstra(p, part):
         got = _distances(outs, d)
         assert np.array_equal(np.isfinite(got), fin)
         assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("part", PARTS)
+def test_relax_plan_is_cached_per_graph(p, part):
+    """The default plan (Δ and the light/heavy entry lists) is built by
+    the first default call and read by the next: distances, counters and
+    schedule equal the reference, except that the second call skips the
+    two Δ reductions.  Explicit ``delta=`` / ``weights=`` calls neither
+    store a plan nor read the stored one; ``sort_adjacency`` drops it."""
+    n, edges, values = _weighted()
+    root = int(edges[0, 0])
+    outs = run_spmd(p, K.kern_delta_plan,
+                    {"edges": edges, "n": n, "values": values, "part": part,
+                     "root": root}, timeout=180.0)
+    for _, cases, flags in outs:
+        assert all(flags.values()), flags
+        for key, (got, want) in cases.items():
+            assert got[0].tobytes() == want[0].tobytes(), key
+            assert got[1] == want[1], key
+            if key != "second":
+                assert got[2] == want[2], key
+        first, second = cases["first"][0][2], cases["second"][0][2]
+        assert [op for op, _ in first[0][:2]] == ["allreduce[SUM]"] * 2
+        assert second[0] == first[0][2:] and second[1:] == first[1:]
+        assert cases["second"][0][0].tobytes() == cases["first"][0][0].tobytes()
