@@ -63,7 +63,7 @@ def make_build_state(payload):
     n = payload["n"]
 
     def fn(comm, state):
-        from repro.analytics import HaloExchange
+        from repro.analytics import halo_of
         from repro.graph import build_dist_graph
         from repro.partition import VertexBlockPartition
 
@@ -71,7 +71,7 @@ def make_build_state(payload):
         part = VertexBlockPartition(n, comm.size)
         g = build_dist_graph(comm, chunk, part)
         state["g"] = g
-        state["halo"] = HaloExchange(comm, g)
+        halo_of(comm, g)  # the setup runs here, outside the timed jobs
         # Global-id edge pairs as plain ints: the pure-Python workload.
         lo = g.out_indexes
         srcs = np.repeat(np.arange(g.n_loc), np.diff(lo))
@@ -89,8 +89,7 @@ def make_pagerank_job(payload):
     def fn(comm, state):
         from repro.analytics import pagerank
 
-        res = pagerank(comm, state["g"], max_iters=iters,
-                       halo=state["halo"])
+        res = pagerank(comm, state["g"], max_iters=iters)
         return float(res.scores.sum())
 
     return fn

@@ -53,9 +53,9 @@ import pytest
 from _common import fmt_table, rmat_like_wc, rmat_n
 from repro.analytics import (
     Frontier2D,
-    HaloExchange,
     distributed_bfs_dirop,
     grid_bfs_dirop,
+    halo_of,
 )
 from repro.graph import build_dist_graph, build_grid_graph
 from repro.partition import EdgeBlockPartition, GridEdgePartition
@@ -111,10 +111,10 @@ def _measure_traffic(p: int, n: int) -> dict:
         # --- 1-D edge-block: halo + alltoallv frontier machinery -------
         part = EdgeBlockPartition.from_edge_chunks(comm, chunk[:, 0], nv)
         g = build_dist_graph(comm, chunk, part)
-        halo = HaloExchange(comm, g)  # plans built outside the tally
+        halo_of(comm, g)  # setup outside the tally
         comm.barrier()
         comm.trace.reset()
-        levels = distributed_bfs_dirop(comm, g, root, halo=halo)
+        levels = distributed_bfs_dirop(comm, g, root)
         out["1d"] = _tally([e for e in comm.trace.events if not _is_ctrl(e)],
                            [e for e in comm.trace.events if _is_ctrl(e)])
         out["gids_1d"] = g.unmap[: g.n_loc].copy()

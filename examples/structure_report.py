@@ -18,7 +18,6 @@ import numpy as np
 from repro import run_spmd
 from repro.analysis import bowtie_decomposition, degree_stats
 from repro.analytics import (
-    HaloExchange,
     betweenness_centrality,
     estimate_diameter,
     harmonic_centrality_many,
@@ -36,20 +35,19 @@ def study(comm, n, edges):
     part = VertexBlockPartition(n, comm.size)
     chunk = np.array_split(edges, comm.size)[comm.rank]
     g = build_dist_graph(comm, chunk, part)
-    halo = HaloExchange(comm, g)
 
-    bt = bowtie_decomposition(comm, g, halo=halo)
+    bt = bowtie_decomposition(comm, g)
     deg_in = degree_stats(comm, g, "in")
     deg_out = degree_stats(comm, g, "out")
     diam = estimate_diameter(comm, g, sweeps=4)
-    tri = triangle_count(comm, g, halo=halo)
+    tri = triangle_count(comm, g)
 
     # Centralities: PageRank (full), harmonic (top-5 hubs), betweenness
     # (sampled estimate).
-    pr = pagerank(comm, g, max_iters=30, tol=1e-10, halo=halo)
+    pr = pagerank(comm, g, max_iters=30, tol=1e-10)
     hubs = top_degree_vertices(comm, g, 5)
     hc = harmonic_centrality_many(comm, g, hubs)
-    bc = betweenness_centrality(comm, g, k=8, seed=1, halo=halo)
+    bc = betweenness_centrality(comm, g, k=8, seed=1)
 
     def global_top(values):
         """(value, gid) of the global maximum of a local array."""

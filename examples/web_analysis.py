@@ -27,7 +27,6 @@ from repro.analysis import (
     coreness_percentile,
 )
 from repro.analytics import (
-    HaloExchange,
     approx_kcore,
     harmonic_centrality,
     label_propagation,
@@ -71,22 +70,20 @@ def analyze(comm, n: int, path: Path, partition: str) -> dict:
     part = make_partition()
     g, _stats = timed("build",
                       lambda: build_dist_graph_with_stats(comm, chunk, part))
-    halo = HaloExchange(comm, g)
 
     pr = timed("pagerank (10 it)",
-               lambda: pagerank(comm, g, max_iters=10, halo=halo))
+               lambda: pagerank(comm, g, max_iters=10))
     lp = timed("label propagation (10 it)",
-               lambda: label_propagation(comm, g, n_iters=10, seed=1,
-                                         halo=halo))
-    comp = timed("wcc", lambda: wcc(comm, g, halo=halo))
-    s = timed("scc", lambda: largest_scc(comm, g, halo=halo))
+               lambda: label_propagation(comm, g, n_iters=10, seed=1))
+    comp = timed("wcc", lambda: wcc(comm, g))
+    s = timed("scc", lambda: largest_scc(comm, g))
     hub = int(top_degree_vertices(comm, g, 1)[0])
     hc = timed("harmonic centrality (1 vtx)",
                lambda: harmonic_centrality(comm, g, hub))
     kc = timed("k-core (27 stages)",
-               lambda: approx_kcore(comm, g, max_stage=27, halo=halo))
+               lambda: approx_kcore(comm, g, max_stage=27))
 
-    communities = community_stats(comm, g, lp.labels, top_k=10, halo=halo)
+    communities = community_stats(comm, g, lp.labels, top_k=10)
     k_vals, cum = coreness_distribution(comm, kc.stage_removed)
 
     # Bow-tie style summary: giant WCC/SCC sizes.

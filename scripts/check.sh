@@ -1,49 +1,13 @@
 #!/usr/bin/env bash
-# Repository health check: lint (when ruff is available), the spmdlint SPMD
-# correctness analysis (one whole-program strict pass over src/repro with
-# the autofix drift gate, against the checked-in baseline, and one over
-# benchmarks + examples against theirs), the seeded-violation fixture
-# corpora (run as the parametrized pytest module
-# tests/test_check_corpus.py), the runtime
-# race fixtures, one smoke run per versioned benchmarks/BENCH_*.json
-# baseline (backends, bfs2d, comm: fails on ratio regression vs
-# the recorded baseline; serving load is measured by the e2e workloads,
-# not here), the end-to-end benchmark's self-test, a short stream_churn
-# run (exit code only: its incremental-vs-rebuild checks), a short
-# serve_cold_rw run (exit code only: sampled responses vs a direct engine,
-# no failed operation), a short web_batch run (exit code only: its
-# output checks) and a short rmat_traversal run (exit code only: BFS
-# levels vs scipy, multi_source_bfs == per-root BFS, grid == 1-D, and the
-# Δ-stepping checks: validate_distances on the 1-D distances, grid
-# Δ-stepping bitwise == 1-D), a 2-replica `repro serve` CLI smoke, and the
-# tier-1 suite twice (verifier on; then buffer sanitizer on as well) plus a
-# procs-backend subset (backends, cross-backend equivalence, the graph
-# construction oracle tests/test_build_oracle.py, the SSSP oracle
-# tests/test_delta_oracle.py, the SCC oracle tests/test_scc_oracle.py,
-# the WCC oracle tests/test_wcc_oracle.py, the BFS oracle
-# tests/test_bfs_oracle.py — the frontier-word engine bitwise equal to
-# tests/bfs_reference.py at k = 0, 1, 2, 63, 64, 65, 130, one alltoallv and
-# one allreduce per level, and dir-opt BFS on both layouts bitwise equal
-# to the same reference with both local branches (push, pull) run, one
-# allreduce plus one alltoallv or flag halo per 1-D level and one column
-# gather, one row reduce and one allreduce per grid level (an idle
-# fallback-grid rank included) — the Label Propagation oracle
-# tests/test_lp_oracle.py — labels bitwise equal to tests/lp_reference.py,
-# on both sides of the int32 key bound — engines, streaming).  The SCC
-# checks: web_batch's exit code carries its SCC count vs scipy;
-# tests/test_scc_oracle.py holds scc() labels bitwise equal to the
-# pivot-loop reference (tests/scc_reference.py) and R-MAT labels equal to
-# scipy's strong components.  tests/test_wcc_oracle.py holds wcc() labels
-# bitwise equal to the coloring-loop reference (tests/wcc_reference.py),
-# and tests/test_kcore_oracle.py (tier 1, threads and procs cells) holds
-# approx_kcore's stages bitwise equal to the stage-by-stage reference
-# (tests/kcore_reference.py).
+# Repository health check.  Each step below carries one comment saying
+# what it guards; any failing step fails the script.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# No .pyc / __pycache__ file is tracked by git.
 echo "== tracked compiled artifacts =="
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     tracked_pyc=$(git ls-files -- '*.pyc' '**/__pycache__/*' || true)
@@ -57,6 +21,7 @@ else
     echo "skip: not a git checkout"
 fi
 
+# Lint, when ruff is installed.
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
     ruff check src tests benchmarks examples scripts
@@ -64,35 +29,33 @@ else
     echo "== ruff not installed; skipping lint (pip install -e '.[dev]') =="
 fi
 
-echo "== spmdlint (strict, baselined, autofix drift gate) =="
-# One pass: exit 1 when `repro check --fix` would still change a file
-# (mechanical findings — SPMD013 wraps, PERF001/PERF003 hoists — must be
-# applied and committed, not left for CI to discover), else exit 1 on any
+# One whole-program pass over src/repro: fails when `--fix` would still
+# change a file (SPMD013 wraps, PERF001/PERF003 hoists), else on any
 # finding the checked-in baseline does not grandfather.
+echo "== spmdlint (strict, baselined, autofix drift gate) =="
 PYTHONPATH=src python -m repro check src/repro --strict \
     --baseline .spmdlint-baseline.json --cache .spmdlint-cache.json \
     --fix --check
 
+# benchmarks + examples as a program of their own, against their own
+# baseline (the nested `job` closures thread-only harnesses pass to
+# run_spmd), so drift there and in src/repro never mask each other.
 echo "== spmdlint extras (benchmarks + examples, strict, baselined) =="
-# A program of its own, so the harnesses' private helpers stay out of the
-# src/repro summary table.  Grandfathered findings (the nested `job`
-# closures thread-only harnesses pass to run_spmd) live in their own
-# baseline so drift in benchmark code never masks (or is masked by)
-# src/repro findings.
 PYTHONPATH=src python -m repro check benchmarks examples --strict \
     --baseline .spmdlint-extras-baseline.json
 
+# The analyzer finds every seeded violation in its fixture corpora.
 echo "== spmdlint fixture corpora (pytest, parametrized) =="
 PYTHONPATH=src python -m pytest -x -q tests/test_check_corpus.py
 
+# The buffer sanitizer catches each seeded race end to end.
 echo "== runtime race fixtures (sanitizer end-to-end) =="
 for script in tests/fixtures/racecheck/race_*.py; do
     PYTHONPATH=src python "$script"
 done
 
-# Every versioned baseline benchmarks/BENCH_<name>.json is guarded by its
-# bench's --smoke mode (small sizes, load-invariant ratios vs the recorded
-# baseline).  Adding a baseline file automatically adds its smoke run here.
+# Each benchmarks/BENCH_<name>.json baseline is guarded by its bench's
+# --smoke mode: small sizes, load-invariant ratios vs the recorded values.
 for baseline in benchmarks/BENCH_*.json; do
     name=$(basename "$baseline" .json)
     name=${name#BENCH_}
@@ -105,41 +68,32 @@ for baseline in benchmarks/BENCH_*.json; do
     PYTHONPATH=src python "$bench" --smoke
 done
 
+# The end-to-end benchmark's self-test, then four 6 s correctness runs
+# (exit code only, no timing).
 echo "== e2e benchmark: self-test + stream_churn / serve_cold_rw / web_batch / rmat_traversal correctness smokes =="
-# Exit code only, no timing: stream_churn ends by checking incremental
-# PageRank/WCC/k-core bitwise against static kernels on a from-scratch
-# rebuild after 40 epochs of inserts, deletes and compactions — the
-# strongest end-to-end oracle for the delta-CSR and the k-core sweep.
 python3 benchmarks/e2e/selftest.py
+# stream_churn: incremental PageRank/WCC/k-core bitwise equal to the
+# static kernels on a from-scratch rebuild, after inserts, deletes and
+# compactions.
 python3 benchmarks/e2e/run.py --workload stream_churn --seed 1 --seconds 6 \
     --trace 0 >/dev/null
-# Same form for the serving path: open-loop snapshot reads beside
-# twice-a-second writes; the exit status carries the sampled responses
-# checked against a direct single-engine answer at each response's epoch
-# and failed == 0 (errors, timeouts).  No timing is asserted.
+# serve_cold_rw: sampled snapshot-read responses equal a direct engine's
+# answer at their epoch, and no operation failed.
 python3 benchmarks/e2e/run.py --workload serve_cold_rw --seed 1 --seconds 6 \
     --trace 0 >/dev/null
-# And for the paper's own pipeline (striped read, 1-D build, six
-# analytics): the exit status carries its PageRank / component / SCC /
-# harmonic checks.  Label Propagation labels are not among them — the LP
-# oracle lives in tests/test_lp_oracle.py until the e2e suite checks them.
+# web_batch: the paper's pipeline passes its PageRank / component / SCC /
+# harmonic checks (LP labels are checked by tests/test_lp_oracle.py).
 python3 benchmarks/e2e/run.py --workload web_batch --seed 1 --seconds 6 \
     --trace 0 >/dev/null
-# And for the traversal suite on a skewed R-MAT graph: the exit status
-# carries direction-optimizing BFS levels vs scipy, multi_source_bfs vs
-# the per-root BFS, the grid kernels bitwise equal to the 1-D ones, and
-# the Δ-stepping checks (validate_distances — no relaxable edge, a tight
-# predecessor per reached vertex — on the 1-D distances, grid Δ-stepping
-# bitwise == 1-D) — the only end-to-end checks of bfs_dirop, the
-# multi-source engine and the SSSP engine.
+# rmat_traversal: dir-opt BFS levels vs scipy, multi_source_bfs vs the
+# per-root BFS, grid kernels bitwise equal to 1-D, and validate_distances
+# on the Δ-stepping distances.
 python3 benchmarks/e2e/run.py --workload rmat_traversal --seed 1 --seconds 6 \
     --trace 0 >/dev/null
 
+# `repro serve` brings up a 2-replica group, serves queries with snapshot
+# reads beside streamed updates, and shuts down cleanly.
 echo "== serve smoke: 2-replica group, mixed query+update workload =="
-# End-to-end through the CLI: start a replica group, serve point and
-# global queries with snapshot reads while update batches stream through
-# the shared log, and shut down cleanly (exit 0 is the clean-shutdown
-# check; the grep asserts the group actually came up replicated).
 serve_tmp=$(mktemp -d)
 trap 'rm -rf "$serve_tmp"' EXIT
 PYTHONPATH=src python - "$serve_tmp" <<'PY'
@@ -173,28 +127,18 @@ if grep -q -- "--batch-w""indow" <<<"$serve_help"; then
     exit 1
 fi
 
+# The tier-1 suite (the conftest turns the schedule verifier on).
 echo "== pytest (tier 1, collective-schedule verifier on) =="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
+# The tier-1 suite again with the buffer sanitizer on.
 echo "== pytest (buffer sanitizer on) =="
 REPRO_SANITIZE_BUFFERS=1 PYTHONPATH=src python -m pytest -x -q "$@"
 
+# Engines, explicit-backend tests and the kernel oracles (construction,
+# SSSP and its cached plan, SCC, WCC, BFS, LP) on spawned-process ranks;
+# dist_run stays pinned to threads as the ground truth.
 echo "== pytest smoke subset on the procs backend =="
-# Engines and explicit-backend tests run on spawned-process ranks; the
-# dist_run reference harness stays pinned to threads (ground truth).  The
-# construction oracle runs here too: under procs the convert reads its
-# received edges out of shared-memory plan buffers.  So does the SSSP
-# oracle: its per-rank kernel compares Δ-stepping with the dense
-# reference, collective schedule included, on spawned-process ranks.  And
-# the SCC oracle: scc() beside the pivot-loop reference on every graph,
-# the WCC oracle: wcc() beside the coloring-loop reference, the BFS
-# oracle: the frontier-word engine and dir-opt BFS (1-D and grid) beside
-# the reference loop, source by source, with their per-level collective
-# schedules, and the LP oracle: label_propagation() beside the lexsort
-# counter.  The SSSP oracle file also holds the cached relaxation plan's
-# checks (built once per graph, unread by explicit weights/Δ).
-# tests/test_grid2d.py pins its own threads and procs cells, so it runs
-# in the tier-1 passes above rather than here.
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
     tests/test_build_oracle.py tests/test_delta_oracle.py \

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytics.closure import ClosureAdjacency
-from ..analytics.exchange import HaloExchange
 from ..analytics.scc import largest_scc
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
@@ -49,15 +48,12 @@ class BowTie:
 def bowtie_decomposition(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange | None = None,
 ) -> BowTie:
     """Classify every vertex into bow-tie regions around the largest SCC."""
     with comm.region("bowtie"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
         n_loc = g.n_loc
 
-        scc = largest_scc(comm, g, halo=halo)
+        scc = largest_scc(comm, g)
         core = scc.in_scc
         region = np.full(n_loc, DISCONNECTED, dtype=np.int64)
 
@@ -66,7 +62,7 @@ def bowtie_decomposition(
             # Forward reach of the core: OUT candidates; backward reach: IN
             # candidates; weak reach: the core's weak component.
             reach_f, reach_b, in_weak = (
-                ClosureAdjacency(comm, g, halo, direction)
+                ClosureAdjacency(comm, g, direction)
                 .reach_from(core_gids)[0][:n_loc]
                 for direction in ("out", "in", "both"))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics.exchange import HaloExchange
+from ..analytics.exchange import halo_of
 from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import Communicator
@@ -65,17 +65,12 @@ def label_counts(comm: Communicator, labels_local: np.ndarray
 
 
 def _labels_with_ghosts(comm: Communicator, g: DistGraph,
-                        labels_local: np.ndarray,
-                        halo: HaloExchange | None) -> np.ndarray:
+                        labels_local: np.ndarray) -> np.ndarray:
     if len(labels_local) != g.n_loc:
         raise ValueError("labels_local must cover exactly the owned vertices")
     full = np.empty(g.n_total, dtype=np.int64)
     full[: g.n_loc] = labels_local
-    if g.n_gst:
-        if halo is None:
-            halo = HaloExchange(comm, g)
-        halo.exchange(full)
-    return full
+    return halo_of(comm, g).exchange(full)
 
 
 def community_stats(
@@ -83,7 +78,6 @@ def community_stats(
     g: DistGraph,
     labels_local: np.ndarray,
     top_k: int = 10,
-    halo: HaloExchange | None = None,
 ) -> list[CommunityStats]:
     """The ``top_k`` communities by vertex count, with edge statistics.
 
@@ -91,7 +85,7 @@ def community_stats(
     (ties to lower label).  Edge counts use each rank's owned out-edges,
     so every directed edge is counted exactly once globally.
     """
-    labels = _labels_with_ghosts(comm, g, labels_local, halo)
+    labels = _labels_with_ghosts(comm, g, labels_local)
     uniq, sizes = label_counts(comm, labels_local)
     order = np.lexsort((uniq, -sizes))
     top = uniq[order[:top_k]]

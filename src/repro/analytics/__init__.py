@@ -26,7 +26,8 @@ local fixed point, then synchronize):
   :func:`exact_kcore`, both thin drivers over those primitives.
 
 All functions are SPMD: call them from within :func:`repro.runtime.run_spmd`
-with this rank's :class:`~repro.graph.DistGraph`.
+with this rank's :class:`~repro.graph.DistGraph`.  Each reads the graph's
+one retained-queue exchange through :func:`halo_of`, built on first use.
 """
 
 from .batched import BatchedPPRResult, batched_personalized_pagerank
@@ -37,7 +38,7 @@ from .diameter import DiameterEstimate, estimate_diameter
 from .closeness import ClosenessResult, batched_closeness, closeness_centrality
 from .common import NOT_VISITED, QUEUED, global_max_degree_vertex
 from .delta_stepping import DeltaSteppingResult, delta_stepping
-from .exchange import HaloExchange
+from .exchange import HaloExchange, halo_of
 from .frontier2d import (
     Frontier2D,
     grid_bfs_dirop,
@@ -68,6 +69,7 @@ from .wcc import WCCResult, wcc
 
 __all__ = [
     "HaloExchange",
+    "halo_of",
     "distributed_bfs",
     "multi_source_bfs",
     "batched_personalized_pagerank",

@@ -34,7 +34,7 @@ import numpy as np
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import csr_operator
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["batched_personalized_pagerank", "BatchedPPRResult"]
 
@@ -56,7 +56,6 @@ def batched_personalized_pagerank(
     damping: float = 0.85,
     max_iters: int = 20,
     tol: float | None = None,
-    halo: HaloExchange | None = None,
 ) -> BatchedPPRResult:
     """Personalized PageRank for k teleport seeds in one blocked sweep.
 
@@ -84,8 +83,7 @@ def batched_personalized_pagerank(
     if seeds.min() < 0 or seeds.max() >= g.n_global:
         raise ValueError("seed id out of range")
     with comm.region("ppr.batched"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         n_loc, n_tot = g.n_loc, g.n_total
 
         # Teleport block: column j is the indicator of seed j (owned on

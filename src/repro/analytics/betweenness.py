@@ -22,7 +22,7 @@ from ..graph.csr import segment_sum
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, Communicator
 from .bfs import distributed_bfs
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["BetweennessResult", "betweenness_centrality"]
 
@@ -39,11 +39,11 @@ class BetweennessResult:
 def _accumulate_source(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange,
     source: int,
     bc: np.ndarray,
 ) -> None:
     """Add source's dependencies into ``bc`` (Brandes inner loop)."""
+    halo = halo_of(comm, g)
     n_loc, n_tot = g.n_loc, g.n_total
 
     levels = np.full(n_tot, -2, dtype=np.int64)
@@ -92,7 +92,6 @@ def betweenness_centrality(
     k: int | None = None,
     seed: int = 0,
     normalized: bool = False,
-    halo: HaloExchange | None = None,
 ) -> BetweennessResult:
     """Betweenness centrality over directed shortest paths.
 
@@ -114,8 +113,6 @@ def betweenness_centrality(
         ``betweenness_centrality`` (tested).
     """
     with comm.region("betweenness"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
         n = g.n_global
         if sources is not None and k is not None:
             raise ValueError("pass either sources or k, not both")
@@ -135,7 +132,7 @@ def betweenness_centrality(
 
         bc = np.zeros(g.n_loc, dtype=np.float64)
         for s in sources:
-            _accumulate_source(comm, g, halo, int(s), bc)
+            _accumulate_source(comm, g, int(s), bc)
 
         bc *= scale
         if normalized and n > 2:

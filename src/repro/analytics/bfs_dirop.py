@@ -44,7 +44,7 @@ from ..runtime import SUM, Communicator
 from .bfs import _gather_ranges, _top_down_step
 from .closure import closure_rows
 from .common import NOT_VISITED
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["distributed_bfs_dirop"]
 
@@ -97,13 +97,12 @@ def distributed_bfs_dirop(
     root_global: int,
     alpha: float = 15.0,
     beta: float = 20.0,
-    halo: HaloExchange | None = None,
 ) -> np.ndarray:
     """Direction-optimizing BFS over out-edges from one root.
 
     A :class:`GridGraph` runs :func:`~repro.analytics.frontier2d.
     grid_bfs_dirop`, whose wire format does not depend on the direction,
-    so ``alpha``/``beta`` and ``halo`` apply to the 1-D layout only.
+    so ``alpha``/``beta`` apply to the 1-D layout only.
 
     Parameters
     ----------
@@ -132,8 +131,7 @@ def distributed_bfs_dirop(
         return grid_bfs_dirop(comm, g, root_global)
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
-    if halo is None:
-        halo = HaloExchange(comm, g)
+    halo = halo_of(comm, g)
     n_loc, n_tot = g.n_loc, g.n_total
 
     levels = np.full(n_loc, NOT_VISITED, dtype=np.int64)

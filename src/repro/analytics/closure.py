@@ -53,7 +53,7 @@ from ..graph.csr import bucket_order, expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .bfs import _gather_ranges
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["ClosureAdjacency", "undirected_rows"]
 
@@ -166,11 +166,11 @@ class ClosureAdjacency:
     ``propagate_min`` once plus once per fall of the row's label.
     """
 
-    def __init__(self, comm: Communicator, g: DistGraph, halo: HaloExchange,
+    def __init__(self, comm: Communicator, g: DistGraph,
                  direction: str = "both", alive: np.ndarray | None = None):
         self.comm = comm
         self.g = g
-        self.halo = halo
+        self.halo = halo_of(comm, g)
         n_loc, n_tot = g.n_loc, g.n_total
         rows = closure_rows(g, direction)
         self.indptr, self.adj = rows.indptr, rows.adj

@@ -34,7 +34,7 @@ import numpy as np
 from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import MIN, SUM, Communicator
-from .exchange import HaloExchange
+from .exchange import halo_of
 from .sssp import edge_weights
 
 __all__ = ["DeltaSteppingResult", "delta_stepping"]
@@ -165,7 +165,6 @@ def delta_stepping(
     root_global: int,
     delta: float | None = None,
     weights: np.ndarray | None = None,
-    halo: HaloExchange | None = None,
     max_rounds: int = 100_000,
 ) -> DeltaSteppingResult:
     """Shortest distances from ``root_global`` along out-edges (a
@@ -190,8 +189,7 @@ def delta_stepping(
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
     with comm.region("delta_stepping"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         plan = relax_plan(comm, g, delta, weights)
 
         n_loc, n_tot = g.n_loc, g.n_total

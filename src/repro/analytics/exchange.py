@@ -32,10 +32,20 @@ modes share the retained queues:
 :meth:`HaloExchange.exchange_list` (list-of-arrays ``alltoallv``) are the
 *unoptimized* variants, kept so the ablation benchmarks can measure what
 the retained queues and the flat-buffer plan each buy.
+
+Kernels never build an exchange themselves: :func:`halo_of` returns the
+one cached in ``g.derived`` — built on a graph's first collective use,
+like the paper's queues, and shared by every later kernel, validator and
+served query on that graph (the lifetime rule is on
+:attr:`~repro.graph.distgraph.DistGraph.derived`).  The exchange keeps
+the arrays it reads, not the graph, so the cache forms no reference
+cycle, and an epoch view of a delta graph that shares its exchange
+stays valid after the delta graph grows.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 
 import numpy as np
@@ -44,7 +54,7 @@ from ..graph.csr import bucket_order
 from ..graph.distgraph import DistGraph
 from ..runtime import AlltoallvPlan, Communicator, SUM
 
-__all__ = ["HaloExchange"]
+__all__ = ["HaloExchange", "halo_of"]
 
 
 class HaloExchange:
@@ -69,13 +79,15 @@ class HaloExchange:
     ``g`` may be any graph-like exposing the :class:`DistGraph` surface
     used here (``n_loc``/``n_gst``/``unmap``/``map``/``ghost_tasks``) —
     in particular a :class:`~repro.stream.deltagraph.DynamicDistGraph`,
-    which rebuilds its exchange whenever its ghost set changes.
+    which rebuilds its exchange whenever its ghost set changes.  Only
+    those arrays and the extents at construction are kept, never ``g``.
     """
 
     def __init__(self, comm: Communicator, g: "DistGraph"):
         self.comm = comm
-        self.g = g
         n_loc, n_gst = g.n_loc, g.n_gst
+        self._n_loc, self._n_total = n_loc, n_loc + n_gst
+        self._unmap, self._map = g.unmap, g.map
         p = comm.size
 
         # Order our ghosts by owning rank; that order is the contract for
@@ -110,6 +122,16 @@ class HaloExchange:
         # baseline for an array nobody else holds.
         self._delta: dict[int, np.ndarray] = {}
 
+    def rebound(self, comm: Communicator) -> "HaloExchange":
+        """These retained queues on ``comm``, another world of the same
+        rank session (same ranks, same resident graphs), with no
+        communication: plans and delta baselines start afresh."""
+        other = copy.copy(self)
+        other.comm = comm
+        other._plans = {}
+        other._delta = {}
+        return other
+
     # ------------------------------------------------------------------
     @property
     def n_sent_per_iter(self) -> int:
@@ -137,9 +159,9 @@ class HaloExchange:
         return plan
 
     def _check_length(self, values: np.ndarray) -> None:
-        if len(values) != self.g.n_total:
+        if len(values) != self._n_total:
             raise ValueError(
-                f"values must have length n_loc+n_gst={self.g.n_total}, "
+                f"values must have length n_loc+n_gst={self._n_total}, "
                 f"got {len(values)}")
 
     def exchange(self, values: np.ndarray) -> np.ndarray:
@@ -300,17 +322,35 @@ class HaloExchange:
         the paper's retained-queue optimization (see ``bench_ablations``).
         """
         self._check_length(values)
-        g = self.g
         payload = values[self._send_lids]
-        gids = g.unmap[self._send_lids]
+        gids = self._unmap[self._send_lids]
         send_vals = np.split(payload, self._send_splits)
         send_gids = np.split(gids, self._send_splits)
         # Deliberately unoptimized (the ablation baseline): keep the object
         # collective so the benchmark isolates the flat-path win.
         data, _ = self.comm.alltoallv(send_vals)  # spmdlint: disable=PERF002
         got_gids, _ = self.comm.alltoallv(send_gids)  # spmdlint: disable=PERF002
-        lids = g.map.get(got_gids)
-        if len(lids) and (lids < g.n_loc).any():
+        lids = self._map.get(got_gids)
+        if len(lids) and (lids < self._n_loc).any():
             raise AssertionError("received a non-ghost id in halo exchange")
         values[lids] = data
         return values
+
+
+def halo_of(comm: Communicator, g: "DistGraph") -> HaloExchange:
+    """The :class:`HaloExchange` of ``g`` on ``comm``, cached in
+    ``g.derived["halo"]``.
+
+    The exchange built on ``comm`` is returned as is.  One built on
+    another world of the same rank session (the serving engine runs each
+    job on a fresh world over the resident shards) is rebound to ``comm``
+    with no communication.  Otherwise a new one is built, one collective
+    setup, and replaces it.  Every rank makes the same choice: a graph
+    is used by all ranks of a world alike.
+    """
+    halo = g.derived.get("halo")
+    if halo is None or halo.comm.session is not comm.session:
+        halo = g.derived["halo"] = HaloExchange(comm, g)
+    elif halo.comm is not comm:
+        halo = g.derived["halo"] = halo.rebound(comm)
+    return halo

@@ -19,7 +19,7 @@ import numpy as np
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import csr_operator
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["HITSResult", "hits"]
 
@@ -39,7 +39,6 @@ def hits(
     g: DistGraph,
     max_iters: int = 100,
     tol: float | None = 1e-8,
-    halo: HaloExchange | None = None,
 ) -> HITSResult:
     """Compute hub and authority scores of every vertex.
 
@@ -60,8 +59,7 @@ def hits(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     with comm.region("hits"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         n_loc, n_tot = g.n_loc, g.n_total
 
         h = np.full(n_tot, 1.0 / max(g.n_global, 1), dtype=np.float64)

@@ -46,7 +46,7 @@ from ..graph.distgraph import DistGraph
 from ..runtime import MAX, SUM, Communicator
 from .closure import ClosureAdjacency
 from .common import global_max_degree_vertex
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["KCoreResult", "approx_kcore"]
 
@@ -82,7 +82,6 @@ def approx_kcore(
     comm: Communicator,
     g: DistGraph,
     max_stage: int = 27,
-    halo: HaloExchange | None = None,
     lcc_restrict: bool = True,
 ) -> KCoreResult:
     """Run the geometric k-core sweep.
@@ -104,9 +103,7 @@ def approx_kcore(
     if max_stage < 1:
         raise ValueError("max_stage must be >= 1")
     with comm.region("kcore"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
-        und = ClosureAdjacency(comm, g, halo)
+        und = ClosureAdjacency(comm, g)
         # last[v]: the last stage v survives without the component step.
         last = np.full(g.n_total, max_stage, dtype=np.int64)
         stages_run = 0
@@ -123,7 +120,7 @@ def approx_kcore(
         closures = []
         if lcc_restrict:
             stage_removed, stages_run, survivors, closures = \
-                _keep_pivot_components(comm, g, halo, last, max_stage)
+                _keep_pivot_components(comm, g, last, max_stage)
         else:
             stage_removed = last[:g.n_loc] + 1
         work = [und, *closures]
@@ -140,8 +137,7 @@ def approx_kcore(
 
 
 def _keep_pivot_components(comm: Communicator, g: DistGraph,
-                           halo: HaloExchange, last: np.ndarray,
-                           max_stage: int
+                           last: np.ndarray, max_stage: int
                            ) -> tuple[np.ndarray, int, int, list]:
     """Stages of the sweep with the component step, from the unrestricted
     ``last`` (owned part; the ghost part is filled here).
@@ -154,7 +150,7 @@ def _keep_pivot_components(comm: Communicator, g: DistGraph,
     stages_run, survivors, the rounds' adjacencies)``.
     """
     n_loc = g.n_loc
-    halo.exchange(last)
+    halo_of(comm, g).exchange(last)
     floor = max_stage - last  # label = max_stage - width, so width <= last
     label = np.empty(g.n_total, dtype=np.int64)
     stage = np.zeros(n_loc, dtype=np.int64)
@@ -171,7 +167,7 @@ def _keep_pivot_components(comm: Communicator, g: DistGraph,
         seed = g.to_local(np.array([pivot], dtype=np.int64))
         seed = seed[seed >= 0]
         label[seed] = floor[seed]
-        adj = ClosureAdjacency(comm, g, halo, alive=inside)
+        adj = ClosureAdjacency(comm, g, alive=inside)
         adj.propagate_min(label, floor=floor, seeds=seed)
         closures.append(adj)
         width = max_stage - label  # ghost part current

@@ -21,7 +21,6 @@ import numpy as np
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, Communicator
 from .closure import ClosureAdjacency
-from .exchange import HaloExchange
 
 __all__ = ["ExactKCoreResult", "exact_kcore"]
 
@@ -39,7 +38,6 @@ class ExactKCoreResult:
 def exact_kcore(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange | None = None,
 ) -> ExactKCoreResult:
     """Exact coreness of every vertex by incremental-threshold peeling.
 
@@ -49,9 +47,7 @@ def exact_kcore(
     is peeled.
     """
     with comm.region("kcore_exact"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
-        und = ClosureAdjacency(comm, g, halo)
+        und = ClosureAdjacency(comm, g)
         coreness = np.zeros(g.n_loc, dtype=np.int64)
 
         k = 1

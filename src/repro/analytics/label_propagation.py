@@ -43,7 +43,7 @@ from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .closure import undirected_rows
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["LabelPropagationResult", "label_propagation"]
 
@@ -144,7 +144,6 @@ def label_propagation(
     g: DistGraph,
     n_iters: int = 10,
     seed: int = 0,
-    halo: HaloExchange | None = None,
     mode: str = "sync",
     n_sweeps: int = 4,
 ) -> LabelPropagationResult:
@@ -191,8 +190,7 @@ def label_propagation(
             f"n_loc * n_global = {n_loc} * {n_global} overflows the int64 "
             "(row, label) key")
     with comm.region("label_propagation"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
 
         key = _key_dtype(n_loc, n_global)
         indptr, nbrs = undirected_rows(g)

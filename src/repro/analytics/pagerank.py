@@ -23,7 +23,7 @@ import numpy as np
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import csr_operator
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["PageRankResult", "pagerank"]
 
@@ -43,9 +43,7 @@ def pagerank(
     damping: float = 0.85,
     max_iters: int = 10,
     tol: float | None = None,
-    halo: HaloExchange | None = None,
     personalization: np.ndarray | None = None,
-    delta_tol: float | None = None,
 ) -> PageRankResult:
     """Compute PageRank of every vertex of the distributed graph.
 
@@ -60,19 +58,10 @@ def pagerank(
     tol:
         Optional global L1 convergence threshold; when given, iteration
         stops early once ``sum |x_new - x| < tol``.
-    halo:
-        Prebuilt exchange to reuse across analytics (built if omitted).
     personalization:
         Optional non-negative teleport weight per *locally-owned* vertex
         (length ``n_loc``); normalized globally.  Dangling mass follows the
         same distribution, matching NetworkX's personalized PageRank.
-    delta_tol:
-        Opt-in delta halo propagation: per-iteration ghost refreshes ship
-        only scores that drifted more than ``delta_tol`` since last sent
-        (:meth:`HaloExchange.exchange_delta`).  ``None`` (default) keeps
-        the dense exchange, whose results are bitwise-identical to the
-        pre-plan path; a small tolerance (e.g. ``tol/n``) trades bounded
-        score error for traffic as the iteration converges.
 
     Returns
     -------
@@ -84,8 +73,7 @@ def pagerank(
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     with comm.region("pagerank"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         n_loc, n_tot, n = g.n_loc, g.n_total, g.n_global
 
         if personalization is None:
@@ -127,10 +115,7 @@ def pagerank(
                               x_new[dangling_local].sum()])
             delta, dangling = (float(v) for v in comm.allreduce(local, SUM))
             x[:n_loc] = x_new
-            if delta_tol is None:
-                halo.exchange(x)
-            else:
-                halo.exchange_delta(x, tol=delta_tol)
+            halo.exchange(x)
             n_iters += 1
             if tol is not None and delta < tol:
                 break

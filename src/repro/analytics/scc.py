@@ -44,7 +44,6 @@ from ..graph.distgraph import DistGraph
 from ..runtime import MIN, SUM, Communicator
 from .closure import ClosureAdjacency
 from .common import global_max_degree_vertex
-from .exchange import HaloExchange
 
 __all__ = ["SCCResult", "largest_scc", "scc"]
 
@@ -76,7 +75,7 @@ def _bump_work(comm: Communicator, fwd: ClosureAdjacency,
     return supersteps, edges_scanned
 
 
-def _trim_and_giant(comm: Communicator, g: DistGraph, halo: HaloExchange):
+def _trim_and_giant(comm: Communicator, g: DistGraph):
     """Paper §III-D: trim to the fixed point, then FW–BW from the
     max-degree survivor.
 
@@ -87,8 +86,8 @@ def _trim_and_giant(comm: Communicator, g: DistGraph, halo: HaloExchange):
     the pivot's SCC as a mask over owned + ghost vertices, ghost part
     current.
     """
-    fwd = ClosureAdjacency(comm, g, halo, "out")
-    bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+    fwd = ClosureAdjacency(comm, g, "out")
+    bwd = ClosureAdjacency(comm, g, "in", alive=fwd.alive)
     trimmed, n_trimmed = fwd.peel_below(1, bwd)
     pivot, _deg = global_max_degree_vertex(comm, g, restrict=fwd.alive)
     giant = fwd.reach_from(pivot)[0] & bwd.reach_from(pivot)[0]
@@ -98,7 +97,6 @@ def _trim_and_giant(comm: Communicator, g: DistGraph, halo: HaloExchange):
 def largest_scc(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange | None = None,
 ) -> SCCResult:
     """Extract the (almost surely) largest SCC with trim + FW–BW.
 
@@ -106,9 +104,7 @@ def largest_scc(
     for bow-tie-structured graphs its SCC is the giant one.
     """
     with comm.region("scc"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
-        fwd, bwd, _, n_trimmed, pivot, giant = _trim_and_giant(comm, g, halo)
+        fwd, bwd, _, n_trimmed, pivot, giant = _trim_and_giant(comm, g)
         in_scc = giant[:g.n_loc]
         size = comm.allreduce(int(in_scc.sum()), SUM)
         supersteps, edges_scanned = _bump_work(comm, fwd, bwd)
@@ -120,7 +116,6 @@ def largest_scc(
 def scc(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange | None = None,
 ) -> np.ndarray:
     """Full SCC decomposition: trim + the giant's FW–BW, then coloring.
 
@@ -136,12 +131,10 @@ def scc(
     it dies — trimmed or labelled.
     """
     with comm.region("scc_full"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
         n_loc = g.n_loc
         gids = g.unmap[:n_loc]
         labels = np.full(n_loc, -1, dtype=np.int64)
-        fwd, bwd, trimmed, _, _, members = _trim_and_giant(comm, g, halo)
+        fwd, bwd, trimmed, _, _, members = _trim_and_giant(comm, g)
         labels[trimmed] = gids[trimmed]
         mine = members[:n_loc]
         local_min = int(gids[mine].min()) if mine.any() else g.n_global

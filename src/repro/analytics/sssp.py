@@ -27,7 +27,6 @@ import numpy as np
 from ..graph.csr import expand_rows
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import Communicator
-from .exchange import HaloExchange
 
 __all__ = ["SSSPResult", "sssp", "default_weights", "edge_weights",
            "hash_edge_weights"]
@@ -91,7 +90,6 @@ def sssp(
     g: DistGraph,
     root_global: int,
     weights: np.ndarray | None = None,
-    halo: HaloExchange | None = None,
     max_iters: int = 10_000,
 ) -> SSSPResult:
     """Shortest distances from ``root_global`` along out-edges.
@@ -115,7 +113,7 @@ def sssp(
     from .delta_stepping import delta_stepping
 
     res = delta_stepping(comm, g, root_global, delta=np.inf, weights=weights,
-                         halo=halo, max_rounds=max_iters)
+                         max_rounds=max_iters)
     return SSSPResult(distances=res.distances,
                       n_iters=res.n_relax_rounds - res.n_phases,
                       reached=res.reached)

@@ -32,7 +32,7 @@ from ..graph.csr import bucket_order, expand_rows, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..graph.hashmap import IntHashMap
 from ..runtime import SUM, Communicator
-from .exchange import HaloExchange
+from .exchange import halo_of
 
 __all__ = ["TriangleResult", "triangle_count"]
 
@@ -55,12 +55,10 @@ def _forward_key(deg: np.ndarray, gid: np.ndarray) -> np.ndarray:
 def triangle_count(
     comm: Communicator,
     g: DistGraph,
-    halo: HaloExchange | None = None,
 ) -> TriangleResult:
     """Count triangles of the undirected simple graph underlying ``g``."""
     with comm.region("triangles"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         n_loc, n_tot = g.n_loc, g.n_total
 
         # Undirected simple neighbor lists of local vertices (local ids),

@@ -20,7 +20,7 @@ from ..graph.csr import expand_rows, segment_count_nonzero, segment_min, segment
 from ..graph.distgraph import DistGraph
 from ..runtime import SUM, Communicator
 from .common import NOT_VISITED
-from .exchange import HaloExchange
+from .exchange import halo_of
 from .sssp import edge_weights
 
 __all__ = [
@@ -46,7 +46,6 @@ def validate_bfs_levels(
     levels_local: np.ndarray,
     roots_global,
     direction: str = "out",
-    halo: HaloExchange | None = None,
 ) -> list[str]:
     """Graph500-style BFS validation.
 
@@ -54,12 +53,10 @@ def validate_bfs_levels(
     predecessor exactly one level below; no edge skips a level (for the
     traversal direction); unreached vertices have no reached predecessor.
     """
-    if halo is None:
-        halo = HaloExchange(comm, g)
     n_loc = g.n_loc
     levels = np.full(g.n_total, NOT_VISITED, dtype=np.int64)
     levels[:n_loc] = levels_local
-    halo.exchange(levels)
+    halo_of(comm, g).exchange(levels)
 
     bad: list[str] = []
     roots = np.atleast_1d(np.asarray(roots_global, dtype=np.int64))
@@ -115,7 +112,6 @@ def validate_components(
     g: DistGraph,
     labels_local: np.ndarray,
     directed: bool = False,
-    halo: HaloExchange | None = None,
 ) -> list[str]:
     """Component labels must be constant across (weak) edges.
 
@@ -123,11 +119,9 @@ def validate_components(
     (WCC); this is a necessary condition only (it does not detect
     over-merged labels), which is exactly what is checkable in linear work.
     """
-    if halo is None:
-        halo = HaloExchange(comm, g)
     labels = np.empty(g.n_total, dtype=np.int64)
     labels[: g.n_loc] = labels_local
-    halo.exchange(labels)
+    halo_of(comm, g).exchange(labels)
 
     bad: list[str] = []
     rows = expand_rows(g.out_indexes)
@@ -147,12 +141,10 @@ def validate_pagerank(
     scores_local: np.ndarray,
     damping: float = 0.85,
     tol: float = 1e-6,
-    halo: HaloExchange | None = None,
 ) -> list[str]:
     """PageRank sanity: positive scores, unit mass, small fixed-point
     residual of the PageRank equation."""
-    if halo is None:
-        halo = HaloExchange(comm, g)
+    halo = halo_of(comm, g)
     n_loc, n = g.n_loc, g.n_global
     bad: list[str] = []
     if len(scores_local) and scores_local.min() <= 0:
@@ -184,7 +176,6 @@ def validate_distances(
     dist_local: np.ndarray,
     root_global: int,
     weights: np.ndarray | None = None,
-    halo: HaloExchange | None = None,
 ) -> list[str]:
     """SSSP validation (Graph500's rules for weighted distances): the root
     is at 0, no edge is relaxable (triangle inequality holds, so an
@@ -193,13 +184,11 @@ def validate_distances(
     exactly.  With positive weights these certify the distances; a cycle
     of zero-weight edges can make its members each other's tight edges, so
     there the check is necessary only."""
-    if halo is None:
-        halo = HaloExchange(comm, g)
     weights = edge_weights(g, weights)
     n_loc = g.n_loc
     dist = np.full(g.n_total, np.inf, dtype=np.float64)
     dist[:n_loc] = dist_local
-    halo.exchange(dist)
+    halo_of(comm, g).exchange(dist)
 
     bad: list[str] = []
     is_root = np.zeros(n_loc, dtype=bool)

@@ -31,7 +31,6 @@ from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import MIN, Communicator
 from .closure import ClosureAdjacency
 from .common import global_max_degree_vertex
-from .exchange import HaloExchange
 
 __all__ = ["WCCResult", "wcc"]
 
@@ -48,7 +47,6 @@ class WCCResult:
 def wcc(
     comm: Communicator,
     g: DistGraph | GridGraph,
-    halo: HaloExchange | None = None,
 ) -> WCCResult:
     """Label every vertex with the minimum global id of its weak component.
 
@@ -61,10 +59,8 @@ def wcc(
 
         return grid_wcc(comm, g)
     with comm.region("wcc"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
         n_loc = g.n_loc
-        und = ClosureAdjacency(comm, g, halo)
+        und = ClosureAdjacency(comm, g)
 
         # --- Phase 1: reach of the max-degree vertex (giant component). ---
         pivot, pivot_deg = global_max_degree_vertex(comm, g)

@@ -167,7 +167,6 @@ def _analyze_job(comm, cfg: dict):
     """SPMD body of ``repro analyze`` (module-level: pickles by reference
     onto process-backed ranks; ``cfg`` is a plain picklable dict)."""
     from .analytics import (
-        HaloExchange,
         approx_kcore,
         betweenness_centrality,
         closeness_centrality,
@@ -221,7 +220,6 @@ def _analyze_job(comm, cfg: dict):
         g = build_dist_graph(comm, chunk, part)
         if save is not None:
             save_graph(comm, g, save)
-    halo = HaloExchange(comm, g)
     report: list[tuple[str, float, str]] = []
 
     def run(name, fn):
@@ -234,7 +232,7 @@ def _analyze_job(comm, cfg: dict):
     hub = int(top_degree_vertices(comm, g, 1)[0]) if n else 0
     if "pagerank" in which:
         def _pr():
-            s = pagerank(comm, g, max_iters=iters, halo=halo)
+            s = pagerank(comm, g, max_iters=iters)
             total = comm.allreduce(float(s.scores.sum()), SUM)
             return f"sum={total:.6f}"
         run("pagerank", _pr)
@@ -242,39 +240,39 @@ def _analyze_job(comm, cfg: dict):
         def _lp():
             from .analysis import label_counts
 
-            r = label_propagation(comm, g, n_iters=iters, halo=halo)
+            r = label_propagation(comm, g, n_iters=iters)
             keys, _ = label_counts(comm, r.labels)
             return f"{len(keys)} communities"
         run("labelprop", _lp)
     if "wcc" in which:
         def _wcc():
-            r = wcc(comm, g, halo=halo)
+            r = wcc(comm, g)
             giant = comm.allreduce(
                 int((r.labels == r.giant_label).sum()), SUM)
             return f"giant={giant}"
         run("wcc", _wcc)
     if "scc" in which:
-        run("scc", lambda: f"largest={largest_scc(comm, g, halo=halo).size}")
+        run("scc", lambda: f"largest={largest_scc(comm, g).size}")
     if "harmonic" in which:
         run("harmonic",
             lambda: f"hc({hub})={harmonic_centrality(comm, g, hub).score:.2f}")
     if "kcore" in which:
-        run("kcore", lambda: f"stages={approx_kcore(comm, g, halo=halo).stages_run}")
+        run("kcore", lambda: f"stages={approx_kcore(comm, g).stages_run}")
     if "sssp" in which:
-        run("sssp", lambda: f"reached={sssp(comm, g, hub, halo=halo).reached}")
+        run("sssp", lambda: f"reached={sssp(comm, g, hub).reached}")
     if "triangles" in which:
-        run("triangles", lambda: f"total={triangle_count(comm, g, halo=halo).total}")
+        run("triangles", lambda: f"total={triangle_count(comm, g).total}")
     if "diameter" in which:
         run("diameter",
             lambda: f">= {estimate_diameter(comm, g).lower_bound}")
     if "hits" in which:
-        run("hits", lambda: f"iters={hits(comm, g, max_iters=iters, halo=halo).n_iters}")
+        run("hits", lambda: f"iters={hits(comm, g, max_iters=iters).n_iters}")
     if "closeness" in which:
         run("closeness",
             lambda: f"cc({hub})={closeness_centrality(comm, g, hub).score:.4f}")
     if "betweenness" in which:
         run("betweenness",
-            lambda: f"sampled k=4, sources={betweenness_centrality(comm, g, k=min(4, max(1, n)), halo=halo).n_sources}")
+            lambda: f"sampled k=4, sources={betweenness_centrality(comm, g, k=min(4, max(1, n))).n_sources}")
     return report, from_ckpt
 
 

@@ -50,10 +50,14 @@ class DistGraph:
     map: IntHashMap = field(repr=False)
     out_values: np.ndarray | None = None  # optional per-out-edge weights
     in_values: np.ndarray | None = None  # optional per-in-edge weights
-    #: Read-only structures derived from the adjacency by the kernels
-    #: that share them (the closure rows, the propagation operators,
-    #: Δ-stepping's relaxation plan), built on first use; they live
-    #: and die with this object, and :meth:`sort_adjacency` drops them.
+    #: Per-graph structures the kernels share, with one lifetime rule:
+    #: an entry is built on first (collective) use, dropped by
+    #: :meth:`sort_adjacency`, and dies with this object — for an epoch
+    #: view of a delta graph, with the view.  The halo exchange
+    #: (``"halo"``, via :func:`~repro.analytics.exchange.halo_of`) is
+    #: also checked against the communicator on every use.  Beside it:
+    #: the closure rows, the propagation operators and Δ-stepping's
+    #: relaxation plan.  Entries hold arrays, never this object.
     derived: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -258,9 +262,8 @@ class GridGraph:
     td_values: np.ndarray | None = None  # optional weights, td order
     bu_values: np.ndarray | None = None  # optional weights, bu order
     symmetrized: bool = False  # True when built with reversed edges added
-    #: Read-only structures derived from the block by the kernels that
-    #: share them (Δ-stepping's relaxation plan), built on first use;
-    #: they live and die with this object.
+    #: Per-graph structures the kernels share (Δ-stepping's relaxation
+    #: plan), under :attr:`DistGraph.derived`'s lifetime rule.
     derived: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 

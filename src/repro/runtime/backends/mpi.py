@@ -64,6 +64,7 @@ class _MpiWorld:
                  sanitize: bool):
         self.mpi_comm = mpi_comm
         self.size = mpi_comm.Get_size()
+        self.session = object()  # see Communicator.session
         self.timeout = timeout
         self.verify = verify
         self.sanitize = sanitize

@@ -303,6 +303,7 @@ class _ProcWorld:
     def __init__(self, size: int, mesh: _Mesh, timeout: float | None,
                  verify: bool, sanitize: bool):
         self.size = size
+        self.session = object()  # see Communicator.session
         self.mesh = mesh
         self.runid = mesh.runid
         self.timeout = timeout
@@ -636,6 +637,7 @@ def _session_child(rank: int, size: int, runid: str, send_conns, recv_conns,
     """Persistent worker: jobs arrive as fn specs; rank state survives."""
     mesh = _Mesh(rank, size, runid, send_conns, recv_conns, abort_state)
     state: dict = {}
+    session = object()  # every job's world runs over this rank's state
     while True:
         try:
             cmd = cmd_conn.recv()
@@ -649,6 +651,7 @@ def _session_child(rank: int, size: int, runid: str, send_conns, recv_conns,
         try:
             fn = resolve_fn_spec(spec)
             world = _ProcWorld(size, mesh, timeout, verify, sanitize)
+            world.session = session
             comm = ProcCommunicator(world, rank, list(range(size)),
                                     ("r", gen))
             summary = None

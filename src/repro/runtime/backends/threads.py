@@ -115,6 +115,7 @@ class ThreadsSession(Session):
         self._verify = verify
         self._sanitize = sanitize
         self._closed = False
+        self._session = object()
         self._cmd_queues: list[queue.Queue] = [queue.Queue()
                                                for _ in range(nranks)]
         self._states: list[dict] = [{} for _ in range(nranks)]
@@ -150,6 +151,7 @@ class ThreadsSession(Session):
         fn: Callable = resolve_fn_spec(spec)
         world = World(self.nranks, timeout=timeout, verify=self._verify,
                       sanitize=self._sanitize)
+        world.session = self._session  # every job runs over one rank state
         comms = [Communicator(world, r) for r in range(self.nranks)]
         report = _RankReport(self.nranks)
         for r in range(self.nranks):

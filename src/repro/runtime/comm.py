@@ -156,6 +156,7 @@ class World:
             raise ValueError("world size must be >= 1")
         self.size = size
         self.backend = "threads"
+        self.session = object()  # see Communicator.session
         self.timeout = timeout
         self.verify = verify_from_env() if verify is None else bool(verify)
         self.sanitize = (sanitize_from_env() if sanitize is None
@@ -204,6 +205,14 @@ class Communicator:
     def backend(self) -> str:
         """Name of the runtime backend executing this world."""
         return getattr(self._world, "backend", "threads")
+
+    @property
+    def session(self) -> object:
+        """Identity shared by every world of one rank session: a
+        persistent backend session runs each job on a fresh world over
+        the same resident rank state, and all of them carry its token;
+        every other world (a launch, a split) has a token of its own."""
+        return self._world.session
 
     # ------------------------------------------------------------------
     # internals

@@ -52,7 +52,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..analytics import (
-    HaloExchange,
     batched_closeness,
     batched_personalized_pagerank,
     multi_source_bfs,
@@ -138,10 +137,9 @@ def _assemble_by_gid(comm: Communicator, g, local_values: np.ndarray,
 def _make_pagerank(p: dict):
     def fn(comm, state):
         g = state["graph"]
-        halo = HaloExchange(comm, g)
         res = pagerank(comm, g, damping=p.get("damping", 0.85),
                        max_iters=p.get("max_iters", 20),
-                       tol=p.get("tol"), halo=halo)
+                       tol=p.get("tol"))
         scores = _assemble_by_gid(comm, g, res.scores, fill=0.0)
         if comm.rank:
             return None
@@ -154,7 +152,7 @@ def _make_pagerank(p: dict):
 def _make_wcc(_p):
     def fn(comm, state):
         g = state["graph"]
-        res = wcc(comm, g, halo=HaloExchange(comm, g))
+        res = wcc(comm, g)
         labels = _assemble_by_gid(comm, g, res.labels, fill=-1)
         if comm.rank:
             return None
@@ -169,7 +167,7 @@ def _make_wcc(_p):
 def _make_triangles(_p):
     def fn(comm, state):
         g = state["graph"]
-        res = triangle_count(comm, g, halo=HaloExchange(comm, g))
+        res = triangle_count(comm, g)
         if comm.rank:
             return None
         return {"total": int(res.total),
@@ -231,8 +229,7 @@ def _make_ppr(p: dict):
         g = state["graph"]
         res = batched_personalized_pagerank(
             comm, g, seeds, damping=p.get("damping", 0.85),
-            max_iters=p.get("max_iters", 50), tol=p.get("tol", 1e-10),
-            halo=HaloExchange(comm, g))
+            max_iters=p.get("max_iters", 50), tol=p.get("tol", 1e-10))
         full = _assemble_by_gid(comm, g, res.scores, fill=0.0)
         if comm.rank:
             return None

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics.exchange import HaloExchange
+from ..analytics.exchange import HaloExchange, halo_of
 from ..graph.csr import csr_row_lengths, expand_rows, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, SUM, Communicator
@@ -333,7 +333,8 @@ class DynamicDistGraph:
     layer needs (``n_loc``/``n_gst``/``unmap``/``map``/``ghost_tasks``/
     ``n_total``), so a :class:`~repro.analytics.exchange.HaloExchange`
     binds to it directly; static kernels run on the materialized (and
-    epoch-cached) :meth:`view`.
+    epoch-cached) :meth:`view`, which carries that exchange in its
+    ``derived``: every view of one ghost set shares one exchange.
     """
 
     def __init__(self, comm: Communicator, base: DistGraph,
@@ -368,7 +369,7 @@ class DynamicDistGraph:
         self._view: DistGraph | None = None
         self._view_epoch = -1
         self._pins: dict[int, int] = {}  # epoch -> local pin count
-        self.halo = HaloExchange(comm, self)
+        self.halo = halo_of(comm, base)  # same ghosts until the first apply
 
     # --- DistGraph-compatible surface ---------------------------------
     @property
@@ -554,7 +555,11 @@ class DynamicDistGraph:
         """Materialize the current graph as an immutable :class:`DistGraph`.
 
         Cached per epoch; with empty overlays (epoch 0, or right after
-        compaction) the view shares the base arrays outright.
+        compaction) the view shares the base arrays outright.  The view's
+        ``derived["halo"]`` is this graph's current exchange, which
+        :func:`~repro.analytics.exchange.halo_of` hands to every kernel
+        run on the view; a pinned view keeps it after a ghost change or a
+        compaction gives later views a new one.
         """
         if self._view is not None and self._view_epoch == self.epoch:
             return self._view
@@ -567,6 +572,7 @@ class DynamicDistGraph:
             in_indexes=in_indptr, in_edges=in_lids,
             unmap=self._unmap, ghost_tasks=self._ghost_tasks, map=self.map,
             out_values=out_vals, in_values=in_vals)
+        g.derived["halo"] = self.halo
         self._view = g
         self._view_epoch = self.epoch
         return g

@@ -178,7 +178,7 @@ class IncrementalPageRank:
         """One collective PageRank evaluation at the current epoch."""
         dyn = self.dyn
         res = pagerank(self.comm, dyn.view(), damping=self.damping,
-                       max_iters=self.max_iters, tol=self.tol, halo=dyn.halo)
+                       max_iters=self.max_iters, tol=self.tol)
         rows = dyn.n_loc * res.n_iters
         st = self.stats
         st["runs"] += 1
@@ -211,7 +211,7 @@ class IncrementalWCC:
 
     def _full(self) -> IncrementalWCCResult:
         dyn = self.dyn
-        res = wcc(self.comm, dyn.view(), halo=dyn.halo)
+        res = wcc(self.comm, dyn.view())
         self._labels = res.labels.copy()
         self._epoch = dyn.epoch
         self.stats["full_runs"] += 1
@@ -319,7 +319,7 @@ class IncrementalKCore:
             self.stats["reuses"] += 1
             return self._cached
         res = approx_kcore(self.comm, dyn.view(), max_stage=self.max_stage,
-                           halo=dyn.halo, lcc_restrict=self.lcc_restrict)
+                           lcc_restrict=self.lcc_restrict)
         self._cached = res
         self._epoch = dyn.epoch
         self.stats["recomputes"] += 1

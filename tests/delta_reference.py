@@ -20,9 +20,9 @@ import numpy as np
 from repro.analytics import (
     DeltaSteppingResult,
     Frontier2D,
-    HaloExchange,
     SSSPResult,
     default_weights,
+    halo_of,
 )
 from repro.graph.csr import expand_rows
 from repro.runtime import MIN, SUM
@@ -30,13 +30,12 @@ from repro.runtime import MIN, SUM
 INF = np.inf
 
 
-def reference_bellman_ford(comm, g, root_global, weights=None, halo=None,
+def reference_bellman_ford(comm, g, root_global, weights=None,
                            max_iters=10_000):
     """Dense distributed Bellman–Ford over every in-entry per round."""
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
-    if halo is None:
-        halo = HaloExchange(comm, g)
+    halo = halo_of(comm, g)
     if weights is None:
         weights = (g.in_values if g.in_values is not None
                    else default_weights(g))
@@ -72,12 +71,11 @@ def reference_bellman_ford(comm, g, root_global, weights=None, halo=None,
 
 
 def reference_delta_stepping(comm, g, root_global, delta=None, weights=None,
-                             halo=None, max_rounds=100_000):
+                             max_rounds=100_000):
     """Dense 1-D Δ-stepping: every round relaxes every bucket member."""
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
-    if halo is None:
-        halo = HaloExchange(comm, g)
+    halo = halo_of(comm, g)
     if weights is None:
         weights = (g.in_values if g.in_values is not None
                    else default_weights(g))

@@ -14,21 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics import HaloExchange, global_max_degree_vertex
+from repro.analytics import global_max_degree_vertex
 from repro.analytics.closure import ClosureAdjacency
 from repro.runtime import MIN
 
 
-def reference_scc(comm, g, halo=None, max_pivots: int = 10_000) -> np.ndarray:
+def reference_scc(comm, g, max_pivots: int = 10_000) -> np.ndarray:
     """Int64 label per local vertex: the minimum global id of its SCC."""
     with comm.region("scc_full"):
-        if halo is None:
-            halo = HaloExchange(comm, g)
         n_loc = g.n_loc
         gids = g.unmap[:n_loc]
         labels = np.full(n_loc, -1, dtype=np.int64)
-        fwd = ClosureAdjacency(comm, g, halo, "out")
-        bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+        fwd = ClosureAdjacency(comm, g, "out")
+        bwd = ClosureAdjacency(comm, g, "in", alive=fwd.alive)
 
         members = None
         for _ in range(max_pivots):

@@ -31,13 +31,13 @@ from scc_reference import reference_scc
 from wcc_reference import reference_wcc
 from repro.analytics import (
     Frontier2D,
-    HaloExchange,
     approx_kcore,
     batched_closeness,
     delta_stepping,
     distributed_bfs_dirop,
     exact_kcore,
     global_max_degree_vertex,
+    halo_of,
     harmonic_centrality_many,
     label_propagation,
     largest_scc,
@@ -91,14 +91,13 @@ def _chunk_values(comm, cfg: dict):
 
 def kern_pagerank(comm, cfg):
     g = build_graph(comm, cfg)
-    res = pagerank(comm, g, max_iters=cfg.get("iters", 15), tol=1e-12,
-                   halo=HaloExchange(comm, g))
+    res = pagerank(comm, g, max_iters=cfg.get("iters", 15), tol=1e-12)
     return g.unmap[: g.n_loc].copy(), res.scores, res.n_iters
 
 
 def kern_wcc(comm, cfg):
     g = build_graph(comm, cfg)
-    res = wcc(comm, g, halo=HaloExchange(comm, g))
+    res = wcc(comm, g)
     return g.unmap[: g.n_loc].copy(), res.labels, int(res.giant_label)
 
 
@@ -112,9 +111,8 @@ def kern_wcc_oracle(comm, cfg):
     out = {}
     for name, (n, edges) in cfg["graphs"].items():
         g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
-        halo = HaloExchange(comm, g)
-        res = wcc(comm, g, halo=halo)
-        ref_labels, ref_giant = reference_wcc(comm, g, halo=halo)
+        res = wcc(comm, g)
+        ref_labels, ref_giant = reference_wcc(comm, g)
         out[name] = (g.unmap[: g.n_loc].copy(), res.labels, ref_labels,
                      res.giant_label, ref_giant)
     return out
@@ -123,7 +121,6 @@ def kern_wcc_oracle(comm, cfg):
 def kern_label_propagation(comm, cfg):
     g = build_graph(comm, cfg)
     res = label_propagation(comm, g, n_iters=cfg.get("iters", 6), seed=3,
-                            halo=HaloExchange(comm, g),
                             mode=cfg.get("mode", "sync"), n_sweeps=3)
     return (g.unmap[: g.n_loc].copy(), res.labels, res.n_iters,
             res.changed_per_iter)
@@ -131,16 +128,14 @@ def kern_label_propagation(comm, cfg):
 
 def kern_scc(comm, cfg):
     g = build_graph(comm, cfg)
-    halo = HaloExchange(comm, g)
-    big = largest_scc(comm, g, halo=halo)
-    return (g.unmap[: g.n_loc].copy(), scc(comm, g, halo=halo), big.in_scc,
+    big = largest_scc(comm, g)
+    return (g.unmap[: g.n_loc].copy(), scc(comm, g), big.in_scc,
             big.size, big.pivot, big.n_trimmed, big.supersteps)
 
 
 def kern_bfs_dirop(comm, cfg):
     g = build_graph(comm, cfg)
-    levels = distributed_bfs_dirop(comm, g, cfg["root"],
-                                   halo=HaloExchange(comm, g))
+    levels = distributed_bfs_dirop(comm, g, cfg["root"])
     return g.unmap[: g.n_loc].copy(), levels
 
 
@@ -158,15 +153,15 @@ def kern_dirop_oracle(comm, cfg):
     grid = cfg["part"] == "grid"
     sources = [int(s) for s in cfg["sources"]]
     if grid:
-        g, halo = build_grid(comm, cfg), None
+        g = build_grid(comm, cfg)
         f2 = Frontier2D(comm, g)  # the cached grid sub-communicators
         comms = [comm, f2.col_comm, f2.row_comm]
         ref_g = build_graph(comm, {**cfg, "part": "vblock"})
         gids = _own_gids(g)
     else:
         g = ref_g = build_graph(comm, cfg)
-        halo = HaloExchange(comm, g)
-        halo.exchange(np.zeros(g.n_total, dtype=bool))  # plan set up here
+        # the graph's halo and its bool plan set up outside the calls
+        halo_of(comm, g).exchange(np.zeros(g.n_total, dtype=bool))
         comms = [comm, None, None]
         gids = g.unmap[: g.n_loc].copy()
     want = np.stack([reference_bfs(comm, ref_g, s) for s in sources], axis=1)
@@ -177,7 +172,7 @@ def kern_dirop_oracle(comm, cfg):
         for s in sources:
             marks = [len(c.trace.events) if c else 0 for c in comms]
             before = dict(comm.trace.counters)
-            levels = distributed_bfs_dirop(comm, g, s, halo=halo, **mode)
+            levels = distributed_bfs_dirop(comm, g, s, **mode)
             ops = [[e.op for e in c.trace.events[m:]] if c else []
                    for c, m in zip(comms, marks)]
             bumped = [comm.trace.counters.get(k, 0) - before.get(k, 0)
@@ -264,17 +259,15 @@ def kern_kcore_oracle(comm, cfg):
     out = {}
     for name, gcfg in cfg["graphs"].items():
         g = build_graph(comm, {**gcfg, "part": cfg["part"]})
-        halo = HaloExchange(comm, g)
         row = {"gids": g.unmap[: g.n_loc].copy()}
         for lcc in (True, False):
-            new = approx_kcore(comm, g, max_stage=cfg["max_stage"], halo=halo,
-                               lcc_restrict=lcc)
+            new = approx_kcore(comm, g, max_stage=cfg["max_stage"], lcc_restrict=lcc)
             ref = reference_approx_kcore(comm, g, max_stage=cfg["max_stage"],
                                          lcc_restrict=lcc)
             row[f"approx_lcc={lcc}"] = (
                 (new.stage_removed, new.stages_run, new.survivors),
                 (ref.stage_removed, ref.stages_run, ref.survivors))
-        new = exact_kcore(comm, g, halo=halo)
+        new = exact_kcore(comm, g)
         ref = reference_exact_kcore(comm, g)
         row["exact"] = ((new.coreness, new.max_core),
                         (ref.coreness, ref.max_core))
@@ -286,9 +279,8 @@ def kern_kcore_oracle(comm, cfg):
 def kern_delta_stepping(comm, cfg):
     """Δ-stepping at the default Δ beside ``sssp`` (its Δ = ∞ case)."""
     g = build_graph(comm, cfg)
-    halo = HaloExchange(comm, g)
-    ds = delta_stepping(comm, g, cfg["root"], halo=halo)
-    bf = sssp(comm, g, cfg["root"], halo=halo)
+    ds = delta_stepping(comm, g, cfg["root"])
+    bf = sssp(comm, g, cfg["root"])
     return (g.unmap[: g.n_loc].copy(),
             np.stack([ds.distances, bf.distances], axis=1),
             ds.n_phases, ds.n_relax_rounds, ds.reached, bf.n_iters)
@@ -308,11 +300,10 @@ def kern_closure_work(comm, cfg):
     re-read a row only after its width rose.
     """
     g = build_graph(comm, cfg)
-    halo = HaloExchange(comm, g)
     max_stage = cfg["max_stage"]
     keys = ("kcore.supersteps", "kcore.edges_scanned", "kcore.pivots")
     before = [comm.trace.counters.get(k, 0) for k in keys]
-    want = approx_kcore(comm, g, max_stage=max_stage, halo=halo)
+    want = approx_kcore(comm, g, max_stage=max_stage)
     counted = tuple(comm.trace.counters[k] - b for k, b in zip(keys, before))
 
     calls = []
@@ -325,7 +316,7 @@ def kern_closure_work(comm, cfg):
         return out
 
     n_loc = g.n_loc
-    und = ClosureAdjacency(comm, g, halo)
+    und = ClosureAdjacency(comm, g)
     last = np.full(g.n_total, max_stage, dtype=np.int64)
     survivors = g.n_global
     for i in range(1, max_stage + 1):
@@ -335,7 +326,7 @@ def kern_closure_work(comm, cfg):
         if survivors == 0:
             break
 
-    halo.exchange(last)
+    halo_of(comm, g).exchange(last)
     floor = max_stage - last
     label = np.empty(g.n_total, dtype=np.int64)
     stage = np.zeros(n_loc, dtype=np.int64)
@@ -351,7 +342,7 @@ def kern_closure_work(comm, cfg):
         seed = g.to_local(np.array([pivot], dtype=np.int64))
         seed = seed[seed >= 0]
         label[seed] = floor[seed]
-        adj = _RowLog(comm, g, halo, alive=inside)
+        adj = _RowLog(comm, g, alive=inside)
         adj.log = []
         run("widest", adj,
             partial(adj.propagate_min, label, floor=floor, seeds=seed))
@@ -412,7 +403,6 @@ def kern_scc_work(comm, cfg):
     whether ``propagate_min`` re-read a row only after its label fell.
     """
     g = build_graph(comm, cfg)
-    halo = HaloExchange(comm, g)
     keys = ("scc.supersteps", "scc.edges_scanned", "scc.rounds")
 
     def counted(call, keys):
@@ -421,12 +411,12 @@ def kern_scc_work(comm, cfg):
         return out, tuple(comm.trace.counters[k] - b
                           for k, b in zip(keys, before))
 
-    want, scc_counted = counted(lambda: scc(comm, g, halo=halo), keys)
-    big, big_counted = counted(lambda: largest_scc(comm, g, halo=halo),
+    want, scc_counted = counted(lambda: scc(comm, g), keys)
+    big, big_counted = counted(lambda: largest_scc(comm, g),
                                keys[:2])
 
-    fwd = _RowLog(comm, g, halo, "out")
-    bwd = ClosureAdjacency(comm, g, halo, "in", alive=fwd.alive)
+    fwd = _RowLog(comm, g, "out")
+    bwd = ClosureAdjacency(comm, g, "in", alive=fwd.alive)
     calls = []
 
     def run(kind, adjs, closure):
@@ -482,9 +472,8 @@ def kern_scc_oracle(comm, cfg):
     out = {}
     for name, (n, edges) in cfg["graphs"].items():
         g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
-        halo = HaloExchange(comm, g)
-        out[name] = (g.unmap[: g.n_loc].copy(), scc(comm, g, halo=halo),
-                     reference_scc(comm, g, halo=halo))
+        out[name] = (g.unmap[: g.n_loc].copy(), scc(comm, g),
+                     reference_scc(comm, g))
     return out
 
 
@@ -492,10 +481,9 @@ def kern_reach_roots(comm, cfg):
     """Reach masks (owned part, by gid) from all of ``cfg["roots"]`` at
     once and from each root alone, per direction."""
     g = build_graph(comm, cfg)
-    halo = HaloExchange(comm, g)
     out = {}
     for direction in ("out", "in", "both"):
-        adj = ClosureAdjacency(comm, g, halo, direction)
+        adj = ClosureAdjacency(comm, g, direction)
         reach = [adj.reach_from(r) for r in [cfg["roots"], *cfg["roots"]]]
         out[direction] = [(mask[: g.n_loc].copy(), n) for mask, n in reach]
     return g.unmap[: g.n_loc].copy(), out
@@ -637,13 +625,13 @@ def kern_delta_oracle(comm, cfg):
     grid = cfg["part"] == "grid"
     root = cfg["root"]
     if grid:
-        g, halo = build_grid(comm, cfg), None
+        g = build_grid(comm, cfg)
         ref = partial(reference_grid_delta_stepping, comm, g, root)
     else:
         g = build_graph(comm, cfg)
-        halo = HaloExchange(comm, g)
-        halo.exchange(np.zeros(g.n_total))  # float64 plan set up outside
-        ref = partial(reference_delta_stepping, comm, g, root, halo=halo)
+        # the graph's halo and its float64 plan set up outside the calls
+        halo_of(comm, g).exchange(np.zeros(g.n_total))
+        ref = partial(reference_delta_stepping, comm, g, root)
 
     def side(call, fields):
         res, sched = _with_schedule(comm, g, call)
@@ -654,14 +642,14 @@ def kern_delta_oracle(comm, cfg):
     for delta in cfg["deltas"]:
         ref_delta = sys.float_info.max if delta == np.inf else delta
         out[delta] = (
-            side(lambda: delta_stepping(comm, g, root, delta, halo=halo),
+            side(lambda: delta_stepping(comm, g, root, delta),
                  counters),
             side(lambda: ref(ref_delta), counters))
     if not grid:  # schedules differ: sssp adds the phase allreduces
         counters = ("n_iters", "reached")
         out["sssp"] = (
-            side(lambda: sssp(comm, g, root, halo=halo), counters)[:2],
-            side(lambda: reference_bellman_ford(comm, g, root, halo=halo),
+            side(lambda: sssp(comm, g, root), counters)[:2],
+            side(lambda: reference_bellman_ford(comm, g, root),
                  counters)[:2])
     return (_own_gids(g) if grid else g.unmap[: g.n_loc].copy()), out
 
@@ -679,13 +667,13 @@ def kern_delta_plan(comm, cfg):
     grid = cfg["part"] == "grid"
     root = cfg["root"]
     if grid:
-        g, halo = build_grid(comm, cfg), None
+        g = build_grid(comm, cfg)
         ref = partial(reference_grid_delta_stepping, comm, g, root)
     else:
         g = build_graph(comm, cfg)
-        halo = HaloExchange(comm, g)
-        halo.exchange(np.zeros(g.n_total))  # float64 plan set up outside
-        ref = partial(reference_delta_stepping, comm, g, root, halo=halo)
+        # the graph's halo and its float64 plan set up outside the calls
+        halo_of(comm, g).exchange(np.zeros(g.n_total))
+        ref = partial(reference_delta_stepping, comm, g, root)
     m = len(g.bu_edges if grid else g.in_edges)
     ones = np.ones(m)
     counters = ("n_phases", "n_relax_rounds", "reached")
@@ -696,7 +684,7 @@ def kern_delta_plan(comm, cfg):
                 sched)
 
     def case(**kw):
-        return (side(lambda: delta_stepping(comm, g, root, halo=halo, **kw)),
+        return (side(lambda: delta_stepping(comm, g, root, **kw)),
                 side(lambda: ref(**kw)))
 
     out, flags = {}, {}
@@ -886,7 +874,7 @@ def kern_replay_catchup(comm, cfg):
         if i == 0:
             pinned = live.epoch
             live.pin_epoch()
-        pagerank(comm, live.view(), max_iters=4, tol=1e-12, halo=live.halo)
+        pagerank(comm, live.view(), max_iters=4, tol=1e-12)
     if pinned is not None:
         live.release_epoch(pinned)
 
@@ -903,10 +891,10 @@ def kern_replay_catchup(comm, cfg):
         and np.array_equal(va.unmap[va.out_edges], vb.unmap[vb.out_edges])
         and np.array_equal(va.in_indexes, vb.in_indexes)
         and np.array_equal(va.unmap[va.in_edges], vb.unmap[vb.in_edges]))
-    pa = pagerank(comm, va, max_iters=10, tol=1e-12, halo=live.halo)
-    pb = pagerank(comm, vb, max_iters=10, tol=1e-12, halo=replay.halo)
-    wa = wcc(comm, va, halo=live.halo)
-    wb = wcc(comm, vb, halo=replay.halo)
+    pa = pagerank(comm, va, max_iters=10, tol=1e-12)
+    pb = pagerank(comm, vb, max_iters=10, tol=1e-12)
+    wa = wcc(comm, va)
+    wb = wcc(comm, vb)
     return {
         "epoch": (live.epoch, replay.epoch),
         "m_global": (live.m_global, replay.m_global),
@@ -926,6 +914,41 @@ def make_counter(payload):
     def fn(comm, state):
         state["calls"] = state.get("calls", 0) + step
         return comm.allgather(state["calls"])
+
+    return fn
+
+
+def halo_setups(events) -> int:
+    """The halo setup collectives among trace ``events``."""
+    return sum(e.op == "alltoallv" and e.region == "halo.setup"
+               for e in events)
+
+
+def make_resident_graph(payload):
+    """Session factory: build ``payload`` (``{"edges", "n"}``) into the
+    resident ``state["graph"]``, as the serving engine's build does."""
+
+    def fn(comm, state):
+        state["graph"] = build_graph(comm, {**payload, "part": "vblock"})
+
+    return fn
+
+
+def make_engine_job(payload):
+    """Session factory: the serving engine's ``payload["factory"]`` job
+    on the resident graph.  Returns its result beside the halo setups the
+    job made, the id of the send queue the graph's cached halo retains,
+    and whether that halo is bound to this job's communicator."""
+    from repro.service import engine
+
+    inner = getattr(engine, payload["factory"])(payload["payload"])
+
+    def fn(comm, state):
+        out = inner(comm, state)
+        halo = state["graph"].derived.get("halo")
+        return (out, halo_setups(comm.trace.events),
+                id(halo._send_lids) if halo else None,
+                halo is not None and halo.comm is comm)
 
     return fn
 

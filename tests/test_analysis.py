@@ -45,6 +45,22 @@ def test_community_stats_match_brute_force(small_web, p):
     assert sizes == sorted(sizes, reverse=True)
 
 
+def test_community_stats_with_a_ghostless_rank():
+    """A rank with no ghosts still joins the label refresh: the one cut
+    edge 2 → 4 gives ghosts to ranks 1 and 2 only."""
+    n, edges = 6, np.array([[2, 4]], dtype=np.int64)
+    labels = np.array([0, 0, 2, 2, 2, 5], dtype=np.int64)
+
+    def fn(comm, g):
+        return g.n_gst, community_stats(comm, g, labels[g.unmap[: g.n_loc]])
+
+    outs = dist_run(edges, n, 3, fn)
+    assert [n_gst for n_gst, _ in outs] == [0, 1, 1]
+    for cs in outs[0][1]:
+        assert (cs.n_in, cs.m_in, cs.m_cut, cs.representative) == \
+            brute_stats(n, edges, labels, cs.label)
+
+
 def test_label_counts_merge(small_web):
     n, edges = small_web
     labels = np.arange(n) % 7

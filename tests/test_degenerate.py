@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.analytics import (
-    HaloExchange,
     approx_kcore,
     betweenness_centrality,
     delta_stepping,
@@ -40,22 +39,21 @@ def run_all(comm):
     chunk = np.array_split(EDGES, comm.size)[comm.rank]
     g = build_dist_graph(comm, chunk, part)
     g.validate()
-    halo = HaloExchange(comm, g)
 
     out = {}
-    out["pr"] = pagerank(comm, g, max_iters=5, halo=halo).scores
-    out["lp"] = label_propagation(comm, g, n_iters=3, halo=halo).labels
-    out["wcc"] = wcc(comm, g, halo=halo).labels
-    out["scc"] = largest_scc(comm, g, halo=halo).size
+    out["pr"] = pagerank(comm, g, max_iters=5).scores
+    out["lp"] = label_propagation(comm, g, n_iters=3).labels
+    out["wcc"] = wcc(comm, g).labels
+    out["scc"] = largest_scc(comm, g).size
     out["hc"] = harmonic_centrality(comm, g, 0).score
-    out["kcore"] = approx_kcore(comm, g, max_stage=5, halo=halo).stage_removed
-    out["exact_kcore"] = exact_kcore(comm, g, halo=halo).coreness
+    out["kcore"] = approx_kcore(comm, g, max_stage=5).stage_removed
+    out["exact_kcore"] = exact_kcore(comm, g).coreness
     out["bfs"] = distributed_bfs(comm, g, 0, "out")
-    out["dirop"] = distributed_bfs_dirop(comm, g, 0, halo=halo)
-    out["sssp"] = sssp(comm, g, 0, halo=halo).reached
-    out["delta"] = delta_stepping(comm, g, 0, halo=halo).reached
-    out["tri"] = triangle_count(comm, g, halo=halo).total
-    out["bc"] = betweenness_centrality(comm, g, halo=halo).scores
+    out["dirop"] = distributed_bfs_dirop(comm, g, 0)
+    out["sssp"] = sssp(comm, g, 0).reached
+    out["delta"] = delta_stepping(comm, g, 0).reached
+    out["tri"] = triangle_count(comm, g).total
+    out["bc"] = betweenness_centrality(comm, g).scores
     out["diam"] = estimate_diameter(comm, g).lower_bound
     out["top"] = top_degree_vertices(comm, g, 2).tolist()
     out["gids"] = g.unmap[: g.n_loc]
@@ -87,9 +85,8 @@ def test_single_vertex_graph():
     def job(comm):
         part = VertexBlockPartition(1, comm.size)
         g = build_dist_graph(comm, np.empty((0, 2), dtype=np.int64), part)
-        halo = HaloExchange(comm, g)
-        pr = pagerank(comm, g, max_iters=3, halo=halo)
-        w = wcc(comm, g, halo=halo)
+        pr = pagerank(comm, g, max_iters=3)
+        w = wcc(comm, g)
         lev = distributed_bfs(comm, g, 0, "both")
         return pr.scores.sum(), len(w.labels), (lev == 0).sum()
 
@@ -106,10 +103,9 @@ def test_self_loop_only_graph():
         part = VertexBlockPartition(2, comm.size)
         chunk = np.array_split(edges, comm.size)[comm.rank]
         g = build_dist_graph(comm, chunk, part)
-        halo = HaloExchange(comm, g)
-        pr = pagerank(comm, g, max_iters=5, halo=halo)
-        tri = triangle_count(comm, g, halo=halo)
-        scc = largest_scc(comm, g, halo=halo)
+        pr = pagerank(comm, g, max_iters=5)
+        tri = triangle_count(comm, g)
+        scc = largest_scc(comm, g)
         return pr.scores.sum(), tri.total, scc.size
 
     outs = run_spmd(2, job)

@@ -332,15 +332,15 @@ def test_delta_baselines_die_with_their_arrays(small_web):
     graph's) keeps no baseline for an array nobody else holds."""
     import gc
 
-    from repro.analytics import label_propagation, wcc
+    from repro.analytics import halo_of, label_propagation, wcc
 
     n, edges = small_web
 
     def fn(comm, g):
-        halo = HaloExchange(comm, g)
+        halo = halo_of(comm, g)
         for _ in range(20):
-            wcc(comm, g, halo=halo)
-            label_propagation(comm, g, n_iters=2, halo=halo)
+            wcc(comm, g)
+            label_propagation(comm, g, n_iters=2)
         kept = np.zeros(g.n_total, dtype=np.int64)
         kept[: g.n_loc] = g.unmap[: g.n_loc]
         halo.exchange_delta(kept)

@@ -2,8 +2,8 @@
 
 This mirrors the paper's end-to-end methodology (§III): the binary edge
 file is read in parallel, redistributed, converted to the distributed CSR,
-and all six analytics run over the same in-memory graph, reusing one halo
-exchange.  Results must be identical for every rank count and partitioning.
+and all six analytics run over the same in-memory graph, reusing its one
+cached halo exchange.  Results must be identical for every rank count and partitioning.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import pytest
 from conftest import PARTITION_KINDS, gather_by_gid, make_partition
 from repro.analysis import community_stats, coreness_distribution
 from repro.analytics import (
-    HaloExchange,
     approx_kcore,
+    halo_of,
     harmonic_centrality,
     label_propagation,
     largest_scc,
@@ -43,15 +43,14 @@ def full_pipeline(comm, n, path, part_kind):
     chunk, info = striped_read(comm, path)
     part = make_partition(part_kind, comm, n, chunk)
     g, stats = build_dist_graph_with_stats(comm, chunk, part)
-    halo = HaloExchange(comm, g)
 
-    pr = pagerank(comm, g, max_iters=300, tol=1e-13, halo=halo)
-    lp = label_propagation(comm, g, n_iters=5, seed=2, halo=halo)
-    w = wcc(comm, g, halo=halo)
-    s = largest_scc(comm, g, halo=halo)
+    pr = pagerank(comm, g, max_iters=300, tol=1e-13)
+    lp = label_propagation(comm, g, n_iters=5, seed=2)
+    w = wcc(comm, g)
+    s = largest_scc(comm, g)
     top = top_degree_vertices(comm, g, 3)
     hc = harmonic_centrality(comm, g, int(top[0]))
-    kc = approx_kcore(comm, g, max_stage=12, halo=halo)
+    kc = approx_kcore(comm, g, max_stage=12)
 
     return {
         "gids": g.unmap[: g.n_loc],
@@ -103,18 +102,19 @@ def test_end_to_end_all_analytics(crawl_file, p, kind):
 
 
 def test_shared_halo_across_analytics(crawl_file):
-    """Reusing one HaloExchange across analytics must be safe."""
+    """Reusing the graph's one cached halo across analytics is safe."""
     n, edges, path = crawl_file
 
     def job(comm):
         chunk, _ = striped_read(comm, path)
         part = make_partition("vblock", comm, n, chunk)
         g, _ = build_dist_graph_with_stats(comm, chunk, part)
-        halo = HaloExchange(comm, g)
-        a = pagerank(comm, g, max_iters=10, halo=halo).scores
-        _ = wcc(comm, g, halo=halo)
-        b = pagerank(comm, g, max_iters=10, halo=halo).scores
+        a = pagerank(comm, g, max_iters=10).scores
+        halo = halo_of(comm, g)
+        _ = wcc(comm, g)
+        b = pagerank(comm, g, max_iters=10).scores
         assert (a == b).all()
+        assert halo_of(comm, g) is halo
         return True
 
     assert all(run_spmd(3, job))

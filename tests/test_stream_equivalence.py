@@ -201,8 +201,7 @@ def test_pagerank_refresh_runs_the_static_schedule():
             n0 = len(events)
             got = ipr.run()
             n1 = len(events)
-            want = pagerank(comm, dyn.view(), max_iters=8, tol=1e-10,
-                            halo=dyn.halo)
+            want = pagerank(comm, dyn.view(), max_iters=8, tol=1e-10)
             assert [(e.op, e.bytes_sent) for e in events[n0:n1]] == \
                 [(e.op, e.bytes_sent) for e in events[n1:]]
             assert np.array_equal(got.scores, want.scores)
@@ -278,7 +277,7 @@ def test_weighted_stream_view_matches_rebuild(tiny_multi):
         assert np.array_equal(v.out_values, rg.out_values)
         assert np.array_equal(v.in_values, rg.in_values)
         s = pagerank(comm, rg, max_iters=10, tol=1e-12)
-        d = pagerank(comm, v, max_iters=10, tol=1e-12, halo=dyn.halo)
+        d = pagerank(comm, v, max_iters=10, tol=1e-12)
         assert np.array_equal(s.scores, d.scores)
         return True
 

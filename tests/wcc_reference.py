@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics import HaloExchange, global_max_degree_vertex
+from repro.analytics import global_max_degree_vertex
 from repro.analytics.closure import ClosureAdjacency
 from repro.graph.csr import expand_rows
 from repro.runtime import MIN, SUM
 
 
-def reference_wcc(comm, g, halo=None) -> tuple[np.ndarray, int]:
+def reference_wcc(comm, g) -> tuple[np.ndarray, int]:
     """``(labels, giant_label)``: the min-gid component label per owned
     vertex and the label of the pivot's component (-1 without edges)."""
-    if halo is None:
-        halo = HaloExchange(comm, g)
     n_loc = g.n_loc
-    und = ClosureAdjacency(comm, g, halo)
+    und = ClosureAdjacency(comm, g)
 
     pivot, pivot_deg = global_max_degree_vertex(comm, g)
     labels = g.unmap.astype(np.int64).copy()
@@ -53,5 +51,5 @@ def reference_wcc(comm, g, halo=None) -> tuple[np.ndarray, int]:
         if changed == 0:
             break
         labels[:n_loc] = new_local
-        halo.exchange_delta(labels)
+        und.halo.exchange_delta(labels)
     return labels[:n_loc].copy(), giant_label
