@@ -135,9 +135,10 @@ PYTHONPATH=src python -m pytest -x -q "$@"
 echo "== pytest (buffer sanitizer on) =="
 REPRO_SANITIZE_BUFFERS=1 PYTHONPATH=src python -m pytest -x -q "$@"
 
-# Engines, explicit-backend tests and the kernel oracles (construction,
-# SSSP and its cached plan, SCC, WCC, BFS, LP) on spawned-process ranks;
-# dist_run stays pinned to threads as the ground truth.
+# Engines, explicit-backend tests, update owner routing and the kernel
+# oracles (construction, SSSP and its cached plan, SCC, WCC, BFS, LP) on
+# spawned-process ranks; dist_run stays pinned to threads as the ground
+# truth.
 echo "== pytest smoke subset on the procs backend =="
 REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_backends.py tests/test_backend_equivalence.py \
@@ -145,4 +146,5 @@ REPRO_BACKEND=procs PYTHONPATH=src python -m pytest -x -q \
     tests/test_scc_oracle.py tests/test_wcc_oracle.py \
     tests/test_bfs_oracle.py tests/test_lp_oracle.py \
     tests/test_service.py tests/test_stream_service.py \
+    tests/test_stream.py::test_route_updates_matches_allgathered_batch \
     tests/test_stream_equivalence.py::test_procs_backend_stream_bitwise

@@ -70,11 +70,12 @@ class HaloExchange:
     keep their queue order fixed, per-iteration payloads need no ids.
 
     Plans are created lazily per (dtype, trailing-shape) and cached for
-    the lifetime of the exchange.  Creation is purely local (both count
-    vectors are known from setup), so laziness cannot desynchronize the
-    collective schedule — but the analytics must still touch dtypes in
-    the same order on every rank, which SPMD symmetry gives for free; a
-    divergent order shows up as a plan-id mismatch in the verifier.
+    the lifetime of the exchange.  Both count vectors are known from
+    setup, so creation exchanges no counts, but it is still a collective
+    on the procs backend (a shared-memory segment sync): the analytics
+    must touch dtypes in the same order on every rank, which SPMD
+    symmetry gives for free; a divergent order shows up as a plan-id
+    mismatch in the verifier.
 
     ``g`` may be any graph-like exposing the :class:`DistGraph` surface
     used here (``n_loc``/``n_gst``/``unmap``/``map``/``ghost_tasks``) —
@@ -146,8 +147,10 @@ class HaloExchange:
                   tail: tuple[int, ...]) -> AlltoallvPlan:
         """Cached persistent plan for one (dtype, trailing-shape).
 
-        Both count vectors come from setup, so creation never communicates
-        — safe to do lazily on first use of a dtype.
+        Both count vectors come from setup, so creation exchanges no
+        counts.  On the procs backend it is still a collective (the
+        segment sync); building lazily on first use of a dtype is safe
+        because every rank reaches it in the same SPMD order.
         """
         key = (np.dtype(dtype), tail)
         plan = self._plans.get(key)

@@ -27,17 +27,17 @@ Architecture
   sub-communicator contexts on the *same* mesh — no new OS resources per
   split.
 * **Persistent plans** (:class:`ProcAlltoallvPlan`): the plan's packed
-  send store lives in a ``multiprocessing.shared_memory`` segment.  A
-  collective ``_sync_segments`` at construction/refit exchanges segment
-  names and counts; steady-state :meth:`~ProcAlltoallvPlan.execute` is
-  then a ready-token exchange, a direct slice copy out of every peer's
-  shared segment into the private receive buffer, and a done-token
-  exchange — **zero pickling and zero allocation per iteration**.
-  Construction and :meth:`refit` are *always* collective on this backend
-  (even with explicit ``recvcounts``), because the segment sync itself is
-  an allgather.
+  send buffer lives in a ``multiprocessing.shared_memory`` segment of
+  the plan's fixed shape.  One collective ``_sync_segments`` at
+  construction exchanges segment names and counts; every
+  :meth:`~ProcAlltoallvPlan.execute` is then a ready-token exchange, a
+  direct slice copy out of every peer's shared segment into the private
+  receive buffer, and a done-token exchange — **zero pickling and zero
+  allocation per iteration**.  Construction is *always* collective on
+  this backend (even with explicit ``recvcounts``), because the segment
+  sync itself is an allgather.
 * **Cleanup**: segments are unlinked by ``weakref.finalize`` on the
-  owning plan, closed via a per-process registry at mesh shutdown, and —
+  owning plan (which also runs at worker exit), and —
   covering crashed workers — swept by the parent, which removes every
   ``/dev/shm`` entry carrying the run's unique name prefix after the
   workers exit.  Python 3.11's ``resource_tracker`` registers *attaches*
@@ -114,8 +114,8 @@ def _no_shm_tracking():
     whose per-type cache is a set — so p ranks registering one segment
     collapse to a single entry and the p unregisters raise KeyErrors in
     the tracker.  Creating/attaching under this context keeps the tracker
-    out entirely; cleanup is owned by plan finalizers, mesh shutdown, and
-    the parent's end-of-run sweep.
+    out entirely; cleanup is owned by plan finalizers and the parent's
+    end-of-run sweep.
     """
     orig_reg = resource_tracker.register
     orig_unreg = resource_tracker.unregister
@@ -447,114 +447,80 @@ class ProcCommunicator(ExchangeCommunicator):
 
 
 class ProcAlltoallvPlan(AlltoallvPlan):
-    """Persistent exchange whose send store is a shared-memory segment.
+    """Persistent exchange whose send buffer is a shared-memory segment.
 
-    Lifecycle: the owning rank creates its segment in ``_new_store``
+    Lifecycle: the owning rank creates its segment in ``_new_sendbuf``
     (named ``rpr<runid>_<world-rank>_<n>`` — short, for POSIX name
-    limits), peers attach during the collective ``_sync_segments`` that
-    every ``_set_counts`` (construction *and* refit) triggers, and the
-    pre-growth segment is retired — closed and unlinked — only after
-    that sync, when no peer can still attach it by name (already-mapped
-    views survive a POSIX unlink).  A ``weakref.finalize`` on the plan
-    destroys whatever the registry still holds; crashed workers are
-    covered by the parent's end-of-run ``/dev/shm`` sweep.
+    limits) and peers that receive from it attach it during the
+    collective ``_sync_segments`` at construction; the plan's shape never
+    changes, so neither does the segment.  A ``weakref.finalize`` on the
+    plan destroys its own segment and closes its peer mappings; crashed
+    workers are covered by the parent's end-of-run ``/dev/shm`` sweep.
     """
 
     def __init__(self, comm: ProcCommunicator, sendcounts: np.ndarray,
                  recvcounts: np.ndarray, dtype: Any, tail: tuple[int, ...],
                  plan_id: int, name: str = ""):
-        # Segment registry must exist before super().__init__ triggers
-        # _new_store/_set_counts.  Held in a plain dict so the finalizer
-        # does not keep the plan alive.
-        self._seg: dict[str, Any] = {"own": None, "serial": 0,
-                                     "retired": [], "peers": {}}
+        # Held in a plain dict so the finalizer does not keep the plan
+        # alive; it must exist before super().__init__ calls _new_sendbuf.
+        self._seg: dict[str, Any] = {"own": None, "peers": []}
         self._peer_views: dict[int, np.ndarray] = {}
         self._peer_sdispls: dict[int, np.ndarray] = {}
         self._finalizer = weakref.finalize(self, _cleanup_plan_segments,
                                            self._seg)
         super().__init__(comm, sendcounts, recvcounts, dtype, tail,
                          plan_id, name)
+        self._sync_segments()
 
-    def _row_nbytes(self) -> int:
-        n = self.dtype.itemsize
-        for t in self.tail:
-            n *= t
-        return n
-
-    def _new_store(self, cap: int, kind: str) -> np.ndarray:
-        if kind != "send" or cap == 0:
-            return super()._new_store(cap, kind)
+    def _new_sendbuf(self) -> np.ndarray:
+        if not self.n_send:
+            return super()._new_sendbuf()
         comm: ProcCommunicator = self.comm
         wrank = comm._group[comm.rank]
         seg_name = f"rpr{comm._world.runid}_{wrank}_{next(_SEG_IDS)}"
+        row_nbytes = self.dtype.itemsize * int(np.prod(self.tail,
+                                                       dtype=np.int64))
         with _no_shm_tracking():
+            # A new segment is zero-filled, like the base class buffer.
             shm = shared_memory.SharedMemory(
                 create=True, name=seg_name,
-                size=max(1, cap * self._row_nbytes()))
-        if self._seg["own"] is not None:
-            # Keep the old segment alive until peers re-attach (next sync).
-            self._seg["retired"].append(self._seg["own"])
+                size=max(1, self.n_send * row_nbytes))
         self._seg["own"] = shm
-        self._seg["serial"] += 1
-        arr = np.ndarray((cap,) + self.tail, dtype=self.dtype,
-                         buffer=shm.buf)
-        arr[...] = 0
-        return arr
-
-    def _set_counts(self, sendcounts: np.ndarray,
-                    recvcounts: np.ndarray) -> None:
-        super()._set_counts(sendcounts, recvcounts)
-        self._sync_segments()
+        return np.ndarray((self.n_send,) + self.tail, dtype=self.dtype,
+                          buffer=shm.buf)
 
     def _sync_segments(self) -> None:
-        """Collective: exchange segment names/counts, (re)attach peers.
+        """Collective: exchange segment names and counts, attach peers.
 
         Also cross-checks that every peer plans to send exactly what this
         rank expects to receive, so a diverging plan fails loudly at
-        construction/refit instead of mis-slicing at execute.
+        construction instead of mis-slicing at execute.
         """
         comm: ProcCommunicator = self.comm
         own: shared_memory.SharedMemory | None = self._seg["own"]
-        info = comm.allgather((
-            None if own is None else own.name,
-            len(self._send_store),
-            self._seg["serial"],
-            [int(c) for c in self.sendcounts],
-        ))
-        peers: dict[int, tuple] = self._seg["peers"]
+        info = comm.allgather((None if own is None else own.name,
+                               [int(c) for c in self.sendcounts]))
         for src in range(comm.size):
             if src == comm.rank:
                 continue
-            pname, pcap, pserial, pcounts = info[src]
+            pname, pcounts = info[src]
             if pcounts[comm.rank] != int(self.recvcounts[src]):
                 raise CommUsageError(
                     f"alltoallv plan mismatch on rank {comm.rank}: expected "
                     f"{int(self.recvcounts[src])} row(s) from rank {src}, "
                     f"got {pcounts[comm.rank]} (peers built a different "
                     f"plan?)")
+            if not pcounts[comm.rank]:
+                continue  # nothing to read from this peer
+            pcounts = np.asarray(pcounts, dtype=np.int64)
             self._peer_sdispls[src] = np.concatenate(
-                ([0], np.cumsum(np.asarray(pcounts[:-1], dtype=np.int64)))
-            ).astype(np.int64)
-            cur = peers.get(src)
-            if pname is None:
-                if cur is not None:
-                    _close_shm(cur[0])
-                    del peers[src]
-                self._peer_views.pop(src, None)
-                continue
-            if cur is not None and cur[1] == (pname, pserial):
-                continue  # unchanged segment; keep the mapping
-            if cur is not None:
-                _close_shm(cur[0])
+                ([0], np.cumsum(pcounts[:-1]))).astype(np.int64)
             with _no_shm_tracking():
                 shm = shared_memory.SharedMemory(name=pname)
-            peers[src] = (shm, (pname, pserial))
+            self._seg["peers"].append(shm)
             self._peer_views[src] = np.ndarray(
-                (pcap,) + self.tail, dtype=self.dtype, buffer=shm.buf)
-        # Every peer has re-attached by now; pre-growth segments can go.
-        retired, self._seg["retired"] = self._seg["retired"], []
-        for shm in retired:
-            _destroy_shm(shm)
+                (int(pcounts.sum()),) + self.tail, dtype=self.dtype,
+                buffer=shm.buf)
 
     def _scatter_from_peers(self) -> None:
         """Copy each source's rows straight out of its shared segment."""
@@ -572,24 +538,14 @@ class ProcAlltoallvPlan(AlltoallvPlan):
                 d = int(self._peer_sdispls[src][comm.rank])
                 self.recvbuf[off:off + c] = self._peer_views[src][d:d + c]
 
-    def execute(self, sendbuf: np.ndarray | None = None) -> np.ndarray:
-        if sendbuf is None:
-            sendbuf = self.sendbuf
-        elif sendbuf is not self.sendbuf:
-            sendbuf = self._validate_external(sendbuf)
-            # External buffers must be staged into the shared segment —
-            # one extra copy; fill plan.sendbuf in place to avoid it.
-            self.sendbuf[...] = sendbuf
+    def execute(self) -> np.ndarray:
         return self.comm._plan_exchange(self)
 
 
 def _cleanup_plan_segments(seg: dict) -> None:
-    for shm, _key in list(seg["peers"].values()):
+    for shm in seg["peers"]:
         _close_shm(shm)
-    seg["peers"].clear()
-    for shm in seg["retired"]:
-        _destroy_shm(shm)
-    seg["retired"] = []
+    seg["peers"] = []
     if seg["own"] is not None:
         _destroy_shm(seg["own"])
         seg["own"] = None

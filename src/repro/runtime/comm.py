@@ -57,9 +57,11 @@ real MPI codes:
   an :class:`AlltoallvPlan` (the ``MPI_Alltoallv_init`` analogue) that
   freezes counts, displacements, dtype validation, and both buffers across
   iterations, so the per-iteration cost is one memcpy per peer and nothing
-  else.  Plans carry a world-unique ``plan_id`` that enters the verifier
-  signature, and register their persistent buffers with the sanitizer once
-  at construction instead of once per epoch.
+  else.  A plan's shape is fixed at construction; an exchange whose counts
+  change per call is one ``alltoallv_flat``.  Plans carry a world-unique
+  ``plan_id`` that enters the verifier signature, and register their
+  persistent buffers with the sanitizer once at construction instead of
+  once per epoch.
 """
 
 from __future__ import annotations
@@ -795,8 +797,10 @@ class Communicator:
         ``tail``) go to rank ``d`` on every :meth:`AlltoallvPlan.execute`.
         ``recvcounts`` may be omitted, in which case one object
         ``alltoall`` exchanges the counts here — a collective, so either
-        every rank must omit it or none.  With ``recvcounts`` supplied,
-        plan construction is purely local.
+        every rank must omit it or none.  Even with ``recvcounts``
+        supplied, construction is a collective on the procs backend (its
+        shared-memory segment sync is an allgather), so every rank must
+        build the same plans in the same order.
 
         The plan owns a packed send buffer and a preallocated receive
         buffer, re-used verbatim across executions, and carries a
@@ -950,7 +954,8 @@ class AlltoallvPlan:
     """Persistent personalized-exchange schedule (``MPI_Alltoallv_init``).
 
     Built once by :meth:`Communicator.alltoallv_plan`, then executed every
-    iteration.  The plan freezes everything the per-call path re-derives:
+    iteration.  The plan's shape is fixed at construction; it freezes
+    everything the per-call path re-derives:
 
     * send/recv counts and their displacement prefix sums;
     * the dtype/contiguity validation (done once here, skipped per call);
@@ -967,11 +972,9 @@ class AlltoallvPlan:
     the plan registers its persistent buffers once at construction (they
     are rank-private by design), not once per epoch.
 
-    A plan whose exchange *shape* changes between executions — the
-    streaming update router sends a different number of rows per batch —
-    is :meth:`refit` rather than rebuilt: counts and displacements are
-    recomputed, the backing stores grow geometrically when needed, and the
-    ``plan_id`` (hence the verifier signature) is preserved.
+    An exchange whose shape changes from call to call (update routing,
+    :func:`~repro.stream.route_updates`) is not a plan: it is one
+    ``alltoallv_flat``.
     """
 
     def __init__(self, comm: Communicator, sendcounts: np.ndarray,
@@ -982,33 +985,6 @@ class AlltoallvPlan:
         self.tail = tuple(int(t) for t in tail)
         self.plan_id = plan_id
         self.name = name
-        self._send_store = self._new_store(0, "send")
-        self._recv_store = self._new_store(0, "recv")
-        self._validated_external: np.ndarray | None = None
-        self._set_counts(sendcounts, recvcounts)
-
-    def _new_store(self, cap: int, kind: str) -> np.ndarray:
-        """Allocate a backing store of ``cap`` rows.
-
-        The seam backend plans override: the process backend places the
-        ``"send"`` store in a shared-memory segment peers scatter from
-        directly, keeping steady-state executes zero-copy.  Send stores
-        are zeroed (rows between a shrink and the next refit stay
-        defined); receive stores are scratch.
-        """
-        shape = (cap,) + self.tail
-        if kind == "send":
-            return np.zeros(shape, dtype=self.dtype)
-        return np.empty(shape, dtype=self.dtype)
-
-    def _set_counts(self, sendcounts: np.ndarray,
-                    recvcounts: np.ndarray) -> None:
-        """Freeze counts/displacements and (re)point the buffer views.
-
-        Backing stores grow geometrically and never shrink, so refitting a
-        plan to a smaller or slightly larger exchange reuses the existing
-        allocations; ``sendbuf``/``recvbuf`` are contiguous prefix views.
-        """
         self.sendcounts = sendcounts
         self.recvcounts = recvcounts
         self.sdispls = np.concatenate(
@@ -1017,94 +993,30 @@ class AlltoallvPlan:
             ([0], np.cumsum(recvcounts[:-1]))).astype(np.int64)
         self.n_send = int(sendcounts.sum())
         self.n_recv = int(recvcounts.sum())
-        if len(self._send_store) < self.n_send:
-            cap = max(self.n_send, 2 * len(self._send_store))
-            self._send_store = self._new_store(cap, "send")
-        if len(self._recv_store) < self.n_recv:
-            cap = max(self.n_recv, 2 * len(self._recv_store))
-            self._recv_store = self._new_store(cap, "recv")
-        self.sendbuf = self._send_store[:self.n_send]
-        self.recvbuf = self._recv_store[:self.n_recv]
-        self._validated_external = None
-        sanitizer = self.comm._world.sanitizer
+        self.sendbuf = self._new_sendbuf()
+        self.recvbuf = np.empty((self.n_recv,) + self.tail, dtype=self.dtype)
+        sanitizer = comm._world.sanitizer
         if sanitizer is not None:
-            sanitizer.register_persistent(
-                (self._send_store, self._recv_store,
-                 self.sendbuf, self.recvbuf))
+            sanitizer.register_persistent((self.sendbuf, self.recvbuf))
 
-    def refit(self, sendcounts: np.ndarray,
-              recvcounts: np.ndarray | None = None) -> "AlltoallvPlan":
-        """Re-shape the plan for new per-destination counts, in place.
+    def _new_sendbuf(self) -> np.ndarray:
+        """Allocate the packed send buffer (``n_send`` rows, zeroed).
 
-        The streaming update path routes a different number of edge
-        updates every batch; rebuilding a plan per batch would burn a new
-        ``plan_id`` (diverging the verifier signature between ranks that
-        batch at different times) and reallocate both buffers.  ``refit``
-        keeps the plan identity and the backing stores — growing them
-        geometrically when a batch outgrows capacity — and only recomputes
-        counts and displacements.
-
-        Like construction, ``recvcounts=None`` derives the receive side
-        with one object ``alltoall`` (a collective: all ranks must refit
-        together); passing explicit ``recvcounts`` keeps the refit purely
-        local.  Returns ``self`` for chaining.
+        The seam backend plans override: the process backend places it
+        in a shared-memory segment peers copy from directly, keeping
+        executes zero-copy.
         """
-        sendcounts = np.ascontiguousarray(sendcounts, dtype=np.int64)
-        if sendcounts.shape != (self.comm.size,):
-            raise CommUsageError(
-                f"plan needs exactly {self.comm.size} send counts, got "
-                f"shape {sendcounts.shape}")
-        if len(sendcounts) and sendcounts.min() < 0:
-            raise CommUsageError("negative send count")
-        if recvcounts is None:
-            recvcounts = np.array(
-                self.comm.alltoall([int(c) for c in sendcounts]),
-                dtype=np.int64)
-        else:
-            recvcounts = np.ascontiguousarray(recvcounts, dtype=np.int64)
-            if recvcounts.shape != (self.comm.size,):
-                raise CommUsageError(
-                    f"plan needs exactly {self.comm.size} recv counts, "
-                    f"got shape {recvcounts.shape}")
-            if len(recvcounts) and recvcounts.min() < 0:
-                raise CommUsageError("negative recv count")
-        self._set_counts(sendcounts, recvcounts)
-        return self
+        return np.zeros((self.n_send,) + self.tail, dtype=self.dtype)
 
-    def _validate_external(self, sendbuf: np.ndarray) -> np.ndarray:
-        """One-time validation of a caller-owned send buffer.
+    def execute(self) -> np.ndarray:
+        """Ship the plan's ``sendbuf`` (fill it in place first); returns
+        the plan's receive buffer.
 
-        Re-validates only when the buffer *object* changes; iterating on
-        the same array skips the contiguity and dtype checks entirely
-        (the point of a persistent plan).
+        The returned array is the *persistent* ``recvbuf`` — copy out of
+        it before the next execution if you need the values to survive.
         """
-        if sendbuf is self._validated_external:
-            return sendbuf
-        sendbuf = np.ascontiguousarray(sendbuf)
-        if sendbuf.dtype != self.dtype:
-            raise CommUsageError(
-                f"plan expects dtype {self.dtype}, got {sendbuf.dtype}")
-        if sendbuf.shape != (self.n_send,) + self.tail:
-            raise CommUsageError(
-                f"plan expects send shape {(self.n_send,) + self.tail}, "
-                f"got {sendbuf.shape}")
-        self._validated_external = sendbuf
-        return sendbuf
-
-    def execute(self, sendbuf: np.ndarray | None = None) -> np.ndarray:
-        """Run one exchange; returns the plan's receive buffer.
-
-        With no argument the plan's own ``sendbuf`` is shipped (fill it in
-        place first).  The returned array is the *persistent* ``recvbuf``
-        — copy out of it before the next execution if you need the values
-        to survive.
-        """
-        if sendbuf is None:
-            sendbuf = self.sendbuf
-        elif sendbuf is not self.sendbuf:
-            sendbuf = self._validate_external(sendbuf)
         data, _ = self.comm.alltoallv_flat(
-            sendbuf, self.sendcounts, out=self.recvbuf,
+            self.sendbuf, self.sendcounts, out=self.recvbuf,
             recvcounts=self.recvcounts, _plan=self)
         return data
 

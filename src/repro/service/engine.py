@@ -248,13 +248,17 @@ def _ppr_split(jobs: list[Job], payload: dict) -> list[Any]:
 
 
 def _ensure_dyn(comm, state):
-    """Promote the resident shard to a dynamic graph (idempotent).
+    """Promote the resident shard to a dynamic graph (idempotent) and
+    bind it to this job's ``comm``.
 
     Promotion sorts the base adjacency in place, so it must happen
     *before* anything captures ``state["graph"]`` as a stable snapshot —
     which is why snapshot pins promote eagerly instead of waiting for
     the first update batch.  After promotion ``state["graph"]`` always
     holds the dynamic graph's epoch-tagged immutable materialized view.
+    Every job runs on a fresh world, so the delta graph is rebound on
+    each call: its collectives land in the job's own trace, and the
+    job's abort or timeout can unblock them.
     """
     from ..stream import DynamicDistGraph
 
@@ -263,6 +267,7 @@ def _ensure_dyn(comm, state):
         dyn = DynamicDistGraph(comm, state["graph"])
         state["dyn"] = dyn
         state["graph"] = dyn.view()
+    dyn.comm = comm
     return dyn
 
 

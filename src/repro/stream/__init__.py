@@ -26,8 +26,8 @@ from .updates import (
     INSERT,
     RoutedUpdates,
     UpdateBatch,
-    UpdateRouter,
     read_updates_text,
+    route_updates,
     split_batch,
 )
 
@@ -45,7 +45,7 @@ __all__ = [
     "INSERT",
     "RoutedUpdates",
     "UpdateBatch",
-    "UpdateRouter",
     "read_updates_text",
+    "route_updates",
     "split_batch",
 ]

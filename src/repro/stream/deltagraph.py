@@ -59,7 +59,7 @@ from ..analytics.exchange import HaloExchange, halo_of
 from ..graph.csr import csr_row_lengths, expand_rows, sorted_unique
 from ..graph.distgraph import DistGraph
 from ..runtime import MAX, SUM, Communicator
-from .updates import DELETE, INSERT, UpdateBatch, UpdateRouter
+from .updates import DELETE, INSERT, UpdateBatch, route_updates
 
 __all__ = ["ApplyResult", "EpochRecord", "DynamicDistGraph",
            "PinnedEpochError"]
@@ -342,6 +342,10 @@ class DynamicDistGraph:
                  assume_sorted: bool = False):
         if not (0.0 < compact_threshold):
             raise ValueError("compact_threshold must be positive")
+        if base.partition.nparts != comm.size:
+            raise ValueError(
+                f"partition has {base.partition.nparts} parts but world "
+                f"size is {comm.size}")
         self.comm = comm
         self.compact_threshold = float(compact_threshold)
         if not assume_sorted:
@@ -364,7 +368,6 @@ class DynamicDistGraph:
         self._outdeg = csr_row_lengths(base.out_indexes).astype(np.int64)
         self._indeg = csr_row_lengths(base.in_indexes).astype(np.int64)
         self.epoch = 0
-        self.router = UpdateRouter(comm, base.partition)
         self._journal: deque[EpochRecord] = deque(maxlen=_JOURNAL_KEEP)
         self._view: DistGraph | None = None
         self._view_epoch = -1
@@ -486,7 +489,7 @@ class DynamicDistGraph:
         if int(comm.allreduce(bad, SUM)):
             raise ValueError("update batch references out-of-range vertices")
 
-        routed = self.router.route(batch)
+        routed = route_updates(comm, self.partition, batch)
         ghosts_changed = self._add_ghosts(
             np.concatenate((routed.out_dst, routed.in_src)))
 

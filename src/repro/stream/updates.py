@@ -4,18 +4,17 @@ The paper's pipeline builds the web graph once and analyzes it read-only;
 the serving roadmap needs the same graph *mutable* under live traffic.
 This module is the ingestion half of the dynamic subsystem: callers
 accumulate edge mutations into an :class:`UpdateBatch` (insert/delete,
-optionally weighted) and a collective :class:`UpdateRouter` redistributes
-each batch so every rank receives exactly the updates touching vertices it
-owns — the same owner-routing discipline as graph construction
-(:mod:`repro.graph.build`), but over the PR-4 flat-buffer collectives.
+optionally weighted) and the collective :func:`route_updates`
+redistributes each batch so every rank receives exactly the updates
+touching vertices it owns — the same owner-routing discipline and the
+same idiom as graph construction (:mod:`repro.graph.build`): one
+:func:`~repro.graph.csr.bucket_order` by owner, then one
+``alltoallv_flat``.
 
 Routing ships one packed ``(n, 4)`` int64 payload per direction —
-``[src, dst, op, weight-bits]`` — through a persistent
-:class:`~repro.runtime.AlltoallvPlan` that is :meth:`~repro.runtime.
-AlltoallvPlan.refit` to each batch's per-destination counts instead of
-rebuilt: the plan id (and with it the schedule-verifier signature) stays
-stable across batches and the backing buffers are reused, growing
-geometrically only when a batch outgrows them.
+``[src, dst, op, weight-bits]``.  A batch's per-destination counts change
+every batch, so there is no persistent plan to keep: each direction is
+one collective.
 
 Out-direction updates are routed by the owner of the *source* endpoint
 and in-direction updates by the owner of the *destination*, mirroring the
@@ -31,10 +30,10 @@ import numpy as np
 
 from ..graph.csr import bucket_order
 from ..partition.base import Partition
-from ..runtime import AlltoallvPlan, Communicator
+from ..runtime import Communicator
 
 __all__ = ["INSERT", "DELETE", "UpdateBatch", "RoutedUpdates",
-           "UpdateRouter", "read_updates_text", "split_batch"]
+           "read_updates_text", "route_updates", "split_batch"]
 
 #: Op code for an edge insertion.
 INSERT = 1
@@ -48,10 +47,11 @@ class UpdateBatch:
 
     Like the edge chunks fed to the graph builder, any distribution of a
     logical batch across ranks is accepted (including the whole batch on
-    one rank); the router redistributes by ownership.  ``op`` holds
-    :data:`INSERT`/:data:`DELETE` per edge; ``values`` optionally carries
-    an insert weight per edge (ignored for deletes — a delete matches the
-    oldest stored copy of ``(src, dst)`` regardless of weight).
+    one rank); :func:`route_updates` redistributes by ownership.  ``op``
+    holds :data:`INSERT`/:data:`DELETE` per edge; ``values`` optionally
+    carries an insert weight per edge (ignored for deletes — a delete
+    matches the oldest stored copy of ``(src, dst)`` regardless of
+    weight).
     """
 
     src: np.ndarray
@@ -197,65 +197,42 @@ class RoutedUpdates:
     in_values: np.ndarray | None
 
 
-class UpdateRouter:
-    """Collective owner-routing of update batches over persistent plans.
+def _route_dir(comm: Communicator, packed: np.ndarray,
+               owners: np.ndarray) -> np.ndarray:
+    order, offsets = bucket_order(owners, comm.size)
+    got, _ = comm.alltoallv_flat(packed[order], np.diff(offsets))
+    return got
 
-    One router per (communicator, partition) pair; :meth:`route` is a
-    collective — every rank must call it with its (possibly empty) chunk
-    of the same logical batch.  The two per-direction plans are built on
-    the first batch and refit thereafter, so the verifier sees a stable
-    plan identity across the whole update stream.
+
+def route_updates(comm: Communicator, partition: Partition,
+                  batch: UpdateBatch) -> RoutedUpdates:
+    """Redistribute a batch by endpoint ownership (collective).
+
+    Every rank calls it with its (possibly empty) chunk of the same
+    logical batch; ``partition`` must have one part per rank.  Each
+    direction's rows arrive in source-rank order, then in the order of
+    the source rank's chunk.
     """
+    weighted = batch.values is not None
+    packed = np.empty((batch.n, 4), dtype=np.int64)
+    packed[:, 0] = batch.src
+    packed[:, 1] = batch.dst
+    packed[:, 2] = batch.op
+    if weighted:
+        packed[:, 3] = batch.values.view(np.int64)
+    else:
+        packed[:, 3] = 0
+    with comm.region("stream.route"):
+        got_out = _route_dir(comm, packed, partition.owner_of(batch.src))
+        got_in = _route_dir(comm, packed, partition.owner_of(batch.dst))
 
-    def __init__(self, comm: Communicator, partition: Partition):
-        if partition.nparts != comm.size:
-            raise ValueError(
-                f"partition has {partition.nparts} parts but world size "
-                f"is {comm.size}")
-        self.comm = comm
-        self.partition = partition
-        self._plans: dict[str, AlltoallvPlan] = {}
+    def bits_to_float(col: np.ndarray) -> np.ndarray | None:
+        # A column slice is strided; the dtype view needs contiguity.
+        return np.ascontiguousarray(col).view(np.float64) \
+            if weighted else None
 
-    def _route_dir(self, direction: str, packed: np.ndarray,
-                   owners: np.ndarray) -> np.ndarray:
-        comm = self.comm
-        order, offsets = bucket_order(owners, comm.size)
-        counts = np.diff(offsets)
-        plan = self._plans.get(direction)
-        if plan is None:
-            plan = comm.alltoallv_plan(counts, dtype=np.int64, tail=(4,),
-                                       name=f"stream.updates:{direction}")
-            self._plans[direction] = plan
-        else:
-            plan.refit(counts)
-        np.take(packed, order, axis=0, out=plan.sendbuf)
-        # The recvbuf is persistent: copy before the next direction/batch
-        # overwrites it (the delta graph retains routed rows in its journal).
-        return plan.execute().copy()
-
-    def route(self, batch: UpdateBatch) -> RoutedUpdates:
-        """Redistribute a batch by endpoint ownership (collective)."""
-        weighted = batch.values is not None
-        packed = np.empty((batch.n, 4), dtype=np.int64)
-        packed[:, 0] = batch.src
-        packed[:, 1] = batch.dst
-        packed[:, 2] = batch.op
-        if weighted:
-            packed[:, 3] = batch.values.view(np.int64)
-        else:
-            packed[:, 3] = 0
-        with self.comm.region("stream.route"):
-            got_out = self._route_dir(
-                "out", packed, self.partition.owner_of(batch.src))
-            got_in = self._route_dir(
-                "in", packed, self.partition.owner_of(batch.dst))
-        def bits_to_float(col: np.ndarray) -> np.ndarray | None:
-            # A column slice is strided; the dtype view needs contiguity.
-            return np.ascontiguousarray(col).view(np.float64) \
-                if weighted else None
-
-        return RoutedUpdates(
-            out_src=got_out[:, 0], out_dst=got_out[:, 1],
-            out_op=got_out[:, 2], out_values=bits_to_float(got_out[:, 3]),
-            in_src=got_in[:, 0], in_dst=got_in[:, 1], in_op=got_in[:, 2],
-            in_values=bits_to_float(got_in[:, 3]))
+    return RoutedUpdates(
+        out_src=got_out[:, 0], out_dst=got_out[:, 1],
+        out_op=got_out[:, 2], out_values=bits_to_float(got_out[:, 3]),
+        in_src=got_in[:, 0], in_dst=got_in[:, 1], in_op=got_in[:, 2],
+        in_values=bits_to_float(got_in[:, 3]))

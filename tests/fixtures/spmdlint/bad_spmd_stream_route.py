@@ -6,7 +6,7 @@ is empty "has nothing to send" and returns before the exchange.  But the
 batch routing alltoallv is collective — that rank may still *receive*
 updates touching vertices it owns, and every other rank blocks in the
 exchange waiting for it.  Idle ranks must participate with empty counts
-(see ``repro.stream.updates.UpdateRouter.route``).
+(see ``repro.stream.updates.route_updates``).
 """
 import numpy as np
 

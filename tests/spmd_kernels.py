@@ -726,22 +726,74 @@ def kern_collectives(comm, seed):
 
 
 def kern_plan(comm, rounds):
-    """Persistent alltoallv plan: growth, refit, and reuse."""
+    """Fixed-shape alltoallv plans: fresh contents on every execute, and
+    two live plans of different shape and dtype interleaved."""
+    p, r = comm.size, comm.rank
+    counts_a = np.array([(r + d) % 4 for d in range(p)], dtype=np.int64)
+    counts_b = np.array([(r * d + 1) % 3 for d in range(p)], dtype=np.int64)
+    plan_a = comm.alltoallv_plan(counts_a, dtype=np.int64)  # recv by alltoall
+    plan_b = comm.alltoallv_plan(
+        counts_b, recvcounts=[(s * r + 1) % 3 for s in range(p)],
+        dtype=np.float32, tail=(2,))
+    dest_a = np.repeat(np.arange(p), counts_a)
+    dest_b = np.repeat(np.arange(p), counts_b)
     history = []
-    plan = None
-    for r in range(1, rounds + 1):
-        sendcounts = [((comm.rank + d + r) % 4) for d in range(comm.size)]
-        chunks = [np.full(c, comm.rank * 100 + d, dtype=np.int64)
-                  for d, c in enumerate(sendcounts)]
-        flat = (np.concatenate(chunks) if any(sendcounts)
-                else np.empty(0, dtype=np.int64))
-        if plan is None:
-            plan = comm.alltoallv_plan(sendcounts, dtype=np.int64)
-        else:
-            plan.refit(sendcounts)
-        recv = plan.execute(flat)
-        history.append((recv.copy(), [int(c) for c in plan.recvcounts]))
+    for it in range(rounds):
+        plan_a.sendbuf[:] = r * 1000 + dest_a * 10 + it
+        plan_b.sendbuf[:, 0] = r + 0.5 * it
+        plan_b.sendbuf[:, 1] = dest_b - 0.25 * it
+        got_a = plan_a.execute().copy()
+        got_b = plan_b.execute().copy()
+        ref_a, _ = comm.alltoallv_flat(plan_a.sendbuf.copy(), counts_a)
+        ref_b, _ = comm.alltoallv_flat(plan_b.sendbuf.copy(), counts_b)
+        assert np.array_equal(got_a, ref_a)
+        assert np.array_equal(got_b, ref_b)
+        history.append((got_a, got_b, [int(c) for c in plan_a.recvcounts]))
     return history
+
+
+def kern_route_updates(comm, seed):
+    """``route_updates`` against the allgathered batch, batch by batch.
+
+    Each rank must get exactly the rows whose source (out) or destination
+    (in) it owns, in source-rank-then-chunk order, weights bit for bit.
+    Batches grow, then shrink, and some ranks' chunks are empty.  Returns
+    the ops each call recorded and the rows routed per call: (batch,
+    out, in).
+    """
+    from repro.stream import DELETE, INSERT, UpdateBatch, route_updates
+
+    n = 37
+    part = VertexBlockPartition(n, comm.size)
+    rng = np.random.default_rng(seed + comm.rank)
+    ops, rows = [], []
+    for i, k in enumerate((4, 40, 3, 0, 25, 1)):
+        k = 0 if (i + comm.rank) % 3 == 0 else k + comm.rank
+        weighted = i % 2 == 1
+        batch = UpdateBatch(
+            rng.integers(0, n, k), rng.integers(0, n, k),
+            np.where(rng.random(k) < 0.5, INSERT, DELETE),
+            rng.standard_normal(k) if weighted else None)
+        full = UpdateBatch.concat(comm.allgather(batch))
+        mark = len(comm.trace.events)
+        got = route_updates(comm, part, batch)
+        ops.append([e.op for e in comm.trace.events[mark:]])
+        for owner, src, dst, op, vals in (
+                (full.src, got.out_src, got.out_dst, got.out_op,
+                 got.out_values),
+                (full.dst, got.in_src, got.in_dst, got.in_op,
+                 got.in_values)):
+            mine = part.owner_of(owner) == comm.rank
+            assert np.array_equal(src, full.src[mine])
+            assert np.array_equal(dst, full.dst[mine])
+            assert np.array_equal(op, full.op[mine])
+            if weighted:
+                assert np.array_equal(vals.view(np.int64),
+                                      full.values[mine].view(np.int64))
+            else:
+                assert vals is None
+        rows.append((batch.n, len(got.out_src), len(got.in_src)))
+    return ops, rows
 
 
 def kern_split(comm, _arg):

@@ -112,21 +112,6 @@ def test_plan_reuses_buffers_across_iterations(explicit_recvcounts):
     assert all(run_spmd(4, fn))
 
 
-def test_plan_external_sendbuf_validated_once():
-    def fn(comm):
-        p = comm.size
-        counts = np.ones(p, dtype=np.int64)
-        plan = comm.alltoallv_plan(counts, recvcounts=counts)
-        ext = np.arange(p, dtype=np.float64)
-        out = plan.execute(ext).copy()
-        assert np.array_equal(out, np.full(p, comm.rank, dtype=np.float64))
-        with pytest.raises(CommUsageError):
-            plan.execute(np.arange(p, dtype=np.int32))  # wrong dtype
-        return True
-
-    assert all(run_spmd(1, fn))
-
-
 def test_mismatched_plans_fail_loudly_on_all_ranks():
     """Ranks whose plans disagree on counts must all raise, not deadlock."""
 

@@ -1,6 +1,6 @@
 """Unit tests for the streaming-update subsystem.
 
-Covers the ingestion layer (:class:`UpdateBatch` / :class:`UpdateRouter` /
+Covers the ingestion layer (:class:`UpdateBatch` / :func:`route_updates` /
 text parsing), the delta-graph batch semantics (duplicate copies,
 oldest-first delete consumption, same-batch cancellation, missing
 deletes, ghosts, compaction, journal), the merged-adjacency query paths,
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+import spmd_kernels as K
 from conftest import make_partition
 from repro.graph import build_dist_graph
 from repro.partition import VertexBlockPartition
@@ -23,8 +24,8 @@ from repro.stream import (
     DynamicDistGraph,
     UnionFindRollback,
     UpdateBatch,
-    UpdateRouter,
     read_updates_text,
+    route_updates,
     split_batch,
 )
 from repro.service import ResultCache
@@ -93,36 +94,28 @@ def test_read_updates_text(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# UpdateRouter
+# route_updates
 # ---------------------------------------------------------------------------
-def test_router_owner_routing_and_plan_reuse():
-    n = 40
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_route_updates_matches_allgathered_batch(p):
+    outs = run_spmd(p, K.kern_route_updates, 17, timeout=90.0)
+    # Two alltoallvs per call and nothing else (no count exchange).
+    assert all(ops == [["alltoallv", "alltoallv"]] * len(ops)
+               for ops, _ in outs)
+    # Every update lands exactly once per direction.
+    n_out = np.sum([rows for _, rows in outs], axis=0)
+    assert (n_out[:, 0] == n_out[:, 1]).all()
+    assert (n_out[:, 0] == n_out[:, 2]).all()
 
+
+def test_delta_graph_rejects_partition_mismatch():
     def job(comm):
-        part = VertexBlockPartition(n, comm.size)
-        router = UpdateRouter(comm, part)
-        rng = np.random.default_rng(17 + comm.rank)
-        for round_ in range(3):  # growing batches exercise plan refit
-            k = 5 * (round_ + 1)
-            batch = UpdateBatch(
-                rng.integers(0, n, size=k), rng.integers(0, n, size=k),
-                np.where(rng.random(k) < 0.5, INSERT, DELETE))
-            routed = router.route(batch)
-            assert (part.owner_of(routed.out_src) == comm.rank).all()
-            assert (part.owner_of(routed.in_dst) == comm.rank).all()
-        # One persistent plan per direction, refit across all batches.
-        assert set(router._plans) == {"out", "in"}
-        return len(routed.out_src), len(routed.in_src)
-
-    outs = run_spmd(4, job)
-    assert sum(o[0] for o in outs) == 15 * 4  # every update lands once
-    assert sum(o[1] for o in outs) == 15 * 4
-
-
-def test_router_rejects_partition_mismatch():
-    def job(comm):
+        g = build_dist_graph(comm, np.array([[0, 1]]) if comm.rank == 0
+                             else np.empty((0, 2), dtype=np.int64),
+                             VertexBlockPartition(10, comm.size))
+        solo = comm.split(comm.rank)
         with pytest.raises(ValueError, match="parts"):
-            UpdateRouter(comm, VertexBlockPartition(10, comm.size + 1))
+            DynamicDistGraph(solo, g)
         return True
 
     assert all(run_spmd(2, job))
@@ -134,13 +127,12 @@ def test_router_preserves_weights_bitwise():
 
     def job(comm):
         part = VertexBlockPartition(n, comm.size)
-        router = UpdateRouter(comm, part)
         if comm.rank == 0:
             batch = UpdateBatch([1, 5, 9, 13], [2, 6, 10, 14],
                                 [INSERT] * 4, values=vals)
         else:
             batch = UpdateBatch.empty(weighted=True)
-        routed = router.route(batch)
+        routed = route_updates(comm, part, batch)
         return routed.out_src, routed.out_values
 
     outs = run_spmd(2, job)

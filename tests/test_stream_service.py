@@ -101,6 +101,25 @@ def test_updates_interleave_with_queries(base_edges):
         assert not np.array_equal(seen[1], seen[2])
 
 
+def test_writes_run_on_their_own_world(base_edges):
+    """Every write's apply collectives are counted on its own job."""
+    n, edges = base_edges
+    rng = np.random.default_rng(10)
+    with AnalyticsEngine(2, edges=edges, n=n) as eng:
+        added = []
+        for _ in range(3):
+            new = rng.integers(0, n, size=(10, 2), dtype=np.int64)
+            before = eng.status()["comm"]["n_collectives"]
+            out = eng.apply_updates(new[:, 0], new[:, 1])
+            added.append((eng.status()["comm"]["n_collectives"] - before,
+                          out["ghosts_changed"] or out["compacted"]))
+    # Per rank: the apply's range check, two routing alltoallvs, totals
+    # and overlay-max allreduces, one halo setup when the ghosts changed,
+    # then the job's own allgather.
+    for n_coll, rebuilt in added[1:]:
+        assert n_coll == 2 * (6 + rebuilt)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
