@@ -16,8 +16,6 @@ Quantifies each optimization the paper calls out:
    natural order under block partitioning.
 6. **Flat-buffer vs. object-list alltoallv**: the persistent-collective
    layer's wire format against the original list-of-arrays path.
-7. **Delta vs. dense halo propagation**: bytes and time once an iterative
-   analytic starts converging and most ghost values stop changing.
 """
 
 from __future__ import annotations
@@ -348,62 +346,3 @@ def test_report_flat_ablation(benchmark, report):
     assert out["flat"][2] == pytest.approx(out["list"][2])
     assert out["plan"][2] == pytest.approx(out["list"][2])
 
-
-# ---------------------------------------------------------------------------
-# 7. Delta vs dense halo propagation under convergence
-# ---------------------------------------------------------------------------
-def _delta_ablation(iters: int = 24):
-    """A converging workload: the touched fraction decays 1.0 → ~0 like a
-    label-propagation run.  Dense ships every ghost value every iteration;
-    delta ships (index, value) pairs only for changed ones."""
-    edges = wc_edges(N)
-    fractions = [max(0.0, 1.0 * (0.7 ** it)) for it in range(iters)]
-
-    def job(comm):
-        chunk = np.array_split(edges, comm.size)[comm.rank]
-        part = RandomHashPartition(N, comm.size, seed=7)
-        g = build_dist_graph(comm, chunk, part)
-        halo = HaloExchange(comm, g)
-        gid = g.unmap[: g.n_loc]
-        out = {}
-
-        def run(name, exchange):
-            vals = np.zeros(g.n_total, dtype=np.float64)
-            rng = np.random.default_rng(11)  # same stream on every rank
-            comm.trace.reset()
-            comm.barrier()
-            t0 = time.perf_counter()
-            for it, frac in enumerate(fractions):
-                touched = rng.random(g.n_global) < frac
-                upd = np.flatnonzero(touched[gid])
-                vals[upd] = it + gid[upd]
-                exchange(halo, vals)
-            comm.barrier()
-            out[name] = (time.perf_counter() - t0, comm.trace.bytes_sent)
-            return vals
-
-        dense = run("dense", lambda h, v: h.exchange(v))
-        delta = run("delta", lambda h, v: h.exchange_delta(v))
-        assert np.array_equal(dense, delta)  # bitwise, tol=0
-        return out
-
-    outs = run_spmd(P, job)
-    return {k: (max(o[k][0] for o in outs), sum(o[k][1] for o in outs))
-            for k in outs[0]}
-
-
-def test_delta_halo(benchmark):
-    benchmark.pedantic(_delta_ablation, rounds=2, iterations=1)
-
-
-def test_report_delta_ablation(benchmark, report):
-    out = benchmark.pedantic(_delta_ablation, rounds=1, iterations=1)
-    report("", fmt_table(
-        ["mode", "time (s)", "bytes sent"],
-        [[k, round(t, 4), b] for k, (t, b) in out.items()],
-        title="ABLATION 7: halo propagation while converging "
-              "(touched fraction decays 0.7^it, 24 iters)"))
-    # Once most values stop changing, the sparse wire format ships a small
-    # fraction of the dense traffic (here the decaying schedule more than
-    # halves total bytes; converged analytics approach zero).
-    assert out["delta"][1] < 0.5 * out["dense"][1]

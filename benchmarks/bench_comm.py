@@ -8,8 +8,7 @@ object (list-of-arrays) path, at two levels:
    path) vs. a persistent :class:`~repro.runtime.AlltoallvPlan` that also
    skips validation and reuses its receive buffer.
 2. **Halo exchange**: k per-array exchanges on the list path vs. the plan
-   path vs. one fused ``(n, k)`` collective vs. delta propagation when a
-   small fraction of values changes per iteration.
+   path vs. one fused ``(n, k)`` collective.
 
 Run as a pytest-benchmark suite (``pytest benchmarks/bench_comm.py``) or
 as a CLI::
@@ -50,7 +49,6 @@ ROWS = 4_000  # rows per destination in the raw alltoallv benches
 HALO_N = 10_000
 HALO_K = 6  # arrays refreshed together in the halo benches
 HALO_ITERS = 25
-DELTA_FRACTION = 0.02  # active values per delta iteration
 BASELINE = BENCH_DIR / "BENCH_comm.json"
 
 
@@ -91,13 +89,12 @@ def _alltoallv_times(p: int = P, rows: int = ROWS, iters: int = 20
 
 
 # ---------------------------------------------------------------------------
-# 2. halo: per-array list vs per-array plan vs fused vs delta
+# 2. halo: per-array list vs per-array plan vs fused
 # ---------------------------------------------------------------------------
 def _halo_times(p: int = P, n: int = HALO_N, iters: int = HALO_ITERS,
                 k: int = HALO_K) -> dict[str, dict[str, float]]:
     """Per-variant halo refresh cost: max-over-ranks seconds and total
-    bytes shipped (the delta mode trades collectives for bytes, so both
-    axes matter)."""
+    bytes shipped."""
     edges = wc_edges(n)
 
     def job(comm):
@@ -110,35 +107,21 @@ def _halo_times(p: int = P, n: int = HALO_N, iters: int = HALO_ITERS,
         times, nbytes = {}, {}
 
         def timed(name, once):
-            once(0)  # warm-up: fault buffers in, build lazy plans
+            once()  # warm-up: fault buffers in, build lazy plans
             comm.trace.reset()
             comm.barrier()
             t0 = time.perf_counter()
-            for it in range(iters):
-                once(it)
+            for _ in range(iters):
+                once()
             comm.barrier()
             times[name] = time.perf_counter() - t0
             nbytes[name] = comm.trace.bytes_sent
 
         timed("per_array_list",
-              lambda it: [halo.exchange_list(a) for a in arrays])
+              lambda: [halo.exchange_list(a) for a in arrays])
         timed("per_array_plan",
-              lambda it: [halo.exchange(a) for a in arrays])
-        timed("fused", lambda it: halo.exchange_many(*arrays))
-
-        # Delta: touch a small slice of local values per iteration, the
-        # converging-analytic regime the sparse wire format targets.
-        rng = np.random.default_rng(13)  # identical stream on every rank
-        gid = g.unmap[: g.n_loc]
-
-        def delta_iter(it):
-            touched = rng.random(g.n_global) < DELTA_FRACTION
-            for a in arrays:
-                upd = np.flatnonzero(touched[gid])
-                a[upd] = it + gid[upd]
-                halo.exchange_delta(a)
-
-        timed("delta", delta_iter)
+              lambda: [halo.exchange(a) for a in arrays])
+        timed("fused", lambda: halo.exchange_many(*arrays))
         return times, nbytes
 
     outs = run_spmd(p, job)
@@ -185,10 +168,6 @@ def test_report_comm_microbench(benchmark, report):
     # Acceptance: the plan-based fused exchange beats the per-array list
     # path by >= 1.5x at 8 ranks.
     assert list_t / halo["fused"]["time_s"] >= 1.5
-    # Delta mode's win is on the wire, not the clock, in this in-process
-    # runtime (it spends extra small collectives to save payload bytes).
-    assert (halo["delta"]["bytes_sent"]
-            < 0.5 * halo["per_array_plan"]["bytes_sent"])
 
 
 # ---------------------------------------------------------------------------

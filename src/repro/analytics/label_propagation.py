@@ -15,12 +15,15 @@ Implementation notes
   within a row: run lengths of equal keys are the counts, a
   ``maximum.reduceat`` gives each row's best count, and the tie hash is
   computed only for the runs that reach it — same O(Σdeg) work, no Python
-  loop.  The rows, keys and the label array (halo included) are ``int32``
-  whenever every key fits, ``n_loc · n_global < 2**31`` (half the bytes to
-  gather and sort), else ``int64``; the dtype is chosen once per call
-  (:func:`_key_dtype`) and the sort order, hence every label, is the same
-  at either width.  An ``int64`` key must fit too: ``n_loc · n_global <
-  2**63``, checked once per call (``ValueError``).
+  loop.  The rows and keys are ``int32`` whenever every key fits,
+  ``n_loc · n_global < 2**31`` (half the bytes to gather and sort), else
+  ``int64`` (:func:`_key_dtype`), a rank-local choice.  The label array
+  is the halo payload, so its width comes from ``n_global`` alone
+  (``int32`` while every gid fits) and is the same on every rank;
+  ``row_keys + labels`` promotes to the wider type.  The sort order,
+  hence every label, is the same at any width.  An ``int64`` key must
+  fit too: ``n_loc · n_global < 2**63``, checked once per call
+  (``ValueError``).
 * Tie rule: the most frequent label; among equally frequent labels the
   largest :func:`_tie_hash` of (vertex gid, label, iteration, seed); on an
   exact 64-bit hash tie the largest label.
@@ -30,7 +33,9 @@ Implementation notes
   invariant, which the tests rely on.  ``mode="async"`` counts chunk by
   chunk over contiguous slices of the CSR, writing labels in between.
 * Ghost labels are refreshed with the retained-queue halo exchange — the
-  same optimization the paper applies (send labels only, never ids).
+  same optimization the paper applies (send labels only, never ids).  An
+  iteration issues one ``allreduce`` (the change count) and one plan
+  execute.
 """
 
 from __future__ import annotations
@@ -196,7 +201,8 @@ def label_propagation(
         indptr, nbrs = undirected_rows(g)
         rows = expand_rows(indptr).astype(key, copy=False)
         row_keys = rows * key(n_global)
-        labels = g.unmap.astype(key)  # init: own global id
+        # init: own global id, at one width on every rank (the halo payload)
+        labels = g.unmap.astype(_key_dtype(1, n_global))
 
         row_gids = g.unmap[:n_loc]
         # Async splits the local vertices into chunks whose entries are
@@ -217,9 +223,7 @@ def label_propagation(
                 n_tied += tied
             changed_per_iter.append(comm.allreduce(
                 int(np.count_nonzero(labels[:n_loc] != before)), SUM))
-            # tol=0 delta: only changed labels travel (bitwise-identical to
-            # a dense refresh), which goes sparse as communities stabilize.
-            halo.exchange_delta(labels)
+            halo.exchange(labels)
             if changed_per_iter[-1] == 0:
                 break
 

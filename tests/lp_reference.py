@@ -95,7 +95,7 @@ def reference_label_propagation(comm, g, n_iters=10, seed=0, mode="sync",
         changed = comm.allreduce(
             int(np.count_nonzero(new_local != labels[:n_loc])), SUM)
         labels[:n_loc] = new_local
-        halo.exchange_delta(labels)
+        halo.exchange(labels)
         if changed == 0:
             return labels[:n_loc].copy(), it + 1, 0
     return labels[:n_loc].copy(), n_iters, changed

@@ -222,16 +222,21 @@ def kern_lp_oracle(comm, cfg):
     """``label_propagation`` beside the reference counter on every graph
     of ``cfg["graphs"]`` under ``cfg["part"]``, in both modes.
 
-    Returns ``{(name, mode): (labels, n_iters, last_changed, reference
-    labels, reference n_iters, reference last_changed)}``.
+    Returns ``{(name, mode): (labels, n_iters, last_changed, the ops the
+    call recorded, reference labels, reference n_iters, reference
+    last_changed)}``.
     """
     out = {}
     for name, (n, edges) in cfg["graphs"].items():
         g = build_graph(comm, {"edges": edges, "n": n, "part": cfg["part"]})
+        # the graph's halo and its int32 label plan set up outside the calls
+        halo_of(comm, g).exchange(np.zeros(g.n_total, dtype=np.int32))
         for mode in ("sync", "async"):
+            mark = len(comm.trace.events)
             res = label_propagation(comm, g, n_iters=6, seed=5, mode=mode,
                                     n_sweeps=3)
-            out[name, mode] = (res.labels, res.n_iters, res.last_changed,
+            ops = [e.op for e in comm.trace.events[mark:]]
+            out[name, mode] = (res.labels, res.n_iters, res.last_changed, ops,
                                *reference_label_propagation(
                                    comm, g, n_iters=6, seed=5, mode=mode,
                                    n_sweeps=3))

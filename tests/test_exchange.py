@@ -150,7 +150,6 @@ def test_rank_with_zero_ghosts():
             vals[: g.n_loc] = g.unmap[: g.n_loc] * 2.0 + it
             halo.exchange(vals)
             assert (vals == g.unmap * 2.0 + it).all()
-            halo.exchange_delta(vals)
         return True
 
     assert all(dist_run(edges, n, 4, fn))
@@ -168,7 +167,6 @@ def test_all_empty_exchange():
         vals = np.arange(g.n_total, dtype=np.float64)
         halo.exchange(vals)
         halo.exchange_many(vals, vals.copy())
-        halo.exchange_delta(vals)
         return True
 
     assert all(dist_run(edges, n, 4, fn))
@@ -251,115 +249,3 @@ def test_exchange_many_fuses_mixed_dtypes(small_web):
         return True
 
     assert all(dist_run(edges, n, 3, fn))
-
-
-def test_delta_exchange_matches_dense_on_rmat():
-    """tol=0 delta is bitwise-equal to dense across sparse/dense rounds."""
-    from repro.generators import rmat_edges
-
-    n = 256
-    edges = np.unique(rmat_edges(8, edge_factor=8, seed=5) % n, axis=0)
-
-    def fn(comm, g):
-        halo = HaloExchange(comm, g)
-        dense = np.zeros(g.n_total)
-        delta = np.zeros(g.n_total)
-        gid = g.unmap[: g.n_loc]
-        rng = np.random.default_rng(99)  # same stream on every rank
-        for it in range(8):
-            # After the first two (dense-ish) rounds, touch ~2% of vertices
-            # so the adaptive switch takes the sparse path.
-            frac = 1.0 if it < 2 else 0.02
-            touched = rng.random(g.n_global) < frac
-            upd = np.flatnonzero(touched[gid])
-            dense[upd] = delta[upd] = it * 1000.0 + gid[upd]
-            halo.exchange(dense)
-            halo.exchange_delta(delta)
-            assert (dense == delta).all()
-        assert comm.trace.counters.get("halo.delta.sparse_calls", 0) > 0
-        assert comm.trace.counters.get("halo.delta.dense_calls", 0) > 0
-        return True
-
-    assert all(dist_run(edges, n, 4, fn))
-
-
-def test_delta_exchange_tolerance_bounds_error(small_web):
-    """With tol>0 every ghost stays within tol of its owner's value."""
-    n, edges = small_web
-    tol = 1e-3
-
-    def fn(comm, g):
-        halo = HaloExchange(comm, g)
-        vals = np.zeros(g.n_total)
-        truth = np.zeros(g.n_total)
-        gid = g.unmap[: g.n_loc]
-        for it in range(6):
-            drift = np.sin(gid * 0.1 + it) * (1e-4 if it % 2 else 1.0)
-            vals[: g.n_loc] = truth[: g.n_loc] = vals[: g.n_loc] + drift
-            halo.exchange(truth)
-            halo.exchange_delta(vals, tol=tol)
-            assert np.abs(vals - truth).max() <= tol
-        saved = comm.trace.counters.get("halo.delta.values_skipped", 0)
-        return saved
-
-    outs = dist_run(edges, n, 4, fn)
-    assert sum(outs) > 0  # the small-drift rounds actually skipped traffic
-
-
-def test_delta_exchange_two_arrays_independent_baselines(small_web):
-    """One halo serving two same-dtype arrays keeps separate baselines."""
-    n, edges = small_web
-
-    def fn(comm, g):
-        halo = HaloExchange(comm, g)
-        x = np.zeros(g.n_total)
-        y = np.zeros(g.n_total)
-        gid = g.unmap[: g.n_loc]
-        for it in range(4):
-            x[: g.n_loc] = gid * 1.0 + it
-            y[: g.n_loc] = gid * -1.0 - it
-            halo.exchange_delta(x)
-            halo.exchange_delta(y)
-            assert (x == g.unmap * 1.0 + it).all()
-            assert (y == g.unmap * -1.0 - it).all()
-        return True
-
-    assert all(dist_run(edges, n, 3, fn))
-
-
-def test_delta_baselines_die_with_their_arrays(small_web):
-    """A long-lived halo (one shared by every analytic, or a dynamic
-    graph's) keeps no baseline for an array nobody else holds."""
-    import gc
-
-    from repro.analytics import halo_of, label_propagation, wcc
-
-    n, edges = small_web
-
-    def fn(comm, g):
-        halo = halo_of(comm, g)
-        for _ in range(20):
-            wcc(comm, g)
-            label_propagation(comm, g, n_iters=2)
-        kept = np.zeros(g.n_total, dtype=np.int64)
-        kept[: g.n_loc] = g.unmap[: g.n_loc]
-        halo.exchange_delta(kept)
-        gc.collect()
-        live = len(halo._delta)
-        del kept
-        gc.collect()
-        return live, len(halo._delta)
-
-    assert all(out == (1, 0) for out in dist_run(edges, n, 2, fn))
-
-
-def test_delta_exchange_rejects_2d(small_web):
-    n, edges = small_web
-
-    def fn(comm, g):
-        halo = HaloExchange(comm, g)
-        with pytest.raises(ValueError):
-            halo.exchange_delta(np.zeros((g.n_total, 2)))
-        return True
-
-    assert all(dist_run(edges, n, 1, fn))

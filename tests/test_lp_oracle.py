@@ -24,6 +24,8 @@ from conftest import PARTITION_KINDS, dist_run
 from lp_reference import lp, reference_label_propagation, reference_max_count_labels
 from repro.analytics import label_propagation
 from repro.generators import webcrawl_edges
+from repro.graph import build_dist_graph
+from repro.partition import ExplicitPartition
 from repro.runtime import run_spmd
 
 
@@ -155,26 +157,39 @@ def test_key_dtype_bound():
     assert lp._key_dtype(0, 2**31) is np.int64
 
 
-@pytest.mark.parametrize("n", [46_340, 46_341])
+@pytest.mark.parametrize("n", [46_340, 46_341, 50_000])
 def test_matches_oracle_across_the_int32_key_bound(n):
-    """One rank owns every vertex, so ``n_loc · n_global = n²`` lies just
-    below (46 340) or just above (46 341) ``2**31``: the counter runs on
-    ``int32`` and ``int64`` keys, and both give the oracle's labels."""
+    """``n_loc · n_global`` lies just below (one rank owns 46 340 of
+    46 340 vertices) or just above (46 341) ``2**31``, or on both sides
+    of it at once (two ranks own 45 000 and 5 000 of 50 000): the counter
+    runs on ``int32`` and ``int64`` keys, and every rank gives the
+    oracle's labels.  The ranks of the last case count at different key
+    widths but ship labels of one dtype, or the verifier raises
+    ``CollectiveMismatchError`` on the halo plan."""
+    owned = (45_000, 5_000) if n == 50_000 else (n,)
     rng = np.random.default_rng(n)
-    # Sparse, with a dense block so that counts and ties vary.
-    edges = np.concatenate([rng.integers(0, n, size=(60_000, 2)),
-                            rng.integers(n - 200, n, size=(4_000, 2))])
+    if len(owned) == 1:
+        # Sparse, with a dense block so that counts and ties vary.
+        edges = np.concatenate([rng.integers(0, n, size=(60_000, 2)),
+                                rng.integers(n - 200, n, size=(4_000, 2))])
+    else:
+        edges = rng.integers(0, n, size=(100_000, 2))
+    part = ExplicitPartition(np.repeat(np.arange(len(owned)), owned))
 
-    def fn(comm, g):
-        assert lp._key_dtype(g.n_loc, g.n_global) is (
-            np.int32 if n * n < 2**31 else np.int64)
+    def job(comm):
+        chunk = np.array_split(edges, comm.size)[comm.rank]
+        g = build_dist_graph(comm, chunk, part)
         got = label_propagation(comm, g, n_iters=4, seed=2)
-        return got, reference_label_propagation(comm, g, n_iters=4, seed=2)
+        want = reference_label_propagation(comm, g, n_iters=4, seed=2)
+        return lp._key_dtype(g.n_loc, g.n_global), got, want
 
-    (got, (labels, iters, last)), = dist_run(edges, n, 1, fn)
-    assert got.labels.dtype == np.int64
-    assert got.labels.tobytes() == labels.tobytes()
-    assert (got.n_iters, got.last_changed) == (iters, last)
+    outs = run_spmd(len(owned), job, backend="threads")
+    assert [key for key, _, _ in outs] == [
+        np.int32 if k * n < 2**31 else np.int64 for k in owned]
+    for _, got, (labels, iters, last) in outs:
+        assert got.labels.dtype == np.int64
+        assert got.labels.tobytes() == labels.tobytes()
+        assert (got.n_iters, got.last_changed) == (iters, last)
 
 
 LP_GRAPHS = {
@@ -188,11 +203,15 @@ LP_GRAPHS = {
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("part", PARTITION_KINDS)
 def test_matches_reference_on_backend(p, part):
+    """Labels bitwise vs the reference on the selected backend, and each
+    iteration run issues exactly one change-count ``allreduce`` and one
+    halo ``alltoallv`` on a graph whose halo is already set up."""
     outs = run_spmd(p, K.kern_lp_oracle, {"graphs": LP_GRAPHS, "part": part},
                     timeout=300.0)
     for key in outs[0]:
-        for labels, iters, last, ref_labels, ref_iters, ref_last in (
+        for labels, iters, last, ops, ref_labels, ref_iters, ref_last in (
                 o[key] for o in outs):
             assert labels.dtype == ref_labels.dtype == np.int64, key
             assert labels.tobytes() == ref_labels.tobytes(), key
             assert (iters, last) == (ref_iters, ref_last), key
+            assert ops == ["allreduce[SUM]", "alltoallv"] * iters, key

@@ -4,7 +4,7 @@ with.
 Kept as the oracle for ``test_wcc_oracle.py``.  Phase 1 is the same
 giant-component reach; phase 2 recomputes every leftover row's minimum
 neighbour label once per iteration (one ``minimum.reduceat`` over all of
-them), with one count allreduce and one delta halo exchange per
+them), with one count allreduce and one halo exchange per
 iteration, until no label changes.  Slow on long leftover chains, but the
 production :func:`repro.analytics.wcc` — the leftover vertices as one
 ``propagate_min`` closure — must give the same labels bit for bit.
@@ -51,5 +51,5 @@ def reference_wcc(comm, g) -> tuple[np.ndarray, int]:
         if changed == 0:
             break
         labels[:n_loc] = new_local
-        und.halo.exchange_delta(labels)
+        und.halo.exchange(labels)
     return labels[:n_loc].copy(), giant_label
