@@ -127,6 +127,15 @@ if grep -q -- "--batch-w""indow" <<<"$serve_help"; then
     exit 1
 fi
 
+# The runtime, plan, halo and LP tests with the schedule verifier off: the
+# plain path every benchmark run takes, which both tier-1 passes below
+# (verifier on) do not.
+echo "== pytest (verifier off: runtime, plans, halo exchange, LP) =="
+REPRO_VERIFY_COLLECTIVES=0 PYTHONPATH=src python -m pytest -x -q \
+    tests/test_runtime_collectives.py tests/test_runtime_errors.py \
+    tests/test_runtime_stress.py tests/test_comm_plan.py \
+    tests/test_exchange.py tests/test_lp_oracle.py
+
 # The tier-1 suite (the conftest turns the schedule verifier on).
 echo "== pytest (tier 1, collective-schedule verifier on) =="
 PYTHONPATH=src python -m pytest -x -q "$@"

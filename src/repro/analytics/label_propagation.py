@@ -35,6 +35,7 @@ Implementation notes
 * Ghost labels are refreshed with the retained-queue halo exchange — the
   same optimization the paper applies (send labels only, never ids).  An
   iteration issues one ``allreduce`` (the change count) and one plan
+  execute; the converged iteration, whose global count is 0, skips the
   execute.
 """
 
@@ -223,9 +224,9 @@ def label_propagation(
                 n_tied += tied
             changed_per_iter.append(comm.allreduce(
                 int(np.count_nonzero(labels[:n_loc] != before)), SUM))
-            halo.exchange(labels)
             if changed_per_iter[-1] == 0:
-                break
+                break  # labels unchanged: the ghosts are already current
+            halo.exchange(labels)
 
         comm.trace.bump("lp.entries_counted", len(nbrs) * len(changed_per_iter))
         comm.trace.bump("lp.tied_rows", n_tied)

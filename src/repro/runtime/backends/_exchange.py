@@ -1,8 +1,9 @@
 """Message-exchange Communicator base shared by the procs and mpi backends.
 
 The threads runtime implements every collective as *publish into a shared
-slot list, barrier, combine, barrier* — possible only because ranks share
-one address space.  Process-backed ranks exchange **messages** instead.
+slot list, entry sync, combine, exit sync* on one lock gate per world —
+possible only because ranks share one address space.  Process-backed
+ranks exchange **messages** instead.
 This module rebases :class:`~repro.runtime.comm.Communicator` onto a
 single primitive:
 
@@ -30,7 +31,7 @@ backends (see DESIGN.md §12).
 
 Trace attribution also shifts: time blocked in the exchange (peers not
 yet arrived, transport busy) lands in ``wait_s``; deserialize-and-combine
-lands in ``xfer_s``.  On threads the barrier/copy split is analogous but
+lands in ``xfer_s``.  On threads the sync/copy split is analogous but
 not identical — cross-backend trace comparisons should use totals.
 """
 

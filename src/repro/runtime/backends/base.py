@@ -7,8 +7,8 @@ is*.  A :class:`Backend` binds the model to a transport:
 
 ``threads``
     ranks are OS threads sharing one address space; collectives move
-    references through shared slots guarded by an abortable barrier (the
-    original substrate, wrapped unchanged);
+    references through shared slots behind one abortable lock gate per
+    world (the original substrate, wrapped unchanged);
 ``procs``
     ranks are spawned processes; object collectives travel pickled over a
     full pipe mesh and persistent :class:`~repro.runtime.comm.
@@ -96,7 +96,7 @@ class Session(ABC):
 
     Each rank owns a ``state`` dict that persists across :meth:`run` calls
     (the engine keeps its graph shard there); each job gets a *fresh*
-    world/communicator so an aborted barrier never poisons the next job.
+    world/communicator so an aborted world never poisons the next job.
     """
 
     @abstractmethod

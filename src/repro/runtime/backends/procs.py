@@ -20,7 +20,7 @@ Architecture
   counter plus reason buffer.  Any rank (or the driver) can abort the
   current generation; every other rank observes it at its next receive
   poll and raises :class:`~repro.runtime.errors.RankAborted` — the same
-  protocol the threads backend implements with its abortable barrier.
+  protocol the threads backend implements with its abortable lock gate.
 * **Collectives** (:class:`ProcCommunicator`): the personalized-exchange
   rebase of :class:`~repro.runtime.comm.Communicator` (see
   ``_exchange.py``) bound to the mesh.  ``split`` derives deterministic

@@ -1,10 +1,11 @@
 """The original threads-as-ranks runtime, wrapped as a backend.
 
 Ranks are OS threads inside one process; collectives move object
-references through the shared slot lists of :class:`~repro.runtime.comm.
-World` under an abortable barrier.  NumPy kernels release the GIL so
-buffer-heavy analytics overlap; pure-Python paths serialize — the gap the
-``procs`` backend exists to close.
+references through the shared slot list of :class:`~repro.runtime.comm.
+World` behind its abortable lock gate (publish, entry sync, combine, exit
+sync).  Large NumPy calls release the GIL so buffer-heavy analytics
+overlap; Python-level calls serialize, and at the benchmark's sizes they
+dominate a rank's time — the gap the ``procs`` backend exists to close.
 
 This module only *relocates* machinery: the one-shot launch body that
 lived in :mod:`repro.runtime.launcher` and the persistent worker-thread
@@ -104,9 +105,9 @@ class ThreadsSession(Session):
     """Persistent worker threads parked on per-rank command queues.
 
     Worker threads and their ``state`` dicts are long-lived, but each job
-    runs over a *fresh* :class:`World`: a ``threading.Barrier`` abort is
-    permanent, so reusing one world across jobs would let a single bad
-    job poison every later one.
+    runs over a *fresh* :class:`World`: a world abort is permanent, so
+    reusing one world across jobs would let a single bad job poison every
+    later one.
     """
 
     def __init__(self, nranks: int, *, verify: bool | None,

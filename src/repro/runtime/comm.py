@@ -3,7 +3,8 @@
 This is the distributed-memory *substrate* of the reproduction.  The paper's
 implementations use MPI (``MPI_Alltoallv``, ``MPI_Allreduce``) with one task
 per node; here each rank is an OS thread inside one process and collectives
-move NumPy buffers through shared slots guarded by an abortable barrier.
+move NumPy buffers through shared slots guarded by one abortable lock gate
+per world (:meth:`World.wait`).
 
 Semantics follow MPI closely:
 
@@ -19,9 +20,10 @@ into :class:`~repro.runtime.trace.CommTrace`, which feeds the performance
 model used to regenerate the paper's scaling figures.
 
 An opt-in **schedule verifier** (``World(..., verify=True)`` or the
-``REPRO_VERIFY_COLLECTIVES=1`` environment variable) allgathers a cheap
+``REPRO_VERIFY_COLLECTIVES=1`` environment variable) publishes a cheap
 signature — op name, per-rank call index, root, reduce op, dtype/shape —
-through a dedicated slot array before every collective and raises
+in the same slot as every payload; after the entry sync every rank
+compares the same signatures and raises
 :class:`~repro.runtime.errors.CollectiveMismatchError` naming the diverging
 ranks and both signatures, instead of deadlocking or silently combining
 incompatible payloads.  It also detects write-after-write races on the
@@ -35,7 +37,7 @@ objects.  The opt-in **buffer sanitizer** (``World(..., sanitize=True)``
 or ``REPRO_SANITIZE_BUFFERS=1``, see :mod:`~repro.runtime.sanitize`)
 polices the ``copy=False`` path: borrowed ndarrays come back read-only
 (escape with :meth:`Communicator.own`), publishes are fingerprinted per
-barrier epoch, and any illegal write raises
+collective call index, and any illegal write raises
 :class:`~repro.runtime.errors.BufferRaceError` on every rank naming the
 writing rank, collective call index, and epoch window.  The static
 companion rules are SPMD006–008 (:mod:`repro.check.racecheck`).
@@ -66,6 +68,7 @@ real MPI codes:
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
 import queue
@@ -76,7 +79,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .barrier import AbortableBarrier
 from .errors import (
     CollectiveMismatchError,
     CommUsageError,
@@ -106,9 +108,7 @@ _CONSUMED = object()
 #: Sentinel for "derive the timeout from the world" (see Communicator.recv).
 _WORLD_TIMEOUT = object()
 
-#: Abort-reason prefix distinguishing a verifier-detected divergence from
-#: app failures, so peers still in the signature barrier can convert their
-#: abort into the same CollectiveMismatchError diagnosis.
+#: Abort-reason prefix naming a verifier-detected divergence.
 _MISMATCH_REASON = "collective schedule mismatch"
 
 
@@ -164,11 +164,56 @@ class World:
         self.sanitize = (sanitize_from_env() if sanitize is None
                          else bool(sanitize))
         self.sanitizer = BufferSanitizer(size) if self.sanitize else None
-        self.barrier = AbortableBarrier(size, timeout=timeout)
         self.slots: list[Any] = [None] * size
-        self.verify_slots: list[Any] = [None] * size if self.verify else []
+        self._mutex = _thread.allocate_lock()
+        self._parked: list[Any] = []
+        self._broken: list[Any] | None = None  # the generation abort() broke
+        self._abort_reason: str | None = None
         self._p2p_lock = threading.Lock()
         self._p2p: dict[tuple[int, int, int], queue.Queue] = {}
+
+    def wait(self) -> float:
+        """Block until every rank arrives; return the seconds blocked.
+
+        Each waiter parks on a held lock of its own; the last arriver
+        opens a fresh generation and releases every parked lock at once
+        (see DESIGN §5.1 for why not one chained gate lock).  A waiter
+        whose acquire outlasts ``timeout`` aborts the world.  Raises
+        :class:`RankAborted` if :meth:`abort` broke this generation or
+        came before entry.
+        """
+        t0 = time.perf_counter()
+        with self._mutex:
+            if self._abort_reason is not None:
+                raise RankAborted(self._abort_reason)
+            generation = self._parked
+            if len(generation) + 1 == self.size:
+                self._parked = []
+                for lock in generation:
+                    lock.release()
+                return time.perf_counter() - t0
+            lock = _thread.allocate_lock()
+            lock.acquire()
+            generation.append(lock)
+        timeout = self.timeout
+        if not lock.acquire(True, -1 if timeout is None else timeout):
+            self.abort(f"collective wait timed out after {timeout} s")
+        if generation is self._broken:
+            raise RankAborted(self._abort_reason)
+        return time.perf_counter() - t0
+
+    def abort(self, reason: str) -> None:
+        """Break the open generation: its waiters and every later
+        :meth:`wait` raise :class:`RankAborted` with the first reason.  A
+        completed generation returns normally even if its waiters wake
+        after this."""
+        with self._mutex:
+            if self._abort_reason is not None:
+                return
+            self._abort_reason = reason
+            self._broken = self._parked
+            for lock in self._parked:
+                lock.release()
 
     def p2p_queue(self, src: int, dst: int, tag: int) -> queue.Queue:
         key = (src, dst, tag)
@@ -177,9 +222,6 @@ class World:
             if q is None:
                 q = self._p2p[key] = queue.Queue()
             return q
-
-    def abort(self, reason: str) -> None:
-        self.barrier.abort(reason)
 
 
 class Communicator:
@@ -219,40 +261,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _verify_schedule(self, op: str, sig: tuple[Any, ...]) -> float:
-        """Allgather ``(call_index, op, *sig)`` and cross-check every rank.
-
-        Runs one extra barrier round through a dedicated slot array before
-        the payload exchange, so a rank-divergent collective surfaces as a
-        :class:`CollectiveMismatchError` on *every* rank (same slots, same
-        deterministic comparison) instead of a hang or silent corruption.
-        Returns the barrier wait time so straggler skew stays attributed to
-        the collective's traced ``wait_s`` even in verify mode.
-        """
-        world = self._world
-        mine = (self._call_index, op, *sig)
-        world.verify_slots[self.rank] = mine
-        try:
-            waited = world.barrier.wait()
-        except RankAborted as exc:
-            # A peer that exited this same barrier ahead of us may have
-            # detected the mismatch and aborted before our wait() returned.
-            # The slot array is fully populated (the generation completed),
-            # so re-derive the same diagnosis instead of reporting a bare
-            # abort.
-            self._race_from_abort(exc)
-            peers = {r: s for r, s in enumerate(world.verify_slots)
-                     if s != mine}
-            if _MISMATCH_REASON in str(exc) and peers:
-                raise CollectiveMismatchError(self.rank, mine, peers) from None
-            raise
-        peers = {r: s for r, s in enumerate(world.verify_slots) if s != mine}
-        if peers:
-            world.abort(
-                f"{_MISMATCH_REASON} detected by rank {self.rank}")
-            raise CollectiveMismatchError(self.rank, mine, peers)
-        return waited
-
     def _race_from_abort(self, exc: RankAborted) -> None:
         """Convert a sanitizer-triggered abort into the shared diagnosis.
 
@@ -269,49 +277,66 @@ class Communicator:
 
     def _wait(self) -> float:
         try:
-            return self._world.barrier.wait()
+            return self._world.wait()
         except RankAborted as exc:
             self._race_from_abort(exc)
             raise
+
+    def _check_schedule(self, mine: tuple[Any, ...]) -> list[Any]:
+        """Compare the signatures published beside the payloads; return
+        the payloads.  After the entry sync every rank compares the same
+        slots, so a divergence raises on *every* rank before any combine."""
+        world = self._world
+        peers = {r: s[0] for r, s in enumerate(world.slots) if s[0] != mine}
+        if peers:
+            world.abort(f"{_MISMATCH_REASON} detected by rank {self.rank}")
+            raise CollectiveMismatchError(self.rank, mine, peers)
+        return [s[1] for s in world.slots]
 
     def _run(self, op: str, contribution: Any, combine, bytes_sent: int,
              msg_count: int, sig: tuple[Any, ...] = ()):
         """Execute one collective: publish, sync, combine, sync.
 
         ``combine(slots)`` is evaluated by *every* rank on the shared slot
-        list after the entry barrier; a second barrier protects slot reuse.
-        In verify mode a signature exchange precedes the payload (see
-        :meth:`_verify_schedule`) and slot hygiene is checked: a rank must
+        list after the entry sync.  The exit sync keeps every slot, and a
+        plan's send buffer that the next execute refills, unchanged until
+        every peer has copied out of it.  In verify mode the slot carries
+        ``(call_index, op, *sig)`` beside the payload (see
+        :meth:`_check_schedule`) and slot hygiene is checked: a rank must
         find its own slot released before publishing into it again.  In
-        sanitize mode the entry advances this rank's barrier epoch and
+        sanitize mode the entry advances this rank's call-index epoch and
         re-checks its outstanding copy=False publish fingerprints.
         """
         trace = self.trace
         t_enter = trace.mark_enter()
         world = self._world
+        rank = self.rank
+        slots = world.slots
         verify = world.verify
-        verify_wait = 0.0
         if world.sanitizer is not None:
-            world.sanitizer.tick(self.rank, self._call_index)
-            world.sanitizer.check(world, self.rank)
+            world.sanitizer.tick(rank, self._call_index)
+            world.sanitizer.check(world, rank)
         if verify:
-            verify_wait = self._verify_schedule(op, sig)
-            prev = world.slots[self.rank]
+            prev = slots[rank]
             if prev is not None and prev is not _CONSUMED:
-                world.abort(f"slot write-after-write race on rank {self.rank}")
+                world.abort(f"slot write-after-write race on rank {rank}")
                 raise SlotRaceError(
-                    f"rank {self.rank} entered '{op}' while its slot still "
+                    f"rank {rank} entered '{op}' while its slot still "
                     f"holds an unconsumed {type(prev).__name__} payload "
-                    f"(barrier protocol bypassed?)")
+                    f"(gate protocol bypassed?)")
+            mine = (self._call_index, op, *sig)
+            slots[rank] = (mine, contribution)
+        else:
+            slots[rank] = contribution
         self._call_index += 1
-        world.slots[self.rank] = contribution
-        wait_s = verify_wait + self._wait()
-        t0 = time.perf_counter()
-        result, bytes_recv = combine(world.slots)
-        xfer_s = time.perf_counter() - t0
-        xfer_s += self._wait()
+        wait_s = self._wait()
         if verify:
-            world.slots[self.rank] = _CONSUMED
+            slots = self._check_schedule(mine)
+        t0 = time.perf_counter()
+        result, bytes_recv = combine(slots)
+        xfer_s = time.perf_counter() - t0 + self._wait()
+        if verify:
+            world.slots[rank] = _CONSUMED
         trace.record(op, bytes_sent, bytes_recv, msg_count, wait_s, xfer_s, t_enter)
         trace.mark_leave()
         return result
@@ -510,7 +535,8 @@ class Communicator:
 
         return self._run(f"allreduce[{op.name}]", value, combine,
                          _nbytes(value) * self._tree_msgs, 2 * self._tree_msgs,
-                         sig=("payload", _payload_sig(value)))
+                         sig=(("payload", _payload_sig(value))
+                              if self._world.verify else ()))
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (None elsewhere)."""
@@ -526,7 +552,8 @@ class Communicator:
 
         return self._run(f"reduce[{op.name}]", value, combine,
                          _nbytes(value), 1,
-                         sig=("root", root, "payload", _payload_sig(value)))
+                         sig=(("root", root, "payload", _payload_sig(value))
+                              if self._world.verify else ()))
 
     def scan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction over ranks 0..rank."""
@@ -539,7 +566,8 @@ class Communicator:
 
         return self._run(f"scan[{op.name}]", value, combine,
                          _nbytes(value), self._tree_msgs,
-                         sig=("payload", _payload_sig(value)))
+                         sig=(("payload", _payload_sig(value))
+                              if self._world.verify else ()))
 
     def exscan(self, value: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; ``op.identity`` on rank 0."""
@@ -554,7 +582,8 @@ class Communicator:
 
         return self._run(f"exscan[{op.name}]", value, combine,
                          _nbytes(value), self._tree_msgs,
-                         sig=("payload", _payload_sig(value)))
+                         sig=(("payload", _payload_sig(value))
+                              if self._world.verify else ()))
 
     # ------------------------------------------------------------------
     # buffer collectives
@@ -577,8 +606,9 @@ class Communicator:
 
         return self._run("allgatherv", array, combine,
                          array.nbytes * (self.size - 1), self._tree_msgs,
-                         sig=("dtype", str(array.dtype),
-                              "tail", array.shape[1:]))
+                         sig=(("dtype", str(array.dtype),
+                               "tail", array.shape[1:])
+                              if self._world.verify else ()))
 
     def gatherv(self, array: np.ndarray, root: int = 0
                 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -597,8 +627,9 @@ class Communicator:
             return (data, counts), int(data.nbytes)
 
         return self._run("gatherv", array, combine, array.nbytes, 1,
-                         sig=("root", root, "dtype", str(array.dtype),
-                              "tail", array.shape[1:]))
+                         sig=(("root", root, "dtype", str(array.dtype),
+                               "tail", array.shape[1:])
+                              if self._world.verify else ()))
 
     def reduce_scatter(self, array: np.ndarray, op: ReduceOp = SUM
                        ) -> np.ndarray:
@@ -623,7 +654,8 @@ class Communicator:
 
         return self._run(f"reduce_scatter[{op.name}]", array, combine,
                          array.nbytes, self._tree_msgs,
-                         sig=("dtype", str(array.dtype), "len", len(array)))
+                         sig=(("dtype", str(array.dtype), "len", len(array))
+                              if self._world.verify else ()))
 
     def alltoallv(self, send: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Personalized all-to-all of NumPy buffers.
@@ -661,7 +693,7 @@ class Communicator:
             return (data, counts), recv
 
         return self._run("alltoallv", send, combine, bytes_sent, nmsg,
-                         sig=("dtype", str(dt)))
+                         sig=("dtype", str(dt)) if self._world.verify else ())
 
     def _flat_normalize(
         self,
@@ -739,9 +771,11 @@ class Communicator:
 
         Returns ``(data, counts)`` exactly like :meth:`alltoallv`.
         """
+        if _plan is not None:
+            return self._execute_plan(_plan)
         size = self.size
         sendbuf, sendcounts, sdispls, recvcounts = self._flat_normalize(
-            sendbuf, sendcounts, sdispls, recvcounts, _plan)
+            sendbuf, sendcounts, sdispls, recvcounts, None)
         dt = sendbuf.dtype
         tail = sendbuf.shape[1:]
         row_nbytes = int(dt.itemsize * np.prod(tail, dtype=np.int64)) \
@@ -775,13 +809,35 @@ class Communicator:
             recv = row_nbytes * int(rc[offrank].sum())
             return (data, rc), recv
 
-        if _plan is not None:
-            sig: tuple[Any, ...] = ("plan", _plan.plan_id, "dtype", str(dt),
-                                    "tail", tail)
-        else:
-            sig = ("dtype", str(dt), "tail", tail)
+        sig = ("dtype", str(dt), "tail", tail) if self._world.verify else ()
         return self._run("alltoallv", (sendbuf, sendcounts, sdispls),
                          combine, bytes_sent, nmsg, sig=sig)
+
+    def _execute_plan(self, plan: "AlltoallvPlan") -> tuple[np.ndarray,
+                                                            np.ndarray]:
+        """The plan path of :meth:`alltoallv_flat`: every count, offset
+        and byte total was frozen at construction, so only the receive
+        side's cross-check of peer counts and the copies run per call."""
+        rank = self.rank
+        recvbuf = plan.recvbuf
+
+        def combine(slots):
+            for src, (c, off) in enumerate(plan.recv_rows):
+                sb, counts, dsp = slots[src]
+                if counts[rank] != c:
+                    raise CommUsageError(
+                        f"alltoallv plan mismatch on rank {rank}: expected "
+                        f"{c} row(s) from rank {src}, got {counts[rank]} "
+                        f"(peers built a different plan?)")
+                if c:
+                    d = dsp[rank]
+                    recvbuf[off:off + c] = sb[d:d + c]
+            return (recvbuf, plan.recvcounts), plan.bytes_recv
+
+        sig = (("plan", plan.plan_id, "dtype", str(plan.dtype),
+                "tail", plan.tail) if self._world.verify else ())
+        return self._run("alltoallv", plan.slot, combine, plan.bytes_sent,
+                         plan.msg_count, sig=sig)
 
     def alltoallv_plan(
         self,
@@ -958,6 +1014,8 @@ class AlltoallvPlan:
     everything the per-call path re-derives:
 
     * send/recv counts and their displacement prefix sums;
+    * the traced byte and message totals and the per-source receive
+      offsets, as Python ints;
     * the dtype/contiguity validation (done once here, skipped per call);
     * a packed ``sendbuf`` the caller fills in place (``plan.sendbuf[...] =
       ...`` or ``np.take(values, idx, axis=0, out=plan.sendbuf)``);
@@ -995,6 +1053,14 @@ class AlltoallvPlan:
         self.n_recv = int(recvcounts.sum())
         self.sendbuf = self._new_sendbuf()
         self.recvbuf = np.empty((self.n_recv,) + self.tail, dtype=self.dtype)
+        # What every execute reads, frozen as Python ints.
+        send, recv, me = sendcounts.tolist(), recvcounts.tolist(), comm.rank
+        row_nbytes = self.dtype.itemsize * math.prod(self.tail)
+        self.bytes_sent = row_nbytes * (self.n_send - send[me])
+        self.bytes_recv = row_nbytes * (self.n_recv - recv[me])
+        self.msg_count = sum(1 for r, c in enumerate(send) if c and r != me)
+        self.recv_rows = tuple(zip(recv, self.rdispls.tolist()))
+        self.slot = (self.sendbuf, send, self.sdispls.tolist())
         sanitizer = comm._world.sanitizer
         if sanitizer is not None:
             sanitizer.register_persistent((self.sendbuf, self.recvbuf))

@@ -1,7 +1,7 @@
 """Exception types for the SPMD runtime.
 
 The runtime executes one thread per rank.  Failures must never deadlock the
-world: when any rank raises, the shared barrier is aborted and every other
+world: when any rank raises, the world's lock gate is aborted and every other
 rank sees :class:`RankAborted` at its next synchronization point.  The
 launcher then re-raises the *original* failure wrapped in :class:`SpmdError`.
 """
@@ -94,7 +94,7 @@ class CollectiveMismatchError(RuntimeError):
 
     Raised by the opt-in runtime verifier (``World(..., verify=True)`` or
     ``REPRO_VERIFY_COLLECTIVES=1``) *instead of* letting the mismatch hang
-    an abortable barrier or silently combine incompatible payloads.
+    a collective sync or silently combine incompatible payloads.
 
     Attributes
     ----------
@@ -129,7 +129,7 @@ class SlotRaceError(RuntimeError):
 
     Raised by the runtime verifier when a rank enters a collective while
     its slot still holds an unconsumed payload — evidence that the
-    barrier protocol was bypassed (e.g. two communicators sharing one
+    gate protocol was bypassed (e.g. two communicators sharing one
     ``(world, rank)`` pair, or user code poking ``World.slots`` directly).
     """
 

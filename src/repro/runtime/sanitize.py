@@ -15,13 +15,13 @@ or ``REPRO_SANITIZE_BUFFERS=1``):
     ``copy=False`` come back as :class:`GuardedBuffer` views with
     ``writeable=False``.  Reading is free; any write raises
     :class:`~repro.runtime.errors.BufferRaceError` naming the writing
-    rank, the collective call index, and the barrier-epoch window, then
+    rank, the collective call index, and the epoch window, then
     aborts the world so *every* rank raises the same diagnosis.  The
     explicit copy-escape is ``comm.own(x)``.
 
 **Publish fingerprints** —
     a rank that publishes a payload with ``copy=False`` keeps a CRC
-    fingerprint of it for a window of barrier epochs.  At each subsequent
+    fingerprint of it for a window of epochs.  At each subsequent
     collective entry the sanitizer re-fingerprints the rank's outstanding
     publishes; drift means the *publisher* wrote a buffer its peers were
     still borrowing (peers hold read-only views, so the publisher's own
@@ -63,12 +63,12 @@ __all__ = [
 SANITIZE_ENV = "REPRO_SANITIZE_BUFFERS"
 
 #: Abort-reason prefix distinguishing a sanitizer-detected race from app
-#: failures, so peers blocked in a barrier can convert their RankAborted
-#: into the same BufferRaceError diagnosis (mirrors the verifier's
-#: ``_MISMATCH_REASON`` protocol).
+#: failures, so peers blocked in a collective sync can convert their
+#: RankAborted into the same BufferRaceError diagnosis.
 RACE_REASON = "buffer ownership race"
 
-#: How many barrier epochs a copy=False publish stays fingerprint-guarded.
+#: How many epochs (collective call indices) a copy=False publish stays
+#: fingerprint-guarded.
 #: After the window the publisher may legitimately reuse the buffer (its
 #: peers' borrows are still write-protected forever by GuardedBuffer).
 _DEFAULT_WINDOW = 8
@@ -245,8 +245,8 @@ class _Guard:
 class BufferSanitizer:
     """Per-World epoch vector clock plus publish-time fingerprints.
 
-    ``clock[r]`` is rank r's current collective call index (its barrier
-    epoch); it advances at every collective entry.  ``guard()`` registers a
+    ``clock[r]`` is rank r's current collective call index (its epoch);
+    it advances at every collective entry, not at every sync.  ``guard()`` registers a
     copy=False publish; ``check()`` re-fingerprints a rank's outstanding
     publishes at its next collective entries and raises on drift.  The
     first race diagnosis is stored in ``flagged`` so peers unblocked by
@@ -309,7 +309,7 @@ class BufferSanitizer:
                 raise err
 
     def flag_and_abort(self, world: Any, err: BufferRaceError) -> None:
-        """Record the first diagnosis and abort the world's barrier."""
+        """Record the first diagnosis and abort the world."""
         with self._lock:
             if self.flagged is None:
                 self.flagged = err

@@ -40,7 +40,8 @@ def make_partition(kind: str, comm, n: int, edges_chunk: np.ndarray):
     raise ValueError(kind)
 
 
-def dist_run(edges: np.ndarray, n: int, nranks: int, fn, part_kind: str = "vblock"):
+def dist_run(edges: np.ndarray, n: int, nranks: int, fn, part_kind: str = "vblock",
+             verify: bool | None = None):
     """Run ``fn(comm, graph)`` on ``nranks`` ranks over ``edges``.
 
     Each rank receives a contiguous slice of the edge list, builds the
@@ -59,7 +60,7 @@ def dist_run(edges: np.ndarray, n: int, nranks: int, fn, part_kind: str = "vbloc
         g = build_dist_graph(comm, chunk, part)
         return fn(comm, g)
 
-    return run_spmd(nranks, job, backend="threads")
+    return run_spmd(nranks, job, backend="threads", verify=verify)
 
 
 def gather_by_gid(outs, value_index: int = 1):

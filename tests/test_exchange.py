@@ -200,7 +200,7 @@ def test_mismatched_k_raises_via_verifier(small_web):
         return True
 
     with pytest.raises(SpmdError) as excinfo:
-        dist_run(edges, n, 2, fn)
+        dist_run(edges, n, 2, fn, verify=True)
     from repro.runtime import CollectiveMismatchError
 
     assert any(isinstance(e, CollectiveMismatchError)

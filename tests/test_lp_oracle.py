@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import spmd_kernels as K
 from conftest import PARTITION_KINDS, dist_run
 from lp_reference import lp, reference_label_propagation, reference_max_count_labels
-from repro.analytics import label_propagation
+from repro.analytics import halo_of, label_propagation
 from repro.generators import webcrawl_edges
 from repro.graph import build_dist_graph
 from repro.partition import ExplicitPartition
@@ -135,6 +135,29 @@ def test_work_counters_and_change_counts(nranks):
     assert sum(o[2] for o in outs) == 1
 
 
+def test_converged_iteration_skips_the_halo_refresh():
+    """A star whose hub carries 20 self-loops converges after one
+    iteration: every leaf adopts the hub's label, which the hub keeps.
+    The second iteration's global change count is 0, so it issues the
+    count ``allreduce`` and no halo ``alltoallv``: the labels did not
+    change, so the ghosts are already current."""
+    n, edges = _star(7)
+    edges = np.concatenate([edges, np.zeros((20, 2), dtype=np.int64)])
+
+    def fn(comm, g):
+        # the graph's halo and its int32 label plan set up outside the call
+        halo_of(comm, g).exchange(np.zeros(g.n_total, dtype=np.int32))
+        mark = len(comm.trace.events)
+        res = label_propagation(comm, g, n_iters=10, seed=3)
+        return (res.changed_per_iter, res.labels,
+                [e.op for e in comm.trace.events[mark:]])
+
+    for changed, labels, ops in dist_run(edges, n, 2, fn):
+        assert changed == (7, 0)
+        assert not labels.any()
+        assert ops == ["allreduce[SUM]", "alltoallv", "allreduce[SUM]"]
+
+
 def test_key_overflow_rejected():
     from repro.runtime import SpmdError
 
@@ -205,7 +228,8 @@ LP_GRAPHS = {
 def test_matches_reference_on_backend(p, part):
     """Labels bitwise vs the reference on the selected backend, and each
     iteration run issues exactly one change-count ``allreduce`` and one
-    halo ``alltoallv`` on a graph whose halo is already set up."""
+    halo ``alltoallv`` on a graph whose halo is already set up, except
+    that a converged last iteration issues the ``allreduce`` alone."""
     outs = run_spmd(p, K.kern_lp_oracle, {"graphs": LP_GRAPHS, "part": part},
                     timeout=300.0)
     for key in outs[0]:
@@ -214,4 +238,7 @@ def test_matches_reference_on_backend(p, part):
             assert labels.dtype == ref_labels.dtype == np.int64, key
             assert labels.tobytes() == ref_labels.tobytes(), key
             assert (iters, last) == (ref_iters, ref_last), key
-            assert ops == ["allreduce[SUM]", "alltoallv"] * iters, key
+            expect = ["allreduce[SUM]", "alltoallv"] * iters
+            if last == 0:  # the converged iteration skips the refresh
+                expect.pop()
+            assert ops == expect, key

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from repro.runtime import (
     RankAborted,
     SpmdError,
+    World,
     run_spmd,
 )
 
@@ -115,3 +117,33 @@ def test_abort_raises_rank_aborted_in_peers():
     with pytest.raises(SpmdError):
         run_spmd(3, job, timeout=10.0)
     assert seen == {1: True, 2: True}
+
+
+def test_abort_after_a_completed_generation_spares_it():
+    """A generation every rank completed returns normally even when a
+    peer aborts the world before its waiters wake; the abort lands on the
+    next wait."""
+    world = World(2, timeout=10.0)
+    outcome = []
+
+    def rank1():
+        outcome.append(world.wait())
+        try:
+            world.wait()
+        except RankAborted as exc:
+            outcome.append(exc)
+
+    t = threading.Thread(target=rank1)
+    t.start()
+    deadline = time.monotonic() + 10.0
+    while not world._parked and time.monotonic() < deadline:
+        time.sleep(0.001)  # until rank 1 blocks on the gate
+    world.wait()  # rank 0 arrives last ...
+    world.abort("after")  # ... and aborts at once
+    t.join(timeout=10.0)
+    assert not t.is_alive()
+    assert isinstance(outcome[0], float)
+    assert isinstance(outcome[1], RankAborted)
+    assert str(outcome[1]) == "after"
+    with pytest.raises(RankAborted, match="after"):
+        world.wait()

@@ -5,6 +5,8 @@ buffer-reuse bugs that short unit tests cannot reach.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -80,6 +82,23 @@ def test_large_payload_alltoallv():
 
     outs = run_spmd(4, job)
     assert all(o == outs[0] for o in outs)
+
+
+def test_lock_gate_under_fast_thread_switching():
+    """More ranks than cores and a 1 µs switch interval: each of 300
+    rounds sums exactly on every rank, and no parked waiter is lost (a
+    lost wake-up would time the world out)."""
+
+    def job(c):
+        return [c.allreduce(c.rank + i, SUM) for i in range(300)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = run_spmd(6, job, timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert outs == [[15 + 6 * i for i in range(300)]] * 6
 
 
 def test_interleaved_split_worlds_hammer():

@@ -263,7 +263,7 @@ def test_verifier_overhead_is_bounded():
     t0 = time.perf_counter()
     run_spmd(2, job, verify=True)
     elapsed = time.perf_counter() - t0
-    # One extra barrier round per collective: generous absolute sanity
+    # One signature comparison per collective: generous absolute sanity
     # bound rather than a flaky relative one.
     assert elapsed < 10.0
 
