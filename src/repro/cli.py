@@ -38,7 +38,7 @@ def _resolve_backend(name: str | None):
     """Validate a backend selection (``--backend`` or ``$REPRO_BACKEND``).
 
     Returns the resolved backend name, or ``None`` after printing an
-    actionable error (listing the backends that *are* available here).
+    actionable error (listing the registered backends).
     """
     from .runtime import SpmdLaunchError, get_backend
 
@@ -805,10 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_backend(sp: argparse.ArgumentParser) -> None:
-        # Validated by get_backend (not argparse choices) so the error
-        # message can list what is actually available on this host.
+        # Validated by get_backend (not argparse choices) so a bad
+        # $REPRO_BACKEND fails with the same message as a bad flag.
         sp.add_argument("--backend", type=str, default=None,
-                        metavar="{threads,procs,mpi}",
+                        metavar="{threads,procs}",
                         help="rank runtime backend (default: $REPRO_BACKEND "
                              "when set, else threads)")
 

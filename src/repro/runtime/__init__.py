@@ -22,7 +22,6 @@ Example
 
 from .backends import (
     BACKEND_ENV,
-    available_backends,
     backend_names,
     get_backend,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SpmdLaunchError",
     "BACKEND_ENV",
     "get_backend",
-    "available_backends",
     "backend_names",
     "RankAborted",
     "CommUsageError",

@@ -5,8 +5,8 @@ Selection order: an explicit ``backend=`` argument (``run_spmd``,
 ``REPRO_BACKEND`` environment variable, else ``threads``.
 
 See :mod:`.base` for the contract, and DESIGN.md §12 for the semantics
-each backend guarantees (bitwise-equivalent collectives, verifier and
-sanitizer behavior, buffer lifecycle).
+each backend guarantees (bitwise-equivalent collectives and traces,
+verifier and sanitizer behavior, buffer lifecycle).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .base import (
     find_unpicklable,
     resolve_fn_spec,
 )
-from .mpi import MpiBackend
 from .procs import ProcsBackend
 from .threads import ThreadsBackend
 
@@ -34,7 +33,6 @@ __all__ = [
     "PICKLE_HINT",
     "Session",
     "SessionRun",
-    "available_backends",
     "backend_names",
     "find_unpicklable",
     "get_backend",
@@ -45,18 +43,13 @@ __all__ = [
 BACKEND_ENV = "REPRO_BACKEND"
 
 _REGISTRY: dict[str, Backend] = {
-    b.name: b for b in (ThreadsBackend(), ProcsBackend(), MpiBackend())
+    b.name: b for b in (ThreadsBackend(), ProcsBackend())
 }
 
 
 def backend_names() -> list[str]:
-    """All registered backend names (available or not)."""
+    """All registered backend names."""
     return list(_REGISTRY)
-
-
-def available_backends() -> list[str]:
-    """Names of the backends that can run on this host/launch."""
-    return [name for name, b in _REGISTRY.items() if b.available()]
 
 
 def get_backend(name: str | None = None) -> Backend:
@@ -65,8 +58,8 @@ def get_backend(name: str | None = None) -> Backend:
     Raises
     ------
     SpmdLaunchError
-        For an unknown or unavailable backend, listing what *is*
-        available so the error is actionable from the CLI.
+        For an unknown backend, listing the registered ones so the error
+        is actionable from the CLI.
     """
     source = "requested"
     if name is None:
@@ -79,10 +72,5 @@ def get_backend(name: str | None = None) -> Backend:
     if backend is None:
         raise SpmdLaunchError(
             f"unknown runtime backend {name!r} ({source}); available "
-            f"backends: {', '.join(available_backends())}")
-    if not backend.available():
-        raise SpmdLaunchError(
-            f"runtime backend {name!r} is not available here: "
-            f"{backend.unavailable_reason()}; available backends: "
-            f"{', '.join(available_backends())}")
+            f"backends: {', '.join(backend_names())}")
     return backend

@@ -6,16 +6,17 @@ Communicator` with MPI-style collectives — is independent of *what a rank
 is*.  A :class:`Backend` binds the model to a transport:
 
 ``threads``
-    ranks are OS threads sharing one address space; collectives move
-    references through shared slots behind one abortable lock gate per
-    world (the original substrate, wrapped unchanged);
+    ranks are OS threads sharing one address space; slots hold object
+    references, and the gate is one abortable lock gate per world;
 ``procs``
-    ranks are spawned processes; object collectives travel pickled over a
-    full pipe mesh and persistent :class:`~repro.runtime.comm.
-    AlltoallvPlan` buffers live in shared-memory segments;
-``mpi``
-    ranks are real MPI processes via ``mpi4py`` (optional — skipped
-    cleanly when the module is not installed).
+    ranks are spawned processes; slots are one shared-memory region per
+    run, the gate parks each rank on a doorbell semaphore of its own, and
+    persistent :class:`~repro.runtime.comm.AlltoallvPlan` buffers live in
+    shared-memory segments.
+
+Both run every collective through the one body
+:meth:`~repro.runtime.comm.Communicator._run`; a backend supplies only
+the world it runs over (its slots and its gate).
 
 A backend answers two calls: :meth:`Backend.run_spmd` for one-shot
 launches, and :meth:`Backend.start_session` for a *persistent* rank world
@@ -113,14 +114,6 @@ class Backend(ABC):
 
     #: Registry key and the value of ``Communicator.backend``.
     name: str = "?"
-
-    def available(self) -> bool:
-        """Whether this backend can run on the current host/launch."""
-        return True
-
-    def unavailable_reason(self) -> str | None:
-        """Human-readable reason when :meth:`available` is False."""
-        return None
 
     @abstractmethod
     def run_spmd(

@@ -1,10 +1,13 @@
-"""In-process SPMD communicator with MPI-style collectives.
+"""SPMD communicator with MPI-style collectives.
 
 This is the distributed-memory *substrate* of the reproduction.  The paper's
 implementations use MPI (``MPI_Alltoallv``, ``MPI_Allreduce``) with one task
-per node; here each rank is an OS thread inside one process and collectives
-move NumPy buffers through shared slots guarded by one abortable lock gate
-per world (:meth:`World.wait`).
+per node; here every collective is one body, :meth:`Communicator._run`:
+each rank publishes into its slot of the world, waits at the world's
+abortable gate (:meth:`World.wait`), combines from the slots, and waits
+again.  A rank is an OS thread (this module's :class:`World`: slots hold
+object references) or a spawned process (``backends/procs.py``: slots are
+a shared-memory region); the backend supplies only the slots and the gate.
 
 Semantics follow MPI closely:
 
@@ -54,8 +57,8 @@ real MPI codes:
   but it pays p list entries, p dtype checks, and one allocation per call;
 * the **flat path** (:meth:`Communicator.alltoallv_flat`) takes MPI's
   ``sendbuf/sendcounts/sdispls`` triple — one contiguous send array sliced
-  by counts and displacements — and can scatter straight into a
-  caller-owned ``out`` buffer.  :meth:`Communicator.alltoallv_plan` builds
+  by counts and displacements — with no per-peer lists or
+  ``concatenate``.  :meth:`Communicator.alltoallv_plan` builds
   an :class:`AlltoallvPlan` (the ``MPI_Alltoallv_init`` analogue) that
   freezes counts, displacements, dtype validation, and both buffers across
   iterations, so the per-iteration cost is one memcpy per peer and nothing
@@ -71,8 +74,6 @@ from __future__ import annotations
 import _thread
 import math
 import os
-import queue
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
@@ -104,9 +105,6 @@ VERIFY_ENV = "REPRO_VERIFY_COLLECTIVES"
 
 #: Sentinel marking a slot whose payload was consumed (verify mode only).
 _CONSUMED = object()
-
-#: Sentinel for "derive the timeout from the world" (see Communicator.recv).
-_WORLD_TIMEOUT = object()
 
 #: Abort-reason prefix naming a verifier-detected divergence.
 _MISMATCH_REASON = "collective schedule mismatch"
@@ -149,15 +147,24 @@ class World:
     """Shared state for one SPMD execution (all ranks of a world).
 
     Not constructed directly by user code; :func:`repro.runtime.run_spmd`
-    builds one per launch.
+    builds one per launch.  A backend's world supplies what
+    :meth:`Communicator._run` needs: ``slots`` (each rank publishes into
+    its own index and reads every index), the gate (:meth:`wait`,
+    :meth:`abort`), :meth:`subworld` / :meth:`join` for ``split`` and the
+    plan type.  Thread ranks share this one: slots hold references to the
+    contributors' objects.
     """
+
+    backend = "threads"
+    #: A peer's published object outlives the collective (threads share
+    #: one heap), so ``copy=False`` can hand it out as is.
+    shares_objects = True
 
     def __init__(self, size: int, timeout: float | None = None,
                  verify: bool | None = None, sanitize: bool | None = None):
         if size < 1:
             raise ValueError("world size must be >= 1")
         self.size = size
-        self.backend = "threads"
         self.session = object()  # see Communicator.session
         self.timeout = timeout
         self.verify = verify_from_env() if verify is None else bool(verify)
@@ -169,8 +176,6 @@ class World:
         self._parked: list[Any] = []
         self._broken: list[Any] | None = None  # the generation abort() broke
         self._abort_reason: str | None = None
-        self._p2p_lock = threading.Lock()
-        self._p2p: dict[tuple[int, int, int], queue.Queue] = {}
 
     def wait(self) -> float:
         """Block until every rank arrives; return the seconds blocked.
@@ -215,13 +220,17 @@ class World:
             for lock in self._parked:
                 lock.release()
 
-    def p2p_queue(self, src: int, dst: int, tag: int) -> queue.Queue:
-        key = (src, dst, tag)
-        with self._p2p_lock:
-            q = self._p2p.get(key)
-            if q is None:
-                q = self._p2p[key] = queue.Queue()
-            return q
+    def subworld(self, ranks: Sequence[int]) -> "World":
+        """The handle of a new world for the ``ranks`` of one
+        :meth:`Communicator.split` group: the group's leader builds it and
+        hands it to the members, who :meth:`join` it.  Thread ranks share
+        the world object itself."""
+        return World(len(ranks), timeout=self.timeout, verify=self.verify,
+                     sanitize=self.sanitize)
+
+    def join(self, handle: "World") -> "World":
+        """This rank's view of the world :meth:`subworld` built."""
+        return handle
 
 
 class Communicator:
@@ -241,14 +250,10 @@ class Communicator:
         # alpha (latency) term of the performance model.
         self._tree_msgs = max(1, math.ceil(math.log2(max(2, self.size))))
 
-    #: Plan type constructed by :meth:`alltoallv_plan`; backend
-    #: communicators substitute their own (e.g. shared-memory plans).
-    _plan_class: type["AlltoallvPlan"]
-
     @property
     def backend(self) -> str:
         """Name of the runtime backend executing this world."""
-        return getattr(self._world, "backend", "threads")
+        return self._world.backend
 
     @property
     def session(self) -> object:
@@ -383,6 +388,9 @@ class Communicator:
         if copy:
             return own_payload(value)
         world = self._world
+        if not world.shares_objects:
+            # A peer's slot is rewritten after the exit sync.
+            value = own_payload(value)
         if world.sanitizer is not None:
             return borrow_payload(
                 value,
@@ -695,56 +703,11 @@ class Communicator:
         return self._run("alltoallv", send, combine, bytes_sent, nmsg,
                          sig=("dtype", str(dt)) if self._world.verify else ())
 
-    def _flat_normalize(
-        self,
-        sendbuf: np.ndarray,
-        sendcounts: np.ndarray,
-        sdispls: np.ndarray | None,
-        recvcounts: np.ndarray | None,
-        plan: "AlltoallvPlan | None",
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Validate/normalize the MPI-style flat-exchange argument triple.
-
-        Shared by every backend's ``alltoallv_flat``; with a plan the
-        validation was done once at construction and is skipped here.
-        """
-        size = self.size
-        if plan is None:
-            sendbuf = np.ascontiguousarray(sendbuf)
-            sendcounts = np.ascontiguousarray(sendcounts, dtype=np.int64)
-            if sendcounts.shape != (size,):
-                raise CommUsageError(
-                    f"alltoallv_flat needs exactly {size} send counts, "
-                    f"got shape {sendcounts.shape}")
-            if len(sendcounts) and sendcounts.min() < 0:
-                raise CommUsageError("negative send count")
-            if sdispls is None:
-                sdispls = np.concatenate(
-                    ([0], np.cumsum(sendcounts[:-1]))).astype(np.int64)
-            else:
-                sdispls = np.ascontiguousarray(sdispls, dtype=np.int64)
-                if sdispls.shape != (size,):
-                    raise CommUsageError(
-                        f"alltoallv_flat needs exactly {size} send "
-                        f"displacements, got shape {sdispls.shape}")
-            if size and int((sdispls + sendcounts).max(initial=0)) > len(sendbuf):
-                raise CommUsageError(
-                    "send counts/displacements overrun the send buffer")
-            if recvcounts is not None:
-                recvcounts = np.ascontiguousarray(recvcounts, dtype=np.int64)
-        elif sdispls is None:
-            sdispls = plan.sdispls
-        return sendbuf, sendcounts, sdispls, recvcounts
-
     def alltoallv_flat(
         self,
         sendbuf: np.ndarray,
         sendcounts: np.ndarray,
         sdispls: np.ndarray | None = None,
-        *,
-        out: np.ndarray | None = None,
-        recvcounts: np.ndarray | None = None,
-        _plan: "AlltoallvPlan | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Personalized all-to-all with MPI ``sendbuf/sendcounts/sdispls``
         semantics.
@@ -757,25 +720,34 @@ class Communicator:
 
         Unlike :meth:`alltoallv` there are no per-peer Python lists and no
         receive-side ``np.concatenate``: each source's rows are sliced out
-        of its flat buffer and copied straight into the receive buffer —
-        the caller-owned ``out`` when given (its rows must already equal
-        the incoming total), else one fresh allocation.
-
-        ``recvcounts``, when given, is trusted for sizing and
-        cross-checked against what the peers actually sent; a mismatch
-        raises :class:`CommUsageError` (aborting the world) instead of
-        silently mis-slicing.  Both ``out`` and ``recvcounts`` are
-        normally supplied by an :class:`AlltoallvPlan`, which also skips
-        the per-call contiguity/dtype validation it performed once at
-        construction.
+        of its flat buffer and copied straight into one fresh receive
+        buffer.  An exchange of the same shape every iteration is an
+        :class:`AlltoallvPlan`, which skips this per-call validation and
+        allocation.
 
         Returns ``(data, counts)`` exactly like :meth:`alltoallv`.
         """
-        if _plan is not None:
-            return self._execute_plan(_plan)
         size = self.size
-        sendbuf, sendcounts, sdispls, recvcounts = self._flat_normalize(
-            sendbuf, sendcounts, sdispls, recvcounts, None)
+        sendbuf = np.ascontiguousarray(sendbuf)
+        sendcounts = np.ascontiguousarray(sendcounts, dtype=np.int64)
+        if sendcounts.shape != (size,):
+            raise CommUsageError(
+                f"alltoallv_flat needs exactly {size} send counts, "
+                f"got shape {sendcounts.shape}")
+        if len(sendcounts) and sendcounts.min() < 0:
+            raise CommUsageError("negative send count")
+        if sdispls is None:
+            sdispls = np.concatenate(
+                ([0], np.cumsum(sendcounts[:-1]))).astype(np.int64)
+        else:
+            sdispls = np.ascontiguousarray(sdispls, dtype=np.int64)
+            if sdispls.shape != (size,):
+                raise CommUsageError(
+                    f"alltoallv_flat needs exactly {size} send "
+                    f"displacements, got shape {sdispls.shape}")
+        if int((sdispls + sendcounts).max(initial=0)) > len(sendbuf):
+            raise CommUsageError(
+                "send counts/displacements overrun the send buffer")
         dt = sendbuf.dtype
         tail = sendbuf.shape[1:]
         row_nbytes = int(dt.itemsize * np.prod(tail, dtype=np.int64)) \
@@ -785,19 +757,9 @@ class Communicator:
         nmsg = int(np.count_nonzero(sendcounts[offrank]))
 
         def combine(slots):
-            rc = recvcounts
-            actual = np.array([int(slots[src][1][self.rank])
-                               for src in range(size)], dtype=np.int64)
-            if rc is None:
-                rc = actual
-            elif not np.array_equal(actual, rc):
-                bad = int(np.flatnonzero(actual != rc)[0])
-                raise CommUsageError(
-                    f"alltoallv plan mismatch on rank {self.rank}: expected "
-                    f"{int(rc[bad])} row(s) from rank {bad}, got "
-                    f"{int(actual[bad])} (peers built a different plan?)")
-            total = int(rc.sum())
-            data = np.empty((total,) + tail, dtype=dt) if out is None else out
+            rc = np.array([int(slots[src][1][self.rank])
+                           for src in range(size)], dtype=np.int64)
+            data = np.empty((int(rc.sum()),) + tail, dtype=dt)
             off = 0
             for src in range(size):
                 c = int(rc[src])
@@ -813,17 +775,16 @@ class Communicator:
         return self._run("alltoallv", (sendbuf, sendcounts, sdispls),
                          combine, bytes_sent, nmsg, sig=sig)
 
-    def _execute_plan(self, plan: "AlltoallvPlan") -> tuple[np.ndarray,
-                                                            np.ndarray]:
-        """The plan path of :meth:`alltoallv_flat`: every count, offset
-        and byte total was frozen at construction, so only the receive
-        side's cross-check of peer counts and the copies run per call."""
+    def _execute_plan(self, plan: "AlltoallvPlan") -> np.ndarray:
+        """One :meth:`AlltoallvPlan.execute`: every count, offset and
+        byte total was frozen at construction, so only the receive side's
+        cross-check of peer counts and the copies run per call."""
         rank = self.rank
         recvbuf = plan.recvbuf
 
         def combine(slots):
-            for src, (c, off) in enumerate(plan.recv_rows):
-                sb, counts, dsp = slots[src]
+            for src, ((c, off), (sb, counts, dsp)) in enumerate(
+                    zip(plan.recv_rows, plan.sources(slots))):
                 if counts[rank] != c:
                     raise CommUsageError(
                         f"alltoallv plan mismatch on rank {rank}: expected "
@@ -832,7 +793,7 @@ class Communicator:
                 if c:
                     d = dsp[rank]
                     recvbuf[off:off + c] = sb[d:d + c]
-            return (recvbuf, plan.recvcounts), plan.bytes_recv
+            return recvbuf, plan.bytes_recv
 
         sig = (("plan", plan.plan_id, "dtype", str(plan.dtype),
                 "tail", plan.tail) if self._world.verify else ())
@@ -853,10 +814,8 @@ class Communicator:
         ``tail``) go to rank ``d`` on every :meth:`AlltoallvPlan.execute`.
         ``recvcounts`` may be omitted, in which case one object
         ``alltoall`` exchanges the counts here — a collective, so either
-        every rank must omit it or none.  Even with ``recvcounts``
-        supplied, construction is a collective on the procs backend (its
-        shared-memory segment sync is an allgather), so every rank must
-        build the same plans in the same order.
+        every rank must omit it or none.  With ``recvcounts`` supplied,
+        construction communicates nothing on either backend.
 
         The plan owns a packed send buffer and a preallocated receive
         buffer, re-used verbatim across executions, and carries a
@@ -883,8 +842,8 @@ class Communicator:
                 raise CommUsageError("negative recv count")
         plan_id = self._n_plans
         self._n_plans += 1
-        return self._plan_class(self, sendcounts, recvcounts, dtype, tail,
-                                plan_id, name)
+        return self._world.plan_class(self, sendcounts, recvcounts, dtype,
+                                      tail, plan_id, name)
 
     # ------------------------------------------------------------------
     # sub-communicators
@@ -913,16 +872,13 @@ class Communicator:
         new_rank = ranks_in_group.index(self.rank)
         leader = ranks_in_group[0]
         if self.rank == leader:
-            group_world = World(len(ranks_in_group),
-                                timeout=self._world.timeout,
-                                verify=self._world.verify,
-                                sanitize=self._world.sanitize)
+            group_world = self._world.subworld(ranks_in_group)
             outgoing = [group_world if r in ranks_in_group else None
                         for r in range(self.size)]
         else:
             outgoing = [None] * self.size
         received = self.alltoall(outgoing)
-        return Communicator(received[leader], new_rank)
+        return Communicator(self._world.join(received[leader]), new_rank)
 
     # ------------------------------------------------------------------
     # cached 2-D grid sub-communicators (built on split)
@@ -976,31 +932,6 @@ class Communicator:
         ``k % cols`` with sub-rank ``k // cols``.
         """
         return self._grid_subcomm("cols", rows, cols)
-
-    # ------------------------------------------------------------------
-    # point-to-point (used sparingly; the paper's codes are collective-only)
-    # ------------------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking-buffered send of a Python object to ``dest``."""
-        if not (0 <= dest < self.size):
-            raise CommUsageError(f"dest {dest} out of range")
-        self._world.p2p_queue(self.rank, dest, tag).put(obj)
-
-    def recv(self, source: int, tag: int = 0,
-             timeout: float | None | object = _WORLD_TIMEOUT) -> Any:
-        """Receive an object sent by ``source`` with matching ``tag``.
-
-        The default timeout is the world's collective-wait timeout (the
-        ``timeout=`` passed to :func:`~repro.runtime.run_spmd`), so a
-        missing send surfaces on the same clock as a missed barrier; pass
-        an explicit number to override, or ``None`` to block forever.
-        """
-        if not (0 <= source < self.size):
-            raise CommUsageError(f"source {source} out of range")
-        if timeout is _WORLD_TIMEOUT:
-            timeout = self._world.timeout
-        q = self._world.p2p_queue(source, self.rank, tag)
-        return q.get(timeout=timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(rank={self.rank}, size={self.size})"
@@ -1081,10 +1012,13 @@ class AlltoallvPlan:
         The returned array is the *persistent* ``recvbuf`` — copy out of
         it before the next execution if you need the values to survive.
         """
-        data, _ = self.comm.alltoallv_flat(
-            self.sendbuf, self.sendcounts, out=self.recvbuf,
-            recvcounts=self.recvcounts, _plan=self)
-        return data
+        return self.comm._execute_plan(self)
+
+    def sources(self, slots: Sequence[Any]) -> Sequence[Any]:
+        """Every source rank's ``(sendbuf, sendcounts, sdispls)`` as an
+        execute reads it: the published :attr:`slot` itself on threads;
+        the process backend maps its peers' send segments here."""
+        return slots
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""
@@ -1093,4 +1027,4 @@ class AlltoallvPlan:
                 f"dtype={self.dtype}, tail={self.tail})")
 
 
-Communicator._plan_class = AlltoallvPlan
+World.plan_class = AlltoallvPlan

@@ -51,8 +51,8 @@ class SpmdError(RuntimeError):
 class SpmdLaunchError(RuntimeError):
     """A world could not be launched on the requested runtime backend.
 
-    Raised *before* any rank runs: for an unknown or unavailable
-    ``backend=`` selection, or — on the process backend — when the kernel
+    Raised *before* any rank runs: for an unknown ``backend=``
+    selection, or — on the process backend — when the kernel
     function or one of its arguments cannot be pickled for shipment to the
     spawned rank processes.  The message names the offending object, so
     the fix (move the function to module level, pass data instead of

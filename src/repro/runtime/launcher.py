@@ -5,8 +5,8 @@ role of ``mpiexec -n <p>``.  The target function receives a
 :class:`~repro.runtime.comm.Communicator` as its first argument and runs
 once per rank; the per-rank return values come back as a list.
 
-What a *rank* is — an OS thread, a spawned process with shared-memory
-buffers, or a real MPI task — is decided by the ``backend`` argument
+What a *rank* is — an OS thread or a spawned process over a
+shared-memory slot region — is decided by the ``backend`` argument
 (default: the ``REPRO_BACKEND`` environment variable, else threads); see
 :mod:`repro.runtime.backends`.
 
@@ -59,7 +59,7 @@ def run_spmd(
         and retrievable via :func:`spmd_traces`.
     verify:
         Enable the runtime collective-schedule verifier for this world
-        (signature allgather before every collective; mismatches raise
+        (a signature rides every collective's slot; mismatches raise
         :class:`~repro.runtime.errors.CollectiveMismatchError` instead of
         hanging).  ``None`` (default) defers to the
         ``REPRO_VERIFY_COLLECTIVES`` environment variable.
@@ -71,8 +71,8 @@ def run_spmd(
         ``None`` (default) defers to the ``REPRO_SANITIZE_BUFFERS``
         environment variable.
     backend:
-        Rank runtime: ``"threads"``, ``"procs"``, or ``"mpi"``.  ``None``
-        (default) defers to ``REPRO_BACKEND``, else threads.
+        Rank runtime: ``"threads"`` or ``"procs"``.  ``None`` (default)
+        defers to ``REPRO_BACKEND``, else threads.
 
     Returns
     -------

@@ -16,7 +16,7 @@ import pytest
 
 import spmd_kernels as K
 from repro.generators import rmat_edges
-from repro.runtime import run_spmd
+from repro.runtime import run_spmd, spmd_traces
 
 N = 128
 SOURCES = np.array([0, 5, 77, 5], dtype=np.int64)  # one duplicated
@@ -140,3 +140,29 @@ def test_mixed_collectives_bitwise(graph_edges):
         p = run_spmd(nranks, K.kern_collectives, 7, backend="procs",
                      timeout=120.0, sanitize=True)
         assert repr(t) == repr(p)
+
+
+def _per_op(trace):
+    """``{op: [n_collectives, bytes_sent, msg_count]}`` of one rank."""
+    out: dict = {}
+    for e in trace.events:
+        row = out.setdefault(e.op, [0, 0, 0])
+        row[0] += 1
+        row[1] += e.bytes_sent
+        row[2] += e.msg_count
+    return out
+
+
+@pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_bfs_dirop,
+                                    K.kern_kcore, K.kern_grid_bfs],
+                         ids=["pagerank", "bfs", "kcore", "grid_bfs"])
+def test_traces_identical_across_backends(graph_edges, kernel):
+    """Both backends run every collective through one body, so each
+    rank's per-op collective, byte and message counts are equal."""
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock", "root": 0}
+    ops = {}
+    for backend in ("threads", "procs"):
+        run_spmd(2, kernel, cfg, backend=backend, timeout=180.0)
+        ops[backend] = [_per_op(t) for t in spmd_traces()]
+    assert ops["procs"] == ops["threads"]
+    assert all(ops["threads"])
