@@ -101,6 +101,28 @@ def test_lock_gate_under_fast_thread_switching():
     assert outs == [[15 + 6 * i for i in range(300)]] * 6
 
 
+def _gate_hammer(c, rounds):
+    """World and split-group allreduces interleaved: each group's members
+    share their doorbells with the world's gate."""
+    sub = c.split(color=c.rank % 2)
+    out = []
+    for i in range(rounds):
+        out.append((c.allreduce(c.rank + i, SUM),
+                    sub.allreduce(c.rank * i, SUM)))
+    return out
+
+
+def test_procs_gate_with_more_ranks_than_cores():
+    """Process ranks parked on per-rank doorbells across two gates: every
+    round sums exactly on every rank, and no ring is lost (a lost wake-up
+    would time the world out)."""
+    rounds = 300
+    outs = run_spmd(4, _gate_hammer, rounds, backend="procs", timeout=60.0)
+    for r, out in enumerate(outs):
+        group = [q for q in range(4) if q % 2 == r % 2]
+        assert out == [(6 + 4 * i, sum(group) * i) for i in range(rounds)]
+
+
 def test_interleaved_split_worlds_hammer():
     """Sub-communicators used heavily alongside the parent world."""
 
