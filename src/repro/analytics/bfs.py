@@ -5,9 +5,16 @@ level.  This engine serves the ones that read levels (Harmonic Centrality,
 closeness, betweenness, diameter, the serving layer's batched BFS and the
 top-down levels of direction-optimizing BFS); SCC, k-core and phase 1 of
 Multistep WCC need only the reached set (:mod:`repro.analytics.closure`).
-Per the paper: a task-local queue holds the frontier; off-rank discoveries
-are shipped to their owners with one ``alltoallv`` per level; and the loop
-terminates when an ``allreduce`` of frontier sizes hits zero.
+The paper ships off-rank discoveries to their owners with one
+``alltoallv`` per level and ends the loop when an ``allreduce`` of
+frontier sizes hits zero.  Here a level is one collective: the ghost
+slots travel back to their owners over the halo's retained queues
+(:meth:`~repro.analytics.exchange.HaloExchange.reverse`), dense, one
+value per ghost slot, aligned with the owner's retained send list, so
+the owner needs no id translation; and the flag row each rank sends
+every peer in the same execute ("I discovered something") ends the
+loop.  A set flag whose discoveries all turn out known to their owners
+costs one trailing empty level.
 
 :func:`multi_source_bfs` runs k independent traversals at once on 64-bit
 frontier words (Buluç & Madduri's bitmap frontier): bit j of a vertex's
@@ -16,33 +23,34 @@ the frontier is one list of vertices, each with the word row of the
 sources that reached it at this level.  A level gathers the neighbour
 rows of the *union* frontier once, keeps ``words & ~seen[nbr]`` and
 OR-reduces it by target, so k sources cost one traversal's gathers plus
-word arithmetic.  Ghost discoveries travel to their owners as ``(gid,
-words)`` rows in the one shared ``alltoallv`` (Sharma's compressed
-frontier exchange), where the owner OR-merges them.  Each level's
-frontier words are ORed into one bit plane per set bit of the level
-number, and the levels are decoded from the planes once, after the last
-level.  At k = 1 every word is 1, so the step
-carries no word arrays and ships bare gids: :func:`distributed_bfs`,
-betweenness, diameter and
-:func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop` (whose top-down
-levels call :func:`_top_down_step`) keep the single-traversal cost and
-wire format.  The single-traversal loop this engine replaced — with merged
-multi-root traversal, an induced-subgraph mask and a level cap — is kept
-as the test oracle ``tests/bfs_reference.py``.
+word arithmetic.  Each ghost slot ships the word row of the bits it
+newly gained (zero for the rest), and the owner OR-merges what it
+receives.  Each level's frontier words are ORed into one bit plane per
+set bit of the level number, and the levels are decoded from the planes
+once, after the last level.  At k = 1 every word is 1, so ``seen`` is
+one bool per vertex, a level's discoveries are a bool mask and the ghost
+slots ship as bool flags: :func:`distributed_bfs`, betweenness, diameter
+and :func:`~repro.analytics.bfs_dirop.distributed_bfs_dirop` (whose
+top-down levels call :func:`_top_down_step`) take that step.  The
+single-traversal loop this engine replaced — with merged multi-root
+traversal, an induced-subgraph mask and a level cap — is kept as the
+test oracle ``tests/bfs_reference.py``.
 
-The trace counters ``bfs.levels`` (levels per traversal, shared by a
-batch) and ``bfs.ghost_words`` (ghost-discovery words shipped; one per gid
-at k = 1) are bumped into ``comm.trace.counters``.
+The trace counters ``bfs.levels`` (levels expanded per traversal, a
+trailing empty one included, shared by a batch) and ``bfs.ghost_words``
+(words shipped to peers: ghost slots plus peer flags per level, times
+the words per row; a word is one bool at k = 1) are bumped into
+``comm.trace.counters``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import bucket_order, sorted_unique
 from ..graph.distgraph import DistGraph
-from ..runtime import SUM, Communicator
+from ..runtime import Communicator
 from .common import NOT_VISITED
+from .exchange import HaloExchange, halo_of
 
 __all__ = ["distributed_bfs", "multi_source_bfs"]
 
@@ -133,66 +141,64 @@ def _or_into(
 
 
 def _top_down_step(
-    comm: Communicator,
     g: DistGraph,
+    halo: HaloExchange,
     seen: np.ndarray,
     lids: np.ndarray,
     words: np.ndarray | None,
     direction: str,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Expand the frontier ``(lids, words)`` one level; return the next.
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """Expand the frontier ``(lids, words)`` one level; return the next
+    and whether any rank discovered anything.
 
     ``seen`` is the ``(n_total, W)`` ``uint64`` word array over local +
     ghost vertices; ``words[i]`` holds the sources whose traversal reached
     owned vertex ``lids[i]`` at this level (distinct ``lids``).  The union
     frontier's neighbours keep ``words & ~seen[nbr]``; the ghost entries
-    are OR-merged into ``seen`` and go to their owners as one ``(gid,
-    words)`` ``uint64`` row per ghost in one ``alltoallv``, and the owner
-    OR-merges what it receives together with its own entries.  A ghost's
-    bits in ``seen`` only ever mean "already shipped".
+    are OR-merged into ``seen``, and every ghost slot's newly gained bits
+    go back to its owner in one :meth:`HaloExchange.reverse` (zero rows
+    for the rest), aligned with the owner's retained send list, so the
+    owner reads them with no id translation and OR-merges them together
+    with its own entries.  A ghost's bits in ``seen`` only ever mean
+    "already shipped".  The same execute carries each rank's flag, "I
+    discovered something"; when no flag is set the traversal is over.  A
+    set flag can still lead to one empty level, when every discovery was
+    a ghost its owner already had.
 
-    ``words=None`` is the k = 1 frontier, whose every word is 1: the step
-    keeps no word arrays, ``seen`` is read as one flag per vertex and the
-    ghost discoveries travel as bare gids.
+    ``words=None`` is the k = 1 frontier, whose every word is 1: ``seen``
+    is one bool per vertex, the level's discoveries are a bool mask and
+    the ghost slots ship as bool flags.
     """
     n_loc = g.n_loc
     nbrs = _frontier_neighbors(g, lids, direction)
     if words is None:
-        flags = seen.reshape(-1)
-        found = sorted_unique(nbrs[flags[nbrs] == 0])
-        flags[found] = 1
-        cut = int(np.searchsorted(found, n_loc))
-        nxt, ghosts = found[:cut], found[cut:]
-        send = g.unmap[ghosts]
-    else:
-        fresh = _frontier_words(g, lids, words, direction)
-        fresh &= ~np.take(seen, nbrs, axis=0)
-        keep = _nonzero_rows(fresh)
-        nbrs, fresh = nbrs[keep], np.take(fresh, keep, axis=0)
-        ghost = nbrs >= n_loc
-        mine, theirs = np.flatnonzero(~ghost), np.flatnonzero(ghost)
-        nxt, nxt_words = nbrs[mine], np.take(fresh, mine, axis=0)
-        ghosts, ghost_words = _or_into(seen, nbrs[theirs],
-                                       np.take(fresh, theirs, axis=0))
-        send = np.empty((len(ghosts), 1 + seen.shape[1]), dtype=np.uint64)
-        send[:, 0] = g.unmap[ghosts]
-        send[:, 1:] = ghost_words
-    comm.trace.bump("bfs.ghost_words", len(ghosts) * seen.shape[1])
-    order, offsets = bucket_order(g.ghost_tasks[ghosts - n_loc], comm.size)
-    recv, _ = comm.alltoallv_flat(send[order], np.diff(offsets))
+        hit = np.zeros(len(seen), dtype=bool)
+        hit[nbrs] = True
+        hit &= ~seen
+        seen |= hit
+        rows, flags = halo.reverse(hit[n_loc:], hit.any())
+        got = halo.send_lids[rows]
+        got = got[~seen[got]]
+        hit[got] = True
+        seen[got] = True
+        return np.flatnonzero(hit[:n_loc]), None, bool(flags.any())
 
-    if words is None:
-        if len(recv):
-            # The same gid may arrive from many ranks.
-            new = g.map.get(sorted_unique(recv))
-            new = new[flags[new] == 0]
-            flags[new] = 1
-            nxt = np.concatenate([nxt, new])
-        return nxt, None
-    if len(recv):
-        nxt = np.concatenate([nxt, g.map.get(recv[:, 0].astype(np.int64))])
-        nxt_words = np.concatenate([nxt_words, recv[:, 1:]])
-    return _or_into(seen, nxt, nxt_words)
+    fresh = _frontier_words(g, lids, words, direction)
+    fresh &= ~np.take(seen, nbrs, axis=0)
+    keep = _nonzero_rows(fresh)
+    nbrs, fresh = nbrs[keep], np.take(fresh, keep, axis=0)
+    ghost = nbrs >= n_loc
+    mine, theirs = np.flatnonzero(~ghost), np.flatnonzero(ghost)
+    ghosts, ghost_words = _or_into(seen, nbrs[theirs],
+                                   np.take(fresh, theirs, axis=0))
+    out = np.zeros((g.n_gst, seen.shape[1]), dtype=np.uint64)
+    out[ghosts - n_loc] = ghost_words
+    rows, flags = halo.reverse(out, len(nbrs) > 0)
+    got = _nonzero_rows(rows)
+    nxt = np.concatenate([nbrs[mine], halo.send_lids[got]])
+    nxt_words = np.concatenate([np.take(fresh, mine, axis=0),
+                                np.take(rows, got, axis=0)])
+    return (*_or_into(seen, nxt, nxt_words), bool(flags.any()))
 
 
 def _settle(levels: np.ndarray, planes: list[np.ndarray], lids: np.ndarray,
@@ -232,6 +238,14 @@ def _decode_levels(levels: np.ndarray, planes: list[np.ndarray],
     np.copyto(levels, decoded, where=bits(reached).view(bool))
 
 
+def _owned(g: DistGraph, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``gids`` of the ids this rank owns, and their
+    local ids, by partition arithmetic (owned local ids follow the
+    partition's ascending owned list)."""
+    mine = np.flatnonzero(g.partition.owner_of(gids) == g.rank)
+    return mine, g.partition.to_local(g.rank, gids[mine])
+
+
 def _bfs_levels(
     comm: Communicator, g: DistGraph, sources: np.ndarray, direction: str
 ) -> np.ndarray:
@@ -243,16 +257,18 @@ def _bfs_levels(
     if k and (sources.min() < 0 or sources.max() >= n):
         raise ValueError("source id out of range")
     levels = np.full((g.n_loc, k), NOT_VISITED, dtype=np.int64)
-    seen = np.zeros((g.n_total, -(-k // _WORD)), dtype=np.uint64)
+    if not k:
+        return levels
+    halo = halo_of(comm, g)
 
-    # Seed the frontier with the sources this rank owns (local id < n_loc).
-    lids = g.to_local(sources)
-    mine = np.flatnonzero((lids >= 0) & (lids < g.n_loc))
-    lids = lids[mine]
+    # Seed the frontier with the sources this rank owns.
+    mine, lids = _owned(g, sources)
     words = None
     if k == 1:
-        seen[lids] = 1
+        seen = np.zeros(g.n_total, dtype=bool)
+        seen[lids] = True
     else:
+        seen = np.zeros((g.n_total, -(-k // _WORD)), dtype=np.uint64)
         words = np.zeros((len(mine), seen.shape[1]), dtype=np.uint64)
         words[np.arange(len(mine)), mine // _WORD] = (
             np.uint64(1) << (mine % _WORD).astype(np.uint64))
@@ -260,13 +276,15 @@ def _bfs_levels(
 
     level = 0
     planes: list[np.ndarray] = []
-    global_size = comm.allreduce(len(lids), SUM)
-    while global_size > 0:
+    more = True  # a valid source starts every traversal
+    while more:
         _settle(levels, planes, lids, words, level)
-        lids, words = _top_down_step(comm, g, seen, lids, words, direction)
+        lids, words, more = _top_down_step(g, halo, seen, lids, words,
+                                           direction)
         level += 1
-        global_size = comm.allreduce(len(lids), SUM)
     comm.trace.bump("bfs.levels", level)
+    comm.trace.bump("bfs.ghost_words",
+                    level * (g.n_gst + comm.size - 1) * -(-k // _WORD))
     if k > 1:
         _decode_levels(levels, planes, seen[:g.n_loc])
     return levels

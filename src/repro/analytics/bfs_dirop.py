@@ -7,9 +7,10 @@ from *top-down* frontier expansion to *bottom-up* parent search when the
 frontier covers a large fraction of the graph.
 
 Top-down (Algorithm 2): every frontier vertex scans its out-edges and the
-discovered off-rank vertices travel to their owners in one ``alltoallv``.
-Bottom-up: each rank learns which of its *ghosts* are in the frontier from
-a retained-queue halo exchange of one flag per ghost, then finds
+discovered ghosts travel back to their owners as one bool flag per ghost
+slot over the halo's reverse queues (one ``alltoallv``).  Bottom-up: each
+rank learns which of its *ghosts* are in the frontier from a
+retained-queue halo exchange of one flag per ghost, then finds
 {unvisited owned v with an in-neighbour in the frontier} with no further
 communication.  That set has two local spellings, and each rank takes the
 one that reads fewer entries (Buluç & Madduri's bottom-up step, GBBS's
@@ -22,12 +23,15 @@ sparse/dense edge map):
   with one ``logical_or.reduceat``.
 
 The choice is local and changes no message: the wire schedule — top-down
-``alltoallv`` or bottom-up flag halo, picked by the global heuristic in
-:func:`distributed_bfs_dirop` — is the same as when every bottom-up level
-scanned every in-entry.  A top-down level is the BFS engine's own step
-(:func:`~repro.analytics.bfs._top_down_step` at k = 1, on the same
-one-word ``seen`` array the bottom-up levels mark).  Levels are identical
-to :func:`~repro.analytics.bfs.distributed_bfs` and to the oracle in
+reverse flags or bottom-up forward flags, picked by the global heuristic
+in :func:`distributed_bfs_dirop` — is the same as when every bottom-up
+level scanned every in-entry.  A top-down level is the BFS engine's own
+step (:func:`~repro.analytics.bfs._top_down_step` at k = 1, on the same
+bool ``seen`` flags the bottom-up levels mark); the step's own
+end-of-traversal flag goes unused, because the heuristic's one
+``allreduce`` of three counts per level already carries the global
+frontier size.  Levels are identical to
+:func:`~repro.analytics.bfs.distributed_bfs` and to the oracle in
 ``tests/bfs_reference.py`` in every mode (asserted by tests).
 
 Trace counters: ``bfs.levels`` per traversal, and ``bfs.push_levels`` /
@@ -41,7 +45,7 @@ import numpy as np
 
 from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import SUM, Communicator
-from .bfs import _gather_ranges, _top_down_step
+from .bfs import _gather_ranges, _owned, _top_down_step
 from .closure import closure_rows
 from .common import NOT_VISITED
 from .exchange import halo_of
@@ -71,7 +75,7 @@ def _bottom_up_step(g: DistGraph, seen: np.ndarray, frontier: np.ndarray,
     ``in_frontier`` (owned and ghost slots current), marked in ``seen``;
     returns them and whether the step pushed."""
     n_loc = g.n_loc
-    unseen = seen[:n_loc, 0] == 0
+    unseen = ~seen[:n_loc]
     rows = closure_rows(g, "out")
     ghost_front = np.flatnonzero(in_frontier[n_loc:])
     g_lo, g_hi = rows.ghost_indptr[ghost_front], \
@@ -87,7 +91,7 @@ def _bottom_up_step(g: DistGraph, seen: np.ndarray, frontier: np.ndarray,
     else:
         nxt = _pull(g.in_indexes, g.in_edges, np.flatnonzero(unseen),
                     in_frontier)
-    seen[nxt] = 1
+    seen[nxt] = True
     return nxt, push
 
 
@@ -135,12 +139,11 @@ def distributed_bfs_dirop(
     n_loc, n_tot = g.n_loc, g.n_total
 
     levels = np.full(n_loc, NOT_VISITED, dtype=np.int64)
-    seen = np.zeros((n_tot, 1), dtype=np.uint64)  # the engine's k = 1 words
+    seen = np.zeros(n_tot, dtype=bool)  # the engine's k = 1 flags
     in_frontier = np.zeros(n_tot, dtype=bool)
 
-    frontier = g.to_local(np.array([root_global], dtype=np.int64))
-    frontier = frontier[(frontier >= 0) & (frontier < n_loc)]  # owned here
-    seen[frontier] = 1
+    _, frontier = _owned(g, np.array([root_global], dtype=np.int64))
+    seen[frontier] = True
 
     out_deg, in_deg = g.out_degrees(), g.in_degrees()
     level = pushes = 0
@@ -170,7 +173,8 @@ def distributed_bfs_dirop(
             frontier, push = _bottom_up_step(g, seen, frontier, in_frontier,
                                              in_deg, out_deg)
         else:
-            frontier, _ = _top_down_step(comm, g, seen, frontier, None, "out")
+            frontier, _, _ = _top_down_step(g, halo, seen, frontier, None,
+                                            "out")
             push = True
         pushes += push
         level += 1

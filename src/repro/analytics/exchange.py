@@ -25,6 +25,14 @@ Every refresh ships dense values, changed or not: on the in-process
 runtime that measured faster than shipping only the changed ones
 (DESIGN §10).
 
+The retained queues also run **in reverse**: :meth:`HaloExchange.reverse`
+ships every ghost slot's value back to its owner, aligned with the
+owner's retained send list (the owner reads it with no id translation),
+and each block to a rank leads with one flag row, so one execute also
+tells every rank what every other rank flagged.  BFS ships its ghost
+discoveries and its end-of-traversal test this way, one collective per
+level (:mod:`repro.analytics.bfs`).
+
 :meth:`HaloExchange.exchange_with_ids` (rebuild ids every iteration) and
 :meth:`HaloExchange.exchange_list` (list-of-arrays ``alltoallv``) are the
 *unoptimized* variants, kept so the ablation benchmarks can measure what
@@ -60,20 +68,21 @@ class HaloExchange:
     (``values[n_loc:]``) of any ``(n_loc + n_gst)``-length array with the
     owners' current values, using one ``alltoallv`` of values only.  Every
     call ships every retained-queue value, changed or not, so one plan per
-    dtype serves every iteration.
+    dtype serves every iteration.  :meth:`reverse` ships the ghost slots
+    the other way, owner-ward, with one flag row per rank.
 
     Protocol (one-time setup): every rank sends each peer the list of
     global ids of its ghosts owned by that peer; the peer translates them
     to local ids once and *retains* that send list.  Because both sides
     keep their queue order fixed, per-iteration payloads need no ids.
 
-    Plans are created lazily per (dtype, trailing-shape) and cached for
-    the lifetime of the exchange.  Both count vectors are known from
-    setup, so creation exchanges no counts, but it is still a collective
-    on the procs backend (a shared-memory segment sync): the analytics
-    must touch dtypes in the same order on every rank, which SPMD
-    symmetry gives for free; a divergent order shows up as a plan-id
-    mismatch in the verifier.
+    Plans are created lazily per (dtype, trailing-shape) and direction
+    and cached for the lifetime of the exchange.  Both count vectors are
+    known from setup, so creation communicates nothing, but plan ids are
+    numbered per rank: the analytics must touch dtypes in the same order
+    on every rank, which SPMD symmetry gives for free; a divergent order
+    shows up as a plan-id mismatch in the verifier.  The index arrays of
+    both directions depend only on the graph and are computed here, once.
 
     ``g`` may be any graph-like exposing the :class:`DistGraph` surface
     used here (``n_loc``/``n_gst``/``unmap``/``map``/``ghost_tasks``) —
@@ -106,7 +115,21 @@ class HaloExchange:
         self._send_counts = recv_counts.astype(np.int64)
         self._send_splits = np.cumsum(recv_counts)[:-1]
         self._recv_counts = req_counts
-        self._plans: dict[tuple[np.dtype, tuple[int, ...]], AlltoallvPlan] = {}
+
+        # Reverse queues (ghost -> owner): the block to each rank is one
+        # flag row, then the ghosts it owns in the order its retained
+        # send list holds them; the block from each rank mirrors that.
+        blocks = np.arange(comm.size)
+        rev_send, rev_recv = req_counts + 1, self._send_counts + 1
+        self._rev_flags_out = np.cumsum(rev_send) - rev_send
+        self._rev_flags_in = np.cumsum(rev_recv) - rev_recv
+        self._rev_slot_pos = np.empty(n_gst, dtype=np.int64)
+        self._rev_slot_pos[order] = (np.arange(n_gst)
+                                     + np.repeat(blocks, req_counts) + 1)
+        self._rev_rows = (np.arange(len(send_lids))
+                          + np.repeat(blocks, self._send_counts) + 1)
+        self._plans: dict[tuple[np.dtype, tuple[int, ...], bool],
+                          AlltoallvPlan] = {}
 
     def rebound(self, comm: Communicator) -> "HaloExchange":
         """These retained queues on ``comm``, another world of the same
@@ -127,21 +150,30 @@ class HaloExchange:
     def n_ghosts(self) -> int:
         return len(self._ghost_lids)
 
-    def _plan_for(self, dtype: np.dtype,
-                  tail: tuple[int, ...]) -> AlltoallvPlan:
-        """Cached persistent plan for one (dtype, trailing-shape).
+    @property
+    def send_lids(self) -> np.ndarray:
+        """The retained send list: the owned local ids this rank ships,
+        peer by peer; :meth:`reverse` returns its rows in this order."""
+        return self._send_lids
+
+    def _plan_for(self, dtype: np.dtype, tail: tuple[int, ...],
+                  reverse: bool = False) -> AlltoallvPlan:
+        """Cached persistent plan for one (dtype, trailing-shape) and
+        direction.
 
         Both count vectors come from setup, so creation exchanges no
-        counts.  On the procs backend it is still a collective (the
-        segment sync); building lazily on first use of a dtype is safe
-        because every rank reaches it in the same SPMD order.
+        counts; building lazily on first use of a dtype is safe because
+        every rank reaches it in the same SPMD order.
         """
-        key = (np.dtype(dtype), tail)
+        key = (np.dtype(dtype), tail, reverse)
         plan = self._plans.get(key)
         if plan is None:
+            send, recv = self._send_counts, self._recv_counts
+            if reverse:
+                send, recv = recv + 1, send + 1
             plan = self.comm.alltoallv_plan(
-                self._send_counts, recvcounts=self._recv_counts,
-                dtype=key[0], tail=tail, name=f"halo:{key[0]}{list(tail)}")
+                send, recvcounts=recv, dtype=key[0], tail=tail,
+                name=f"halo{'.rev' * reverse}:{key[0]}{list(tail)}")
             self._plans[key] = plan
         return plan
 
@@ -200,6 +232,32 @@ class HaloExchange:
         for i, a in enumerate(arrays):
             if i not in fused:
                 self.exchange(a)
+
+    def reverse(self, ghost_values: np.ndarray,
+                flag) -> tuple[np.ndarray, np.ndarray]:
+        """Ship every ghost slot's value back to its owner, and one flag
+        row to every rank; one plan execute.
+
+        ``ghost_values`` is ``(n_gst, ...)``: row ``i`` is the value of
+        ghost local id ``n_loc + i``.  ``flag`` fills the flag row that
+        heads this rank's block to every rank, itself included.  Returns
+        ``(rows, flags)``: ``rows[j]`` is the value a peer shipped for
+        owned vertex :attr:`send_lids` ``[j]`` (an owned vertex appears
+        once per peer that holds it as a ghost) and ``flags[r]`` is rank
+        ``r``'s flag row.  All ranks must use the same dtype and trailing
+        shape.
+        """
+        if len(ghost_values) != self.n_ghosts:
+            raise ValueError(
+                f"ghost_values must have length n_gst={self.n_ghosts}, "
+                f"got {len(ghost_values)}")
+        plan = self._plan_for(ghost_values.dtype, ghost_values.shape[1:],
+                              reverse=True)
+        sendbuf = plan.sendbuf
+        sendbuf[self._rev_flags_out] = flag
+        sendbuf[self._rev_slot_pos] = ghost_values
+        recv = plan.execute()
+        return recv[self._rev_rows], recv[self._rev_flags_in]
 
     # ------------------------------------------------------------------
     # unoptimized variants, kept for the ablation benchmarks

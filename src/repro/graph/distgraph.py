@@ -56,8 +56,10 @@ class DistGraph:
     #: view of a delta graph, with the view.  The halo exchange
     #: (``"halo"``, via :func:`~repro.analytics.exchange.halo_of`) is
     #: also checked against the communicator on every use.  Beside it:
-    #: the closure rows, the propagation operators and Δ-stepping's
-    #: relaxation plan.  Entries hold arrays, never this object.
+    #: the closure rows, the propagation operators, Δ-stepping's
+    #: relaxation plan and, on rank 0 of a serving engine, the owned-gid
+    #: order served results are placed by.  Entries hold arrays, never
+    #: this object.
     derived: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 

@@ -75,6 +75,7 @@ import _thread
 import math
 import os
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
@@ -176,6 +177,7 @@ class World:
         self._parked: list[Any] = []
         self._broken: list[Any] | None = None  # the generation abort() broke
         self._abort_reason: str | None = None
+        self._subworlds: weakref.WeakSet[World] = weakref.WeakSet()
 
     def wait(self) -> float:
         """Block until every rank arrives; return the seconds blocked.
@@ -211,7 +213,9 @@ class World:
         """Break the open generation: its waiters and every later
         :meth:`wait` raise :class:`RankAborted` with the first reason.  A
         completed generation returns normally even if its waiters wake
-        after this."""
+        after this.  The abort cascades to every live world
+        :meth:`subworld` built, so a group's peers parked in their own
+        collective wake too."""
         with self._mutex:
             if self._abort_reason is not None:
                 return
@@ -219,14 +223,25 @@ class World:
             self._broken = self._parked
             for lock in self._parked:
                 lock.release()
+            subworlds = list(self._subworlds)
+        for sub in subworlds:
+            sub.abort(reason)
 
     def subworld(self, ranks: Sequence[int]) -> "World":
         """The handle of a new world for the ``ranks`` of one
         :meth:`Communicator.split` group: the group's leader builds it and
         hands it to the members, who :meth:`join` it.  Thread ranks share
-        the world object itself."""
-        return World(len(ranks), timeout=self.timeout, verify=self.verify,
-                     sanitize=self.sanitize)
+        the world object itself.  It is aborted with this world, and
+        starts aborted if this world already is."""
+        sub = World(len(ranks), timeout=self.timeout, verify=self.verify,
+                    sanitize=self.sanitize)
+        with self._mutex:
+            reason = self._abort_reason
+            if reason is None:
+                self._subworlds.add(sub)
+        if reason is not None:
+            sub.abort(reason)
+        return sub
 
     def join(self, handle: "World") -> "World":
         """This rank's view of the world :meth:`subworld` built."""

@@ -120,17 +120,24 @@ class _KindSpec:
 
 def _assemble_by_gid(comm: Communicator, g, local_values: np.ndarray,
                      fill=0) -> np.ndarray | None:
-    """Gather per-local-vertex values into global-id order on rank 0."""
+    """Gather per-local-vertex values into global-id order on rank 0.
+
+    Only the values travel: rank r's block holds its owned vertices in
+    the partition's ``owned_gids(r)`` order, so rank 0 places every block
+    by the concatenated owned lists, cached in ``g.derived``.
+    """
     local_values = np.ascontiguousarray(local_values)
-    gids = comm.gatherv(g.unmap[: g.n_loc].astype(np.int64))
     vals = comm.gatherv(local_values)
     if comm.rank != 0:
         return None
-    gid_data, _ = gids
+    order = g.derived.get("owned_gids")
+    if order is None:
+        order = g.derived["owned_gids"] = np.concatenate(
+            [g.partition.owned_gids(r) for r in range(comm.size)])
     val_data, _ = vals
     shape = (g.n_global,) + local_values.shape[1:]
     out = np.full(shape, fill, dtype=local_values.dtype)
-    out[gid_data] = val_data.reshape((-1,) + local_values.shape[1:])
+    out[order] = val_data.reshape((-1,) + local_values.shape[1:])
     return out
 
 

@@ -20,15 +20,15 @@ and costs more than the plain power iteration.  ``run()`` is therefore
 graph's retained halo; the view's rows are in canonical gid order, so the
 per-row sums match a rebuild bit for bit.
 
-**WCC — union-find with rollback.**  Component labels are canonical
+**WCC — union-find over label pairs.**  Component labels are canonical
 min-gids, so insert-only batches can only *merge* label classes: the
 kernel collects the label pairs bridged by new edges (each global insert
 is journaled on exactly one rank; one allgather makes the pair set
 identical everywhere), unions them in a deterministic order, and
-relabels.  Batches are applied speculatively: when the journal scan hits
-an effective deletion, the unions applied so far are rolled back and the
-kernel falls back to the static Multistep kernel — deletions can split
-components, which cannot be repaired from labels alone.
+relabels.  The journal is scanned first: when it holds an effective
+deletion the kernel falls back to the static Multistep kernel, with no
+collective of its own before it — deletions can split components, which
+cannot be repaired from labels alone.
 
 **Degrees / k-core.**  Degrees are maintained exactly by the delta graph
 (integer adds; :meth:`~repro.stream.deltagraph.DynamicDistGraph.
@@ -227,57 +227,42 @@ class IncrementalWCC:
         if records is None:
             return self._full()
 
-        # Speculative application: union the label pairs bridged by each
-        # batch's inserts; the first effective deletion invalidates the
-        # speculation (a split cannot be repaired from labels), so roll
-        # back and recompute.  The n_deleted counters are global, hence
-        # every rank rolls back (or not) in lockstep.
-        uf = UnionFindRollback()
-        mark = uf.checkpoint()
+        # The journal is read before any collective: an effective deletion
+        # can split a component, which cannot be repaired from labels, so
+        # the refresh is the full kernel.  The n_deleted counters are
+        # global, hence every rank takes the same branch.
+        if any(rec.n_deleted > 0 for rec in records):
+            self.stats["rollbacks"] += 1
+            return self._full()
+
+        # Insert-only: union the label pairs bridged by the inserts.
         labels_full = np.empty(dyn.n_total, dtype=np.int64)
         labels_full[:dyn.n_loc] = self._labels
         dyn.halo.exchange(labels_full)
-        need_rollback = False
-        pair_src: list[np.ndarray] = []
-        pair_dst: list[np.ndarray] = []
-        for rec in records:
-            if rec.n_deleted > 0:
-                need_rollback = True
-                break
-            pair_src.append(rec.ins_src_gid)
-            pair_dst.append(rec.ins_dst_gid)
-
-        if not need_rollback:
-            su = (np.concatenate(pair_src) if pair_src
-                  else np.empty(0, dtype=np.int64))
-            du = (np.concatenate(pair_dst) if pair_dst
-                  else np.empty(0, dtype=np.int64))
-            lu = labels_full[dyn.partition.to_local(dyn.rank, su)] \
-                if len(su) else su
-            lv = labels_full[dyn.to_local(du)] if len(du) else du
-            cross = lu != lv
-            local_pairs = np.stack(
-                (lu[cross], lv[cross]), axis=1) if len(su) else \
-                np.empty((0, 2), dtype=np.int64)
-            all_pairs = self.comm.allgather(local_pairs)
-            merged = 0
-            for pairs in all_pairs:  # rank order: identical everywhere
-                for a, b in pairs:
-                    if uf.union(int(a), int(b)):
-                        merged += 1
-            olds, news = uf.mapping()
-            _apply_label_mapping(self._labels, olds, news)
-            self._epoch = dyn.epoch
-            self.stats["merges"] += merged
-            return IncrementalWCCResult(labels=self._labels.copy(),
-                                        mode="incremental", n_merges=merged)
-
-        uf.rollback(mark)
-        self.stats["rollbacks"] += 1
-        # The rolled-back speculation consumed no collectives besides the
-        # label exchange, which every rank performed; the full kernel is
-        # likewise collective, so schedules stay aligned.
-        return self._full()
+        su = (np.concatenate([rec.ins_src_gid for rec in records])
+              if records else np.empty(0, dtype=np.int64))
+        du = (np.concatenate([rec.ins_dst_gid for rec in records])
+              if records else np.empty(0, dtype=np.int64))
+        lu = labels_full[dyn.partition.to_local(dyn.rank, su)] \
+            if len(su) else su
+        lv = labels_full[dyn.to_local(du)] if len(du) else du
+        cross = lu != lv
+        local_pairs = np.stack(
+            (lu[cross], lv[cross]), axis=1) if len(su) else \
+            np.empty((0, 2), dtype=np.int64)
+        all_pairs = self.comm.allgather(local_pairs)
+        uf = UnionFindRollback()
+        merged = 0
+        for pairs in all_pairs:  # rank order: identical everywhere
+            for a, b in pairs:
+                if uf.union(int(a), int(b)):
+                    merged += 1
+        olds, news = uf.mapping()
+        _apply_label_mapping(self._labels, olds, news)
+        self._epoch = dyn.epoch
+        self.stats["merges"] += merged
+        return IncrementalWCCResult(labels=self._labels.copy(),
+                                    mode="incremental", n_merges=merged)
 
 
 class IncrementalKCore:

@@ -192,12 +192,13 @@ def kern_bfs_words(comm, cfg):
     """``multi_source_bfs`` beside the reference loop, per direction, for
     every prefix length ``k`` in ``cfg["ks"]`` of ``cfg["sources"]``.
 
-    Returns the owned gids and ``{(direction, k): (levels, reference
-    levels, alltoallv count, allreduce count, bfs.levels, bfs.ghost_words,
-    alltoallv bytes sent)}``, the counts and counters over the batched
-    call alone.
+    Returns the owned gids, the ghost count and ``{(direction, k):
+    (levels, reference levels, (op, bytes sent) per collective,
+    bfs.levels, bfs.ghost_words)}``, the ops and counters over the
+    batched call alone.
     """
     g = build_graph(comm, cfg)
+    halo_of(comm, g)  # the graph's halo set up outside the calls
     sources = np.asarray(cfg["sources"], dtype=np.int64)
     out = {}
     for direction in ("out", "in", "both"):
@@ -211,11 +212,8 @@ def kern_bfs_words(comm, cfg):
             bumped = [trace.counters.get(c, 0) - before.get(c, 0)
                       for c in ("bfs.levels", "bfs.ghost_words")]
             out[direction, k] = (
-                levels, np.ascontiguousarray(want[:, :k]),
-                sum(op == "alltoallv" for op, _ in ops),
-                sum(op.startswith("allreduce") for op, _ in ops),
-                *bumped, sum(b for op, b in ops if op == "alltoallv"))
-    return g.unmap[: g.n_loc].copy(), out
+                levels, np.ascontiguousarray(want[:, :k]), ops, *bumped)
+    return g.unmap[: g.n_loc].copy(), g.n_gst, out
 
 
 def kern_lp_oracle(comm, cfg):

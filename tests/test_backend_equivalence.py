@@ -153,13 +153,15 @@ def _per_op(trace):
     return out
 
 
-@pytest.mark.parametrize("kernel", [K.kern_pagerank, K.kern_bfs_dirop,
-                                    K.kern_kcore, K.kern_grid_bfs],
-                         ids=["pagerank", "bfs", "kcore", "grid_bfs"])
-def test_traces_identical_across_backends(graph_edges, kernel):
+@pytest.mark.parametrize("kernel, sources", [
+    (K.kern_pagerank, None), (K.kern_bfs_dirop, None), (K.kern_kcore, None),
+    (K.kern_grid_bfs, None), (K.kern_msbfs, [0]), (K.kern_msbfs, [0, 5, 9]),
+], ids=["pagerank", "bfs", "kcore", "grid_bfs", "msbfs_k1", "msbfs_k3"])
+def test_traces_identical_across_backends(graph_edges, kernel, sources):
     """Both backends run every collective through one body, so each
     rank's per-op collective, byte and message counts are equal."""
-    cfg = {"edges": graph_edges, "n": N, "part": "vblock", "root": 0}
+    cfg = {"edges": graph_edges, "n": N, "part": "vblock", "root": 0,
+           "sources": np.array(sources or [], dtype=np.int64)}
     ops = {}
     for backend in ("threads", "procs"):
         run_spmd(2, kernel, cfg, backend=backend, timeout=180.0)

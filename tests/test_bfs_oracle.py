@@ -12,10 +12,12 @@ k ∈ {0, 1, several, duplicated sources}.
 The frontier-word engine has its own matrix: k on both sides of every
 64-bit word boundary (0, 1, 2, 63, 64, 65, 130) with duplicated and
 isolated sources × out/in/both × 1–3 ranks × vblock/eblock/rand, with one
-``alltoallv`` and one ``allreduce`` per level (plus the first reduction)
-at every k and the ``bfs.levels`` / ``bfs.ghost_words`` trace counters
-checked against the levels and the bytes shipped.  It follows
-``REPRO_BACKEND``, so the procs backend runs it too.
+reverse-halo ``alltoallv`` per level (plus at most one trailing empty
+level), no reduction, each execute's bytes equal to the ghost slots plus
+the peer flags times the word width, and the ``bfs.levels`` /
+``bfs.ghost_words`` trace counters checked against the executes and the
+bytes shipped.  It follows ``REPRO_BACKEND``, so the procs backend runs
+it too.
 """
 
 from __future__ import annotations
@@ -164,31 +166,36 @@ def test_word_engine_matches_reference(p, part):
     outs = run_spmd(p, K.kern_bfs_words,
                     {"edges": edges, "n": n, "part": part,
                      "sources": sources, "ks": WORD_KS}, timeout=300.0)
-    assert sum(len(gids) for gids, _ in outs) == n
-    for key in outs[0][1]:
+    assert sum(len(gids) for gids, _, _ in outs) == n
+    for key in outs[0][2]:
         direction, k = key
-        per_rank = [res[key] for _, res in outs]
-        n_levels = max(int(want.max(initial=-1)) for _, want, *_ in per_rank) + 1
+        per_rank = [(n_gst, res[key]) for _, n_gst, res in outs]
+        n_levels = max(int(r[1].max(initial=-1)) for _, r in per_rank) + 1
         assert (n_levels == 0) == (k == 0), key
-        words = -(-k // 64)
-        for levels, want, a2a, ar, bumped_levels, ghost_words, sent in per_rank:
+        # A level ships one bool per ghost slot and peer flag at k = 1,
+        # and one word row of 8-byte words per slot and flag above it.
+        width = 1 if k == 1 else 8 * -(-k // 64)
+        executes = {len(r[2]) for _, r in per_rank}
+        assert len(executes) == 1, key  # the same schedule on every rank
+        for n_gst, (levels, want, ops, bumped_levels,
+                    ghost_words) in per_rank:
             assert levels.dtype == np.int64 and levels.shape == want.shape
             assert levels.tobytes() == want.tobytes(), key
-            # One exchange per level, one reduction per level plus the
-            # first; the batch's shared levels are counted once.
-            assert (a2a, ar, bumped_levels) == (n_levels, n_levels + 1,
-                                                n_levels), key
-            # Each ghost row carries a gid plus its words (k = 1: the gid).
-            if k == 1:
-                assert sent == 8 * ghost_words, key
-            elif k:
-                assert sent * words == 8 * ghost_words * (1 + words), key
+            # One reverse-plan execute per level plus at most one trailing
+            # empty level, and no reduction; the batch's shared levels
+            # are counted once.
+            assert len(ops) - n_levels in ((0,) if k == 0 else (0, 1)), key
+            assert bumped_levels == len(ops), key
+            assert ops == [("alltoallv", (n_gst + p - 1) * width)] * len(ops)
+            # bfs.ghost_words counts the words those bytes hold.
+            assert ghost_words * (1 if k == 1 else 8) == sum(
+                b for _, b in ops), key
             if p == 1:
                 assert ghost_words == 0
         if k > 1 and p > 1:
-            assert sum(r[5] for r in per_rank) > 0, key
+            assert sum(r[1][4] for r in per_rank) > 0, key
     # The isolated source is alone at level 0 in its column.
-    col = np.concatenate([res["out", 63][0][:, 2] for _, res in outs])
+    col = np.concatenate([res["out", 63][0][:, 2] for _, _, res in outs])
     assert np.count_nonzero(col == 0) == 1 and (col[col != 0] == -2).all()
 
 

@@ -129,6 +129,50 @@ def test_traffic_counts_symmetric(small_web):
     assert sum(o[0] for o in outs) == sum(o[1] for o in outs)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("kind", PARTITION_KINDS)
+def test_reverse_returns_ghost_values_to_owners(small_web, p, kind):
+    """``reverse`` hands each owner the value every holder of a ghost
+    shipped for it, aligned with the retained send list, and every
+    rank's flag row; one execute of ghost slots plus peer flags."""
+    n, edges = small_web
+
+    def fn(comm, g):
+        halo = HaloExchange(comm, g)
+        ghost_gids = g.unmap[g.n_loc:]
+        for tail in ((), (3,)):
+            vals = (ghost_gids * 10).reshape((-1,) + (1,) * len(tail)) \
+                + np.zeros(tail, dtype=np.int64)
+            mark = len(comm.trace.events)
+            rows, flags = halo.reverse(vals, comm.rank + 1)
+            (event,) = comm.trace.events[mark:]
+            assert event.op == "alltoallv"
+            assert event.bytes_sent == (g.n_gst + p - 1) * 8 * (
+                tail[0] if tail else 1)
+            want = (g.unmap[halo.send_lids] * 10).reshape(
+                (-1,) + (1,) * len(tail))
+            assert rows.shape == (len(halo.send_lids),) + tail
+            assert (rows == want).all()
+            assert flags.shape == (p,) + tail
+            assert (flags == np.arange(1, p + 1).reshape(
+                (-1,) + (1,) * len(tail))).all()
+        return True
+
+    assert all(dist_run(edges, n, p, fn, kind))
+
+
+def test_reverse_rejects_wrong_length(small_web):
+    n, edges = small_web
+
+    def fn(comm, g):
+        halo = HaloExchange(comm, g)
+        with pytest.raises(ValueError, match="n_gst"):
+            halo.reverse(np.zeros(g.n_gst + 1, dtype=bool), False)
+        return True
+
+    assert all(dist_run(edges, n, 2, fn))
+
+
 # ---------------------------------------------------------------------------
 # flat-buffer plan path: edge cases and new exchange modes
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ name their backend.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -197,6 +198,62 @@ def _gate_abort_after_completed_generation(c):
     except RankAborted as exc:
         return "raised", str(exc)
     return "returned", None
+
+
+def _rank0_fails_outside_its_group(c):
+    group = c.split(c.rank % 2)
+    if c.rank == 0:
+        raise ValueError("rank 0 fails before its group's allreduce")
+    t0 = time.monotonic()
+    try:
+        group.allreduce(1, SUM)  # rank 2 parks: rank 0 never arrives
+    except RankAborted:
+        raise RuntimeError(
+            f"raised after {time.monotonic() - t0:.3f} s") from None
+    return "completed"
+
+
+def test_failure_outside_a_split_group_wakes_its_peers():
+    """A rank that fails outside its group's collective aborts that
+    group's world too: its group peer raises at once, not at the world
+    timeout."""
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(4, _rank0_fails_outside_its_group, timeout=3.0)
+    failures = ei.value.failures
+    assert isinstance(failures[0], ValueError)
+    msg = str(failures[2])
+    assert msg.startswith("raised after "), msg
+    assert float(msg.split()[2]) < 1.0, msg
+
+
+def test_subworld_of_an_aborted_world_starts_aborted():
+    world = World(2, timeout=10.0)
+    world.abort("gone")
+    with pytest.raises(RankAborted, match="gone"):
+        world.subworld([0, 1]).wait()
+
+
+def test_abort_reaches_subworlds_built_while_it_runs():
+    """Subworlds built by one thread while another aborts the world all
+    end aborted with its reason: none slips between the abort and its
+    own registration (a missed one would time out instead)."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            world = World(2, timeout=2.0)
+            subs: list[World] = []
+            builder = threading.Thread(target=lambda: subs.extend(
+                world.subworld([0, 1]) for _ in range(50)))
+            builder.start()
+            world.abort("stop")
+            builder.join(timeout=10.0)
+            assert not builder.is_alive()
+            for sub in subs:
+                with pytest.raises(RankAborted, match="stop"):
+                    sub.wait()
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_procs_abort_after_a_completed_generation_spares_it():

@@ -74,6 +74,54 @@ def test_engine_matches_direct_run(engine, small_web):
     assert np.array_equal(served, direct)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("part", ["vblock", "eblock", "rand"])
+def test_served_results_ship_values_only(small_web, p, part):
+    """A served result is one ``gatherv`` of values: rank r's owned
+    vertices are its partition's ``owned_gids(r)`` in order, and rank 0
+    places each block by that list, which equals assembling by gid."""
+    from conftest import dist_run, gather_by_gid
+    from repro.analytics import (
+        batched_personalized_pagerank,
+        multi_source_bfs,
+        wcc,
+    )
+    from repro.service.engine import _make_bfs, _make_ppr, _make_wcc
+
+    n, edges = small_web
+    jobs = {"bfs": _make_bfs({"sources": [0, 11, 11], "direction": "out"}),
+            "ppr": _make_ppr({"seeds": [5, 40], "max_iters": 20}),
+            "wcc": _make_wcc({})}
+
+    def fn(comm, g):
+        assert np.array_equal(g.unmap[:g.n_loc],
+                              g.partition.owned_gids(comm.rank))
+        served, gathers = {}, {}
+        for name, job in jobs.items():
+            mark = len(comm.trace.events)
+            served[name] = job(comm, {"graph": g})
+            gathers[name] = [e.op for e in comm.trace.events[mark:]
+                             ].count("gatherv")
+        direct = {
+            "bfs": multi_source_bfs(comm, g, [0, 11, 11]),
+            "ppr": batched_personalized_pagerank(
+                comm, g, np.array([5, 40]), max_iters=20,
+                tol=1e-10).scores,
+            "wcc": wcc(comm, g).labels}
+        return g.unmap[:g.n_loc], direct, served, gathers
+
+    outs = dist_run(edges, n, p, fn, part)
+    served = outs[0][2]
+    assert all(o[2] == {"bfs": None, "ppr": None, "wcc": None}
+               for o in outs[1:])
+    assert all(o[3] == {"bfs": 1, "ppr": 1, "wcc": 1} for o in outs)
+    want = {name: gather_by_gid([(o[0], o[1][name]) for o in outs])
+            for name in jobs}
+    assert served["bfs"].tobytes() == want["bfs"].tobytes()
+    assert served["ppr"]["scores"].tobytes() == want["ppr"].tobytes()
+    assert served["wcc"]["labels"].tobytes() == want["wcc"].tobytes()
+
+
 def test_failing_job_leaves_engine_serving(engine):
     """ISSUE acceptance criterion: failure aborts the job, not the world."""
     before = engine.query("bfs", source=21)["levels"]

@@ -211,6 +211,40 @@ def test_pagerank_refresh_runs_the_static_schedule():
         assert any(compacted), "no epoch compacted"
 
 
+def test_wcc_refresh_after_a_deletion_runs_the_static_schedule():
+    """An epoch whose journal holds an effective deletion refreshes with
+    exactly the collectives (op and bytes sent) of ``wcc`` on
+    ``dyn.view()``: the journal is read before any label exchange."""
+    n = 128
+    edges = rmat_edges(7, edge_factor=4.0, seed=5)
+    ops = np.array([[edges[0, 0], edges[0, 1], -1], [3, 90, 1],
+                    [edges[7, 0], edges[7, 1], -1], [100, 5, 1]],
+                   dtype=np.int64)
+
+    def job(comm):
+        chunk = np.array_split(edges, comm.size)[comm.rank]
+        g = build_dist_graph(comm, chunk, make_partition(
+            "vblock", comm, n, chunk))
+        dyn = DynamicDistGraph(comm, g)
+        iwcc = IncrementalWCC(comm, dyn)
+        iwcc.run()  # the seeding full run
+        my = np.array_split(ops, comm.size)[comm.rank]
+        assert dyn.apply(UpdateBatch(my[:, 0], my[:, 1], my[:, 2])
+                         ).n_deleted == 2
+        events = comm.trace.events
+        n0 = len(events)
+        got = iwcc.run()
+        n1 = len(events)
+        want = wcc(comm, dyn.view())
+        assert got.mode == "full"
+        assert [(e.op, e.bytes_sent) for e in events[n0:n1]] == \
+            [(e.op, e.bytes_sent) for e in events[n1:]]
+        assert np.array_equal(got.labels, want.labels)
+        return True
+
+    assert all(run_spmd(2, job, timeout=120.0))
+
+
 def test_pagerank_rejects_negative_max_iters(tiny_multi):
     n, edges = tiny_multi
 
