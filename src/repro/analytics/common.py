@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from ..graph.distgraph import DistGraph
+from ..graph.distgraph import DistGraph, GridGraph
 from ..runtime import MAXLOC, Communicator
 
 __all__ = [
@@ -20,11 +20,17 @@ NOT_VISITED = -2
 QUEUED = -1
 
 
-def csr_operator(g: DistGraph, direction: str) -> sparse.csr_array:
-    """The propagation operator of ``g`` along ``direction`` (``"in"`` or
-    ``"out"``): a CSR matrix with one row per owned vertex, one column per
-    owned or ghost vertex and a unit entry per stored edge, over the
-    graph's own index arrays (only the unit data is allocated).
+def csr_operator(g: DistGraph | GridGraph,
+                 direction: str) -> sparse.csr_array:
+    """The propagation operator of ``g`` along ``direction``: a CSR matrix
+    with a unit entry per stored edge, over the graph's own index arrays
+    (only the unit data is allocated).
+
+    On a :class:`DistGraph` the direction is ``"in"`` or ``"out"``: one
+    row per owned vertex, one column per owned or ghost vertex.  On a
+    :class:`GridGraph` it is ``"bu"``, the block's bottom-up CSR: one row
+    per row-slice vertex, one column per column-slice vertex (the grid
+    BFS pulls through it).
 
     ``A @ x`` is the per-row sum of ``x`` over the row's neighbours, and
     ``A @ X`` the same for every column of an ``(n_total, k)`` block.
@@ -35,16 +41,17 @@ def csr_operator(g: DistGraph, direction: str) -> sparse.csr_array:
     """
     op = g.derived.get(("operator", direction))
     if op is None:
-        if direction == "in":
-            indptr, adj = g.in_indexes, g.in_edges
-        elif direction == "out":
-            indptr, adj = g.out_indexes, g.out_edges
+        if isinstance(g, GridGraph) and direction == "bu":
+            indptr, adj, shape = g.bu_indexes, g.bu_edges, (g.n_row, g.n_col)
+        elif isinstance(g, DistGraph) and direction in ("in", "out"):
+            indptr, adj = ((g.in_indexes, g.in_edges) if direction == "in"
+                           else (g.out_indexes, g.out_edges))
+            shape = (g.n_loc, g.n_total)
         else:
-            raise ValueError(
-                f"direction must be 'in' or 'out', got {direction!r}")
+            raise ValueError(f"no {direction!r} operator on a "
+                             f"{type(g).__name__}")
         op = g.derived[("operator", direction)] = sparse.csr_array(
-            (np.ones(len(adj)), adj, indptr), shape=(g.n_loc, g.n_total),
-            copy=False)
+            (np.ones(len(adj)), adj, indptr), shape=shape, copy=False)
     return op
 
 

@@ -10,10 +10,13 @@ two subgroup collectives of ``≈ √p`` participants each (Buluç & Madduri):
    ``comm.cols()``; unpacking the per-member segments yields the full
    column-slice frontier every block in the column needs;
 2. **local expansion** — *push* scans the td CSR rows of the column
-   frontier, *pull* scans only the bu CSR rows of unvisited row-slice
-   targets; each block picks the side with fewer entries, with no
-   collective (the push/pull identity of :mod:`~repro.analytics.
-   bfs_dirop`);
+   frontier, *pull* reads only the bu CSR rows of unvisited row-slice
+   targets with a bu entry (an array built once per traversal and
+   trimmed each level), gathered or — past :data:`~repro.analytics.
+   bfs_dirop.DENSE_PULL_SHARE` of the block's entries — as one product
+   of the cached ``csr_operator(g, "bu")``; each block picks the side
+   with fewer entries, with no collective (the push/pull identity of
+   :mod:`~repro.analytics.bfs_dirop`);
 3. **row reduce** — candidate targets are packed into a row-slice bitmap
    and OR-combined with one ``allreduce(BOR)`` over ``comm.rows()``; every
    row member learns the complete next frontier of its row slice and
@@ -41,7 +44,7 @@ from ..graph.distgraph import GridGraph
 from ..runtime import BOR, MAXLOC, MIN, SUM, Communicator, ReduceOp
 from .bfs import _gather_ranges
 from .bfs_dirop import _pull
-from .common import NOT_VISITED
+from .common import NOT_VISITED, csr_operator
 from .delta_stepping import (
     DeltaSteppingResult,
     _bucket_minima,
@@ -142,7 +145,9 @@ def grid_bfs_dirop(
     the frontier size.  The wire format does not depend on the direction,
     so there is no global heuristic: each block expands by push (the td
     rows of the column frontier) or pull (the bu rows of the unvisited
-    row-slice targets), whichever reads fewer entries.
+    row-slice targets), whichever reads fewer entries.  Trace counters as
+    on 1-D: ``bfs.levels``, ``bfs.push_levels``, ``bfs.pull_levels`` and
+    ``bfs.dense_pulls``.
     """
     if not (0 <= root_global < g.n_global):
         raise ValueError("root out of range")
@@ -160,7 +165,10 @@ def grid_bfs_dirop(
         visited_row[root_global - g.row_lo] = True
 
     deg_td, deg_bu = g.td_degrees(), g.bu_degrees()
-    level = pushes = 0
+    # The unvisited row-slice targets a pull can reach: those with a bu
+    # entry, trimmed of the visited ones before each expansion.
+    rows = np.flatnonzero(deg_bu > 0)
+    level = pushes = dense_pulls = 0
     global_front = comm.allreduce(int(own_mask.sum()), SUM)
 
     while global_front > 0:
@@ -171,15 +179,17 @@ def grid_bfs_dirop(
 
         # Local expansion into row-slice candidates, by the cheaper side.
         fr = np.flatnonzero(col_mask)
-        unvisited = np.flatnonzero(~visited_row)
+        rows = rows[~visited_row[rows]]
         cand[:] = False
-        if deg_td[fr].sum() <= deg_bu[unvisited].sum():
+        if deg_td[fr].sum() <= deg_bu[rows].sum():
             cand[_gather_ranges(g.td_edges, g.td_indexes[fr],
                                 g.td_indexes[fr + 1])] = True
             cand &= ~visited_row
             pushes += 1
         else:
-            cand[_pull(g.bu_indexes, g.bu_edges, unvisited, col_mask)] = True
+            hits, dense = _pull(csr_operator(g, "bu"), rows, col_mask)
+            cand[hits] = True
+            dense_pulls += dense
 
         # Row phase: packed-bitmap OR-reduce; every member sees the full
         # next frontier of its row slice and keeps its own chunk.
@@ -193,6 +203,7 @@ def grid_bfs_dirop(
     comm.trace.bump("bfs.levels", level)
     comm.trace.bump("bfs.push_levels", pushes)
     comm.trace.bump("bfs.pull_levels", level - pushes)
+    comm.trace.bump("bfs.dense_pulls", dense_pulls)
     return status
 
 

@@ -19,7 +19,7 @@ from .incremental import (
     IncrementalPageRank,
     IncrementalWCC,
     IncrementalWCCResult,
-    UnionFindRollback,
+    UnionFind,
 )
 from .updates import (
     DELETE,
@@ -40,7 +40,7 @@ __all__ = [
     "IncrementalPageRank",
     "IncrementalWCC",
     "IncrementalWCCResult",
-    "UnionFindRollback",
+    "UnionFind",
     "DELETE",
     "INSERT",
     "RoutedUpdates",

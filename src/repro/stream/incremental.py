@@ -69,22 +69,19 @@ __all__ = [
     "IncrementalWCC",
     "IncrementalWCCResult",
     "IncrementalKCore",
-    "UnionFindRollback",
+    "UnionFind",
 ]
 
 
-class UnionFindRollback:
-    """Disjoint sets over arbitrary int labels, with undo.
+class UnionFind:
+    """Disjoint sets over arbitrary int labels.
 
     Union-by-min (the parent of a merge is the smaller root) keeps roots
-    canonical for min-gid component labels.  No path compression: every
-    state change is a single ``parent[child] = root`` assignment, so
-    rollback is an exact undo log replay.  Checkpoints nest.
+    canonical for min-gid component labels.
     """
 
     def __init__(self):
         self._parent: dict[int, int] = {}
-        self._log: list[int] = []
 
     def find(self, x: int) -> int:
         p = self._parent
@@ -102,18 +99,7 @@ class UnionFindRollback:
             return False
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self._parent[hi] = lo
-        self._log.append(hi)
         return True
-
-    def checkpoint(self) -> int:
-        return len(self._log)
-
-    def rollback(self, mark: int) -> None:
-        """Undo every union applied after ``checkpoint()`` returned
-        ``mark``."""
-        while len(self._log) > mark:
-            child = self._log.pop()
-            del self._parent[child]
 
     def mapping(self) -> tuple[np.ndarray, np.ndarray]:
         """(old_label, new_label) pairs for every label whose root moved,
@@ -251,7 +237,7 @@ class IncrementalWCC:
             (lu[cross], lv[cross]), axis=1) if len(su) else \
             np.empty((0, 2), dtype=np.int64)
         all_pairs = self.comm.allgather(local_pairs)
-        uf = UnionFindRollback()
+        uf = UnionFind()
         merged = 0
         for pairs in all_pairs:  # rank order: identical everywhere
             for a, b in pairs:

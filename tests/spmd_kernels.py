@@ -147,8 +147,8 @@ def kern_dirop_oracle(comm, cfg):
     Returns the owned gids, the reference levels of those vertices (from
     a 1-D vertex-block build of the same chunks on a grid) and ``{(mode
     index, source): (levels, world ops, column ops, row ops, bfs.levels,
-    bfs.push_levels, bfs.pull_levels)}`` over the call alone; a grid
-    rank outside the process grid has no column or row ops.
+    bfs.push_levels, bfs.pull_levels, bfs.dense_pulls)}`` over the call
+    alone; a grid rank outside the process grid has no column or row ops.
     """
     grid = cfg["part"] == "grid"
     sources = [int(s) for s in cfg["sources"]]
@@ -166,7 +166,8 @@ def kern_dirop_oracle(comm, cfg):
         gids = g.unmap[: g.n_loc].copy()
     want = np.stack([reference_bfs(comm, ref_g, s) for s in sources], axis=1)
     want_gids = ref_g.unmap[: ref_g.n_loc]
-    counters = ("bfs.levels", "bfs.push_levels", "bfs.pull_levels")
+    counters = ("bfs.levels", "bfs.push_levels", "bfs.pull_levels",
+                "bfs.dense_pulls")
     out = {}
     for i, mode in enumerate(cfg["modes"]):
         for s in sources:

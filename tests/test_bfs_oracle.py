@@ -26,12 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import spmd_kernels as K
 from bfs_reference import reference_bfs, reference_closeness, reference_harmonic
 from conftest import PARTITION_KINDS, dist_run
 from repro.analytics import (
     batched_closeness,
+    bfs_dirop,
     closeness_centrality,
     distributed_bfs,
     distributed_bfs_dirop,
@@ -220,6 +222,43 @@ def _dirop_graphs():
     yield "star", n, edges, np.array([0, 5, 45], dtype=np.int64)
 
 
+def test_pull_spellings_agree(monkeypatch):
+    """``_pull`` on random CSRs and flag masks: the rows it returns hold a
+    flagged entry, and its gathered and product spellings (forced by the
+    share constant) return the same rows.  The candidates' share of the
+    entries falls on both sides of ``DENSE_PULL_SHARE``, and every CSR is
+    also pulled over no candidate at all."""
+    rng = np.random.default_rng(43)
+    picked = set()
+    for _ in range(200):
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 40, size=2))
+        lens = rng.integers(1, 6, size=n_rows) * (rng.random(n_rows) < 0.7)
+        indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        adj = rng.integers(0, n_cols, size=int(indptr[-1]))
+        op = sparse.csr_array((np.ones(len(adj)), adj, indptr),
+                              shape=(n_rows, n_cols))
+        flags = rng.random(n_cols) < rng.random()
+        nonempty = np.flatnonzero(lens)
+        some = np.sort(rng.choice(nonempty, replace=False,
+                                  size=int(rng.integers(len(nonempty) + 1))))
+        for rows in (some, nonempty[:0]):
+            want = np.array([r for r in rows
+                             if flags[adj[indptr[r]:indptr[r + 1]]].any()],
+                            dtype=np.int64)
+            got, dense = bfs_dirop._pull(op, rows, flags)
+            assert got.tobytes() == want.tobytes()
+            assert dense == (lens[rows].sum()
+                             > bfs_dirop.DENSE_PULL_SHARE * len(adj))
+            picked.add(dense)
+            for share, spelling in ((-1.0, len(adj) > 0), (np.inf, False)):
+                with monkeypatch.context() as m:
+                    m.setattr(bfs_dirop, "DENSE_PULL_SHARE", share)
+                    assert bfs_dirop._pull(op, rows, flags)[1] == spelling
+                    assert bfs_dirop._pull(op, rows, flags)[0].tobytes() \
+                        == want.tobytes()
+    assert picked == {False, True}
+
+
 @pytest.mark.parametrize("p, part", [
     (p, part) for p in (1, 2, 3) for part in PARTITION_KINDS + ("grid",)
 ] + [(5, "grid")])
@@ -230,8 +269,10 @@ def test_dirop_push_pull_matches_reference(p, part):
     reduce and one ``allreduce`` on the grid (p = 5 runs a 2 × 2
     fallback grid with rank 4 idle: world reductions only, every level
     a push over nothing); ``bfs.push_levels + bfs.pull_levels ==
-    bfs.levels`` on every rank, and both local branches run."""
+    bfs.levels`` on every rank, both local branches run, and so do both
+    spellings of a pull (``bfs.dense_pulls`` counts the products)."""
     grid = part == "grid"
+    spellings = np.zeros(2, dtype=np.int64)  # (gathered, product) pulls
     for name, n, edges, sources in _dirop_graphs():
         outs = run_spmd(p, K.kern_dirop_oracle,
                         {"edges": edges, "n": n, "part": part,
@@ -248,8 +289,10 @@ def test_dirop_push_pull_matches_reference(p, part):
             j = list(sources).index(s)
             assert got.tobytes() == want[:, j].tobytes(), (name, mode, s)
             n_levels = int(want[:, j].max(initial=-1)) + 1
-            for levels, world, col, row, lv, push, pull in per_rank:
+            for levels, world, col, row, lv, push, pull, dense in per_rank:
                 assert (lv, push + pull) == (n_levels, n_levels)
+                assert 0 <= dense <= pull
+                spellings += (pull - dense, dense)
                 if grid:
                     assert world == ["allreduce[SUM]"] * (n_levels + 1)
                     assert col in ([], ["allgatherv"] * n_levels)
@@ -273,3 +316,7 @@ def test_dirop_push_pull_matches_reference(p, part):
         assert pulls[2] > 0, name
         if grid:
             assert pulls[0] > 0 and pulls[1] > 0, name
+    # A pull gathers its rows or, when they hold more than
+    # DENSE_PULL_SHARE of the block's entries, takes one product: both
+    # run in every case.
+    assert spellings.all(), spellings

@@ -22,7 +22,7 @@ from repro.stream import (
     DELETE,
     INSERT,
     DynamicDistGraph,
-    UnionFindRollback,
+    UnionFind,
     UpdateBatch,
     read_updates_text,
     route_updates,
@@ -397,35 +397,20 @@ def test_maintained_degrees_track_updates():
 
 
 # ---------------------------------------------------------------------------
-# UnionFindRollback
+# UnionFind
 # ---------------------------------------------------------------------------
-def test_union_find_rollback():
-    uf = UnionFindRollback()
+def test_union_find():
+    uf = UnionFind()
     assert uf.union(5, 9)
     assert uf.find(9) == 5
     assert not uf.union(9, 5)  # already merged
-    mark = uf.checkpoint()
-    assert uf.union(9, 2)  # root becomes 2 (union-by-min)
-    assert uf.find(5) == 2
-    olds, news = uf.mapping()
-    assert list(olds) == [5, 9] and list(news) == [2, 2]
-    uf.rollback(mark)
-    assert uf.find(5) == 5 and uf.find(9) == 5
-    assert uf.find(2) == 2
     olds, news = uf.mapping()
     assert list(olds) == [9] and list(news) == [5]
-
-
-def test_union_find_nested_checkpoints():
-    uf = UnionFindRollback()
-    m0 = uf.checkpoint()
-    uf.union(1, 2)
-    m1 = uf.checkpoint()
-    uf.union(3, 4)
-    uf.rollback(m1)
-    assert uf.find(4) == 4 and uf.find(2) == 1
-    uf.rollback(m0)
-    assert uf.find(2) == 2
+    assert uf.union(9, 2)  # root becomes 2 (union-by-min)
+    assert uf.find(5) == 2 and uf.find(9) == 2
+    olds, news = uf.mapping()
+    assert list(olds) == [5, 9] and list(news) == [2, 2]
+    assert uf.find(7) == 7  # a label never unioned is its own root
 
 
 # ---------------------------------------------------------------------------
